@@ -195,7 +195,6 @@ impl ServedIndex {
 
 /// A lower-tier placement: relay positions plus the SS→relay assignment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoverageSolution {
     /// Positions of the placed coverage relays.
     pub relays: Vec<Point>,

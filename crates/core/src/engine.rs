@@ -9,28 +9,27 @@
 //!
 //! # Determinism contract
 //!
-//! `threads = 1` and `threads = N` produce byte-identical results as
-//! long as no zone errors:
+//! The fan-out itself is [`sag_obs::try_par_indexed`]. Its contract
+//! (inline below two workers, ordered claims, one trace tree, buffered
+//! metrics folded in index order, contained panics) is documented on
+//! [`sag_obs::par_indexed`] and property-tested in `sag-obs`. On top of
+//! it, `threads = 1` and `threads = N` produce byte-identical results
+//! as long as no zone errors:
 //!
 //! * the partition itself never depends on the thread count;
-//! * each zone solve is a pure function of its zone scenario (workers
-//!   inherit the coordinator's observability stack and ledger-mode
-//!   override, so not even debug switches can diverge);
+//! * each zone solve is a pure function of its zone scenario (every
+//!   zone solve re-installs the coordinator's ledger-mode override, so
+//!   not even debug switches can diverge);
 //! * the merge consumes zone results **in zone index order**, so the
 //!   relay numbering, the assignment remap and the merged ledger's
 //!   floating-point accumulators replay the sequential build exactly.
 //!
 //! When a shared budget is exhausted mid-run the *outcome* (which zone
 //! trips first) depends on scheduling, so error runs are only
-//! deterministic at `threads = 1`.
-//!
-//! Worker panics are caught at the engine boundary and surfaced as
+//! deterministic at `threads = 1`. Worker panics surface as
 //! [`SagError::WorkerPanic`] — a poisoned zone never hangs the merge.
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use sag_geom::Point;
 use sag_radio::ledger::InterferenceLedger;
@@ -74,16 +73,12 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 /// Solves `n_zones` zone jobs with up to `threads` workers and returns
 /// the results in zone index order.
 ///
-/// `threads <= 1` (or a single zone) runs everything on the calling
-/// thread in zone order — the exact sequential loop the merge replays.
-/// Otherwise a scoped work queue hands zones out in index order;
-/// workers re-install the coordinator's thread-local observability
-/// stack and ledger-mode override so a zone solve behaves identically
-/// on either path.
-///
-/// The first error **by zone index** wins and later zones are
-/// abandoned cooperatively (in-flight zones still finish). Panics in
-/// `solve` become [`SagError::WorkerPanic`] on both paths.
+/// Runs on [`sag_obs::try_par_indexed`] one zone per claim, so its
+/// determinism contract applies: `threads <= 1` (or a single zone) is
+/// the sequential loop the merge replays, and the first error **by
+/// zone index** wins, with later zones abandoned cooperatively. Each
+/// zone solve re-installs the coordinator's ledger-mode override, and a
+/// panic in `solve` becomes [`SagError::WorkerPanic`] on both paths.
 pub(crate) fn run_zones<T, F>(
     stage: &'static str,
     n_zones: usize,
@@ -95,104 +90,14 @@ where
     F: Fn(usize) -> SagResult<T> + Sync,
 {
     let inject = INJECT_PANIC.with(|f| f.get());
-    let solve_caught = |zone: usize| -> SagResult<T> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let _zone_span = sag_obs::span_zone("zone_solve", zone as u64);
-            assert!(!inject, "injected zone-worker panic (zone {zone})");
-            solve(zone)
-        }))
-        .unwrap_or(Err(SagError::WorkerPanic { stage, zone }))
-    };
-
-    let threads = resolve_threads(threads).min(n_zones.max(1));
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n_zones);
-        for zone in 0..n_zones {
-            out.push(solve_caught(zone)?);
-        }
-        return Ok(out);
-    }
-
-    let slots: Vec<Mutex<Option<SagResult<T>>>> = (0..n_zones).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Aggregating recorders (the run's Collector) must not be written
-    // from racing workers: gauge last-write-wins and first-seen vector
-    // order would depend on scheduling. Workers record them into a
-    // private per-zone collector instead, and the coordinator folds
-    // those summaries back in zone-index order below — reproducing the
-    // sequential event order, so collected metrics are identical at
-    // any thread count. Streaming recorders (the JSONL sink) stay live
-    // with per-thread attribution.
-    let (buffered, live): (Vec<_>, Vec<_>) = sag_obs::local_stack()
-        .into_iter()
-        .partition(|r| r.buffered());
-    let zone_collectors: Vec<std::sync::Arc<sag_obs::Collector>> = if buffered.is_empty() {
-        Vec::new()
-    } else {
-        (0..n_zones).map(|_| Default::default()).collect()
-    };
-    let ctx = sag_obs::span_context();
     let mode = ledger_mode_override();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                sag_obs::with_span_context(ctx, || {
-                    sag_obs::with_local_stack(&live, || {
-                        let _mode = push_ledger_mode_override(mode);
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let zone = next.fetch_add(1, Ordering::Relaxed);
-                            if zone >= n_zones {
-                                break;
-                            }
-                            let out = match zone_collectors.get(zone) {
-                                Some(c) => sag_obs::with_local(c.clone(), || solve_caught(zone)),
-                                None => solve_caught(zone),
-                            };
-                            if out.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            if let Ok(mut slot) = slots[zone].lock() {
-                                *slot = Some(out);
-                            }
-                        }
-                    })
-                });
-            });
-        }
-    });
-
-    // Deterministic merge of the buffered per-zone metrics (zones a
-    // preceding error kept from running fold in as empty summaries).
-    for collector in &zone_collectors {
-        let summary = collector.summary();
-        for recorder in &buffered {
-            recorder.absorb(&summary);
-        }
-    }
-
-    // Zones are claimed in index order, so every slot below the first
-    // error is filled; slots above an abort may be empty but are only
-    // reached when no error precedes them.
-    let mut out = Vec::with_capacity(n_zones);
-    for slot in slots {
-        match slot.into_inner() {
-            Ok(Some(Ok(v))) => out.push(v),
-            Ok(Some(Err(e))) => return Err(e),
-            Ok(None) | Err(_) => {
-                // Unreachable without a preceding error (claims are
-                // ordered and panics are caught); fail closed anyway.
-                return Err(SagError::WorkerPanic {
-                    stage,
-                    zone: out.len(),
-                });
-            }
-        }
-    }
-    Ok(out)
+    sag_obs::try_par_indexed(n_zones, resolve_threads(threads), 1, |zone| {
+        let _mode = push_ledger_mode_override(mode);
+        let _zone_span = sag_obs::span_zone("zone_solve", zone as u64);
+        assert!(!inject, "injected zone-worker panic (zone {zone})");
+        solve(zone)
+    })
+    .map_err(|(zone, err)| err.unwrap_or(SagError::WorkerPanic { stage, zone }))
 }
 
 /// One zone's contribution to the merged lower-tier answer: the

@@ -17,7 +17,6 @@ use crate::error::{SagError, SagResult};
 /// stations); their data-rate request `b_i` is pre-reduced to the feasible
 /// distance `d_i` via the capacity↔distance equivalence of §II.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Subscriber {
     /// Location of the subscriber.
     pub position: Point,
@@ -53,7 +52,6 @@ impl Subscriber {
 
 /// A base station (macro cell anchor of the upper tier).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BaseStation {
     /// Location of the base station.
     pub position: Point,
@@ -72,7 +70,6 @@ impl BaseStation {
 
 /// Role of a placed relay station.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RelayRole {
     /// Lower-tier relay serving subscribers over access links.
     Coverage,
@@ -82,7 +79,6 @@ pub enum RelayRole {
 
 /// A placed relay station with its allocated transmit power.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relay {
     /// Location of the relay.
     pub position: Point,
@@ -94,7 +90,6 @@ pub struct Relay {
 
 /// Physical parameters shared by all algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkParams {
     /// Propagation model, max power, SNR threshold β, noise, bandwidth.
     pub link: LinkBudget,
@@ -141,7 +136,6 @@ impl Default for NetworkParams {
 
 /// An immutable problem instance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scenario {
     /// The playing field.
     pub field: Rect,

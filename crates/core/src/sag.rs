@@ -181,7 +181,6 @@ pub struct SagReport {
 
 /// Compact power summary of a report (serializable for the harness).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PowerSummary {
     /// `P_L`: total lower-tier power after PRO.
     pub lower: f64,

@@ -861,29 +861,20 @@ impl SolverBuilder {
             sec_budget = sec_budget.with_node_limit(cap);
         }
         let fault = self.loser_fault;
-        // The loser arm streams to live sinks (JSONL) but must not
-        // write aggregating recorders: how far it gets before the
-        // cancel flag lands is scheduling-dependent, and the committed
-        // answer never includes its work — so its partial counts would
-        // make collected metrics nondeterministic.
-        let obs_stack: Vec<_> = sag_obs::local_stack()
-            .into_iter()
-            .filter(|r| !r.buffered())
-            .collect();
-        let ctx = sag_obs::span_context();
+        // The loser arm inherits the race's span linkage and live sinks
+        // (JSONL) but not the aggregating recorders: how far it gets
+        // before the cancel flag lands is scheduling-dependent, and the
+        // committed answer never includes its work — so its partial
+        // counts would make collected metrics nondeterministic.
+        let handoff = sag_obs::Handoff::capture();
 
         let (prim_result, sec_result) = std::thread::scope(|scope| {
             let sec_handle = scope.spawn(|| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    // Seed the coordinator's span linkage so any span
-                    // the loser arm opens still hangs off the race's
-                    // enclosing span in the trace tree.
-                    sag_obs::with_span_context(ctx, || {
-                        sag_obs::with_local_stack(&obs_stack, || match fault {
-                            Some(LoserFault::Panic) => panic!("injected portfolio loser panic"),
-                            Some(LoserFault::Hang) => hang_until_cancelled(&sec_budget),
-                            None => run_backend(secondary, scenario, candidates, &sec_budget),
-                        })
+                    handoff.enter(|| match fault {
+                        Some(LoserFault::Panic) => panic!("injected portfolio loser panic"),
+                        Some(LoserFault::Hang) => hang_until_cancelled(&sec_budget),
+                        None => run_backend(secondary, scenario, candidates, &sec_budget),
                     })
                 }))
             });

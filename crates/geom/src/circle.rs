@@ -13,7 +13,6 @@ use crate::point::{Point, Vec2};
 
 /// A circle (and, in predicates, the closed disk it bounds).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circle {
     /// Centre point.
     pub center: Point,

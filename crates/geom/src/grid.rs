@@ -12,7 +12,6 @@ use crate::rect::Rect;
 
 /// Specification of a uniform square grid over a rectangle.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridSpec {
     rect: Rect,
     cell: f64,

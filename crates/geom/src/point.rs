@@ -18,7 +18,6 @@ use crate::float;
 /// assert_eq!(p.distance(q), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,
@@ -28,7 +27,6 @@ pub struct Point {
 
 /// A displacement vector in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec2 {
     /// Horizontal component.
     pub x: f64,

@@ -11,7 +11,6 @@ use crate::point::Point;
 /// (`300×300`, `500×500`, `800×800`); [`Rect::centered_square`] builds
 /// those directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     min: Point,
     max: Point,

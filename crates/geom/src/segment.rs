@@ -11,7 +11,6 @@ use crate::point::Point;
 
 /// A closed line segment between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Start point.
     pub a: Point,

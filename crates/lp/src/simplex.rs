@@ -163,9 +163,6 @@ fn solve_inner(
     }
     run_phases(&mut t, &mut obj, &mut basis, n + m, budget, &mut pivots[0])?;
     let phase1 = -obj[width - 1];
-    if std::env::var("SAG_LP_DEBUG").is_ok() {
-        eprintln!("phase1 residual = {phase1:.6e}");
-    }
     if phase1 > 1e-7 {
         return Err(LpError::Infeasible);
     }

@@ -2,15 +2,15 @@
 //!
 //! The workspace is hermetic (no registry crates), so the usual
 //! `tracing`/`metrics` stack is off the table; this crate is the
-//! in-tree substitute. It provides five layers:
+//! in-tree substitute. It provides six layers:
 //!
 //! 1. **Spans** — [`span`] returns an RAII guard that times a named,
 //!    hierarchical region on the monotonic clock and reports
 //!    enter/exit events to every active [`Recorder`]. Every span
 //!    carries a process-unique id and its parent's id ([`SpanMeta`]);
-//!    fan-out stages propagate the linkage across threads with
-//!    [`span_context`]/[`with_span_context`], so a trace reassembles
-//!    into one tree at any thread count.
+//!    fan-outs run on [`par_indexed`], which hands the linkage to its
+//!    workers (a lone spawned thread takes a [`Handoff`]), so a trace
+//!    reassembles into one tree at any thread count.
 //! 2. **Metrics** — [`counter`], [`gauge`] and [`observe`] record
 //!    named counters, gauges and bucketed histogram samples. The
 //!    [`Collector`] recorder aggregates them into a [`StageMetrics`]
@@ -29,6 +29,10 @@
 //!    fans it out through [`Recorder::post_mortem`]; typed failure
 //!    boundaries across the workspace call it exactly once per
 //!    failure.
+//! 6. **Fan-out** — [`par_indexed`] and [`try_par_indexed`], the one
+//!    scoped executor under zone solves and sweep cells. Its docs hold
+//!    the determinism contract: results and collected metrics are
+//!    identical at any thread count.
 //!
 //! # Cost model
 //!
@@ -52,6 +56,7 @@
 pub mod forensics;
 pub mod json;
 mod metrics;
+mod par;
 mod recorder;
 pub mod ring;
 mod sink;
@@ -59,10 +64,8 @@ mod span;
 
 pub use forensics::{last_dump, Dump, PostMortem};
 pub use metrics::{bucket_floor, Collector, HistSummary, SpanStat, StageMetrics};
-pub use recorder::{
-    enabled, install, local_stack, span_context, with_local, with_local_stack, with_span_context,
-    Recorder, RecorderGuard, SpanContext, SpanMeta,
-};
+pub use par::{par_indexed, try_par_indexed, Handoff};
+pub use recorder::{enabled, install, with_local, Recorder, RecorderGuard, SpanMeta};
 pub use sink::JsonlSink;
 pub use span::{span, span_zone, Span};
 

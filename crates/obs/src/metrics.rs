@@ -301,10 +301,10 @@ impl Recorder for Collector {
         }
     }
 
-    /// A collector is an aggregate — zone-worker events must be
-    /// buffered per zone and folded in zone-index order so the result
-    /// is identical at any thread count (gauges are last-write-wins,
-    /// and vector ordering is first-seen).
+    /// A collector is an aggregate — fan-out worker events must be
+    /// buffered per index and folded in index order so the result is
+    /// identical at any thread count (gauges are last-write-wins, and
+    /// vector ordering is first-seen).
     fn buffered(&self) -> bool {
         true
     }

@@ -13,7 +13,7 @@ use crate::metrics::StageMetrics;
 ///
 /// `id` is unique per process; `parent` is the id of the span that was
 /// innermost when this one opened — on the same thread via the span
-/// stack, or across threads via [`with_span_context`] — so a JSONL
+/// stack, or across threads via [`crate::Handoff`] — so a JSONL
 /// stream can be reassembled into one tree at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanMeta {
@@ -67,11 +67,12 @@ pub trait Recorder: Send + Sync {
         let _ = dump;
     }
 
-    /// True for aggregating recorders whose zone-worker events must be
-    /// buffered per zone and folded in deterministic zone-index order
-    /// (via [`Recorder::absorb`]) instead of being recorded live from
-    /// racing worker threads. Streaming recorders (the JSONL sink)
-    /// stay live and keep their per-thread attribution.
+    /// True for aggregating recorders whose fan-out worker events must
+    /// be buffered per index and folded in index order (via
+    /// [`Recorder::absorb`], see [`crate::par_indexed`]) instead of
+    /// being recorded live from racing worker threads. Streaming
+    /// recorders (the JSONL sink) stay live and keep their per-thread
+    /// attribution.
     fn buffered(&self) -> bool {
         false
     }
@@ -142,37 +143,24 @@ impl Drop for RecorderGuard {
 /// which is what keeps parallel sweep workers from cross-mixing
 /// events. The recorder is popped even if `f` panics.
 pub fn with_local<T>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
-    struct PopGuard;
-    impl Drop for PopGuard {
-        fn drop(&mut self) {
-            LOCALS.with(|l| {
-                l.borrow_mut().pop();
-            });
-            LOCAL_ACTIVE.with(|c| c.set(c.get().saturating_sub(1)));
-        }
-    }
-    LOCALS.with(|l| l.borrow_mut().push(rec));
-    LOCAL_ACTIVE.with(|c| c.set(c.get() + 1));
-    let _pop = PopGuard;
-    f()
+    with_local_stack(std::slice::from_ref(&rec), f)
 }
 
 /// Snapshot of this thread's local recorder stack, outermost first.
 ///
-/// Spawned workers do not inherit thread-local recorders; a
-/// fan-out stage captures the snapshot on the coordinating thread and
-/// re-installs it per worker with [`with_local_stack`], so events
-/// emitted inside the workers still reach the run's collectors (each
+/// Spawned workers do not inherit thread-local recorders;
+/// [`crate::Handoff`] captures the snapshot on the coordinating thread
+/// and re-installs it per worker with [`with_local_stack`] (each
 /// worker keeps its own span stack, so stage attribution stays
 /// per-thread correct).
-pub fn local_stack() -> Vec<Arc<dyn Recorder>> {
+pub(crate) fn local_stack() -> Vec<Arc<dyn Recorder>> {
     LOCALS.with(|l| l.borrow().clone())
 }
 
 /// Runs `f` with every recorder in `stack` active as a thread-local
 /// recorder (outermost first, matching [`local_stack`]). The recorders
 /// are popped even if `f` panics.
-pub fn with_local_stack<T>(stack: &[Arc<dyn Recorder>], f: impl FnOnce() -> T) -> T {
+pub(crate) fn with_local_stack<T>(stack: &[Arc<dyn Recorder>], f: impl FnOnce() -> T) -> T {
     struct PopGuard(usize);
     impl Drop for PopGuard {
         fn drop(&mut self) {
@@ -192,14 +180,14 @@ pub fn with_local_stack<T>(stack: &[Arc<dyn Recorder>], f: impl FnOnce() -> T) -
 
 /// Span linkage carried across thread boundaries.
 ///
-/// A fan-out stage captures it on the coordinating thread with
+/// [`crate::Handoff`] captures it on the coordinating thread with
 /// [`span_context`] and re-seeds it per worker with
 /// [`with_span_context`], so spans opened at a worker's stack base
 /// link to the coordinator's enclosing span (`parent`) and metrics
 /// recorded before any worker span opens still attribute to the
 /// coordinator's enclosing stage (`stage`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanContext {
+pub(crate) struct SpanContext {
     /// Id of the enclosing span, if any.
     pub parent: Option<u64>,
     /// Name of the enclosing stage, if any.
@@ -208,7 +196,7 @@ pub struct SpanContext {
 
 /// The current thread's innermost span linkage (open span if any,
 /// else the seeded cross-thread context).
-pub fn span_context() -> SpanContext {
+pub(crate) fn span_context() -> SpanContext {
     let top = SPAN_STACK.with(|s| s.borrow().last().copied());
     match top {
         Some((name, id)) => SpanContext {
@@ -227,7 +215,7 @@ pub fn span_context() -> SpanContext {
 
 /// Runs `f` with `ctx` seeded as this thread's base span context; the
 /// previous seed is restored even if `f` panics.
-pub fn with_span_context<T>(ctx: SpanContext, f: impl FnOnce() -> T) -> T {
+pub(crate) fn with_span_context<T>(ctx: SpanContext, f: impl FnOnce() -> T) -> T {
     struct Restore((u64, Option<&'static str>));
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -264,21 +252,12 @@ pub(crate) fn for_each(f: impl Fn(&dyn Recorder)) {
 /// The innermost open span name on this thread (falling back to the
 /// seeded cross-thread stage), if any.
 pub(crate) fn current_stage() -> Option<&'static str> {
-    SPAN_STACK
-        .with(|s| s.borrow().last().map(|&(name, _)| name))
-        .or_else(|| SEED.with(|s| s.get().1))
+    span_context().stage
 }
 
 /// The id a span opened now should link to as its parent.
 pub(crate) fn current_parent() -> Option<u64> {
-    SPAN_STACK
-        .with(|s| s.borrow().last().map(|&(_, id)| id))
-        .or_else(|| {
-            SEED.with(|s| {
-                let (parent, _) = s.get();
-                (parent != 0).then_some(parent)
-            })
-        })
+    span_context().parent
 }
 
 /// Names of the open spans on this thread, outermost first (the

@@ -25,7 +25,6 @@ use sag_geom::Point;
 /// assert!(lb.beta() < 0.04);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkBudget {
     model: TwoRay,
     pmax: f64,

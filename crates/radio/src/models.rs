@@ -50,7 +50,6 @@ impl PathLoss for TwoRay {
 
 /// Friis free-space propagation: `Pr = Pt · (λ / 4πd)²`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FreeSpace {
     wavelength: f64,
 }
@@ -109,7 +108,6 @@ impl PathLoss for FreeSpace {
 /// decay `γ` anchored at a measured reference distance `d0` with gain
 /// `K` (the received-power fraction at `d0`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogDistance {
     d0: f64,
     k: f64,

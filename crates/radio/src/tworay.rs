@@ -17,7 +17,6 @@ use std::fmt;
 /// assert!((pr - 1.0).abs() < 1e-12); // 8 / 2³
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoRay {
     g: f64,
     alpha: f64,

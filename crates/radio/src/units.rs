@@ -20,14 +20,12 @@ use std::ops::{Add, Neg, Sub};
 /// assert!((Db::from_linear(2.0).value() - 3.0103).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Db(f64);
 
 /// An absolute power level in dBm (decibels relative to one milliwatt).
 ///
 /// `DbMilliwatt(x)` represents `10^(x/10)` milliwatts.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DbMilliwatt(f64);
 
 impl Db {

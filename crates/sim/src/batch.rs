@@ -8,31 +8,25 @@
 //! candidate sets and solver answers from scratch for every `(x, run)`
 //! cell; this engine instead
 //!
-//! * lays the job grid out **structure-of-arrays** (cell index / x
-//!   index / seed in parallel arrays) and marches workers through
-//!   contiguous *lane batches* of K cells per claim,
+//! * runs the cells on [`sag_obs::par_indexed`], whose workers claim
+//!   contiguous *lane batches* of K cells per atomic fetch,
 //! * shares everything invariant across sweep cells through a
 //!   [`SweepCache`]: artifacts are keyed by a content
 //!   [`Fingerprint`] of the inputs to their (pure, deterministic)
 //!   build function, so lanes that differ only in the swept parameter
-//!   or the run index hit instead of recomputing,
-//! * writes each cell's outcome into a **lock-free slot** (a
-//!   [`OnceLock`] sized up front, written exactly once by the one
-//!   worker that claimed the cell), so aggregation never contends on a
-//!   mutex grid,
-//! * seeds each worker with the coordinator's [`sag_obs`] span context
-//!   and live recorder stack, so a sweep capture reconstructs into a
-//!   single span tree at any thread count (buffered recorders are fed
-//!   per-cell and folded in cell-index order, the
-//!   [`sag_core::engine`] idiom).
+//!   or the run index hit instead of recomputing.
 //!
 //! # Determinism contract
 //!
-//! As long as `eval` is a pure function of `(x, seed)` and every
-//! cached build is a pure function of its fingerprint pre-image, the
-//! aggregated [`CellStats`] are byte-identical across thread counts,
-//! job orders ([`JobOrder::Shuffled`] included), cache states (cold,
-//! warm, disabled) and the per-cell reference path
+//! The fan-out itself (inline below two workers, one trace tree,
+//! buffered metrics folded in claim order, contained panics) is
+//! [`sag_obs::par_indexed`]'s contract, documented there and
+//! property-tested in `sag-obs`. On top of it, as long as `eval` is a
+//! pure function of `(x, seed)` and every cached build is a pure
+//! function of its fingerprint pre-image, the aggregated [`CellStats`]
+//! are byte-identical across thread counts, job orders
+//! ([`JobOrder::Shuffled`] included), cache states (cold, warm,
+//! disabled) and the per-cell reference path
 //! ([`sweep_multi_reference`]). The cache can change only *when* an
 //! artifact is built, never its value.
 
@@ -177,8 +171,9 @@ impl BatchCtx<'_> {
 /// The order in which the engine hands cells to workers.
 ///
 /// Results never depend on it (each cell's outcome lands in its own
-/// slot, keyed by cell index); the knob exists so the determinism
-/// suite can prove exactly that under adversarial interleavings.
+/// row-major slot); the knob exists so the determinism suite can prove
+/// exactly that under adversarial interleavings. Buffered metrics fold
+/// in claim order, so they match across thread counts for one order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobOrder {
     /// Row-major `(x, run)` — the historical claim order.
@@ -287,92 +282,22 @@ where
     // under it, so a capture reconstructs into one tree.
     let _sweep_span = sag_obs::span("sweep");
 
-    // SoA job arrays in claim order; `cell_of` maps a job back to its
-    // canonical row-major cell slot, so the claim order can be
-    // permuted freely without moving where results land.
+    // The claim order is a permutation of the row-major cells; results
+    // go back to the cell's row-major slot, so the order never moves
+    // them.
     let mut cell_of: Vec<usize> = (0..n_cells).collect();
     if let JobOrder::Shuffled(seed) = opts.order {
         sag_testkit::rng::Rng::seed_from_u64(seed).shuffle(&mut cell_of);
     }
-    let x_of: Vec<usize> = cell_of.iter().map(|&c| c / runs.max(1)).collect();
-    let seed_of: Vec<u64> = cell_of
-        .iter()
-        .zip(&x_of)
-        .map(|(&c, &i)| config.seed(i, c % runs.max(1)))
-        .collect();
-
-    // Lock-free outcome slots, sized up front: one per cell, written
-    // exactly once by the worker that claimed the cell.
-    let slots: Vec<OnceLock<LaneOutcome>> = (0..n_cells).map(|_| OnceLock::new()).collect();
-
-    // Aggregating (buffered) recorders must not be written from racing
-    // workers; feed them per-cell and fold in cell-index order below —
-    // the same discipline as `sag_core::engine::run_zones`.
-    let (buffered, live): (Vec<_>, Vec<_>) = sag_obs::local_stack()
-        .into_iter()
-        .partition(|r| r.buffered());
-    let cell_collectors: Vec<Arc<sag_obs::Collector>> = if buffered.is_empty() {
-        Vec::new()
-    } else {
-        (0..n_cells).map(|_| Default::default()).collect()
-    };
-
-    let process = |k: usize| {
+    let claimed = sag_obs::par_indexed(n_cells, config.threads, opts.lanes, |k| {
         let cell = cell_of[k];
-        let (x_idx, seed) = (x_of[k], seed_of[k]);
-        let run_lane = || {
-            // Isolate per-cell panics: a poisoned scenario must not
-            // take down the other cells. `eval` is only observed
-            // through its return value, so unwind safety is not a
-            // correctness concern here.
-            catch_unwind(AssertUnwindSafe(|| {
-                let _cell_span = sag_obs::span_zone("sweep_cell", cell as u64);
-                eval(&ctx, xs[x_idx], seed)
-            }))
-            .ok()
-            .filter(|v| v.len() == n_metrics)
-        };
-        let outcome = match cell_collectors.get(cell) {
-            Some(c) => sag_obs::with_local(c.clone(), run_lane),
-            None => run_lane(),
-        };
-        let _ = slots[cell].set(outcome);
-    };
-
-    let threads = config.threads.max(1).min(n_cells.max(1));
-    if threads <= 1 {
-        for k in 0..n_cells {
-            process(k);
-        }
-    } else {
-        let lanes = opts.lanes.max(1);
-        let next = AtomicUsize::new(0);
-        let span_ctx = sag_obs::span_context();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    sag_obs::with_span_context(span_ctx, || {
-                        sag_obs::with_local_stack(&live, || loop {
-                            let start = next.fetch_add(lanes, Ordering::Relaxed);
-                            if start >= n_cells {
-                                break;
-                            }
-                            for k in start..(start + lanes).min(n_cells) {
-                                process(k);
-                            }
-                        })
-                    });
-                });
-            }
-        });
-    }
-
-    // Deterministic fold of the buffered per-cell metrics.
-    for collector in &cell_collectors {
-        let summary = collector.summary();
-        for recorder in &buffered {
-            recorder.absorb(&summary);
-        }
+        let (i, r) = (cell / runs, cell % runs);
+        let _cell_span = sag_obs::span_zone("sweep_cell", cell as u64);
+        eval(&ctx, xs[i], config.seed(i, r))
+    });
+    let mut outcomes: Vec<LaneOutcome> = vec![None; n_cells];
+    for (&cell, outcome) in cell_of.iter().zip(claimed) {
+        outcomes[cell] = outcome.filter(|v| v.len() == n_metrics);
     }
 
     // Cache accounting, recorded once from the coordinator: totals are
@@ -389,34 +314,26 @@ where
         stats.misses.saturating_sub(stats_before.misses),
     );
 
-    aggregate(xs.len(), runs, n_metrics, &slots)
+    aggregate(xs.len(), runs, n_metrics, &outcomes)
 }
 
-/// Transposes the outcome slots into per-metric [`CellStats`] series.
+/// Transposes the cell outcomes into per-metric [`CellStats`] series.
 fn aggregate(
     n_xs: usize,
     runs: usize,
     n_metrics: usize,
-    slots: &[OnceLock<LaneOutcome>],
+    outcomes: &[LaneOutcome],
 ) -> Vec<Vec<CellStats>> {
     (0..n_metrics)
         .map(|m| {
             (0..n_xs)
                 .map(|i| {
-                    let mut row: Vec<Option<f64>> = Vec::with_capacity(runs);
-                    let mut failed = 0;
-                    for r in 0..runs {
-                        match slots[i * runs + r].get() {
-                            Some(Some(vals)) => row.push(vals[m]),
-                            // A failed run (panic / wrong arity), or —
-                            // unreachably, every claim writes its slot
-                            // — an unwritten slot: fail closed.
-                            Some(None) | None => {
-                                failed += 1;
-                                row.push(None);
-                            }
-                        }
-                    }
+                    let cells = &outcomes[i * runs..(i + 1) * runs];
+                    let row: Vec<Option<f64>> = cells
+                        .iter()
+                        .map(|c| c.as_ref().and_then(|vals| vals[m]))
+                        .collect();
+                    let failed = cells.iter().filter(|c| c.is_none()).count();
                     CellStats::from_runs_with_failures(&row, failed)
                 })
                 .collect()
@@ -572,7 +489,10 @@ mod tests {
             let mut h = FpHasher::new("base");
             h.write_f64(x);
             let base = ctx.cached(h.finish(), || x * 10.0);
-            vec![Some(*base + seed as f64), seed.is_multiple_of(2).then_some(x)]
+            vec![
+                Some(*base + seed as f64),
+                seed.is_multiple_of(2).then_some(x),
+            ]
         };
         let reference = sweep_multi_reference(&xs, 2, cfg(4, 1), eval);
         for threads in [1, 3] {

@@ -12,7 +12,6 @@ use sag_radio::{units::Db, LinkBudget};
 
 /// Base-station placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BsLayout {
     /// Uniformly random in the field (the paper's default).
     #[default]
@@ -24,7 +23,6 @@ pub enum BsLayout {
 
 /// Declarative description of a random scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScenarioSpec {
     /// Side of the square playing field (300 / 500 / 800 in the paper).
     pub field_size: f64,

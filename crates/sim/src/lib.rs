@@ -7,11 +7,10 @@
 //!   placement, `d_i ∈ [30, 40]`, the paper's field sizes),
 //! * [`stats`] — mean/std aggregation over the paper's 10-run averages,
 //! * [`table`] — text tables and CSV series for figure data,
-//! * [`runner`] — parameter sweeps parallelised across seeds
-//!   (`std::thread::scope` workers),
-//! * [`batch`] — the batched sweep engine: structure-of-arrays lane
-//!   batches over the `(x, run)` grid, lock-free per-cell outcome
-//!   slots, and the fingerprint-keyed invariant cache,
+//! * [`runner`] — parameter sweeps parallelised across seeds,
+//! * [`batch`] — the batched sweep engine: lane batches over the
+//!   `(x, run)` grid on `sag_obs::par_indexed` workers, and the
+//!   fingerprint-keyed invariant cache,
 //! * [`fingerprint`] — 128-bit content hashes keying that cache,
 //! * [`snapshot`] — compact binary scenario snapshots (`bytes`),
 //! * [`experiments`] — one module per paper artefact: Fig. 3(a–e),

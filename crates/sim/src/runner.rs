@@ -1,5 +1,5 @@
 //! Parameter sweeps: every `(x, run)` cell evaluated in parallel across
-//! seeds with `std::thread::scope` workers, aggregated into [`CellStats`].
+//! seeds, aggregated into [`CellStats`].
 //!
 //! The paper averages 10 runs per plotted point; [`SweepConfig::runs`]
 //! defaults to that. A run that returns `None` (infeasible — IAC/GAC do
@@ -8,11 +8,9 @@
 //! isolated with `catch_unwind` and surfaced in `failed_runs` — one
 //! poisoned scenario never takes down a whole sweep.
 //!
-//! Execution is delegated to the batched engine in [`crate::batch`]
-//! (structure-of-arrays lane batches, lock-free per-cell outcome
-//! slots, cross-thread span seeding); [`sweep_multi`] is the
-//! cache-oblivious entry point, [`crate::batch::sweep_multi_cached`]
-//! the cache-aware one.
+//! Execution is delegated to the batched engine in [`crate::batch`];
+//! [`sweep_multi`] is the cache-oblivious entry point,
+//! [`crate::batch::sweep_multi_cached`] the cache-aware one.
 
 use std::error::Error;
 use std::fmt;

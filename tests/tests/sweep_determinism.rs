@@ -211,3 +211,83 @@ fn panicking_lane_does_not_poison_shared_cache_entries() {
         }
     }
 }
+
+/// Everything a `Collector` aggregated that must not depend on the
+/// thread count, in the `par_determinism` style: span names and counts
+/// (durations legitimately differ), counters, gauge bits, and
+/// histograms including raw sample order.
+fn metrics_fingerprint(m: &sag_obs::StageMetrics) -> String {
+    let mut out = String::new();
+    for s in &m.spans {
+        out.push_str(&format!("span:{}:{};", s.name, s.count));
+    }
+    for (name, stage, v) in &m.counters {
+        out.push_str(&format!("ctr:{name}:{stage:?}:{v};"));
+    }
+    for (name, stage, v) in &m.gauges {
+        out.push_str(&format!("gauge:{name}:{stage:?}:{:016x};", v.to_bits()));
+    }
+    for (name, stage, h) in &m.histograms {
+        out.push_str(&format!(
+            "hist:{name}:{stage:?}:{}:{}:{}:{:?}:{:?};",
+            h.count, h.sum, h.max, h.buckets, h.samples
+        ));
+    }
+    out
+}
+
+/// Regression for the threads=1 double count: the sequential sweep
+/// used to record each cell into a private collector while the
+/// caller's collector was still installed, then fold that copy in
+/// again, so a caller-side `Collector` saw every buffered event twice
+/// at threads=1 (12 `run_sag` spans for 6 cells) and once at threads=4.
+/// Collected metrics must be identical at any thread count, for either
+/// claim order.
+#[test]
+fn caller_collector_sees_each_cell_once_at_any_thread_count() {
+    use sag_core::sag::{run_sag_with, SagPipelineConfig};
+    use std::sync::Arc;
+
+    let users = [5usize, 6, 7];
+    let eval = |_: &BatchCtx<'_>, users: usize, seed: u64| {
+        let config = SagPipelineConfig {
+            collect_metrics: false,
+            ..Default::default()
+        };
+        let relays = run_sag_with(&spec(users).build(seed % 1000), config)
+            .ok()
+            .map(|report| report.coverage.relays.len() as f64);
+        vec![relays]
+    };
+    for order in [JobOrder::RowMajor, JobOrder::Shuffled(17)] {
+        let collect = |threads: usize| {
+            let collector = Arc::new(sag_obs::Collector::default());
+            let config = SweepConfig {
+                runs: 2,
+                base_seed: 4,
+                threads,
+            };
+            let opts = SweepOptions {
+                order,
+                ..Default::default()
+            };
+            sag_obs::with_local(collector.clone(), || {
+                sweep_multi_with(&users, 1, config, opts, eval);
+            });
+            collector.summary()
+        };
+        let (seq, par) = (collect(1), collect(4));
+        for (threads, m) in [(1, &seq), (4, &par)] {
+            let runs = m.span("run_sag").map_or(0, |s| s.count);
+            assert_eq!(
+                runs, 6,
+                "{order:?} threads={threads}: one run_sag span per cell"
+            );
+        }
+        assert_eq!(
+            metrics_fingerprint(&seq),
+            metrics_fingerprint(&par),
+            "{order:?}: collected metrics diverged between threads 1 and 4"
+        );
+    }
+}
