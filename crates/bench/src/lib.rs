@@ -1,4 +1,4 @@
-//! Shared scaffolding for the seven `bench_*` binaries: gate
+//! Shared scaffolding for the eight `bench_*` binaries: gate
 //! resolution, the solver fields every `BENCH_*.json` records,
 //! canonical scenario builders, and a built-in wall-clock [`harness`].
 //!

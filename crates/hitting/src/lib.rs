@@ -13,7 +13,12 @@
 //!   Mustafa–Ray-style `b`-swap local search (the paper's (1+ε) PTAS
 //!   family; ε shrinks as the swap size grows),
 //! * [`exact::exact_hitting_set`] — branch-and-bound optimum for small
-//!   instances (used to measure the others' gaps in the ablation bench).
+//!   instances (`prop_local_between_exact_and_greedy` checks the local
+//!   search against it).
+//!
+//! [`reference`] keeps the full-recompute local-search swap evaluation as
+//! the differential referee that tests and benchmarks compare the
+//! incremental one against; library code does not use it.
 //!
 //! Candidate points follow the standard normalisation: any hitting set can
 //! be moved onto disk centres and pairwise circle-intersection points
@@ -43,5 +48,6 @@ pub mod exact;
 pub mod greedy;
 pub mod instance;
 pub mod local_search;
+pub mod reference;
 
 pub use instance::DiskInstance;

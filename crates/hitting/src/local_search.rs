@@ -56,13 +56,20 @@ pub fn local_search_hitting_set(inst: &DiskInstance) -> Vec<Point> {
 /// Local-search hitting set with explicit configuration; returns candidate
 /// indices.
 ///
+/// Returns exactly what [`crate::reference::local_search_with`] returns
+/// for the same `config`: the same removal sets are tried in the same
+/// order and the first improving swap wins, only each one is evaluated
+/// from the disks its removed points touch instead of over the whole
+/// solution.
+///
 /// # Panics
 /// Panics if `config.swap_size == 0`.
 pub fn local_search_with(inst: &DiskInstance, config: LocalSearchConfig) -> Vec<usize> {
     assert!(config.swap_size >= 1, "swap size must be ≥ 1");
     let mut current = greedy_hitting_set_indices(inst);
+    let mut search = SwapSearch::new(inst, config.swap_size);
     for _ in 0..config.max_rounds {
-        match improve_once(inst, &current, config.swap_size) {
+        match search.improve_once(&current) {
             Some(next) => current = next,
             None => break,
         }
@@ -70,108 +77,257 @@ pub fn local_search_with(inst: &DiskInstance, config: LocalSearchConfig) -> Vec<
     current
 }
 
-/// Tries one improving swap: remove `k` chosen points and re-cover the
-/// disks they exclusively hit with `k − 1` candidates. Returns the
-/// improved solution, or `None` at a local optimum.
-fn improve_once(inst: &DiskInstance, current: &[usize], b: usize) -> Option<Vec<usize>> {
-    // Fast path: try dropping a single redundant point (k = 1 swap).
-    for skip in 0..current.len() {
-        let rest: Vec<usize> = current
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| (i != skip).then_some(c))
-            .collect();
-        if inst.indices_hit_all(&rest) {
-            return Some(rest);
+/// Swap evaluation state: lookup tables built once per search, buffers
+/// rebuilt once per round.
+struct SwapSearch<'a> {
+    tables: Tables<'a>,
+    /// Maximum swap size `b`.
+    b: usize,
+    /// `count[d]`: chosen points hitting disk `d`.
+    count: Vec<u32>,
+    /// `owner[d]`: position of the chosen point hitting `d`, meaningful
+    /// when `count[d] == 1` (then `d` is that point's private disk).
+    owner: Vec<usize>,
+    /// `link[i * s + j]`: some candidate hits a private disk of chosen
+    /// point `i` and one of chosen point `j`.
+    link: Vec<bool>,
+    /// Owners of the private disks one candidate hits (reused buffer).
+    owners: Vec<usize>,
+    /// Cover-search bitsets: level 0 holds the disks a removal leaves
+    /// unhit, level `j + 1` what the first `j + 1` picks leave.
+    levels: Vec<u64>,
+    /// Candidates the cover search picked, innermost first.
+    picks: Vec<usize>,
+}
+
+impl<'a> SwapSearch<'a> {
+    fn new(inst: &'a DiskInstance, b: usize) -> Self {
+        SwapSearch {
+            tables: Tables::new(inst),
+            b,
+            count: vec![0; inst.len()],
+            owner: vec![0; inst.len()],
+            link: Vec::new(),
+            owners: Vec::new(),
+            levels: Vec::new(),
+            picks: Vec::new(),
         }
     }
-    let all_cands: Vec<usize> = (0..inst.candidates().len()).collect();
-    // k-swaps for k = 2..=b: remove k, add k−1.
-    for k in 2..=b.min(current.len()) {
-        let removals = combinations(current.len(), k);
-        for removal in removals {
-            let rest: Vec<usize> = current
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| (!removal.contains(&i)).then_some(c))
-                .collect();
-            // Disks uncovered after removal.
-            let mut hit = vec![false; inst.len()];
-            for &c in &rest {
-                for &d in inst.hit_by(c) {
-                    hit[d] = true;
+
+    /// Tries one improving swap: remove `k` chosen points and re-cover
+    /// the disks they exclusively hit with `k − 1` candidates. Returns
+    /// the improved solution, or `None` at a local optimum.
+    fn improve_once(&mut self, current: &[usize]) -> Option<Vec<usize>> {
+        let inst = self.tables.inst;
+        let s = current.len();
+        self.count.fill(0);
+        for (i, &c) in current.iter().enumerate() {
+            for &d in inst.hit_by(c) {
+                self.count[d] += 1;
+                self.owner[d] = i;
+            }
+        }
+        debug_assert!(
+            self.count.iter().all(|&n| n > 0),
+            "the solution stays a hitting set across swaps"
+        );
+        // k = 1: a point is redundant when every disk it hits is hit twice.
+        let count = &self.count;
+        if let Some(skip) = (0..s).find(|&i| inst.hit_by(current[i]).iter().all(|&d| count[d] >= 2))
+        {
+            return Some(without(current, &[skip]));
+        }
+        // From here every chosen point owns a private disk, and the k
+        // private disks of a removal set need k − 1 candidates, so by
+        // pigeonhole one candidate hits private disks of two removed
+        // points: removal sets without such a linked pair cannot improve.
+        let k_max = self.b.min(s);
+        if k_max < 2 {
+            return None;
+        }
+        self.link_private_disks(current);
+        self.levels.clear();
+        self.levels.resize(k_max * self.tables.words, 0);
+        for k in 2..=k_max {
+            let mut removal: Vec<usize> = (0..k).collect();
+            loop {
+                if self.has_linked_pair(&removal, s) {
+                    if let Some(next) = self.try_swap(current, &removal) {
+                        return Some(next);
+                    }
+                }
+                if !next_combination(&mut removal, s) {
+                    break;
                 }
             }
-            let unhit: Vec<usize> = (0..inst.len()).filter(|&d| !hit[d]).collect();
-            if unhit.is_empty() {
-                return Some(rest); // removal alone suffices (stronger than a swap)
+        }
+        None
+    }
+
+    /// Fills the `s × s` link matrix from the current private disks.
+    fn link_private_disks(&mut self, current: &[usize]) {
+        let inst = self.tables.inst;
+        let s = current.len();
+        self.link.clear();
+        self.link.resize(s * s, false);
+        for c in 0..inst.candidates().len() {
+            self.owners.clear();
+            for &d in inst.hit_by(c) {
+                if self.count[d] == 1 && !self.owners.contains(&self.owner[d]) {
+                    self.owners.push(self.owner[d]);
+                }
             }
-            // Candidates that help at all.
-            let helpful: Vec<usize> = all_cands
-                .iter()
-                .copied()
-                .filter(|&c| inst.hit_by(c).iter().any(|&d| unhit.contains(&d)))
-                .collect();
-            if let Some(adds) = cover_with_at_most(inst, &unhit, &helpful, k - 1) {
-                let mut next = rest;
-                next.extend(adds);
-                debug_assert!(inst.indices_hit_all(&next));
-                return Some(next);
+            for (a, &i) in self.owners.iter().enumerate() {
+                for &j in &self.owners[a + 1..] {
+                    self.link[i * s + j] = true;
+                    self.link[j * s + i] = true;
+                }
             }
         }
     }
-    None
+
+    fn has_linked_pair(&self, removal: &[usize], s: usize) -> bool {
+        removal
+            .iter()
+            .enumerate()
+            .any(|(a, &i)| removal[a + 1..].iter().any(|&j| self.link[i * s + j]))
+    }
+
+    /// Evaluates one removal set: the disks it leaves unhit are those
+    /// whose every hit comes from a removed point, read off the removed
+    /// points' hit lists alone; then searches for `k − 1` candidates
+    /// hitting them all.
+    fn try_swap(&mut self, current: &[usize], removal: &[usize]) -> Option<Vec<usize>> {
+        let inst = self.tables.inst;
+        let words = self.tables.words;
+        let unhit = &mut self.levels[..words];
+        unhit.fill(0);
+        for &i in removal {
+            for &d in inst.hit_by(current[i]) {
+                self.count[d] -= 1;
+            }
+        }
+        for &i in removal {
+            for &d in inst.hit_by(current[i]) {
+                if self.count[d] == 0 {
+                    unhit[d / 64] |= 1 << (d % 64);
+                }
+            }
+        }
+        for &i in removal {
+            for &d in inst.hit_by(current[i]) {
+                self.count[d] += 1;
+            }
+        }
+        debug_assert!(
+            unhit.iter().any(|&w| w != 0),
+            "a removed point's private disk is always left unhit"
+        );
+        self.picks.clear();
+        if !self
+            .tables
+            .cover(&mut self.levels, removal.len() - 1, &mut self.picks)
+        {
+            return None;
+        }
+        let mut next = without(current, removal);
+        next.extend_from_slice(&self.picks);
+        debug_assert!(inst.indices_hit_all(&next));
+        Some(next)
+    }
 }
 
-/// Exhaustively searches for ≤ `limit` candidates covering all `unhit`
-/// disks (tiny instances: `limit ≤ b − 1 ≤ 2` in practice).
-fn cover_with_at_most(
-    inst: &DiskInstance,
-    unhit: &[usize],
-    helpful: &[usize],
-    limit: usize,
-) -> Option<Vec<usize>> {
-    if unhit.is_empty() {
-        return Some(Vec::new());
-    }
-    if limit == 0 {
-        return None;
-    }
-    // Branch on the first unhit disk.
-    let d = unhit[0];
-    for &c in helpful {
-        if inst.hit_by(c).contains(&d) {
-            let rest: Vec<usize> = unhit
-                .iter()
-                .copied()
-                .filter(|&u| !inst.hit_by(c).contains(&u))
-                .collect();
-            if let Some(mut tail) = cover_with_at_most(inst, &rest, helpful, limit - 1) {
-                tail.push(c);
-                return Some(tail);
-            }
-        }
-    }
-    None
+/// Per-search lookup tables over the instance's candidates and disks.
+struct Tables<'a> {
+    inst: &'a DiskInstance,
+    /// 64-bit words per disk bitset.
+    words: usize,
+    /// `hit_bits[c * words..][..words]`: the disks candidate `c` hits.
+    hit_bits: Vec<u64>,
+    /// Inverted index: `hitters[d]` lists the candidates hitting disk
+    /// `d`, ascending.
+    hitters: Vec<Vec<usize>>,
 }
 
-/// All k-element index combinations of `0..n` (small `k` only).
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::with_capacity(k);
-    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
+impl<'a> Tables<'a> {
+    fn new(inst: &'a DiskInstance) -> Self {
+        let n_cands = inst.candidates().len();
+        let words = inst.len().div_ceil(64);
+        let mut hit_bits = vec![0u64; n_cands * words];
+        let mut hitters = vec![Vec::new(); inst.len()];
+        for c in 0..n_cands {
+            for &d in inst.hit_by(c) {
+                hit_bits[c * words + d / 64] |= 1 << (d % 64);
+                hitters[d].push(c);
+            }
         }
-        for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, k, cur, out);
-            cur.pop();
+        Tables {
+            inst,
+            words,
+            hit_bits,
+            hitters,
         }
     }
-    rec(0, n, k, &mut cur, &mut out);
-    out
+
+    /// Searches for at most `limit` candidates hitting every disk in the
+    /// bitset `levels[..words]`. It branches on the lowest disk left and
+    /// tries the candidates hitting it in ascending order, which is the
+    /// order the reference's filtered `helpful` scan tries them in, so the
+    /// first cover found is the same. Picks are pushed innermost first,
+    /// as the reference returns them.
+    fn cover(&self, levels: &mut [u64], limit: usize, picks: &mut Vec<usize>) -> bool {
+        let words = self.words;
+        let (need, below) = levels.split_at_mut(words);
+        let Some(d) = lowest_disk(need) else {
+            return true;
+        };
+        if limit == 0 {
+            return false;
+        }
+        for &c in &self.hitters[d] {
+            let hits = &self.hit_bits[c * words..][..words];
+            let mut left = 0;
+            for ((next, &n), &h) in below[..words].iter_mut().zip(need.iter()).zip(hits) {
+                *next = n & !h;
+                left |= *next;
+            }
+            if left == 0 || (limit > 1 && self.cover(below, limit - 1, picks)) {
+                picks.push(c);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The lowest disk in a bitset, if any.
+fn lowest_disk(bits: &[u64]) -> Option<usize> {
+    bits.iter()
+        .position(|&w| w != 0)
+        .map(|i| i * 64 + bits[i].trailing_zeros() as usize)
+}
+
+/// `current` without the (ascending) positions in `removal`, in order.
+fn without(current: &[usize], removal: &[usize]) -> Vec<usize> {
+    current
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| (!removal.contains(&i)).then_some(c))
+        .collect()
+}
+
+/// Advances `r`, ascending positions in `0..n`, to the next subset of its
+/// size in lexicographic order; `false` once `r` is the last.
+fn next_combination(r: &mut [usize], n: usize) -> bool {
+    let k = r.len();
+    let Some(i) = (0..k).rev().find(|&i| r[i] < n - k + i) else {
+        return false;
+    };
+    r[i] += 1;
+    for j in i + 1..k {
+        r[j] = r[j - 1] + 1;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -187,10 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn combinations_counts() {
-        assert_eq!(combinations(4, 2).len(), 6);
-        assert_eq!(combinations(3, 3).len(), 1);
-        assert_eq!(combinations(3, 0).len(), 1);
+    fn next_combination_walks_subsets_in_lexicographic_order() {
+        let mut r = vec![0, 1, 2];
+        let mut seen = vec![r.clone()];
+        while next_combination(&mut r, 5) {
+            seen.push(r.clone());
+        }
+        assert_eq!(seen.len(), 10);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(seen.last(), Some(&vec![2, 3, 4]));
     }
 
     #[test]

@@ -51,6 +51,13 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test par_determinism -q --off
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test sweep_determinism -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test sweep_determinism -q --offline
 
+# Local-search parity soak: SAMC's incremental swap evaluation must
+# return the same hitting sets, index for index, as the full-recompute
+# reference search (paper-density fields and degenerate snapped grids,
+# swap sizes 1-4).
+echo "==> SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline"
+SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline
+
 # Solver-backend matrix: the integration suite must stay green when
 # SAG_SOLVER forces every zone onto a heuristic backend. Tests that
 # assert exact-path behaviour pin their builder explicitly, so the
@@ -71,6 +78,13 @@ cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1 > /dev/nu
 # SNR engine benchmark: brute vs ledger on the 100-subscriber probe
 # workload. Emits BENCH_snr.json and enforces the 5x speedup floor.
 run cargo run --release --offline -p sag-bench --bin bench_snr -- --out BENCH_snr.json --min-speedup 5
+
+# Hitting-set benchmark: the full-recompute reference local search vs the
+# incremental swap evaluation on seeded Fig. 4/5 fields (one zone each
+# at the paper's N_max). Identical hitting sets are asserted on every
+# instance before timing. Emits BENCH_hitting.json and enforces a 10x
+# floor on the aggregate speedup.
+run cargo run --release --offline -p sag-bench --bin bench_hitting -- --out BENCH_hitting.json --min-speedup 10
 
 # Observability overhead gate: the disabled instrumentation path must
 # stay within 2% of the hand-composed uninstrumented pipeline. Emits
