@@ -14,16 +14,31 @@
 //!    from its parent's basis via the dual simplex, cold starts solve
 //!    every node from scratch. Gated on node *throughput* (nodes/s), so
 //!    a warm run that explored a different tree still compares fairly.
+//! 3. **ILPQC, reference vs kept session.** Seeded Fig. 3(a)-shaped GAC
+//!    instances (500×500, −15 dB, 15–50 users, grid 20, the
+//!    experiments' node limit) solved by `sag_core::reference`'s
+//!    per-node re-lowering and by `sag_core::ilpqc`'s kept LP session.
+//!    Identical outcomes (relays, assignment, nodes, optimality) are
+//!    asserted on every instance before timing; the CI gate asserts
+//!    the session's speedup floor.
 //!
 //! The dense-vs-sparse gate needs a large instance to mean anything:
 //! below `MIN_GATE_ZONES` zones the probe is recorded as skipped in the
 //! JSON instead of enforcing a floor on noise.
 //!
-//! Usage: `bench_lp [--out PATH] [--min-speedup X] [--min-warm-speedup X] [--zones N]`
+//! Usage: `bench_lp [--out PATH] [--min-speedup X] [--min-warm-speedup X]
+//! [--min-ilpqc-speedup X] [--zones N]`
 
 use std::time::Instant;
 
+use sag_core::candidates::{gac_candidates, prune_useless};
+use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome};
+use sag_core::model::Scenario;
+use sag_core::reference;
+use sag_geom::Point;
 use sag_lp::{push_backend_override, IlpProblem, LpBackend, LpProblem, Relation};
+use sag_sim::experiments::{gac_grid_for, ILPQC_NODE_LIMIT};
+use sag_sim::gen::ScenarioSpec;
 
 /// Zones in the cover probe (past the large end of the paper's sweeps:
 /// the dense tableau's advantage shrinks as the block count grows, so
@@ -37,6 +52,10 @@ const CANDS_PER_ZONE: usize = 8;
 const TRIANGLES: usize = 12;
 /// Interleaved measurement rounds per probe.
 const ROUNDS: usize = 9;
+/// Fig. 3(a) user counts of the ILPQC probe, one instance each.
+const ILPQC_USERS: [usize; 8] = [15, 20, 25, 30, 35, 40, 45, 50];
+/// Scenario seed of the ILPQC probe.
+const ILPQC_SEED: u64 = 1;
 
 /// Deterministic splitmix64 stream (no RNG dependency).
 fn next(state: &mut u64) -> u64 {
@@ -100,6 +119,58 @@ fn triangle_ilp(warm: bool) -> IlpProblem {
     ilp
 }
 
+/// One Fig. 3(a)-shaped ILPQC instance: the scenario and its pruned
+/// GAC candidates.
+struct IlpqcInstance {
+    scenario: Scenario,
+    candidates: Vec<Point>,
+}
+
+/// The ILPQC probe's instances (GAC sets that prune to nothing are
+/// skipped, as the Fig. 3 wrapper skips them).
+fn ilpqc_probe() -> Vec<IlpqcInstance> {
+    ILPQC_USERS
+        .iter()
+        .filter_map(|&users| {
+            let scenario = ScenarioSpec {
+                field_size: 500.0,
+                n_subscribers: users,
+                snr_db: -15.0,
+                ..Default::default()
+            }
+            .build(ILPQC_SEED);
+            let candidates =
+                prune_useless(&scenario, gac_candidates(&scenario, gac_grid_for(500.0)));
+            (!candidates.is_empty()).then_some(IlpqcInstance {
+                scenario,
+                candidates,
+            })
+        })
+        .collect()
+}
+
+fn ilpqc_config() -> IlpqcConfig {
+    IlpqcConfig {
+        node_limit: ILPQC_NODE_LIMIT,
+        ..IlpqcConfig::default()
+    }
+}
+
+/// The comparable part of an ILPQC outcome: relay bits, assignment,
+/// node count and optimality (never the wall clock).
+fn ilpqc_fingerprint(out: &IlpqcOutcome) -> (Vec<(u64, u64)>, Vec<usize>, usize, bool) {
+    (
+        out.solution
+            .relays
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect(),
+        out.solution.assignment.clone(),
+        out.nodes,
+        out.optimal,
+    )
+}
+
 /// Interleaved median-of-ratios: adjacent samples share the same noise
 /// phase, so per-round ratios are stable and the median discards
 /// outliers. Returns (median a ns, median b ns, median a/b per round).
@@ -146,19 +217,82 @@ fn emit_json(
     warm_nodes_per_s: f64,
     warm_speedup: f64,
     parity: f64,
+    ilpqc: &IlpqcArm,
 ) -> std::io::Result<()> {
     let hardware_threads = sag_bench::hardware_threads();
     let solver = sag_bench::solver_fields_json();
+    let IlpqcArm {
+        instances,
+        candidates,
+        nodes,
+        reference_ns,
+        session_ns,
+        speedup: ilpqc_speedup,
+    } = ilpqc;
     let body = format!(
-        "{{\n  \"benchmark\": \"lp_core\",\n  \"zones\": {zones},\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"dense_median_ns\": {dense_ns},\n  \"sparse_median_ns\": {sparse_ns},\n  \"speedup\": {speedup:.3},\n  \"gate\": \"{gate}\",\n  \"bb_triangles\": {TRIANGLES},\n  \"cold_nodes_per_s\": {cold_nodes_per_s:.1},\n  \"warm_nodes_per_s\": {warm_nodes_per_s:.1},\n  \"warm_speedup\": {warm_speedup:.3},\n  \"parity_max_rel_err\": {parity:.3e}\n}}\n"
+        "{{\n  \"benchmark\": \"lp_core\",\n  \"zones\": {zones},\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"dense_median_ns\": {dense_ns},\n  \"sparse_median_ns\": {sparse_ns},\n  \"speedup\": {speedup:.3},\n  \"gate\": \"{gate}\",\n  \"bb_triangles\": {TRIANGLES},\n  \"cold_nodes_per_s\": {cold_nodes_per_s:.1},\n  \"warm_nodes_per_s\": {warm_nodes_per_s:.1},\n  \"warm_speedup\": {warm_speedup:.3},\n  \"parity_max_rel_err\": {parity:.3e},\n  \"ilpqc_instances\": {instances},\n  \"ilpqc_candidates\": {candidates},\n  \"ilpqc_nodes\": {nodes},\n  \"ilpqc_reference_median_ns\": {reference_ns},\n  \"ilpqc_session_median_ns\": {session_ns},\n  \"ilpqc_speedup\": {ilpqc_speedup:.3},\n  \"ilpqc_parity\": \"identical outcomes\"\n}}\n"
     );
     std::fs::write(path, body)
+}
+
+/// Measurements of the ILPQC arm (probe 3).
+struct IlpqcArm {
+    instances: usize,
+    /// GAC candidates summed over the instances.
+    candidates: usize,
+    /// Branch-and-bound nodes summed over the instances.
+    nodes: usize,
+    reference_ns: u128,
+    session_ns: u128,
+    speedup: f64,
+}
+
+/// Probe 3: asserts identical ILPQC outcomes on every instance, then
+/// races the reference solver against the kept session.
+fn run_ilpqc_arm() -> IlpqcArm {
+    let probe = ilpqc_probe();
+    let mut nodes = 0;
+    for inst in &probe {
+        let fast = solve_ilpqc(&inst.scenario, &inst.candidates, ilpqc_config())
+            .expect("ILPQC probe instance is feasible (session)");
+        let slow = reference::solve_ilpqc(&inst.scenario, &inst.candidates, ilpqc_config())
+            .expect("ILPQC probe instance is feasible (reference)");
+        assert_eq!(
+            ilpqc_fingerprint(&fast),
+            ilpqc_fingerprint(&slow),
+            "ILPQC parity broken before timing ({} users)",
+            inst.scenario.n_subscribers()
+        );
+        nodes += fast.nodes;
+    }
+    let solve_all = |solve: fn(
+        &Scenario,
+        &[Point],
+        IlpqcConfig,
+    ) -> sag_core::error::SagResult<IlpqcOutcome>| {
+        for inst in &probe {
+            let _ = std::hint::black_box(solve(&inst.scenario, &inst.candidates, ilpqc_config()));
+        }
+    };
+    let (reference_ns, session_ns, speedup) =
+        measure(&mut || solve_all(reference::solve_ilpqc), &mut || {
+            solve_all(solve_ilpqc)
+        });
+    IlpqcArm {
+        instances: probe.len(),
+        candidates: probe.iter().map(|i| i.candidates.len()).sum(),
+        nodes,
+        reference_ns,
+        session_ns,
+        speedup,
+    }
 }
 
 fn main() {
     let mut out_path = String::from("BENCH_lp.json");
     let mut min_speedup = 3.0f64;
     let mut min_warm_speedup = 1.5f64;
+    let mut min_ilpqc_speedup = 4.0f64;
     let mut zones = DEFAULT_ZONES;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -172,6 +306,10 @@ fn main() {
                 let v = args.next().expect("--min-warm-speedup needs a number");
                 min_warm_speedup = v.parse().expect("--min-warm-speedup parses as f64");
             }
+            "--min-ilpqc-speedup" => {
+                let v = args.next().expect("--min-ilpqc-speedup needs a number");
+                min_ilpqc_speedup = v.parse().expect("--min-ilpqc-speedup parses as f64");
+            }
             "--zones" => {
                 let v = args.next().expect("--zones needs a number");
                 zones = v.parse().expect("--zones parses as usize");
@@ -179,7 +317,8 @@ fn main() {
             }
             other => panic!(
                 "unknown argument {other}; usage: bench_lp [--out PATH] \
-                 [--min-speedup X] [--min-warm-speedup X] [--zones N]"
+                 [--min-speedup X] [--min-warm-speedup X] [--min-ilpqc-speedup X] \
+                 [--zones N]"
             ),
         }
     }
@@ -263,6 +402,18 @@ fn main() {
     println!("b&b warm  {warm_nodes:>5} nodes  {warm_ns:>12} ns  ({warm_nodes_per_s:.0} nodes/s)");
     println!("warm node throughput: {warm_speedup:.2}x (parity max rel err {parity:.3e})");
 
+    // ---- Probe 3: ILPQC, reference vs kept session ------------------
+    let ilpqc = run_ilpqc_arm();
+    println!(
+        "ilpqc reference  {:>2} GAC instances {:>5} nodes {:>12} ns",
+        ilpqc.instances, ilpqc.nodes, ilpqc.reference_ns
+    );
+    println!(
+        "ilpqc session    {:>2} GAC instances {:>5} nodes {:>12} ns",
+        ilpqc.instances, ilpqc.nodes, ilpqc.session_ns
+    );
+    println!("ilpqc speedup: {:.2}x (identical outcomes)", ilpqc.speedup);
+
     emit_json(
         &out_path,
         zones,
@@ -276,6 +427,7 @@ fn main() {
         warm_nodes_per_s,
         warm_speedup,
         parity,
+        &ilpqc,
     )
     .expect("write benchmark JSON");
     println!("wrote {out_path}");
@@ -292,4 +444,12 @@ fn main() {
              required {min_warm_speedup:.2}x floor"
         );
     }
+    // The ILPQC probe is paper-scale by construction, so its floor is
+    // always enforced.
+    assert!(
+        ilpqc.speedup >= min_ilpqc_speedup,
+        "ILPQC session-vs-reference speedup {:.2}x is below the required \
+         {min_ilpqc_speedup:.2}x floor",
+        ilpqc.speedup
+    );
 }

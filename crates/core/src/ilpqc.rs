@@ -22,12 +22,19 @@
 //!   freedom to place "extra" relays for SNR;
 //! * prune with the incumbent and with the LP relaxation of the
 //!   set-cover subproblem (a valid lower bound because dropping (3.5)
-//!   only enlarges the feasible region), computed by `sag-lp`.
+//!   only enlarges the feasible region), computed by `sag-lp`. The
+//!   relaxation is lowered once per solve into a kept
+//!   [`sag_lp::LpSession`]; each bounded node fixes its selection with
+//!   lower bounds of 1 and re-solves from the previous node's basis
+//!   and factors.
+//!
+//! [`crate::reference::solve_ilpqc`] keeps the original per-node
+//! re-lowering as the parity suite's referee.
 
 use std::time::Instant;
 
 use sag_geom::Point;
-use sag_lp::{Budget, CscMatrix, LpProblem, Relation, Spent, WarmStart};
+use sag_lp::{Budget, CscMatrix, LpError, LpProblem, LpSession, Relation, Spent};
 use sag_radio::InterferenceLedger;
 
 use crate::coverage::{interference_ledger, CoverageSolution};
@@ -35,13 +42,13 @@ use crate::error::{SagError, SagResult};
 use crate::model::Scenario;
 
 /// How often (in nodes) the wall-clock/cancellation state is polled.
-const BUDGET_POLL_MASK: usize = 63;
+pub(crate) const BUDGET_POLL_MASK: usize = 63;
 
 /// SNR evaluations between full ledger rebuilds. Incremental push/pop
 /// drift is ~1 ulp per mutation; rebuilding every few hundred
 /// evaluations keeps worst-case accumulated drift far below the 1e-12
 /// feasibility margins at negligible cost.
-const LEDGER_REBUILD_PERIOD: usize = 256;
+pub(crate) const LEDGER_REBUILD_PERIOD: usize = 256;
 
 /// Configuration of the ILPQC branch-and-bound.
 #[derive(Debug, Clone)]
@@ -56,9 +63,9 @@ pub struct IlpqcConfig {
     pub budget: Budget,
     /// Minimum candidate count before per-node LP completion bounds
     /// kick in. Each incomplete node then re-solves the cover LP with
-    /// its selection forced to 1 — warm-started by the dual simplex
-    /// from the previous node's basis, so the marginal cost is a
-    /// handful of pivots. Small instances (golden tests, hand-laid
+    /// its selection forced to at least 1 — resumed by the dual simplex
+    /// from the previous node's basis and factors, so the marginal cost
+    /// is a handful of pivots. Small instances (golden tests, hand-laid
     /// scenarios) stay on the pure combinatorial search.
     pub lp_bound_min_cands: usize,
 }
@@ -109,9 +116,11 @@ pub fn solve_ilpqc(
     // (the shared helper every backend builds its lists with).
     let eligible = crate::fallback::eligibility(scenario, candidates, "ilpqc")?;
 
-    // Root lower bound: LP relaxation of the set cover.
-    let root_lb = set_cover_lp_bound(n_cands, &eligible, &config.budget).map_err(|e| {
-        if e == SagError::Lp(sag_lp::LpError::Cancelled) {
+    // Root lower bound: LP relaxation of the set cover, the kept
+    // session's first solve.
+    let mut cover = CoverBound::new(n_cands, &eligible, &config.budget);
+    let root_lb = cover.bound(&[]).map_err(|e| {
+        if e == LpError::Cancelled {
             SagError::BudgetExceeded {
                 stage: "ilpqc",
                 spent: Spent {
@@ -120,7 +129,7 @@ pub fn solve_ilpqc(
                 },
             }
         } else {
-            e
+            SagError::Lp(e)
         }
     })?;
 
@@ -135,17 +144,10 @@ pub fn solve_ilpqc(
     let mut truncated = false;
 
     // Per-node LP completion bounds (large instances only): the cover
-    // LP with the node's selection forced to 1 lower-bounds every
-    // completion of that node. Consecutive nodes share a matrix shape
-    // (only bounds change), so each solve warm-starts from the previous
-    // one's basis via the dual simplex.
+    // LP with the node's selection forced to at least 1 lower-bounds
+    // every completion of that node. Only bounds change between nodes,
+    // so each solve resumes the session from the previous one.
     let use_lp_bounds = n_cands >= config.lp_bound_min_cands;
-    let cover_lp = if use_lp_bounds {
-        Some(build_cover_lp(n_cands, &eligible))
-    } else {
-        None
-    };
-    let mut lp_warm: Option<WarmStart> = None;
     let mut lp_prunes = 0u64;
 
     // One interference ledger for the whole search, synced to each
@@ -204,23 +206,15 @@ pub fn solve_ilpqc(
                     // and relax the rest; the cover LP optimum lower-bounds
                     // every completion. Only worth the solve once an
                     // incumbent exists to prune against.
-                    if let Some(template) = &cover_lp {
-                        let mut lp = template.clone();
-                        for &c in &selected {
-                            lp.set_bounds(c, 1.0, 1.0);
-                        }
-                        lp.set_budget(config.budget.clone());
-                        match lp.solve_with_warm_start(lp_warm.as_ref()) {
-                            Ok(out) => {
-                                lp_warm = out.warm;
-                                let bound =
-                                    round_lp_lower_bound(out.solution.objective, n_cands + n_subs);
+                    if use_lp_bounds {
+                        match cover.bound(&selected) {
+                            Ok(bound) => {
                                 if bound >= b.len() {
                                     lp_prunes += 1;
                                     continue;
                                 }
                             }
-                            Err(sag_lp::LpError::Cancelled) => {
+                            Err(LpError::Cancelled) => {
                                 truncated = true;
                                 break;
                             }
@@ -358,41 +352,54 @@ pub fn solve_ilpqc(
 /// diff against the previously synced (sorted) selection: candidates
 /// that left are popped, candidates that joined are pushed. `slot_of`
 /// maps candidate index → live ledger slot.
-fn sync_ledger(
+pub(crate) fn sync_ledger(
     ledger: &mut InterferenceLedger,
     slot_of: &mut [Option<usize>],
     synced: &mut Vec<usize>,
     selected: &[usize],
     candidates: &[Point],
 ) {
+    symmetric_diff(synced, selected, |c, joined| {
+        if joined {
+            slot_of[c] = Some(ledger.add_relay(candidates[c], 1.0));
+        } else {
+            let slot = slot_of[c].take().expect("synced candidate has a slot");
+            ledger.remove_relay(slot);
+        }
+    });
+    synced.clear();
+    synced.extend_from_slice(selected);
+}
+
+/// Walks the symmetric difference of two sorted, deduplicated index
+/// sets in ascending order: `on(c, true)` for each `c` only in `new`,
+/// `on(c, false)` for each `c` only in `old`.
+fn symmetric_diff(old: &[usize], new: &[usize], mut on: impl FnMut(usize, bool)) {
     let (mut i, mut k) = (0usize, 0usize);
-    while i < synced.len() || k < selected.len() {
-        match (synced.get(i), selected.get(k)) {
-            (Some(&old), Some(&new)) if old == new => {
+    while i < old.len() || k < new.len() {
+        match (old.get(i), new.get(k)) {
+            (Some(&o), Some(&n)) if o == n => {
                 i += 1;
                 k += 1;
             }
-            (Some(&old), opt) if opt.is_none_or(|&new| old < new) => {
-                let slot = slot_of[old].take().expect("synced candidate has a slot");
-                ledger.remove_relay(slot);
+            (Some(&o), next) if next.is_none_or(|&n| o < n) => {
+                on(o, false);
                 i += 1;
             }
-            (_, Some(&new)) => {
-                slot_of[new] = Some(ledger.add_relay(candidates[new], 1.0));
+            (_, Some(&n)) => {
+                on(n, true);
                 k += 1;
             }
             _ => unreachable!("loop condition guarantees one side is non-empty"),
         }
     }
-    synced.clear();
-    synced.extend_from_slice(selected);
 }
 
 /// Nearest-eligible assignment: for each subscriber, the position (index
 /// into `selected`) of its closest selected eligible candidate. With all
 /// relays at `Pmax` this is the SNR-optimal assignment, because the total
 /// received power is assignment-independent.
-fn nearest_assignment(
+pub(crate) fn nearest_assignment(
     scenario: &Scenario,
     candidates: &[Point],
     eligible: &[Vec<usize>],
@@ -417,18 +424,31 @@ fn nearest_assignment(
 }
 
 /// Builds the set-cover relaxation: minimise Σx over x ∈ [0,1] subject
-/// to one `≥ 1` coverage row per subscriber. Rows are assembled as one
-/// canonical [`CscMatrix`] block (subscribers × candidates) and
-/// bulk-added — the sparse backend consumes the same structure, so
-/// nothing is densified on the way in. Shared with the `LpRound`
-/// backend in [`crate::solver`], which rounds this relaxation instead
-/// of branching on it.
+/// to one `≥ 1` coverage row per subscriber. The `LpRound` backend in
+/// [`crate::solver`] rounds this relaxation and reads its `x`, so it
+/// keeps the `x ≤ 1` bounds (the reference B&B bounds with it too).
 pub(crate) fn build_cover_lp(n_cands: usize, eligible: &[Vec<usize>]) -> LpProblem {
-    let mut lp = LpProblem::minimize(n_cands);
-    lp.set_objective(&vec![1.0; n_cands]);
+    let mut lp = cover_relaxation(n_cands, eligible);
     for c in 0..n_cands {
         lp.set_bounds(c, 0.0, 1.0);
     }
+    lp
+}
+
+/// The set-cover relaxation without upper bounds: minimise Σx over
+/// x ≥ 0 subject to one `≥ 1` coverage row per subscriber. Rows are
+/// assembled as one canonical [`CscMatrix`] block (subscribers ×
+/// candidates) and bulk-added — the sparse backend consumes the same
+/// structure, so nothing is densified on the way in.
+///
+/// Its optimum equals the bounded one's, also with any candidates
+/// fixed to a lower bound of 1: costs are 1 and every row needs only
+/// 1, so lowering an `x_c > 1` to 1 keeps every row satisfied and
+/// strictly lowers the objective — no optimum sets `x_c > 1`. Dropping
+/// the `x ≤ 1` rows keeps the lowered basis at one row per subscriber.
+fn cover_relaxation(n_cands: usize, eligible: &[Vec<usize>]) -> LpProblem {
+    let mut lp = LpProblem::minimize(n_cands);
+    lp.set_objective(&vec![1.0; n_cands]);
     let triplets: Vec<(usize, usize, f64)> = eligible
         .iter()
         .enumerate()
@@ -440,20 +460,43 @@ pub(crate) fn build_cover_lp(n_cands: usize, eligible: &[Vec<usize>]) -> LpProbl
     lp
 }
 
-/// LP relaxation of the set-cover part: a valid lower bound on the ILPQC
-/// optimum (dropping (3.5) relaxes the problem).
-fn set_cover_lp_bound(
-    n_cands: usize,
-    eligible: &[Vec<usize>],
-    budget: &Budget,
-) -> SagResult<usize> {
-    let mut lp = build_cover_lp(n_cands, eligible);
-    lp.set_budget(budget.clone());
-    let sol = lp.solve()?;
-    Ok(round_lp_lower_bound(
-        sol.objective,
-        n_cands + eligible.len(),
-    ))
+/// The ILPQC's LP lower bound: the unbounded cover relaxation of one
+/// solve, lowered once into a kept [`LpSession`]. Each call fixes a
+/// node's selection with lower bounds of 1 — synced by symmetric
+/// difference against the previous call's, as [`sync_ledger`] syncs
+/// the ledger — and resumes the session from its last basis.
+struct CoverBound {
+    session: LpSession,
+    /// Candidates currently at lower bound 1 (sorted).
+    fixed: Vec<usize>,
+    /// Variables + constraints of the bounded formulation, the scale
+    /// [`round_lp_lower_bound`] sizes its slack by.
+    dimension: usize,
+}
+
+impl CoverBound {
+    fn new(n_cands: usize, eligible: &[Vec<usize>], budget: &Budget) -> Self {
+        let mut lp = cover_relaxation(n_cands, eligible);
+        lp.set_budget(budget.clone());
+        CoverBound {
+            session: LpSession::new(lp),
+            fixed: Vec::new(),
+            dimension: n_cands + eligible.len(),
+        }
+    }
+
+    /// The rounded LP lower bound on every cover containing `selected`
+    /// (sorted, deduplicated).
+    fn bound(&mut self, selected: &[usize]) -> Result<usize, LpError> {
+        let session = &mut self.session;
+        symmetric_diff(&self.fixed, selected, |c, joined| {
+            session.set_bounds(c, if joined { 1.0 } else { 0.0 }, f64::INFINITY);
+        });
+        self.fixed.clear();
+        self.fixed.extend_from_slice(selected);
+        let sol = self.session.solve()?;
+        Ok(round_lp_lower_bound(sol.objective, self.dimension))
+    }
 }
 
 /// Rounds an LP-relaxation objective up to a valid integer lower bound.
@@ -465,7 +508,7 @@ fn set_cover_lp_bound(
 /// and the objective's magnitude — not a magic constant. Under-rounding
 /// here is unsound: lifting a `3−ε` relaxation to 4 would prune an
 /// optimal 3-relay cover out of the search.
-fn round_lp_lower_bound(objective: f64, dimension: usize) -> usize {
+pub(crate) fn round_lp_lower_bound(objective: f64, dimension: usize) -> usize {
     let slack = sag_lp::SIMPLEX_TOL * (dimension as f64 + 1.0) * objective.abs().max(1.0);
     (objective - slack).ceil().max(1.0) as usize
 }
@@ -702,12 +745,60 @@ mod tests {
                 .map(u32::count_ones)
                 .min()
                 .expect("every subscriber has an eligible candidate");
-            let bound = set_cover_lp_bound(n_cands, &eligible, &Budget::unlimited())
+            let bound = CoverBound::new(n_cands, &eligible, &Budget::unlimited())
+                .bound(&[])
                 .expect("feasible LP");
             prop_assert!(
                 bound as u32 <= opt,
                 "LP bound {bound} exceeds integer optimum {opt} (eligible: {eligible:?})"
             );
+        }
+
+        /// Dropping the `x ≤ 1` rows keeps the bound: over random cover
+        /// instances and random sequences of fixed sets, the unbounded
+        /// relaxation (fixed at `x ≥ 1`, re-solved in one kept session)
+        /// and the bounded one (fixed at `x = 1`, lowered afresh) give
+        /// the same LP value.
+        #[cases(64)]
+        fn bounded_and_unbounded_cover_lps_agree(seed in 0u64..100_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n_cands = rng.gen_range(2..30usize);
+            let n_subs = rng.gen_range(1..12usize);
+            let eligible: Vec<Vec<usize>> = (0..n_subs)
+                .map(|_| {
+                    let mut e: Vec<usize> =
+                        (0..n_cands).filter(|_| rng.gen_bool(0.3)).collect();
+                    if e.is_empty() {
+                        e.push(rng.gen_range(0..n_cands));
+                    }
+                    e
+                })
+                .collect();
+            let mut cover = CoverBound::new(n_cands, &eligible, &Budget::unlimited());
+            for _ in 0..6 {
+                let fixed: Vec<usize> = (0..n_cands).filter(|_| rng.gen_bool(0.2)).collect();
+                let mut bounded = build_cover_lp(n_cands, &eligible);
+                let mut unbounded = cover_relaxation(n_cands, &eligible);
+                for &c in &fixed {
+                    bounded.set_bounds(c, 1.0, 1.0);
+                    unbounded.set_bounds(c, 1.0, f64::INFINITY);
+                }
+                let want = bounded.solve().expect("bounded cover LP is feasible").objective;
+                let fresh = unbounded.solve().expect("unbounded cover LP is feasible").objective;
+                let tol = 1e3 * sag_lp::SIMPLEX_TOL * (1.0 + want.abs());
+                prop_assert!(
+                    (fresh - want).abs() <= tol,
+                    "fixed {fixed:?}: unbounded {fresh} vs bounded {want}"
+                );
+                let bound = cover.bound(&fixed).expect("session cover LP is feasible");
+                prop_assert_eq!(
+                    bound,
+                    round_lp_lower_bound(want, n_cands + n_subs),
+                    "fixed {:?}: session bound vs bounded LP value {}",
+                    fixed,
+                    want
+                );
+            }
         }
     }
 }

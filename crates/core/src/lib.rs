@@ -32,6 +32,10 @@
 //! | DARP baseline (\[1\]) | [`darp`] |
 //! | SAG pipeline (Alg. 9) | [`sag`] |
 //!
+//! [`reference`](mod@reference) keeps the original ILPQC branch-and-bound as the
+//! differential referee that tests and benchmarks compare
+//! [`ilpqc::solve_ilpqc`] against; library code does not use it.
+//!
 //! Extensions beyond the paper (flagged as such in their module docs):
 //! [`kcover`] (dual-relay k-coverage, after the cited 802.16j MMR
 //! architecture) and [`lifetime`] (battery-driven network lifetime,
@@ -83,6 +87,7 @@ pub mod lifetime;
 pub mod mbmc;
 pub mod model;
 pub mod pro;
+pub mod reference;
 pub mod resilience;
 pub mod sag;
 pub mod samc;

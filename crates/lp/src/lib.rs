@@ -1,17 +1,22 @@
 //! # sag-lp — linear programming and branch-and-bound ILP
 //!
-//! A self-contained dense two-phase simplex solver plus a binary/integer
-//! branch-and-bound layer. This crate is the reproduction's substitute for
-//! **Gurobi 5.0**, which the paper uses for its ILPQC (coverage with
-//! quadratic SNR constraints, §III-A.1) and LPQC (power minimisation,
-//! §III-A.2) benchmark formulations:
+//! A self-contained LP solver plus a binary/integer branch-and-bound
+//! layer. Solves run on a sparse revised simplex ([`revised`]: CSC
+//! storage, LU basis factors with eta updates, dual-simplex warm
+//! starts) by default; the original dense two-phase tableau
+//! ([`simplex`]) stays as the differential oracle ([`backend`]). This
+//! crate is the reproduction's substitute for **Gurobi 5.0**, which the
+//! paper uses for its ILPQC (coverage with quadratic SNR constraints,
+//! §III-A.1) and LPQC (power minimisation, §III-A.2) benchmark
+//! formulations:
 //!
 //! * the LPQC becomes a true LP once the SS→RS assignment is fixed (the
 //!   SNR constraint (3.9) is linear in the power vector), solved directly
 //!   by [`LpProblem::solve`];
 //! * the ILPQC is solved exactly in `sag-core` by combinatorial
 //!   branch-and-bound whose lower bounds come from this crate's LP
-//!   relaxation of the set-cover subproblem.
+//!   relaxation of the set-cover subproblem, re-solved node after node
+//!   in one kept [`LpSession`].
 //!
 //! # Example
 //!
@@ -44,7 +49,7 @@ pub use backend::{push_backend_override, LpBackend};
 pub use budget::{Budget, Spent};
 pub use error::LpError;
 pub use ilp::{IlpProblem, IlpSolution};
-pub use problem::{LpProblem, LpSolution, LpSolutionDetailed, Relation, WarmStart};
+pub use problem::{LpProblem, LpSession, LpSolution, LpSolutionDetailed, Relation, WarmStart};
 pub use revised::{RevisedSolution, SparseStandardForm};
 pub use simplex::TOL as SIMPLEX_TOL;
 pub use sparse::{CscBuilder, CscMatrix, SparseError};

@@ -10,7 +10,9 @@
 //! its lowering negates rows — the sparse core accepts any-sign `b`,
 //! keeping the lowered matrix *identical* across bound changes so
 //! branch-and-bound children can warm-start from a parent basis
-//! ([`LpProblem::solve_with_warm_start`]).
+//! ([`LpProblem::solve_with_warm_start`]), and an [`LpSession`] can
+//! lower once and re-solve under changing bounds from its kept basis
+//! and factors.
 
 // Building dense rows/columns is index arithmetic by nature.
 #![allow(clippy::needless_range_loop)]
@@ -18,7 +20,10 @@
 use crate::backend::{backend, LpBackend};
 use crate::budget::Budget;
 use crate::error::LpError;
-use crate::revised::{solve_sparse_from_basis, solve_sparse_with, SparseStandardForm};
+use crate::revised::{
+    resume_dual, solve_cold, Factorization, RevisedSolution, Solved, SparseStandardForm,
+    DEFAULT_REFACTOR_PERIOD,
+};
 use crate::simplex::{solve_standard_with, StandardForm};
 use crate::sparse::CscMatrix;
 
@@ -135,6 +140,22 @@ struct SparseOutcome {
     solution: LpSolutionDetailed,
     warm: Option<WarmStart>,
     warm_used: bool,
+}
+
+/// A problem lowered to the any-sign-rhs sparse standard form, plus
+/// what it takes to map a solution back and to recompute `b` after a
+/// bound change.
+#[derive(Debug, Clone)]
+struct Lowered {
+    sf: SparseStandardForm,
+    /// Each user row's coefficients with duplicate variables combined,
+    /// sorted by variable: the order `b`'s bound shift is summed in.
+    combined: Vec<Vec<(usize, f64)>>,
+    /// Each user row's equilibration scale (its largest |coefficient|).
+    row_scales: Vec<f64>,
+    /// Each user row's slack/surplus column (`None` for equality rows).
+    slack_cols: Vec<Option<usize>>,
+    shape: LoweredShape,
 }
 
 impl LpProblem {
@@ -436,20 +457,13 @@ impl LpProblem {
     /// scaling mirror the dense lowering exactly — minus the rhs
     /// negation, so the matrix (and hence [`LoweredShape`]) depends only
     /// on the constraint structure, never on bound values.
-    fn lower_sparse(
-        &self,
-    ) -> (
-        SparseStandardForm,
-        Vec<f64>,
-        Vec<Option<usize>>,
-        LoweredShape,
-    ) {
+    fn lower_sparse(&self) -> Lowered {
         let n = self.n;
         let m_user = self.rows.len();
         let ub_vars: Vec<usize> = (0..n).filter(|&v| self.upper[v].is_finite()).collect();
         let m = m_user + ub_vars.len();
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        let mut b: Vec<f64> = Vec::with_capacity(m);
+        let mut combined_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m_user);
         let mut row_scales: Vec<f64> = Vec::with_capacity(m_user);
         for (i, row) in self.rows.iter().enumerate() {
             // Combine duplicate variable references, as the dense
@@ -464,18 +478,16 @@ impl LpProblem {
                     false
                 }
             });
-            let shift: f64 = combined.iter().map(|&(v, c)| c * self.lower[v]).sum();
             let scale = combined.iter().fold(0.0f64, |mx, &(_, c)| mx.max(c.abs()));
             let scale = if scale > 0.0 { scale } else { 1.0 };
             for &(v, c) in &combined {
                 triplets.push((i, v, c / scale));
             }
-            b.push((row.rhs - shift) / scale);
+            combined_rows.push(combined);
             row_scales.push(scale);
         }
         for (idx, &v) in ub_vars.iter().enumerate() {
             triplets.push((m_user + idx, v, 1.0));
-            b.push(self.upper[v] - self.lower[v]);
         }
         // Slack/surplus columns in row order: user rows by relation,
         // then a `+1` slack for every synthesised upper-bound row.
@@ -516,12 +528,70 @@ impl LpProblem {
             n,
             ub_vars,
         };
-        (
-            SparseStandardForm { a, b, c },
+        let mut lowered = Lowered {
+            sf: SparseStandardForm {
+                a,
+                b: Vec::with_capacity(m),
+                c,
+            },
+            combined: combined_rows,
             row_scales,
             slack_cols,
             shape,
-        )
+        };
+        self.lower_rhs(&mut lowered);
+        lowered
+    }
+
+    /// Writes `lowered.sf.b` from the current bounds: each user row's
+    /// rhs less its lower-bound shift, over its scale, then `hi − lo`
+    /// per upper-bound row. The one formula both a fresh lowering and a
+    /// session re-solve after [`LpSession::set_bounds`] use, so their
+    /// `b` agree to the bit.
+    fn lower_rhs(&self, lowered: &mut Lowered) {
+        let b = &mut lowered.sf.b;
+        b.clear();
+        for ((row, combined), &scale) in self
+            .rows
+            .iter()
+            .zip(&lowered.combined)
+            .zip(&lowered.row_scales)
+        {
+            let shift: f64 = combined.iter().map(|&(v, c)| c * self.lower[v]).sum();
+            b.push((row.rhs - shift) / scale);
+        }
+        for &v in &lowered.shape.ub_vars {
+            b.push(self.upper[v] - self.lower[v]);
+        }
+    }
+
+    /// Maps a sparse solution of `lowered` back to this problem's
+    /// variables: unshifted `x`, objective in the problem's own sense,
+    /// and dual recovery as in the dense path, minus the negation term
+    /// (sparse rows are never negated).
+    fn sparse_detailed(&self, lowered: &Lowered, sol: &RevisedSolution) -> LpSolutionDetailed {
+        let n = self.n;
+        let x: Vec<f64> = (0..n).map(|v| sol.x[v] + self.lower[v]).collect();
+        let objective: f64 = self.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+        let sense = if self.minimize { 1.0 } else { -1.0 };
+        let duals: Vec<Option<f64>> = (0..self.rows.len())
+            .map(|i| {
+                let col = lowered.slack_cols[i]?;
+                let rc = sol.reduced_costs[col];
+                let y = match self.rows[i].rel {
+                    Relation::Ge => rc,
+                    Relation::Le => -rc,
+                    Relation::Eq => unreachable!("Eq rows have no slack"),
+                };
+                Some(sense * y / lowered.row_scales[i])
+            })
+            .collect();
+        LpSolutionDetailed {
+            objective,
+            x,
+            duals,
+            reduced_costs: sol.reduced_costs[..n].to_vec(),
+        }
     }
 
     /// Solves via the sparse revised simplex, optionally warm-starting
@@ -530,60 +600,20 @@ impl LpProblem {
     /// solve). Returns the detailed solution plus the terminal basis
     /// for future warm starts.
     fn solve_sparse_outcome(&self, warm: Option<&WarmStart>) -> Result<SparseOutcome, LpError> {
-        let (sf, row_scales, slack_cols, shape) = self.lower_sparse();
-        let mut warm_used = false;
-        let sol = match warm {
-            Some(ws) if ws.shape == shape => {
-                match solve_sparse_from_basis(&sf, &ws.basis, &self.budget) {
-                    Ok(s) => {
-                        warm_used = true;
-                        s
-                    }
-                    // An unusable seed basis is not an answer — retry
-                    // cold. Anything else (Infeasible, Cancelled, …) is
-                    // a real outcome and propagates.
-                    Err(LpError::Numerical(_)) => solve_sparse_with(&sf, &self.budget)?,
-                    Err(e) => return Err(e),
-                }
-            }
-            _ => solve_sparse_with(&sf, &self.budget)?,
-        };
-        let n = self.n;
-        let x: Vec<f64> = (0..n).map(|v| sol.x[v] + self.lower[v]).collect();
-        let objective: f64 = self.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
-        // Dual recovery as in the dense path, minus the negation term
-        // (sparse rows are never negated).
-        let sense = if self.minimize { 1.0 } else { -1.0 };
-        let duals: Vec<Option<f64>> = (0..self.rows.len())
-            .map(|i| {
-                let col = slack_cols[i]?;
-                let rc = sol.reduced_costs[col];
-                let y = match self.rows[i].rel {
-                    Relation::Ge => rc,
-                    Relation::Le => -rc,
-                    Relation::Eq => unreachable!("Eq rows have no slack"),
-                };
-                Some(sense * y / row_scales[i])
-            })
-            .collect();
+        let lowered = self.lower_sparse();
+        let seed = warm
+            .filter(|ws| ws.shape == lowered.shape)
+            .map(|ws| (ws.basis.clone(), None));
+        let (solved, warm_used) = solve_lowered(&lowered.sf, seed, &self.budget)?;
+        let solution = self.sparse_detailed(&lowered, &solved.solution);
         // A basis containing artificials (redundant rows) cannot seed a
         // warm start; report no handle rather than a poisoned one.
-        let total = sf.c.len();
-        let warm_out = if sol.basis.iter().all(|&j| j < total) {
-            Some(WarmStart {
-                basis: sol.basis,
-                shape,
-            })
-        } else {
-            None
-        };
+        let warm_out = reusable_basis(&lowered.sf, solved.solution.basis).map(|basis| WarmStart {
+            basis,
+            shape: lowered.shape,
+        });
         Ok(SparseOutcome {
-            solution: LpSolutionDetailed {
-                objective,
-                x,
-                duals,
-                reduced_costs: sol.reduced_costs[..n].to_vec(),
-            },
+            solution,
             warm: warm_out,
             warm_used,
         })
@@ -673,6 +703,141 @@ impl LpProblem {
             }
         }
         None
+    }
+}
+
+/// Resumes the dual simplex from `seed` — a basis optimal for some
+/// problem with this matrix and costs, plus the factors kept for it
+/// when there are any — or solves cold without one. A seed that proves
+/// unusable ([`LpError::Numerical`]) falls back to a cold solve;
+/// anything else (Infeasible, Cancelled, …) is a real outcome and
+/// propagates. Returns whether the seed was used.
+fn solve_lowered(
+    sf: &SparseStandardForm,
+    seed: Option<(Vec<usize>, Option<Factorization>)>,
+    budget: &Budget,
+) -> Result<(Solved, bool), LpError> {
+    if let Some((basis, kept)) = seed {
+        match resume_dual(sf, basis, kept, budget) {
+            Ok(solved) => return Ok((solved, true)),
+            Err(LpError::Numerical(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((solve_cold(sf, budget, DEFAULT_REFACTOR_PERIOD)?, false))
+}
+
+/// `basis` when it can seed a later resume — `None` when it kept an
+/// artificial column for a redundant row.
+fn reusable_basis(sf: &SparseStandardForm, basis: Vec<usize>) -> Option<Vec<usize>> {
+    let total = sf.c.len();
+    basis.iter().all(|&j| j < total).then_some(basis)
+}
+
+/// A kept LP session: an [`LpProblem`] lowered to sparse standard form
+/// once, then re-solved as its variable bounds change.
+///
+/// [`LpSession::set_bounds`] changes only the lowered right-hand side
+/// `b` — recomputed from the bounds by the same formula a fresh
+/// lowering uses, so it is bit-identical to one. Each
+/// [`LpSession::solve`] resumes the dual simplex from the basis the
+/// previous solve ended on *and its LU factors*: a bound change leaves
+/// that basis dual feasible, and a re-solve that needs no pivot never
+/// refactorizes. Every solve still runs the residual self-check on the
+/// factors it uses, the dual-feasibility guard (an unusable basis falls
+/// back to a cold solve) and budget polling, and flushes its own
+/// `lp.sparse_*` counters. A failed solve drops the kept basis, so the
+/// next one starts cold. Under the [`LpBackend::Dense`] oracle every
+/// solve is a cold dense solve of the problem as it stands.
+///
+/// # Example
+/// ```
+/// use sag_lp::{LpProblem, LpSession, Relation};
+///
+/// // min x + y  s.t.  x + y ≥ 1, then with x fixed up to ≥ 2.
+/// let mut lp = LpProblem::minimize(2);
+/// lp.set_objective(&[1.0, 1.0]);
+/// lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
+/// let mut session = LpSession::new(lp);
+/// assert!((session.solve().unwrap().objective - 1.0).abs() < 1e-9);
+/// session.set_bounds(0, 2.0, f64::INFINITY);
+/// assert!((session.solve().unwrap().objective - 2.0).abs() < 1e-9);
+/// ```
+#[derive(Debug, Clone)]
+pub struct LpSession {
+    problem: LpProblem,
+    lowered: Lowered,
+    /// The last solve's terminal basis and the factors built for it.
+    kept: Option<(Vec<usize>, Factorization)>,
+    /// Bounds changed since `lowered.sf.b` was last written.
+    stale_rhs: bool,
+}
+
+impl LpSession {
+    /// Lowers `problem` once and opens a session on it (the problem's
+    /// [`Budget`] is polled by every solve).
+    pub fn new(problem: LpProblem) -> Self {
+        let lowered = problem.lower_sparse();
+        LpSession {
+            problem,
+            lowered,
+            kept: None,
+            stale_rhs: false,
+        }
+    }
+
+    /// The problem as it stands, bounds included.
+    pub fn problem(&self) -> &LpProblem {
+        &self.problem
+    }
+
+    /// Sets bounds `lo ≤ x_var ≤ hi` for the following solves. The
+    /// lowered right-hand side is rewritten to match once, at the next
+    /// solve.
+    ///
+    /// # Panics
+    /// As [`LpProblem::set_bounds`]; and when `hi` changes whether the
+    /// variable's upper bound is finite — that adds or drops a lowered
+    /// row, a new shape the kept basis cannot serve (build a new
+    /// session instead).
+    pub fn set_bounds(&mut self, var: usize, lo: f64, hi: f64) -> &mut Self {
+        assert!(var < self.problem.n, "variable {var} out of range");
+        assert_eq!(
+            self.problem.upper[var].is_finite(),
+            hi.is_finite(),
+            "set_bounds on variable {var} would change the lowered shape"
+        );
+        self.problem.set_bounds(var, lo, hi);
+        self.stale_rhs = true;
+        self
+    }
+
+    /// Solves the problem under its current bounds.
+    ///
+    /// # Errors
+    /// As [`LpProblem::solve`].
+    pub fn solve(&mut self) -> Result<LpSolution, LpError> {
+        let d = match backend() {
+            LpBackend::Dense => self.problem.solve_detailed_dense()?,
+            LpBackend::Sparse => {
+                if self.stale_rhs {
+                    self.problem.lower_rhs(&mut self.lowered);
+                    self.stale_rhs = false;
+                }
+                let seed = self.kept.take().map(|(basis, fact)| (basis, Some(fact)));
+                let (solved, _) = solve_lowered(&self.lowered.sf, seed, &self.problem.budget)?;
+                let d = self
+                    .problem
+                    .sparse_detailed(&self.lowered, &solved.solution);
+                self.kept = reusable_basis(&self.lowered.sf, solved.solution.basis)
+                    .map(|basis| (basis, solved.fact));
+                d
+            }
+        };
+        Ok(LpSolution {
+            objective: d.objective,
+            x: d.x,
+        })
     }
 }
 
@@ -861,6 +1026,37 @@ mod tests {
                 Err(e) => prop_assert!(false, "unexpected error {e}"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod session_tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    #[test]
+    fn resumed_solve_polls_the_budget() {
+        // min x + y  s.t.  x + y ≥ 1: solved once, then re-solved after
+        // the cancel flag is raised — the resume from kept factors must
+        // still answer Cancelled, and the next solve starts cold.
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut lp = LpProblem::minimize(2);
+        lp.set_objective(&[1.0, 1.0]);
+        lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
+        lp.set_budget(Budget::unlimited().with_cancel_flag(flag.clone()));
+        let mut session = LpSession::new(lp);
+        let _g = crate::backend::push_backend_override(Some(LpBackend::Sparse));
+        assert!((session.solve().unwrap().objective - 1.0).abs() < 1e-9);
+        session.set_bounds(0, 0.5, f64::INFINITY);
+        flag.store(true, Ordering::Relaxed);
+        assert_eq!(session.solve().unwrap_err(), LpError::Cancelled);
+        assert!(
+            session.kept.is_none(),
+            "a failed solve drops the kept basis"
+        );
+        flag.store(false, Ordering::Relaxed);
+        assert!((session.solve().unwrap().objective - 1.0).abs() < 1e-9);
     }
 }
 

@@ -23,15 +23,18 @@
 //!   via [`inject_lu_skew`]);
 //! * **Bland's rule** after a Dantzig burn-in, guaranteeing termination
 //!   on degenerate problems (see the Beale-example regression test);
-//! * a **dual simplex** entry point ([`solve_sparse_from_basis`]) so
-//!   branch-and-bound children re-solve from their parent's basis: a
-//!   bound change only moves `b`, leaving the parent basis dual
-//!   feasible.
+//! * one **dual simplex** resume core so re-solves start from an
+//!   earlier optimal basis: a bound change only moves `b`, leaving that
+//!   basis dual feasible. [`solve_sparse_from_basis`] is its one-shot
+//!   use (branch-and-bound children seeded with a parent's basis); a
+//!   kept [`crate::LpSession`] also hands back the LU factors its last
+//!   solve ended on, so an unpivoted re-solve never refactorizes.
 //!
 //! The final answer is always extracted from a *fresh* factorization of
 //! the terminal basis — never through the eta file — so the reported
 //! objective is a pure function of the final basis and refactorization
-//! cadence cannot perturb it.
+//! cadence cannot perturb it. Factors built for the terminal basis with
+//! no pivot since are such a factorization, so extraction reuses them.
 
 // This core must never panic on adversarial (fuzzed / chaos-mutated)
 // input; every failure is a typed `LpError`.
@@ -109,7 +112,9 @@ thread_local! {
 }
 
 /// Arms the LU-skew chaos fault on this thread: the next factorization
-/// has one factor entry multiplied by `1 + delta`. With
+/// a solve puts to use — freshly built, or kept from an earlier solve
+/// by an [`crate::LpSession`] — has one factor entry multiplied by
+/// `1 + delta`. With
 /// `persistent = false` the skew clears after one application, so the
 /// solver's retry refactorization recovers; with `persistent = true`
 /// every rebuild is skewed and the solve must surface
@@ -142,7 +147,7 @@ fn consume_lu_skew() -> Option<f64> {
 /// block plus a dense bump, in permuted form
 /// `P_r · B · P_c = [U11 B12; 0 B22]`.
 #[derive(Debug, Clone)]
-struct Factorization {
+pub(crate) struct Factorization {
     m: usize,
     /// Number of triangularized pivots (`k ≤ m`).
     k: usize,
@@ -308,16 +313,22 @@ impl Factorization {
             lu,
             lu_piv,
         };
+        fact.apply_pending_skew();
+        Some(fact)
+    }
+
+    /// Applies a pending [`inject_lu_skew`] to these factors: one entry
+    /// is multiplied by `1 + delta`. Called on every build and on every
+    /// reuse of kept factors — the residual self-check must catch the
+    /// skew, never the caller.
+    fn apply_pending_skew(&mut self) {
         if let Some(delta) = consume_lu_skew() {
-            // Skew one factor entry — the residual self-check must
-            // catch this, never the caller.
-            if fact.k > 0 {
-                fact.u_diag[0] *= 1.0 + delta;
-            } else if fact.nb > 0 {
-                fact.lu[0] *= 1.0 + delta;
+            if self.k > 0 {
+                self.u_diag[0] *= 1.0 + delta;
+            } else if self.nb > 0 {
+                self.lu[0] *= 1.0 + delta;
             }
         }
-        Some(fact)
     }
 
     /// Solves `B x = v` through the factorization alone (no etas).
@@ -601,6 +612,23 @@ impl<'a> SparseSimplex<'a> {
         ))
     }
 
+    /// Puts factors kept from an earlier solve of the current basis back
+    /// to use: recomputes `x_B` through them and runs the residual
+    /// self-check a fresh build gets, refactorizing when it fails.
+    fn reuse(&mut self, mut fact: Factorization) -> Result<(), LpError> {
+        fact.apply_pending_skew();
+        self.fact = fact;
+        self.etas.clear();
+        self.x_b = self.fact.solve(&self.sf.b);
+        if self.residual_ok() {
+            return Ok(());
+        }
+        if sag_obs::enabled() {
+            sag_obs::counter("lp.refactor_retries", 1);
+        }
+        self.refactorize()
+    }
+
     /// `‖b − B·x_B‖∞ / (1 + ‖b‖∞) ≤ RESIDUAL_TOL` against the *true*
     /// basis columns — independent of the factorization under test.
     fn residual_ok(&self) -> bool {
@@ -828,8 +856,13 @@ impl<'a> SparseSimplex<'a> {
     /// Extracts the final answer from a *fresh* factorization of the
     /// terminal basis, re-verifying optimality; returns `None` when the
     /// recomputed reduced costs or feasibility demand more pivoting.
+    /// With an empty eta file no pivot has happened since the last
+    /// build, so the current factors already are that factorization (and
+    /// `x_B` was solved through them) — only pivots force a rebuild.
     fn extract(&mut self) -> Result<Option<RevisedSolution>, LpError> {
-        self.refactorize()?;
+        if !self.etas.is_empty() {
+            self.refactorize()?;
+        }
         // Primal feasibility of the recomputed basics.
         if self.x_b.iter().any(|&v| v < -OPT_TOL) {
             return Ok(None);
@@ -894,13 +927,16 @@ fn validate(sf: &SparseStandardForm) -> Result<(usize, usize), LpError> {
 /// The default eta-file length between full refactorizations.
 pub const DEFAULT_REFACTOR_PERIOD: usize = 64;
 
-/// Builds the solver state around an initial basis. `refactor_period`
-/// is clamped to ≥ 1.
+/// Builds the solver state around an initial basis, factorizing it —
+/// or reusing `kept`, factors built for exactly this basis by an
+/// earlier solve of the same matrix. `refactor_period` is clamped to
+/// ≥ 1.
 fn make_solver<'a>(
     sf: &'a SparseStandardForm,
     m: usize,
     n: usize,
     basis: Vec<usize>,
+    kept: Option<Factorization>,
     budget: &'a Budget,
     refactor_period: usize,
 ) -> Result<SparseSimplex<'a>, LpError> {
@@ -943,8 +979,19 @@ fn make_solver<'a>(
         pivots: 0,
         refactors: 0,
     };
-    solver.refactorize()?;
+    match kept {
+        Some(fact) if fact.m == m => solver.reuse(fact)?,
+        _ => solver.refactorize()?,
+    }
     Ok(solver)
+}
+
+/// A finished sparse solve: the answer plus the factors it ended on —
+/// the fresh factorization of `solution.basis`, which a kept session
+/// resumes from.
+pub(crate) struct Solved {
+    pub(crate) solution: RevisedSolution,
+    pub(crate) fact: Factorization,
 }
 
 /// Solves a sparse standard-form LP with the revised simplex
@@ -983,6 +1030,16 @@ pub fn solve_sparse_with_period(
     budget: &Budget,
     refactor_period: usize,
 ) -> Result<RevisedSolution, LpError> {
+    solve_cold(sf, budget, refactor_period).map(|s| s.solution)
+}
+
+/// The two-phase primal solve behind [`solve_sparse_with_period`],
+/// keeping the terminal factors.
+pub(crate) fn solve_cold(
+    sf: &SparseStandardForm,
+    budget: &Budget,
+    refactor_period: usize,
+) -> Result<Solved, LpError> {
     let (m, n) = validate(sf)?;
     // Crash basis: zero-cost structural singleton columns whose sign
     // matches their row's rhs can start basic (value b_i/a ≥ 0); the
@@ -1005,7 +1062,7 @@ pub fn solve_sparse_with_period(
         }
     }
     let basis: Vec<usize> = (0..m).map(|i| crash[i].unwrap_or(n + i)).collect();
-    let mut solver = make_solver(sf, m, n, basis, budget, refactor_period)?;
+    let mut solver = make_solver(sf, m, n, basis, None, budget, refactor_period)?;
 
     // ---- Phase 1: minimise the artificial mass. ----
     if solver.basis.iter().any(|&j| j >= n) {
@@ -1033,7 +1090,10 @@ pub fn solve_sparse_with_period(
     costs[..n].copy_from_slice(&sf.c);
     let out = finish_primal(&mut solver, &costs);
     flush_obs(&solver, matches!(out, Err(LpError::Cancelled)));
-    out
+    out.map(|solution| Solved {
+        solution,
+        fact: solver.fact,
+    })
 }
 
 /// Runs phase-2 primal to optimality, extracting through a fresh
@@ -1057,7 +1117,9 @@ fn finish_primal(
 /// matrix `A` and costs `c` (only `b` changed — e.g. a branch-and-bound
 /// bound tightening). Such a basis stays dual feasible, so the dual
 /// simplex repairs primal feasibility in a handful of pivots instead of
-/// re-running both phases.
+/// re-running both phases. A one-shot use of the resume core a kept
+/// [`crate::LpSession`] re-solves through: the basis is factorized
+/// afresh.
 ///
 /// # Errors
 /// [`LpError::Numerical`] when the basis cannot seed a warm start
@@ -1070,20 +1132,20 @@ pub fn solve_sparse_from_basis(
     basis: &[usize],
     budget: &Budget,
 ) -> Result<RevisedSolution, LpError> {
-    solve_sparse_from_basis_with_period(sf, basis, budget, DEFAULT_REFACTOR_PERIOD)
+    resume_dual(sf, basis.to_vec(), None, budget).map(|s| s.solution)
 }
 
-/// [`solve_sparse_from_basis`] with an explicit refactorization
-/// cadence.
-///
-/// # Errors
-/// As [`solve_sparse_from_basis`].
-pub fn solve_sparse_from_basis_with_period(
+/// The one dual-simplex entry: resumes from `basis` and, when given,
+/// `kept` — the factors an earlier solve of this matrix ended on for
+/// exactly that basis, reused instead of refactorizing (their residual
+/// is still checked against the new `b`). Errors as
+/// [`solve_sparse_from_basis`].
+pub(crate) fn resume_dual(
     sf: &SparseStandardForm,
-    basis: &[usize],
+    basis: Vec<usize>,
+    kept: Option<Factorization>,
     budget: &Budget,
-    refactor_period: usize,
-) -> Result<RevisedSolution, LpError> {
+) -> Result<Solved, LpError> {
     let (m, n) = validate(sf)?;
     if basis.len() != m || basis.iter().any(|&j| j >= n) {
         return Err(LpError::Numerical(
@@ -1091,7 +1153,7 @@ pub fn solve_sparse_from_basis_with_period(
         ));
     }
     let mut seen = vec![false; n];
-    for &j in basis {
+    for &j in &basis {
         if seen[j] {
             return Err(LpError::Numerical(
                 "warm-start basis repeats a column".into(),
@@ -1099,7 +1161,7 @@ pub fn solve_sparse_from_basis_with_period(
         }
         seen[j] = true;
     }
-    let mut solver = make_solver(sf, m, n, basis.to_vec(), budget, refactor_period)?;
+    let mut solver = make_solver(sf, m, n, basis, kept, budget, DEFAULT_REFACTOR_PERIOD)?;
     // Dual feasibility: the parent's optimal reduced costs must carry
     // over (same A, same c). A materially negative one means the basis
     // is not from a matching problem — fall back cold.
@@ -1117,7 +1179,10 @@ pub fn solve_sparse_from_basis_with_period(
     costs[..n].copy_from_slice(&sf.c);
     let out = finish_dual(&mut solver, &costs);
     flush_obs(&solver, matches!(out, Err(LpError::Cancelled)));
-    out
+    out.map(|solution| Solved {
+        solution,
+        fact: solver.fact,
+    })
 }
 
 /// Runs the dual simplex to primal feasibility, extracting through a

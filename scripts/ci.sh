@@ -31,10 +31,20 @@ echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity 
 SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline
 
 # LP parity soak: the sparse revised simplex against the dense tableau
-# oracle (differential rig), warm-vs-cold B&B incumbents, refactor
+# oracle (differential rig), warm-vs-cold B&B incumbents, kept-session
+# re-solves under random bound changes (vs cold solves and the oracle,
+# bit-identical unchanged re-solves, LU skew mid-session), refactor
 # cadence bit-stability, and CscMatrix construction fuzz.
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline
+
+# ILPQC parity soak: the kept-LP-session branch and bound must return
+# the same outcomes (relay bits, assignment, node count, optimality) as
+# the seed solver in sag_core::reference on seeded IAC/GAC instances at
+# the Fig. 3(a)-(e) shapes and truncated node limits. Release build:
+# the referee re-lowers an LP per node and is slow in debug.
+echo "==> SAG_PROP_CASES=150 cargo test --release -p sag-integration --test ilpqc_parity -q --offline"
+SAG_PROP_CASES=150 cargo test --release -p sag-integration --test ilpqc_parity -q --offline
 
 # Churn soak: arbitrary seeded event streams must end in a typed error
 # or an audit-clean, feasible, bounded-degradation placement; includes
@@ -100,11 +110,14 @@ run cargo run --release --offline -p sag-bench --bin bench_obs -- --out BENCH_ob
 run cargo run --release --offline -p sag-bench --bin bench_par -- --out BENCH_par.json --min-speedup 2 --threads 4
 
 # LP core benchmark: dense tableau vs sparse revised simplex on the
-# 96-zone cover probe (>=3x floor) and cold vs warm-started B&B node
-# throughput (>=1.5x floor). Parity is asserted before any timing.
-# Emits BENCH_lp.json. Both gates self-skip below the 16-zone minimum
-# instance size (--zones), where constants, not asymptotics, decide.
-run cargo run --release --offline -p sag-bench --bin bench_lp -- --out BENCH_lp.json --min-speedup 3 --min-warm-speedup 1.5
+# 96-zone cover probe (>=3x floor), cold vs warm-started B&B node
+# throughput (>=1.5x floor), and the seed ILPQC (sag_core::reference)
+# vs the kept-LP-session ILPQC on Fig. 3(a)-shaped GAC instances (>=4x
+# floor). Parity is asserted before any timing; the ILPQC arm requires
+# identical outcomes. Emits BENCH_lp.json. The first two gates
+# self-skip below the 16-zone minimum instance size (--zones), where
+# constants, not asymptotics, decide; the ILPQC gate is always enforced.
+run cargo run --release --offline -p sag-bench --bin bench_lp -- --out BENCH_lp.json --min-speedup 3 --min-warm-speedup 1.5 --min-ilpqc-speedup 4
 
 # Churn repair benchmark: incremental dirty-zone repair vs a
 # from-scratch SAMC per event on the 16-zone clustered probe. A mixed

@@ -1,18 +1,19 @@
 //! Differential LP test rig: the sparse revised simplex must agree with
 //! the dense tableau oracle on every instance either can express, the
 //! warm-started branch-and-bound must reach the same incumbents as cold
-//! re-solves, the refactorization cadence must not change reported
-//! objectives by a single bit, and `CscMatrix` construction must map
-//! arbitrary garbage to a canonical matrix or a typed error — never a
-//! panic.
+//! re-solves, a kept `LpSession` must answer every bound change as a
+//! fresh cold solve would (and an unchanged re-solve to the bit), the
+//! refactorization cadence must not change reported objectives by a
+//! single bit, and `CscMatrix` construction must map arbitrary garbage
+//! to a canonical matrix or a typed error — never a panic.
 //!
 //! Scale the soak with `SAG_PROP_CASES` (CI runs 150).
 
 use sag_core::candidates::iac_candidates;
-use sag_lp::revised::solve_sparse_with_period;
+use sag_lp::revised::{clear_lu_skew, inject_lu_skew, solve_sparse_with_period};
 use sag_lp::{
-    push_backend_override, Budget, CscMatrix, IlpProblem, LpBackend, LpError, LpProblem, Relation,
-    SparseStandardForm, SIMPLEX_TOL,
+    push_backend_override, Budget, CscMatrix, IlpProblem, LpBackend, LpError, LpProblem, LpSession,
+    LpSolution, Relation, SparseStandardForm, SIMPLEX_TOL,
 };
 use sag_sim::gen::ScenarioSpec;
 use sag_testkit::prelude::*;
@@ -82,7 +83,136 @@ fn assert_backend_parity(lp: &LpProblem, what: &str) {
     }
 }
 
+/// Status and objective agreement between two solves of one LP.
+fn assert_same_answer(
+    got: &Result<LpSolution, LpError>,
+    want: &Result<LpSolution, LpError>,
+    what: &str,
+) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => {
+            let scale = 1.0 + w.objective.abs();
+            prop_assert!(
+                (g.objective - w.objective).abs() <= PARITY_TOL * scale,
+                "{what}: {} vs {}",
+                g.objective,
+                w.objective
+            );
+        }
+        (Err(g), Err(w)) => prop_assert_eq!(g, w, "{}: status", what),
+        (g, w) => prop_assert!(false, "{what}: status disagreement {g:?} vs {w:?}"),
+    }
+}
+
+/// Solves `lp` cold under one backend.
+fn cold_solve(lp: &LpProblem, backend: LpBackend) -> Result<LpSolution, LpError> {
+    let _g = push_backend_override(Some(backend));
+    lp.solve()
+}
+
+/// A random bound change that keeps the lowered shape: a new lower
+/// bound, and a new finite upper bound only where the old one was
+/// finite.
+fn random_bound_change(rng: &mut Rng, session: &mut LpSession) {
+    let n = session.problem().num_vars();
+    let v = rng.gen_range(0..n);
+    let lo = if rng.gen_bool(0.3) {
+        0.0
+    } else {
+        rng.gen_range(0.0..6.0f64)
+    };
+    let hi = if session.problem().upper_bound(v).is_finite() {
+        lo + rng.gen_range(0.0..15.0f64)
+    } else {
+        f64::INFINITY
+    };
+    session.set_bounds(v, lo, hi);
+}
+
+/// [`random_lp`] with some upper bounds lifted to infinity, so sessions
+/// also carry variables that have no upper-bound row.
+fn random_session_lp(rng: &mut Rng) -> LpProblem {
+    let mut lp = random_lp(rng);
+    for v in 0..lp.num_vars() {
+        if rng.gen_bool(0.25) {
+            lp.set_bounds(v, 0.0, f64::INFINITY);
+        }
+    }
+    lp
+}
+
 prop! {
+    /// A kept session under random sequences of bound changes: every
+    /// solve agrees in status and objective with a cold sparse solve
+    /// and with the dense oracle on the same bounds, and a re-solve
+    /// with no bound change in between is bit-identical.
+    #[cases(64)]
+    fn session_matches_cold_solves_under_bound_changes(seed in 0u64..1_000_000) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut session = LpSession::new(random_session_lp(&mut rng));
+        for step in 0..8 {
+            if step > 0 {
+                for _ in 0..rng.gen_range(1usize..4) {
+                    random_bound_change(&mut rng, &mut session);
+                }
+            }
+            let got = {
+                let _g = push_backend_override(Some(LpBackend::Sparse));
+                session.solve()
+            };
+            let what = format!("step {step}");
+            assert_same_answer(&got, &cold_solve(session.problem(), LpBackend::Sparse), &format!("{what} vs cold sparse"));
+            assert_same_answer(&got, &cold_solve(session.problem(), LpBackend::Dense), &format!("{what} vs dense oracle"));
+            let again = {
+                let _g = push_backend_override(Some(LpBackend::Sparse));
+                session.solve()
+            };
+            match (&got, &again) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{}: re-solve objective", what);
+                    let xa: Vec<u64> = a.x.iter().map(|v| v.to_bits()).collect();
+                    let xb: Vec<u64> = b.x.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(xa, xb, "{}: re-solve x", what);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}: re-solve status", what),
+                (a, b) => prop_assert!(false, "{what}: re-solve changed status {a:?} -> {b:?}"),
+            }
+        }
+    }
+
+    /// LU skew mid-session: a one-shot skew of the factors the next
+    /// solve uses is caught by the residual self-check and repaired; a
+    /// persistent one is never a silently wrong answer — it surfaces as
+    /// [`LpError::Numerical`] unless it missed every value it could
+    /// move (a basic variable at exactly zero), in which case the
+    /// answer is still the clean one.
+    #[cases(48)]
+    fn session_recovers_from_lu_skew(seed in 0u64..1_000_000) {
+        let _g = push_backend_override(Some(LpBackend::Sparse));
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut session = LpSession::new(random_session_lp(&mut rng));
+        clear_lu_skew();
+        for _ in 0..3 {
+            let _ = session.solve();
+            random_bound_change(&mut rng, &mut session);
+        }
+        let clean = session.problem().solve();
+        prop_assume!(clean.is_ok());
+        let mut skewed = session.clone();
+        inject_lu_skew(0.5, false);
+        let recovered = session.solve();
+        clear_lu_skew();
+        prop_assert!(recovered.is_ok(), "one-shot skew must be repaired, got {recovered:?}");
+        assert_same_answer(&recovered, &clean, "one-shot skew");
+        inject_lu_skew(0.5, true);
+        let poisoned = skewed.solve();
+        clear_lu_skew();
+        match poisoned {
+            Err(LpError::Numerical(_)) => {}
+            other => assert_same_answer(&other, &clean, "persistent skew"),
+        }
+    }
+
     /// Random LPs: both backends report the same status, and the same
     /// objective when optimal.
     #[cases(64)]
@@ -266,4 +396,53 @@ prop! {
             }
         }
     }
+}
+
+/// A persistent LU skew on factors a session kept surfaces as the typed
+/// [`LpError::Numerical`]: every basic value of this LP is nonzero, so
+/// the skew moves `x_B` and the residual self-check sees it on the kept
+/// factors, on both rebuilds and on the cold fallback.
+#[test]
+fn session_surfaces_a_persistent_lu_skew() {
+    let _g = push_backend_override(Some(LpBackend::Sparse));
+    // min x + 2y  s.t.  x + y ≥ 3,  x ≤ 2 (as a row, not a bound).
+    let mut lp = LpProblem::minimize(2);
+    lp.set_objective(&[1.0, 2.0]);
+    lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 3.0);
+    lp.add_constraint(&[(0, 1.0)], Relation::Le, 2.0);
+    let mut session = LpSession::new(lp);
+    clear_lu_skew();
+    let first = session.solve().expect("feasible LP");
+    assert!(
+        (first.objective - 4.0).abs() < 1e-9,
+        "objective {}",
+        first.objective
+    );
+    session.set_bounds(1, 1.5, f64::INFINITY);
+    inject_lu_skew(0.5, true);
+    let poisoned = session.solve();
+    clear_lu_skew();
+    assert!(
+        matches!(poisoned, Err(LpError::Numerical(_))),
+        "persistent skew must surface as Numerical, got {poisoned:?}"
+    );
+    // The failed solve dropped the kept basis; the next one is clean:
+    // y ≥ 1.5 now, so x = y = 1.5.
+    let after = session.solve().expect("clean solve after the fault");
+    assert!(
+        (after.objective - 4.5).abs() < 1e-9,
+        "objective {}",
+        after.objective
+    );
+}
+
+/// A set_bounds that would add or drop an upper-bound row is rejected.
+#[test]
+#[should_panic(expected = "would change the lowered shape")]
+fn session_rejects_a_shape_change() {
+    let mut lp = LpProblem::minimize(1);
+    lp.set_objective(&[1.0]);
+    lp.add_constraint(&[(0, 1.0)], Relation::Ge, 1.0);
+    let mut session = LpSession::new(lp);
+    session.set_bounds(0, 0.0, 5.0);
 }

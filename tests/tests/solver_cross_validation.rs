@@ -3,6 +3,8 @@
 //! respect the orderings the paper reports, and the two LPQC power
 //! solvers (fixed point vs simplex) must agree numerically.
 
+use std::sync::Arc;
+
 use sag_core::candidates::{gac_candidates, iac_candidates, prune_useless};
 use sag_core::coverage::{is_feasible, CoverageSolution};
 use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig};
@@ -155,13 +157,21 @@ fn hitting_strategies_all_yield_feasible_coverage() {
 /// Backend cross-validation: the sparse revised simplex and the dense
 /// tableau oracle must report the same ILPQC objective (relay count and
 /// proven optimality) on every zone of a partitioned scenario — the
-/// same per-zone route the parallel engine takes.
+/// same per-zone route the parallel engine takes. Each zone is solved
+/// over its IAC candidates and over a fine GAC grid; the GAC sets reach
+/// `lp_bound_min_cands`, so the per-node LP bound session runs under
+/// both backends too.
 #[test]
 fn ilpqc_backends_agree_per_zone() {
     use sag_core::zone::{zone_partition, zone_scenario};
     use sag_lp::{push_backend_override, LpBackend};
 
     let mut zones_checked = 0usize;
+    let mut bounded_sets = 0usize;
+    // LP-bound prunes per backend: the session must actually run under
+    // both cores, not just be built.
+    let sparse_log = Arc::new(sag_obs::Collector::default());
+    let dense_log = Arc::new(sag_obs::Collector::default());
     for seed in 0..5u64 {
         let sc = ScenarioSpec {
             field_size: 600.0,
@@ -173,33 +183,39 @@ fn ilpqc_backends_agree_per_zone() {
         .build(seed);
         for zone in zone_partition(&sc) {
             let (zsc, _members) = zone_scenario(&sc, &zone);
-            let cands = iac_candidates(&zsc);
-            let sparse = {
-                let _g = push_backend_override(Some(LpBackend::Sparse));
-                solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
-            };
-            let dense = {
-                let _g = push_backend_override(Some(LpBackend::Dense));
-                solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
-            };
-            match (sparse, dense) {
-                (Some(s), Some(d)) => {
-                    assert_eq!(
-                        s.solution.n_relays(),
-                        d.solution.n_relays(),
-                        "seed {seed}: sparse {} vs dense {} relays",
-                        s.solution.n_relays(),
-                        d.solution.n_relays()
-                    );
-                    assert_eq!(s.optimal, d.optimal, "seed {seed}: optimality flags differ");
-                    zones_checked += 1;
+            let gac = prune_useless(&zsc, gac_candidates(&zsc, GAC_GRID));
+            if gac.len() >= IlpqcConfig::default().lp_bound_min_cands {
+                bounded_sets += 1;
+            }
+            for cands in [iac_candidates(&zsc), gac] {
+                let sparse = sag_obs::with_local(sparse_log.clone(), || {
+                    let _g = push_backend_override(Some(LpBackend::Sparse));
+                    solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
+                });
+                let dense = sag_obs::with_local(dense_log.clone(), || {
+                    let _g = push_backend_override(Some(LpBackend::Dense));
+                    solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
+                });
+                match (sparse, dense) {
+                    (Some(s), Some(d)) => {
+                        assert_eq!(
+                            s.solution.n_relays(),
+                            d.solution.n_relays(),
+                            "seed {seed}: sparse {} vs dense {} relays",
+                            s.solution.n_relays(),
+                            d.solution.n_relays()
+                        );
+                        assert_eq!(s.optimal, d.optimal, "seed {seed}: optimality flags differ");
+                        assert_eq!(s.nodes, d.nodes, "seed {seed}: search trees differ");
+                        zones_checked += 1;
+                    }
+                    (None, None) => {} // both infeasible — consistent
+                    (s, d) => panic!(
+                        "seed {seed}: backend feasibility disagreement sparse={:?} dense={:?}",
+                        s.map(|o| o.solution.n_relays()),
+                        d.map(|o| o.solution.n_relays())
+                    ),
                 }
-                (None, None) => {} // both infeasible — consistent
-                (s, d) => panic!(
-                    "seed {seed}: backend feasibility disagreement sparse={:?} dense={:?}",
-                    s.map(|o| o.solution.n_relays()),
-                    d.map(|o| o.solution.n_relays())
-                ),
             }
         }
     }
@@ -207,7 +223,19 @@ fn ilpqc_backends_agree_per_zone() {
         zones_checked >= 5,
         "too few solvable zones ({zones_checked})"
     );
+    assert!(
+        bounded_sets >= 3,
+        "too few GAC candidate sets reach the per-node LP bound ({bounded_sets})"
+    );
+    for (backend, log) in [("sparse", &sparse_log), ("dense", &dense_log)] {
+        let prunes = log.summary().counter("ilpqc.lp_prunes");
+        assert!(prunes > 0, "{backend}: no node was pruned by the LP bound");
+    }
 }
+
+/// GAC grid of the per-zone backend check: fine enough that a zone's
+/// candidate set passes `lp_bound_min_cands`.
+const GAC_GRID: f64 = 8.0;
 
 /// Brute force over every candidate subset: the ILPQC's claimed optimum
 /// must match on instances small enough to enumerate.
