@@ -233,11 +233,22 @@ impl ChurnEngine {
 
     /// Builds an engine around an existing placement (e.g. a cached
     /// from-scratch solve), skipping the initial SAMC run.
+    ///
+    /// # Errors
+    /// [`SagError::InvalidScenario`] (or another validation error) when
+    /// the scenario fails [`Scenario::validate`], a relay position is
+    /// not finite, or the assignment does not match the subscribers.
     pub fn with_placement(
         scenario: &Scenario,
         solution: CoverageSolution,
         config: ChurnConfig,
     ) -> SagResult<ChurnEngine> {
+        scenario.validate()?;
+        if let Some(i) = solution.relays.iter().position(|p| !p.is_finite()) {
+            return Err(SagError::InvalidScenario(format!(
+                "churn: relay {i} at non-finite position"
+            )));
+        }
         if solution.assignment.len() != scenario.n_subscribers()
             || solution
                 .assignment
@@ -948,6 +959,29 @@ mod tests {
         }
         // Rejected events leave the placement untouched.
         assert_live_feasible(&eng);
+    }
+
+    #[test]
+    fn bad_placements_are_typed_errors() {
+        let sc = scenario(vec![(0.0, 0.0, 35.0), (40.0, 10.0, 35.0)]);
+        let placement = |relay: Point| CoverageSolution {
+            relays: vec![Point::new(10.0, 0.0), relay],
+            assignment: vec![0, 1],
+        };
+        let cfg = ChurnConfig::default();
+        let nan_relay = ChurnEngine::with_placement(&sc, placement(Point::new(f64::NAN, 0.0)), cfg);
+        assert!(
+            matches!(nan_relay, Err(SagError::InvalidScenario(_))),
+            "{nan_relay:?}"
+        );
+        let mut nan_sub = sc.clone();
+        nan_sub.subscribers[0].position = Point::new(0.0, f64::NAN);
+        let nan_sub = ChurnEngine::with_placement(&nan_sub, placement(Point::new(40.0, 0.0)), cfg);
+        assert!(
+            matches!(nan_sub, Err(SagError::InvalidScenario(_))),
+            "{nan_sub:?}"
+        );
+        assert!(ChurnEngine::with_placement(&sc, placement(Point::new(40.0, 0.0)), cfg).is_ok());
     }
 
     #[test]

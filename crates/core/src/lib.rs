@@ -32,9 +32,11 @@
 //! | DARP baseline (\[1\]) | [`darp`] |
 //! | SAG pipeline (Alg. 9) | [`sag`] |
 //!
-//! [`reference`](mod@reference) keeps the original ILPQC branch-and-bound as the
-//! differential referee that tests and benchmarks compare
-//! [`ilpqc::solve_ilpqc`] against; library code does not use it.
+//! [`reference`](mod@reference) keeps the original ILPQC branch-and-bound
+//! and all-pairs Zone Partition as the differential referees that tests
+//! and benchmarks compare [`ilpqc::solve_ilpqc`] and
+//! [`zone::zone_partition_with_dmax`] against; library code does not use
+//! it.
 //!
 //! Extensions beyond the paper (flagged as such in their module docs):
 //! [`kcover`] (dual-relay k-coverage, after the cited 802.16j MMR

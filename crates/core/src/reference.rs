@@ -1,23 +1,29 @@
-//! The seed ILPQC branch-and-bound, kept as the differential referee
-//! for [`crate::ilpqc::solve_ilpqc`].
+//! Seed implementations kept as differential referees for the fast
+//! paths that replaced them.
 //!
-//! [`solve_ilpqc`] here is the original solver: every branch-and-bound
-//! node that needs an LP completion bound clones the bounded cover LP
-//! (`x ≤ 1` per candidate), fixes the node's selection with `x = 1`,
-//! and re-lowers it for a warm-started one-shot solve.
-//! [`crate::ilpqc::solve_ilpqc`] re-solves one kept LP session without
-//! the `x ≤ 1` rows instead, and must return the same
-//! [`IlpqcOutcome`] — relays, assignment, node count and optimality
-//! flag — on every input.
+//! * [`solve_ilpqc`] is the original ILPQC solver: every
+//!   branch-and-bound node that needs an LP completion bound clones the
+//!   bounded cover LP (`x ≤ 1` per candidate), fixes the node's
+//!   selection with `x = 1`, and re-lowers it for a warm-started
+//!   one-shot solve. [`crate::ilpqc::solve_ilpqc`] re-solves one kept LP
+//!   session without the `x ≤ 1` rows instead, and must return the same
+//!   [`IlpqcOutcome`] — relays, assignment, node count and optimality
+//!   flag — on every input.
+//! * [`zone_partition_with_dmax`] is the original Zone Partition: it
+//!   tests every subscriber pair and takes the connected components of
+//!   the resulting [`Graph`]. [`crate::zone::zone_partition_with_dmax`]
+//!   only tests pairs from neighbouring grid cells and joins them with a
+//!   union-find, and must return the same zones.
 //!
-//! Only tests and benchmarks import this module: the parity suite
-//! (`tests/tests/ilpqc_parity.rs`) asserts the two agree, and
-//! `bench_lp` times one against the other. Library code must not call
-//! it — it is the slow path by construction.
+//! Only tests and benchmarks import this module: the parity suites
+//! (`tests/tests/ilpqc_parity.rs`, `tests/tests/zone_parity.rs`) assert
+//! each pair agrees, and `bench_lp` times the ILPQC pair. Library code
+//! must not call it — it is the slow path by construction.
 
 use std::time::Instant;
 
 use sag_geom::Point;
+use sag_graph::{components, Graph};
 use sag_lp::{Budget, Spent, WarmStart};
 
 use crate::coverage::{interference_ledger, CoverageSolution};
@@ -27,6 +33,7 @@ use crate::ilpqc::{
     IlpqcOutcome, BUDGET_POLL_MASK, LEDGER_REBUILD_PERIOD,
 };
 use crate::model::Scenario;
+use crate::zone::Zone;
 
 /// Solves the ILPQC over `candidates` for the scenario.
 ///
@@ -310,4 +317,31 @@ fn set_cover_lp_bound(
         sol.objective,
         n_cands + eligible.len(),
     ))
+}
+
+/// Zone Partition over all subscriber pairs: an edge joins `i < j` when
+/// `d_eff ≤ dmax`, and the zones are the graph's connected components
+/// (ordered by smallest subscriber index, each ascending).
+///
+/// # Panics
+/// Panics unless `dmax` is non-negative and finite.
+pub fn zone_partition_with_dmax(scenario: &Scenario, dmax: f64) -> Vec<Zone> {
+    assert!(
+        dmax.is_finite() && dmax >= 0.0,
+        "dmax must be ≥ 0, got {dmax}"
+    );
+    let n = scenario.n_subscribers();
+    let mut g = Graph::new(n);
+    for i in 0..n {
+        for j in i + 1..n {
+            let si = &scenario.subscribers[i];
+            let sj = &scenario.subscribers[j];
+            let dist = si.position.distance(sj.position);
+            let deff = (dist - si.distance_req).min(dist - sj.distance_req);
+            if deff <= dmax {
+                g.add_edge(i, j, deff.max(0.0));
+            }
+        }
+    }
+    components::connected_components(&g)
 }

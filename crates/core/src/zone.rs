@@ -9,10 +9,16 @@
 //! each zone independently.
 //!
 //! Note the paper's Step 3 writes `d_eff = min{dist−d_i, dist−d_j}`;
-//! `min` over subtracted radii equals subtracting the `max` radius, as
-//! implemented here.
+//! `min` over subtracted radii equals subtracting the `max` radius.
+//!
+//! An edge needs `dist ≤ d_max + max d_req`, so instead of testing all
+//! pairs the partition walks the pairs within that reach through a
+//! [`SpatialHash`] and joins them with a [`UnionFind`]. The seed
+//! all-pairs partition is kept as the referee in
+//! [`crate::reference::zone_partition_with_dmax`].
 
-use sag_graph::{components, Graph};
+use sag_geom::{Point, SpatialHash};
+use sag_graph::UnionFind;
 
 use crate::model::Scenario;
 
@@ -46,30 +52,41 @@ pub fn zone_partition(scenario: &Scenario) -> Vec<Zone> {
     zone_partition_with_dmax(scenario, dmax)
 }
 
-/// As [`zone_partition`] with an explicit `d_max` (used by tests and the
-/// ablation bench to sweep zone granularity).
+/// As [`zone_partition`] with an explicit `d_max` (tests use it to
+/// sweep zone granularity).
+///
+/// Only pairs within `d_max + max d_req` of each other are tested, and
+/// they are joined with a [`UnionFind`]; the zones equal the connected
+/// components of Algorithm 2's all-pairs graph
+/// ([`crate::reference::zone_partition_with_dmax`]), zone for zone.
 ///
 /// # Panics
-/// Panics unless `dmax` is non-negative and finite.
+/// Panics unless `dmax` is non-negative and finite and every
+/// subscriber position is finite; an infinite distance request panics
+/// too ([`Scenario::validate`] rejects both).
 pub fn zone_partition_with_dmax(scenario: &Scenario, dmax: f64) -> Vec<Zone> {
     assert!(
         dmax.is_finite() && dmax >= 0.0,
         "dmax must be ≥ 0, got {dmax}"
     );
-    let n = scenario.n_subscribers();
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            let si = &scenario.subscribers[i];
-            let sj = &scenario.subscribers[j];
-            let dist = si.position.distance(sj.position);
-            let deff = (dist - si.distance_req).min(dist - sj.distance_req);
-            if deff <= dmax {
-                g.add_edge(i, j, deff.max(0.0));
-            }
+    let subs = &scenario.subscribers;
+    let max_req = subs.iter().map(|s| s.distance_req).fold(0.0, f64::max);
+    // A pair passing the edge test below is within `(d_max + max d_req)
+    // ·(1 + 7u)` along each axis (u = 2⁻⁵³), or closer than
+    // `√MIN_POSITIVE` where its squared offset underflows; both pads
+    // keep every such pair inside the walk, and the second keeps the
+    // bucket side positive.
+    let reach = (dmax + max_req) * (1.0 + 1e-9) + f64::MIN_POSITIVE.sqrt();
+    let positions: Vec<Point> = subs.iter().map(|s| s.position).collect();
+    let index = SpatialHash::build(&positions, reach);
+    let mut uf = UnionFind::new(subs.len());
+    index.for_each_pair_within(reach, |i, j, dist| {
+        let deff = (dist - subs[i].distance_req).min(dist - subs[j].distance_req);
+        if deff <= dmax {
+            uf.union(i, j);
         }
-    }
-    components::connected_components(&g)
+    });
+    uf.sets()
 }
 
 /// Runs [`zone_partition`] under the `zone_partition` span and records

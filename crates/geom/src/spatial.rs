@@ -1,10 +1,10 @@
-//! A uniform-bucket spatial hash for radius and nearest-neighbour queries.
+//! A uniform-grid spatial index for radius and nearest-neighbour queries.
 //!
 //! Zone partitioning and interference scans repeatedly ask "which stations
 //! lie within distance `d` of this point?"; a uniform grid of buckets makes
-//! those queries `O(points in range)` instead of `O(n)`.
-
-use std::collections::HashMap;
+//! those queries `O(points in range)` instead of `O(n)`. The buckets tile
+//! the points' bounding box densely and are stored in CSR form (an offset
+//! array and an index array), so finding a bucket is two array reads.
 
 use crate::float;
 use crate::point::Point;
@@ -26,15 +26,23 @@ use crate::point::Point;
 #[derive(Debug, Clone)]
 pub struct SpatialHash {
     cell: f64,
+    /// Lower-left corner of bucket `(0, 0)`: the bounding box's minimum.
+    origin: Point,
+    nx: usize,
+    ny: usize,
+    /// `members[start[b]..start[b + 1]]` are the points of bucket
+    /// `b = by·nx + bx`, ascending.
+    start: Vec<usize>,
+    members: Vec<usize>,
     points: Vec<Point>,
-    buckets: HashMap<(i64, i64), Vec<usize>>,
 }
 
 impl SpatialHash {
     /// Builds an index over `points` with bucket side `cell`.
     ///
     /// A good `cell` is the typical query radius; correctness does not
-    /// depend on the choice, only performance.
+    /// depend on the choice, only performance. The side is widened where
+    /// needed to keep at most `(2√n + 1)²` buckets over the bounding box.
     ///
     /// # Panics
     /// Panics if `cell` is not strictly positive and finite, or any point
@@ -44,21 +52,74 @@ impl SpatialHash {
             cell.is_finite() && cell > 0.0,
             "cell must be > 0, got {cell}"
         );
-        let mut buckets: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+        let mut lo = Point::new(f64::INFINITY, f64::INFINITY);
+        let mut hi = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
         for (i, p) in points.iter().enumerate() {
             assert!(p.is_finite(), "point {i} is not finite");
-            buckets.entry(Self::key(*p, cell)).or_default().push(i);
+            lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+            hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
         }
-        SpatialHash {
-            cell,
+        let n = points.len();
+        let extent = (hi.x - lo.x).max(hi.y - lo.y);
+        let mut index = SpatialHash {
+            cell: cell.max(extent / (2.0 * (n as f64).sqrt())),
+            origin: lo,
+            nx: 1,
+            ny: 1,
+            start: Vec::new(),
+            members: vec![0; n],
             points: points.to_vec(),
-            buckets,
+        };
+        if n > 0 {
+            index.nx = index.offset(hi.x - lo.x) + 1;
+            index.ny = index.offset(hi.y - lo.y) + 1;
         }
+        // Counting sort by bucket keeps each bucket's points ascending.
+        let buckets: Vec<usize> = points.iter().map(|&p| index.bucket_of(p)).collect();
+        let mut start = vec![0usize; index.nx * index.ny + 1];
+        for &b in &buckets {
+            start[b + 1] += 1;
+        }
+        for b in 0..index.nx * index.ny {
+            start[b + 1] += start[b];
+        }
+        let mut fill = start.clone();
+        for (i, &b) in buckets.iter().enumerate() {
+            index.members[fill[b]] = i;
+            fill[b] += 1;
+        }
+        index.start = start;
+        index
+    }
+
+    /// Bucket count spanned by a non-negative offset from the origin,
+    /// truncated; `as` saturates a negative offset or NaN to 0.
+    #[inline]
+    fn offset(&self, along: f64) -> usize {
+        (along / self.cell) as usize
+    }
+
+    /// The bucket column holding `x`, clamped into the grid.
+    #[inline]
+    fn column(&self, x: f64) -> usize {
+        self.offset(x - self.origin.x).min(self.nx - 1)
+    }
+
+    /// The bucket row holding `y`, clamped into the grid.
+    #[inline]
+    fn row(&self, y: f64) -> usize {
+        self.offset(y - self.origin.y).min(self.ny - 1)
     }
 
     #[inline]
-    fn key(p: Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    fn bucket_of(&self, p: Point) -> usize {
+        self.row(p.y) * self.nx + self.column(p.x)
+    }
+
+    #[inline]
+    fn bucket(&self, bx: usize, by: usize) -> &[usize] {
+        let b = by * self.nx + bx;
+        &self.members[self.start[b]..self.start[b + 1]]
     }
 
     /// Number of indexed points.
@@ -94,17 +155,58 @@ impl SpatialHash {
     /// (e.g. interference-ledger updates under a contribution cutoff)
     /// run per relay move, so it must not allocate or re-test points
     /// outside the covered buckets.
+    ///
+    /// Every point whose exact offset from `center` is at most `radius`
+    /// along each axis lies in a scanned bucket: rounding `center ±
+    /// radius` and the bucket arithmetic are monotone, so they cannot
+    /// move such a point out of the scanned range.
     pub fn for_each_within(&self, center: Point, radius: f64, mut visit: impl FnMut(usize, f64)) {
         assert!(radius.is_finite() && radius >= 0.0, "radius must be ≥ 0");
-        let lo = Self::key(Point::new(center.x - radius, center.y - radius), self.cell);
-        let hi = Self::key(Point::new(center.x + radius, center.y + radius), self.cell);
-        for bx in lo.0..=hi.0 {
-            for by in lo.1..=hi.1 {
-                if let Some(bucket) = self.buckets.get(&(bx, by)) {
-                    for &i in bucket {
-                        let d = self.points[i].distance(center);
+        let (x0, x1) = (
+            self.column(center.x - radius),
+            self.column(center.x + radius),
+        );
+        let (y0, y1) = (self.row(center.y - radius), self.row(center.y + radius));
+        for bx in x0..=x1 {
+            for by in y0..=y1 {
+                for &i in self.bucket(bx, by) {
+                    let d = self.points[i].distance(center);
+                    if float::leq(d, radius) {
+                        visit(i, d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `visit(i, j, distance)` with `i < j` once for every pair of
+    /// indexed points within distance `radius` of each other (inclusive
+    /// boundary, crate tolerance). Order is unspecified.
+    ///
+    /// Each point scans the buckets [`SpatialHash::for_each_within`]
+    /// would, so every pair at most `radius` apart along each axis is
+    /// found, but only those at or after its own in bucket order (and,
+    /// in its own bucket, only higher indices): whichever of the two
+    /// sits in the earlier bucket finds the pair, so it is tested once.
+    pub fn for_each_pair_within(&self, radius: f64, mut visit: impl FnMut(usize, usize, f64)) {
+        assert!(radius.is_finite() && radius >= 0.0, "radius must be ≥ 0");
+        for (i, &p) in self.points.iter().enumerate() {
+            let own = self.bucket_of(p);
+            let (x0, x1) = (self.column(p.x - radius), self.column(p.x + radius));
+            let (y0, y1) = (self.row(p.y - radius), self.row(p.y + radius));
+            for by in y0..=y1 {
+                for bx in x0..=x1 {
+                    let b = by * self.nx + bx;
+                    if b < own {
+                        continue;
+                    }
+                    for &j in self.bucket(bx, by) {
+                        if b == own && j <= i {
+                            continue;
+                        }
+                        let d = self.points[j].distance(p);
                         if float::leq(d, radius) {
-                            visit(i, d);
+                            visit(i.min(j), i.max(j), d);
                         }
                     }
                 }
@@ -118,71 +220,43 @@ impl SpatialHash {
         if self.points.is_empty() {
             return None;
         }
-        // Expanding ring search over buckets; falls back to linear scan
-        // once the ring covers everything (bounded by bucket extent).
-        let start = Self::key(center, self.cell);
+        // Expanding rings of buckets around the (clamped) centre bucket.
+        // A point `k ≥ 1` rings out is more than `(k − 1)·cell` from
+        // `center`, so once a ring starts beyond the best distance no
+        // later ring can beat it.
+        let (cx, cy) = (self.column(center.x), self.row(center.y));
+        let last_ring = cx.max(self.nx - 1 - cx).max(cy).max(self.ny - 1 - cy);
         let mut best: Option<(usize, f64)> = None;
-        let mut ring = 0i64;
-        loop {
-            let mut any_bucket = false;
-            for bx in (start.0 - ring)..=(start.0 + ring) {
-                for by in (start.1 - ring)..=(start.1 + ring) {
+        for ring in 0..=last_ring {
+            if let Some((_, bd)) = best {
+                if (ring as f64 - 1.0) * self.cell > bd {
+                    break;
+                }
+            }
+            let (x0, x1) = (cx.saturating_sub(ring), (cx + ring).min(self.nx - 1));
+            let (y0, y1) = (cy.saturating_sub(ring), (cy + ring).min(self.ny - 1));
+            for bx in x0..=x1 {
+                for by in y0..=y1 {
                     // Only the new ring shell.
-                    if ring > 0
-                        && bx > start.0 - ring
-                        && bx < start.0 + ring
-                        && by > start.1 - ring
-                        && by < start.1 + ring
-                    {
+                    if bx.abs_diff(cx).max(by.abs_diff(cy)) != ring {
                         continue;
                     }
-                    if let Some(bucket) = self.buckets.get(&(bx, by)) {
-                        any_bucket = true;
-                        for &i in bucket {
-                            let d = self.points[i].distance(center);
-                            let better = match best {
-                                None => true,
-                                Some((bi, bd)) => {
-                                    d < bd - float::EPS || (float::approx_eq(d, bd) && i < bi)
-                                }
-                            };
-                            if better {
-                                best = Some((i, d));
+                    for &i in self.bucket(bx, by) {
+                        let d = self.points[i].distance(center);
+                        let better = match best {
+                            None => true,
+                            Some((bi, bd)) => {
+                                d < bd - float::EPS || (float::approx_eq(d, bd) && i < bi)
                             }
+                        };
+                        if better {
+                            best = Some((i, d));
                         }
                     }
                 }
             }
-            // Stop when we have a candidate and the next ring cannot beat
-            // it (ring inner distance > best distance), or the search has
-            // exhausted all buckets.
-            if let Some((_, bd)) = best {
-                let ring_inner = (ring as f64) * self.cell;
-                if ring_inner > bd {
-                    break;
-                }
-            }
-            if !any_bucket && ring > 0 {
-                // Expanded past every bucket without finding more.
-                let max_ring = self.max_ring(start);
-                if ring > max_ring {
-                    break;
-                }
-            }
-            ring += 1;
-            if ring > self.max_ring(start) + 1 {
-                break;
-            }
         }
         best.map(|(i, _)| i)
-    }
-
-    fn max_ring(&self, start: (i64, i64)) -> i64 {
-        self.buckets
-            .keys()
-            .map(|&(bx, by)| (bx - start.0).abs().max((by - start.1).abs()))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -288,7 +362,55 @@ mod tests {
         assert_eq!(out, vec![99, 0]);
     }
 
+    #[test]
+    fn a_fine_cell_over_a_wide_field_keeps_the_grid_linear() {
+        let pts: Vec<Point> = (0..50)
+            .map(|i| Point::new(f64::from(i) * 1000.0, f64::from(i % 7) * 3000.0))
+            .collect();
+        let idx = SpatialHash::build(&pts, 0.5);
+        let side = 2.0 * 50f64.sqrt() + 1.0;
+        assert!((idx.nx * idx.ny) as f64 <= side * side);
+        for (i, &p) in pts.iter().enumerate() {
+            assert_eq!(idx.query_radius(p, 0.5), vec![i]);
+            assert_eq!(idx.nearest(p + crate::Vec2::new(0.1, 0.0)), Some(i));
+        }
+    }
+
     prop! {
+        fn prop_pairs_equal_brute(
+            seed in 0u64..1000,
+            n in 0usize..60,
+            cell in 1.0..60.0f64,
+            r in 0.0..120.0f64,
+            snap in one_of([None, Some(10.0f64)]),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let pts: Vec<Point> = (0..n)
+                .map(|_| {
+                    let (x, y): (f64, f64) = (rng.gen_range(-100.0..100.0), rng.gen_range(-100.0..100.0));
+                    match snap {
+                        Some(s) => Point::new((x / s).round() * s, (y / s).round() * s),
+                        None => Point::new(x, y),
+                    }
+                })
+                .collect();
+            let idx = SpatialHash::build(&pts, cell);
+            let mut got = Vec::new();
+            idx.for_each_pair_within(r, |i, j, d| {
+                assert!(i < j && d == pts[i].distance(pts[j]));
+                got.push((i, j));
+            });
+            got.sort_unstable();
+            let mut want = Vec::new();
+            for j in 0..n {
+                for i in brute_radius(&pts[..j], pts[j], r) {
+                    want.push((i, j));
+                }
+            }
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
+        }
+
         fn prop_radius_equals_brute(
             seed in 0u64..1000,
             n in 1usize..60,

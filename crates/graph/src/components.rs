@@ -1,8 +1,9 @@
 //! Connected components and traversals.
 //!
-//! Zone Partition (Algorithm 2) builds a graph over subscribers whose
-//! effective interference distance is below `d_max` and takes its
-//! connected components as zones; this module supplies that step.
+//! The all-pairs Zone Partition (Algorithm 2) referee in
+//! `sag_core::reference` builds a graph over subscribers whose effective
+//! interference distance is below `d_max` and takes its connected
+//! components as zones; this module supplies that step.
 
 use crate::graph::Graph;
 

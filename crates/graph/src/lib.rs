@@ -2,12 +2,14 @@
 //!
 //! Self-contained graph algorithms used by the SAG reproduction:
 //!
-//! * [`UnionFind`] — disjoint sets with path compression + union by rank,
+//! * [`UnionFind`] — disjoint sets with path compression + union by rank
+//!   (Zone Partition, Algorithm 2, joins subscribers within interference
+//!   reach),
 //! * [`Graph`] — a small weighted undirected graph (adjacency lists),
 //! * [`mst`] — Kruskal and Prim minimum spanning trees (Algorithm 7's
 //!   backbone; the two implementations cross-check each other in tests),
-//! * [`components`] — connected components / BFS / DFS (Zone Partition,
-//!   Algorithm 2, groups subscribers by interference reach),
+//! * [`components`] — connected components / BFS / DFS (relay-graph
+//!   resilience, and the all-pairs Zone Partition referee),
 //! * [`paths`] — Dijkstra shortest paths (relay chain bookkeeping),
 //! * [`bipartite`] — bipartite graphs with greedy *Coverage Link Escape*
 //!   marking support and Hopcroft–Karp maximum matching,

@@ -95,13 +95,17 @@ impl UnionFind {
     /// (ascending element order, sets ordered by smallest element).
     pub fn sets(&mut self) -> Vec<Vec<usize>> {
         let n = self.parent.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        // A set is opened by its smallest element, the first one met.
+        let mut set_of_root = vec![usize::MAX; n];
+        let mut out: Vec<Vec<usize>> = Vec::with_capacity(self.sets);
         for x in 0..n {
             let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+            if set_of_root[r] == usize::MAX {
+                set_of_root[r] = out.len();
+                out.push(Vec::new());
+            }
+            out[set_of_root[r]].push(x);
         }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        out.sort_by_key(|s| s[0]);
         out
     }
 }

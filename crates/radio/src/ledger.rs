@@ -344,8 +344,7 @@ impl InterferenceLedger {
     /// [`add_relay`](InterferenceLedger::add_relay): the lowest-freed
     /// slot is reused first (LIFO), otherwise a new slot is appended.
     /// The new accumulator is initialised to the exact slot-order sum
-    /// over the registered relays (the same sum
-    /// [`audit`](InterferenceLedger::audit) checks against), so an
+    /// of [`TwoRay::received_power`] over the registered relays, so an
     /// added subscriber is **bit-identical** to one present in a fresh
     /// build with the same relay sequence. `O(R)`.
     ///
@@ -550,7 +549,7 @@ impl InterferenceLedger {
         match self.mode {
             LedgerMode::Oracle => self.interference_oracle(j, serving),
             LedgerMode::Incremental => {
-                let v = self.interference_incremental(j, serving);
+                let v = self.interference_incremental(j, self.signal(j, serving));
                 if v <= CANCELLATION_GUARD * self.total_rx[j].abs() {
                     // Drift-scale difference: resolve exactly rather
                     // than clamp (see `snr_incremental`).
@@ -627,15 +626,22 @@ impl InterferenceLedger {
     }
 
     /// Full accumulator audit against the brute-force recompute:
-    /// `Ok(())` when every subscriber's accumulator matches the exact
-    /// sum within [`AUDIT_REL_TOL`], the first divergence otherwise.
+    /// `Ok(())` when every subscriber slot's accumulator (tombstoned
+    /// slots included) matches the exact sum within [`AUDIT_REL_TOL`],
+    /// the first divergence otherwise.
+    ///
+    /// The recompute sums the same relays in the same slot order as
+    /// the accumulators' exact sum, under the same cutoff membership,
+    /// but takes each term from the `powf`-free closed form at `α = 3`.
+    /// It agrees with the `received_power` sum to ~1e-14 relative —
+    /// eight orders of magnitude inside [`AUDIT_REL_TOL`] — so a clean
+    /// ledger passes and a stale accumulator still fails.
     ///
     /// # Errors
-    /// [`DesyncError`] naming the first diverged subscriber.
+    /// [`DesyncError`] naming the lowest diverged subscriber slot.
     pub fn audit(&self) -> Result<(), DesyncError> {
-        for j in 0..self.subscribers.len() {
-            let expected = self.expected_total(j);
-            let got = self.total_rx[j];
+        for (j, &got) in self.total_rx.iter().enumerate() {
+            let expected = self.slot_order_total(j, TwoRay::received_power_closed_form);
             if (got - expected).abs() > AUDIT_REL_TOL * expected.abs().max(1e-12) {
                 return Err(DesyncError {
                     subscriber: j,
@@ -855,13 +861,14 @@ impl InterferenceLedger {
         }
     }
 
-    fn interference_incremental(&self, j: usize, serving: usize) -> f64 {
+    /// Interference at `j` given the serving relay's `signal` there.
+    fn interference_incremental(&self, j: usize, signal: f64) -> f64 {
         // Without a cutoff this is exactly `total − signal`, matching
         // the brute path bit-for-bit on a freshly built ledger. With a
         // cutoff the serving relay may or may not be inside `total`;
         // either way the residual covers the gap from above (see
         // DESIGN.md "Interference engine" for the case analysis).
-        let base = self.total_rx[j] - self.signal(j, serving);
+        let base = self.total_rx[j] - signal;
         match &self.cutoff {
             None => base,
             Some(_) => base + self.residual(j),
@@ -873,7 +880,7 @@ impl InterferenceLedger {
         if signal <= 0.0 {
             return 0.0;
         }
-        let interference = self.interference_incremental(j, serving);
+        let interference = self.interference_incremental(j, signal);
         // The cancellation guard subsumes the `≤ 0` branch: interference
         // at ulp scale relative to the aggregate is drift, not physics —
         // the incremental difference cannot distinguish "exactly zero"
@@ -931,6 +938,13 @@ impl InterferenceLedger {
     /// active relay's contribution, restricted to in-range relays under
     /// a cutoff (same membership predicate as the spatial walk).
     fn expected_total(&self, j: usize) -> f64 {
+        self.slot_order_total(j, TwoRay::received_power)
+    }
+
+    /// `Σ term(model, power, d)` over the active relays in slot order
+    /// (only those within the cutoff radius of `j` when one is set).
+    #[inline]
+    fn slot_order_total(&self, j: usize, term: impl Fn(&TwoRay, f64, f64) -> f64) -> f64 {
         let sub = self.subscribers[j];
         let mut total = 0.0;
         for slot in self.slots.iter().flatten() {
@@ -940,7 +954,7 @@ impl InterferenceLedger {
                     continue;
                 }
             }
-            total += self.model.received_power(slot.power, d);
+            total += term(&self.model, slot.power, d);
         }
         total
     }
@@ -1226,6 +1240,33 @@ mod tests {
     }
 
     #[test]
+    fn audit_names_the_lowest_diverged_slot_active_or_tombstoned() {
+        let mut subscribers = subs();
+        subscribers.push(Point::new(-40.0, 30.0));
+        let mut ledger = InterferenceLedger::new(model(), subscribers);
+        ledger.add_relay(Point::new(10.0, 0.0), 1.0);
+        ledger.add_relay(Point::new(30.0, 40.0), 0.6);
+        ledger.add_relay(Point::new(-20.0, 20.0), 1.3);
+        ledger.remove_subscriber(1);
+        let skew = |ledger: &mut InterferenceLedger, j: usize, by: f64| {
+            let delta = by * AUDIT_REL_TOL * ledger.total_rx[j];
+            ledger.skew_accumulator(j, delta);
+        };
+        // Half the tolerance passes; twice it is a desync.
+        skew(&mut ledger, 3, 0.5);
+        assert!(ledger.audit().is_ok());
+        skew(&mut ledger, 3, 1.5);
+        assert_eq!(ledger.audit().unwrap_err().subscriber, 3);
+        // The tombstoned slot is checked too, and is the lower slot.
+        skew(&mut ledger, 1, 2.0);
+        let err = ledger.audit().unwrap_err();
+        assert_eq!(err.subscriber, 1);
+        assert_eq!(err.ledger, ledger.total_rx[1]);
+        ledger.rebuild();
+        assert!(ledger.audit().is_ok());
+    }
+
+    #[test]
     fn cutoff_snr_is_a_sound_lower_bound() {
         let positions = [
             Point::new(5.0, 0.0),
@@ -1407,6 +1448,81 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+
+        /// The audit's recompute agrees with the slot-order sum of
+        /// `received_power` within 1e-13 relative, at the closed-form and
+        /// `powf` exponents, with and without a cutoff, over relays
+        /// inside the near field, coincident with a subscriber, or at
+        /// zero power.
+        fn prop_audit_recompute_matches_received_power_sum(
+            alpha in one_of([2.0, 2.5, 3.0, 3.3, 4.0]),
+            g in 0.1..10.0f64,
+            cutoff in one_of([None, Some(5.0), Some(150.0)]),
+            at in (-300.0..300.0f64, -300.0..300.0f64),
+            relays in vec_of((-300.0..300.0f64, -300.0..300.0f64, 0.0..2.0f64, 0usize..5), 0..40),
+        ) {
+            let at = Point::new(at.0, at.1);
+            let mut ledger = InterferenceLedger::new(TwoRay::new(g, alpha), vec![at]);
+            if let Some(r) = cutoff {
+                ledger = ledger.with_cutoff(r);
+            }
+            let near = TwoRay::NEAR_FIELD;
+            for (x, y, pt, kind) in relays {
+                let (pos, pt) = match kind {
+                    0 => (at, pt),
+                    1 => (Point::new(at.x + near * x / 400.0, at.y + near * y / 400.0), pt),
+                    2 => (Point::new(x, y), 0.0),
+                    _ => (Point::new(x, y), pt),
+                };
+                ledger.add_relay(pos, pt);
+            }
+            let got = ledger.slot_order_total(0, TwoRay::received_power_closed_form);
+            let want = ledger.expected_total(0);
+            prop_assert!(
+                (got - want).abs() <= 1e-13 * want.abs(),
+                "α {alpha}: audit recompute {got:e} vs received_power sum {want:e}"
+            );
+        }
+
+        /// The audit passes after every op of random relay sequences
+        /// (add/remove/move/set-power) interleaved with subscriber
+        /// mutations, at closed-form and `powf` exponents, on plain and
+        /// cutoff ledgers (which allow no subscriber mutations).
+        fn prop_audit_passes_after_mutation_sequences(
+            alpha in one_of([2.0, 2.5, 3.0, 3.3, 4.0]),
+            cutoff in one_of([None, Some(60.0), Some(250.0)]),
+            subs_raw in vec_of((0.0..500.0f64, 0.0..500.0f64), 1..8),
+            ops in vec_of((0usize..7, 0.0..500.0f64, 0.0..500.0f64, 0.0..2.0f64), 1..30),
+        ) {
+            let subscribers: Vec<Point> =
+                subs_raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let mut ledger = InterferenceLedger::new(TwoRay::new(1.0, alpha), subscribers);
+            if let Some(r) = cutoff {
+                ledger = ledger.with_cutoff(r);
+            }
+            let mut relay_ids: Vec<usize> = Vec::new();
+            let mut active: Vec<usize> = (0..ledger.n_subscribers()).collect();
+            for (kind, x, y, p) in ops {
+                let at = Point::new(x, y);
+                let mid = relay_ids.len() / 2;
+                match kind {
+                    1 if !relay_ids.is_empty() => {
+                        ledger.remove_relay(relay_ids.remove(mid));
+                    }
+                    2 if !relay_ids.is_empty() => ledger.move_relay(relay_ids[mid], at),
+                    3 if !relay_ids.is_empty() => ledger.set_power(relay_ids[mid], p),
+                    4 if cutoff.is_none() => active.push(ledger.add_subscriber(at)),
+                    5 if cutoff.is_none() && active.len() > 1 => {
+                        ledger.remove_subscriber(active.remove(active.len() / 2));
+                    }
+                    6 if cutoff.is_none() => {
+                        ledger.move_subscriber(active[active.len() / 2], at);
+                    }
+                    _ => relay_ids.push(ledger.add_relay(at, p)),
+                }
+                prop_assert!(ledger.audit().is_ok(), "audit failed after op {kind}");
             }
         }
 

@@ -85,6 +85,20 @@ impl TwoRay {
     /// as being at this distance.
     pub const NEAR_FIELD: f64 = 1e-3;
 
+    /// [`TwoRay::received_power`] for recomputes that sum many terms,
+    /// such as the interference ledger's audit: at `α = 3` the factor
+    /// `d^{-3}` is `1/(d·d·d)` instead of `powf`, so a term may differ
+    /// from `received_power` by a few ulps; at any other `α` it is
+    /// `received_power` exactly.
+    #[inline]
+    pub(crate) fn received_power_closed_form(&self, pt: f64, d: f64) -> f64 {
+        if self.alpha != 3.0 {
+            return self.received_power(pt, d);
+        }
+        let d = d.max(Self::NEAR_FIELD);
+        pt * self.g / (d * d * d)
+    }
+
     /// Transmit power needed so the receiver at distance `d` gets `pr`:
     /// the inverse of [`TwoRay::received_power`].
     ///

@@ -46,6 +46,14 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline
 echo "==> SAG_PROP_CASES=150 cargo test --release -p sag-integration --test ilpqc_parity -q --offline"
 SAG_PROP_CASES=150 cargo test --release -p sag-integration --test ilpqc_parity -q --offline
 
+# Zone Partition parity soak: the grid + union-find partition must
+# return the same zones as the all-pairs referee in sag_core::reference
+# on seeded uniform and clustered fields, snapped grids with pairs at
+# exactly d_eff == d_max, coincident subscribers, boundary d_max values
+# and the churn hotspot layout.
+echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test zone_parity -q --offline"
+SAG_PROP_CASES=150 cargo test -p sag-integration --test zone_parity -q --offline
+
 # Churn soak: arbitrary seeded event streams must end in a typed error
 # or an audit-clean, feasible, bounded-degradation placement; includes
 # the starved-budget, worker-panic and ledger-desync chaos arms.
