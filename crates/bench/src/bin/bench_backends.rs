@@ -25,6 +25,7 @@
 //!
 //! Usage: `bench_backends [--out PATH] [--min-speedup X]`
 
+use sag_bench::harness::{interleaved, Interleaved};
 use sag_core::model::{BaseStation, NetworkParams, Scenario, Subscriber};
 use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig, SagReport};
 use sag_core::validate::validate_report;
@@ -113,31 +114,6 @@ fn backend_mix(report: &SagReport) -> [usize; 4] {
     mix
 }
 
-/// Interleaved median-of-ratios between two timed closures, each
-/// reporting its own lower-tier spend in nanoseconds (the polynomial
-/// tail — PRO, MBMC, UCPO — is identical in both arms and would only
-/// dilute the ratio the gate is about). Returns (min a ns, min b ns,
-/// median of a/b per round).
-fn measure(a: &mut dyn FnMut() -> u128, b: &mut dyn FnMut() -> u128) -> (u128, u128, f64) {
-    // Warm-up round, not measured.
-    a();
-    b();
-    let mut rounds: Vec<(u128, u128)> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((a(), b()));
-    }
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .map(|&(e, a)| e as f64 / a.max(1) as f64)
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (
-        rounds.iter().map(|r| r.0).min().unwrap_or(0),
-        rounds.iter().map(|r| r.1).min().unwrap_or(0),
-        ratios[ratios.len() / 2],
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 fn emit_json(
     path: &str,
@@ -207,7 +183,16 @@ fn main() {
          the probe no longer exercises selection"
     );
 
-    let (exact_ns, adaptive_ns, speedup) = measure(
+    // Each arm reports its own lower-tier spend: the polynomial tail
+    // (PRO, MBMC, UCPO) is identical in both arms and would only dilute
+    // the ratio the gate is about.
+    let Interleaved {
+        a_min_ns: exact_ns,
+        b_min_ns: adaptive_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(
+        ROUNDS,
         &mut || {
             run(&sc, SolverBuilder::fixed(SolverBackend::ExactIlp))
                 .budget_spent

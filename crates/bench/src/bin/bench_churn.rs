@@ -19,7 +19,8 @@
 //! (arrivals, departures, moves from [`churn_trace`]) with a clean
 //! ledger audit and a feasible placement — a fast repair that corrupts
 //! state is worthless. Per-event repair latency percentiles come from
-//! the engine's own [`ChurnReport`] over every timed event.
+//! the engine's own [`ChurnReport`](sag_core::ChurnReport) over every
+//! timed event.
 //!
 //! The speedup gate needs headroom above timer noise to mean anything:
 //! when the repair path lands below the timing floor the gate is
@@ -28,6 +29,7 @@
 //!
 //! Usage: `bench_churn [--out PATH] [--min-speedup X] [--max-p99-us X]`
 
+use sag_bench::harness::{interleaved, time_ns, Interleaved};
 use sag_core::churn::{ChurnConfig, ChurnEngine, ChurnEvent, RepairRung};
 use sag_core::coverage::is_feasible;
 use sag_core::model::{BaseStation, NetworkParams, Scenario, Subscriber};
@@ -113,34 +115,6 @@ fn move_probes(sc: &Scenario) -> Vec<(usize, Point, Point)> {
             (j, to, orig)
         })
         .collect()
-}
-
-/// Interleaved median-of-ratios between two timed closures (one round =
-/// one full probe cycle). Returns (min a ns, min b ns, median of a/b
-/// per round).
-fn measure(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (u128, u128, f64) {
-    let time_round = |f: &mut dyn FnMut()| -> u128 {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_nanos()
-    };
-    // Warm-up round, not measured.
-    time_round(a);
-    time_round(b);
-    let mut rounds: Vec<(u128, u128)> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((time_round(a), time_round(b)));
-    }
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .map(|&(s, p)| s as f64 / p.max(1) as f64)
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (
-        rounds.iter().map(|r| r.0).min().unwrap_or(0),
-        rounds.iter().map(|r| r.1).min().unwrap_or(0),
-        ratios[ratios.len() / 2],
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -241,30 +215,41 @@ fn main() {
     )
     .expect("probe is coverable");
     let mut scratch_sc = scenario.clone();
-    let (scratch_round_ns, repair_round_ns, speedup) = measure(
+    // One round is one full probe cycle.
+    let Interleaved {
+        a_min_ns: scratch_round_ns,
+        b_min_ns: repair_round_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(
+        ROUNDS,
         &mut || {
-            for &(j, to, back) in &probes {
-                scratch_sc.subscribers[j].position = to;
-                std::hint::black_box(samc(&scratch_sc).expect("scratch solve (out)"));
-                scratch_sc.subscribers[j].position = back;
-                std::hint::black_box(samc(&scratch_sc).expect("scratch solve (back)"));
-            }
+            time_ns(1, || {
+                for &(j, to, back) in &probes {
+                    scratch_sc.subscribers[j].position = to;
+                    std::hint::black_box(samc(&scratch_sc).expect("scratch solve (out)"));
+                    scratch_sc.subscribers[j].position = back;
+                    std::hint::black_box(samc(&scratch_sc).expect("scratch solve (back)"));
+                }
+            })
         },
         &mut || {
-            for &(j, to, back) in &probes {
-                engine
-                    .apply_event(ChurnEvent::SsMove { subscriber: j, to }, &budget)
-                    .expect("repair (out)");
-                engine
-                    .apply_event(
-                        ChurnEvent::SsMove {
-                            subscriber: j,
-                            to: back,
-                        },
-                        &budget,
-                    )
-                    .expect("repair (back)");
-            }
+            time_ns(1, || {
+                for &(j, to, back) in &probes {
+                    engine
+                        .apply_event(ChurnEvent::SsMove { subscriber: j, to }, &budget)
+                        .expect("repair (out)");
+                    engine
+                        .apply_event(
+                            ChurnEvent::SsMove {
+                                subscriber: j,
+                                to: back,
+                            },
+                            &budget,
+                        )
+                        .expect("repair (back)");
+                }
+            })
         },
     );
     engine.audit().expect("ledger audit clean after timing");

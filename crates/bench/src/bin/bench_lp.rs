@@ -29,8 +29,7 @@
 //! Usage: `bench_lp [--out PATH] [--min-speedup X] [--min-warm-speedup X]
 //! [--min-ilpqc-speedup X] [--zones N]`
 
-use std::time::Instant;
-
+use sag_bench::harness::{interleaved, time_ns, Interleaved};
 use sag_core::candidates::{gac_candidates, prune_useless};
 use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome};
 use sag_core::model::Scenario;
@@ -171,38 +170,6 @@ fn ilpqc_fingerprint(out: &IlpqcOutcome) -> (Vec<(u64, u64)>, Vec<usize>, usize,
     )
 }
 
-/// Interleaved median-of-ratios: adjacent samples share the same noise
-/// phase, so per-round ratios are stable and the median discards
-/// outliers. Returns (median a ns, median b ns, median a/b per round).
-fn measure(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (u128, u128, f64) {
-    let time_once = |f: &mut dyn FnMut()| -> u128 {
-        let start = Instant::now();
-        f();
-        start.elapsed().as_nanos()
-    };
-    // Warm-up round, not measured.
-    time_once(a);
-    time_once(b);
-    let mut rounds: Vec<(u128, u128)> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((time_once(a), time_once(b)));
-    }
-    let median = |mut v: Vec<u128>| -> u128 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .map(|&(x, y)| x as f64 / y.max(1) as f64)
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (
-        median(rounds.iter().map(|r| r.0).collect()),
-        median(rounds.iter().map(|r| r.1).collect()),
-        ratios[ratios.len() / 2],
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
 fn emit_json(
     path: &str,
@@ -274,10 +241,16 @@ fn run_ilpqc_arm() -> IlpqcArm {
             let _ = std::hint::black_box(solve(&inst.scenario, &inst.candidates, ilpqc_config()));
         }
     };
-    let (reference_ns, session_ns, speedup) =
-        measure(&mut || solve_all(reference::solve_ilpqc), &mut || {
-            solve_all(solve_ilpqc)
-        });
+    let Interleaved {
+        a_median_ns: reference_ns,
+        b_median_ns: session_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(
+        ROUNDS,
+        &mut || time_ns(1, || solve_all(reference::solve_ilpqc)),
+        &mut || time_ns(1, || solve_all(solve_ilpqc)),
+    );
     IlpqcArm {
         instances: probe.len(),
         candidates: probe.iter().map(|i| i.candidates.len()).sum(),
@@ -346,14 +319,24 @@ fn main() {
         dense_sol.objective
     );
 
-    let (dense_ns, sparse_ns, speedup) = measure(
+    let Interleaved {
+        a_median_ns: dense_ns,
+        b_median_ns: sparse_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(
+        ROUNDS,
         &mut || {
-            let _g = push_backend_override(Some(LpBackend::Dense));
-            std::hint::black_box(lp.solve().expect("dense solve"));
+            time_ns(1, || {
+                let _g = push_backend_override(Some(LpBackend::Dense));
+                std::hint::black_box(lp.solve().expect("dense solve"));
+            })
         },
         &mut || {
-            let _g = push_backend_override(Some(LpBackend::Sparse));
-            std::hint::black_box(lp.solve().expect("sparse solve"));
+            time_ns(1, || {
+                let _g = push_backend_override(Some(LpBackend::Sparse));
+                std::hint::black_box(lp.solve().expect("sparse solve"));
+            })
         },
     );
 
@@ -382,12 +365,21 @@ fn main() {
 
     let mut cold_nodes = 0usize;
     let mut warm_nodes = 0usize;
-    let (cold_ns, warm_ns, _) = measure(
+    let Interleaved {
+        a_median_ns: cold_ns,
+        b_median_ns: warm_ns,
+        ..
+    } = interleaved(
+        ROUNDS,
         &mut || {
-            cold_nodes = std::hint::black_box(cold_ilp.solve().expect("cold solve")).nodes;
+            time_ns(1, || {
+                cold_nodes = std::hint::black_box(cold_ilp.solve().expect("cold solve")).nodes;
+            })
         },
         &mut || {
-            warm_nodes = std::hint::black_box(warm_ilp.solve().expect("warm solve")).nodes;
+            time_ns(1, || {
+                warm_nodes = std::hint::black_box(warm_ilp.solve().expect("warm solve")).nodes;
+            })
         },
     );
     let cold_nodes_per_s = cold_nodes as f64 / (cold_ns.max(1) as f64 / 1e9);

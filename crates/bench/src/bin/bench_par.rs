@@ -19,6 +19,7 @@
 //!
 //! Usage: `bench_par [--out PATH] [--min-speedup X] [--threads N]`
 
+use sag_bench::harness::{interleaved, time_ns, Interleaved};
 use sag_core::model::{BaseStation, NetworkParams, Scenario, Subscriber};
 use sag_core::sag::{run_sag_with, SagPipelineConfig, SagReport};
 use sag_core::samc::{samc_with_budget_threads, SamcConfig};
@@ -120,37 +121,6 @@ fn emit_json(
     std::fs::write(path, body)
 }
 
-/// Interleaved median-of-ratios between two timed closures: adjacent
-/// samples share the same noise phase, so per-round ratios are stable
-/// and the median discards outliers. Returns (min a ns, min b ns,
-/// median of a/b per round).
-fn measure(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (u128, u128, f64) {
-    let time_rounds = |f: &mut dyn FnMut()| -> u128 {
-        let start = std::time::Instant::now();
-        for _ in 0..INNER_ITERS {
-            f();
-        }
-        (start.elapsed() / INNER_ITERS).as_nanos()
-    };
-    // Warm-up round, not measured.
-    time_rounds(a);
-    time_rounds(b);
-    let mut rounds: Vec<(u128, u128)> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((time_rounds(a), time_rounds(b)));
-    }
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .map(|&(s, p)| s as f64 / p.max(1) as f64)
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (
-        rounds.iter().map(|r| r.0).min().unwrap_or(0),
-        rounds.iter().map(|r| r.1).min().unwrap_or(0),
-        ratios[ratios.len() / 2],
-    )
-}
-
 fn main() {
     let mut out_path = String::from("BENCH_par.json");
     let mut min_speedup = 2.0f64;
@@ -199,28 +169,31 @@ fn main() {
     println!("parity: threads=1 == threads={threads} over {zones} zones");
 
     let budget = Budget::unlimited();
-    let (seq_ns, par_ns, speedup) = measure(
-        &mut || {
+    let lower_tier = |workers: usize| {
+        time_ns(INNER_ITERS, || {
             std::hint::black_box(
-                samc_with_budget_threads(&scenario, SamcConfig::default(), &budget, 1)
+                samc_with_budget_threads(&scenario, SamcConfig::default(), &budget, workers)
                     .expect("probe is coverable"),
             );
-        },
-        &mut || {
-            std::hint::black_box(
-                samc_with_budget_threads(&scenario, SamcConfig::default(), &budget, threads)
-                    .expect("probe is coverable"),
-            );
-        },
-    );
-    let (pipe_seq_ns, pipe_par_ns, pipeline_speedup) = measure(
-        &mut || {
-            std::hint::black_box(solve_pipeline(&scenario, 1));
-        },
-        &mut || {
-            std::hint::black_box(solve_pipeline(&scenario, threads));
-        },
-    );
+        })
+    };
+    let Interleaved {
+        a_min_ns: seq_ns,
+        b_min_ns: par_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(ROUNDS, &mut || lower_tier(1), &mut || lower_tier(threads));
+    let pipeline = |workers: usize| {
+        time_ns(INNER_ITERS, || {
+            std::hint::black_box(solve_pipeline(&scenario, workers));
+        })
+    };
+    let Interleaved {
+        a_min_ns: pipe_seq_ns,
+        b_min_ns: pipe_par_ns,
+        ratio_median: pipeline_speedup,
+        ..
+    } = interleaved(ROUNDS, &mut || pipeline(1), &mut || pipeline(threads));
 
     let hardware_threads = sag_bench::hardware_threads();
     // With fewer hardware threads than workers the wall-clock speedup

@@ -26,6 +26,7 @@
 //!
 //! Usage: `bench_sweep [--out PATH] [--min-speedup X]`
 
+use sag_bench::harness::{interleaved, time_ns, Interleaved};
 use sag_sim::batch::{sweep_multi_reference, sweep_multi_with, JobOrder, SweepCache, SweepOptions};
 use sag_sim::experiments::{relays_metric, run_gac_cached, run_iac_cached, run_samc_cached};
 use sag_sim::gen::ScenarioSpec;
@@ -115,37 +116,6 @@ fn emit_json(
     std::fs::write(path, body)
 }
 
-/// Interleaved median-of-ratios between two timed closures: adjacent
-/// samples share the same noise phase, so per-round ratios are stable
-/// and the median discards outliers. Returns (min a ns, min b ns,
-/// median of a/b per round).
-fn measure(a: &mut dyn FnMut(), b: &mut dyn FnMut()) -> (u128, u128, f64) {
-    let time_rounds = |f: &mut dyn FnMut()| -> u128 {
-        let start = std::time::Instant::now();
-        for _ in 0..INNER_ITERS {
-            f();
-        }
-        (start.elapsed() / INNER_ITERS).as_nanos()
-    };
-    // Warm-up round, not measured.
-    time_rounds(a);
-    time_rounds(b);
-    let mut rounds: Vec<(u128, u128)> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((time_rounds(a), time_rounds(b)));
-    }
-    let mut ratios: Vec<f64> = rounds
-        .iter()
-        .map(|&(r, c)| r as f64 / c.max(1) as f64)
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    (
-        rounds.iter().map(|r| r.0).min().unwrap_or(0),
-        rounds.iter().map(|r| r.1).min().unwrap_or(0),
-        ratios[ratios.len() / 2],
-    )
-}
-
 fn main() {
     let mut out_path = String::from("BENCH_sweep.json");
     let mut min_speedup = 4.0f64;
@@ -210,12 +180,22 @@ fn main() {
          (threads 1/{threads}, cold/warm cache, shuffled queue)"
     );
 
-    let (ref_ns, batched_ns, speedup) = measure(
+    let Interleaved {
+        a_min_ns: ref_ns,
+        b_min_ns: batched_ns,
+        ratio_median: speedup,
+        ..
+    } = interleaved(
+        ROUNDS,
         &mut || {
-            std::hint::black_box(sweep_multi_reference(&GRIDS, 3, config, eval));
+            time_ns(INNER_ITERS, || {
+                std::hint::black_box(sweep_multi_reference(&GRIDS, 3, config, eval));
+            })
         },
         &mut || {
-            std::hint::black_box(batched(config, cold_opts()));
+            time_ns(INNER_ITERS, || {
+                std::hint::black_box(batched(config, cold_opts()));
+            })
         },
     );
 

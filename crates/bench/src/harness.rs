@@ -3,6 +3,8 @@
 //! Not a Criterion replacement — no outlier rejection, no HTML reports —
 //! but deterministic in *what* it measures (fixed warm-up, fixed
 //! measured iteration count once calibrated) and entirely offline.
+//! [`Bench`] calibrates and times single closures; [`interleaved`] times
+//! two arms round by round for the gated median-of-ratios benches.
 //!
 //! ```
 //! use sag_bench::harness::Bench;
@@ -144,6 +146,66 @@ impl Bench {
     }
 }
 
+/// Per-arm timings of one [`interleaved`] measurement, in nanoseconds
+/// per round.
+#[derive(Debug, Clone, Copy)]
+pub struct Interleaved {
+    /// Fastest round of arm `a`.
+    pub a_min_ns: u128,
+    /// Fastest round of arm `b`.
+    pub b_min_ns: u128,
+    /// Median round of arm `a`.
+    pub a_median_ns: u128,
+    /// Median round of arm `b`.
+    pub b_median_ns: u128,
+    /// Median over rounds of the per-round ratio `a / b`.
+    pub ratio_median: f64,
+}
+
+/// Interleaved two-arm timing: one unmeasured warm-up round, then
+/// `rounds` rounds that each run `a` and then `b`. Adjacent samples share
+/// the same noise phase, so per-round ratios are stable and their median
+/// discards outliers. Each arm returns the nanoseconds its round took:
+/// [`time_ns`] around the work, or a time the work measured itself.
+///
+/// # Panics
+/// Panics if `rounds` is zero.
+pub fn interleaved(
+    rounds: usize,
+    a: &mut dyn FnMut() -> u128,
+    b: &mut dyn FnMut() -> u128,
+) -> Interleaved {
+    assert!(rounds > 0, "need at least one measured round");
+    a();
+    b();
+    let (mut xs, mut ys): (Vec<u128>, Vec<u128>) = (0..rounds).map(|_| (a(), b())).unzip();
+    let mut ratios: Vec<f64> = xs
+        .iter()
+        .zip(&ys)
+        .map(|(&x, &y)| x as f64 / y.max(1) as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    xs.sort_unstable();
+    ys.sort_unstable();
+    Interleaved {
+        a_min_ns: xs[0],
+        b_min_ns: ys[0],
+        a_median_ns: xs[rounds / 2],
+        b_median_ns: ys[rounds / 2],
+        ratio_median: ratios[rounds / 2],
+    }
+}
+
+/// Wall-clock nanoseconds per call of `f`, over `calls` back-to-back
+/// calls.
+pub fn time_ns(calls: u32, mut f: impl FnMut()) -> u128 {
+    let start = Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    (start.elapsed() / calls).as_nanos()
+}
+
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
@@ -182,6 +244,18 @@ mod tests {
             .sample_target(Duration::from_nanos(1));
         let m = b.run("sleepy", || std::thread::sleep(Duration::from_micros(50)));
         assert_eq!(m.iters, 1);
+    }
+
+    #[test]
+    fn interleaved_reports_min_median_and_median_ratio() {
+        // Arm `a` takes 10, 40, 20, 30, 50 ns after a 999 ns warm-up;
+        // arm `b` always takes 10 ns.
+        let mut a_times = [999u128, 10, 40, 20, 30, 50].into_iter();
+        let t = interleaved(5, &mut || a_times.next().expect("six calls"), &mut || 10);
+        assert_eq!(a_times.next(), None, "one warm-up plus five rounds");
+        assert_eq!((t.a_min_ns, t.a_median_ns), (10, 30));
+        assert_eq!((t.b_min_ns, t.b_median_ns), (10, 10));
+        assert_eq!(t.ratio_median, 3.0);
     }
 
     #[test]

@@ -343,19 +343,6 @@ pub fn is_feasible(scenario: &Scenario, sol: &CoverageSolution) -> bool {
     snr_violations(scenario, &sol.relays, &sol.assignment).is_empty()
 }
 
-/// Builds a [`CoverageSolution`] from bare relay positions via
-/// [`assign_nearest`], requiring full feasibility (distance + SNR).
-///
-/// Returns `None` when the positions cannot feasibly cover the scenario.
-pub fn solution_from_positions(
-    scenario: &Scenario,
-    relays: Vec<Point>,
-) -> Option<CoverageSolution> {
-    let assignment = assign_nearest(scenario, &relays)?;
-    let sol = CoverageSolution { relays, assignment };
-    is_feasible(scenario, &sol).then_some(sol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,7 +386,9 @@ mod tests {
     fn single_relay_always_meets_snr() {
         // One relay → no interference → infinite SNR.
         let sc = scenario(vec![(0.0, 0.0, 30.0), (10.0, 0.0, 30.0)], -10.0);
-        let sol = solution_from_positions(&sc, vec![Point::new(5.0, 0.0)]).unwrap();
+        let relays = vec![Point::new(5.0, 0.0)];
+        let assignment = assign_nearest(&sc, &relays).unwrap();
+        let sol = CoverageSolution { relays, assignment };
         assert!(is_feasible(&sc, &sol));
         assert_eq!(sol.n_relays(), 1);
         assert_eq!(sol.subscribers_of(0), vec![0, 1]);

@@ -4,7 +4,7 @@
 //! zones, which makes the lower tier embarrassingly parallel: each zone
 //! is solved against a private [`InterferenceLedger`] restricted to its
 //! own subscribers, and the per-zone answers are reassembled in zone
-//! index order. [`run_zones`] is the shared work-queue under both SAMC
+//! index order. `run_zones` is the shared work-queue under both SAMC
 //! and the ILPQC path of [`crate::sag::run_sag_with`].
 //!
 //! # Determinism contract

@@ -17,7 +17,6 @@
 use sag_geom::{arc, Point};
 use sag_lp::{IlpProblem, LpProblem, Relation};
 
-use crate::coverage::{interference_ledger, snr_violations_ledger};
 use crate::error::{SagError, SagResult};
 use crate::model::Scenario;
 
@@ -222,16 +221,6 @@ pub fn is_k_feasible(scenario: &Scenario, sol: &KCoverageSolution) -> bool {
     true
 }
 
-/// Subscribers whose SNR constraint is violated under the *primary*
-/// assignment of a k-coverage solution (uniform powers, every placed
-/// relay interfering) — the signal-aware diagnostic the k-cover ILP
-/// itself does not enforce. Goes through the shared interference
-/// ledger.
-pub fn primary_snr_violations(scenario: &Scenario, sol: &KCoverageSolution) -> Vec<usize> {
-    let ledger = interference_ledger(scenario, &sol.relays);
-    snr_violations_ledger(scenario, &ledger, &sol.primary_assignment())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,21 +247,6 @@ mod tests {
         assert!(is_k_feasible(&sc, &sol));
         assert_eq!(sol.n_relays(), 2);
         assert_eq!(sol.servers[0].len(), 2);
-    }
-
-    #[test]
-    fn primary_snr_violations_match_single_coverage_check() {
-        let sc = scenario(vec![
-            (0.0, 0.0, 35.0),
-            (40.0, 0.0, 35.0),
-            (150.0, 0.0, 30.0),
-        ]);
-        let sol = solve_k_coverage(&sc, 2, KCoverStrategy::Greedy).unwrap();
-        let primary = sol.primary_assignment();
-        assert_eq!(
-            primary_snr_violations(&sc, &sol),
-            crate::coverage::snr_violations_brute(&sc, &sol.relays, &primary)
-        );
     }
 
     #[test]

@@ -93,11 +93,9 @@ pub mod reference;
 pub mod resilience;
 pub mod sag;
 pub mod samc;
-pub mod sleep;
 pub mod sliding;
 pub mod solver;
 pub mod trace;
-pub mod traffic;
 pub mod ucpo;
 pub mod validate;
 pub mod zone;

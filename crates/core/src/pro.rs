@@ -44,6 +44,10 @@ const LEDGER_REBUILD_PERIOD: usize = 256;
 pub struct PowerAllocation {
     /// Per-relay transmit powers.
     pub powers: Vec<f64>,
+    /// `true` when PRO stopped at an expired deadline: `powers` are the
+    /// feasible powers committed so far (uncommitted relays stay at
+    /// `Pmax`), not the end of the descent.
+    pub truncated: bool,
 }
 
 impl PowerAllocation {
@@ -57,6 +61,7 @@ impl PowerAllocation {
 pub fn baseline_power(scenario: &Scenario, sol: &CoverageSolution) -> PowerAllocation {
     PowerAllocation {
         powers: vec![scenario.params.link.pmax(); sol.n_relays()],
+        truncated: false,
     }
 }
 
@@ -163,11 +168,20 @@ pub fn pro(scenario: &Scenario, sol: &CoverageSolution) -> PowerAllocation {
 /// Runs PRO under a cooperative [`Budget`], with typed errors instead of
 /// panics.
 ///
+/// PRO can answer at any commit round. It starts from all-`Pmax`, the
+/// uniform-power state that [`crate::coverage::is_feasible`] accepted,
+/// and each commit keeps its own relay's subscribers satisfied while
+/// only lowering interference at everyone else's. So when the deadline
+/// passes between commit rounds, PRO returns the powers committed so far
+/// with [`PowerAllocation::truncated`] set, and the `pro.truncated`
+/// counter records it.
+///
 /// # Errors
 /// [`SagError::Infeasible`] (stage message `"pro"`) when the solution's
 /// assignment length does not match the scenario;
-/// [`SagError::BudgetExceeded`] (stage `"pro"`) when the deadline passes
-/// or the cancellation flag is raised between commit rounds.
+/// [`SagError::BudgetExceeded`] (stage `"pro"`) when the cancellation
+/// flag is raised between commit rounds. An expired deadline is not an
+/// error.
 pub fn pro_with_budget(
     scenario: &Scenario,
     sol: &CoverageSolution,
@@ -196,17 +210,23 @@ pub fn pro_with_budget(
                                     // instead of re-summing over all relays.
     let mut ledger = powered_ledger(scenario, &sol.relays, &powers);
     let mut pending: Vec<usize> = (0..n).collect(); // K
+    let mut truncated = false;
 
     while !pending.is_empty() {
-        budget
-            .check_interrupt()
-            .map_err(|_| SagError::BudgetExceeded {
+        if budget.cancelled() {
+            return Err(SagError::BudgetExceeded {
                 stage: "pro",
                 spent: Spent {
                     nodes: 0,
                     elapsed: started.elapsed(),
                 },
-            })?;
+            });
+        }
+        if budget.expired() {
+            sag_obs::counter("pro.truncated", 1);
+            truncated = true;
+            break;
+        }
         // Pass 1 (Steps 5–9): tentatively drop each pending relay to its
         // coverage power; commit those whose own subscribers stay happy.
         // A trial power for `r` needs no ledger mutation — the
@@ -246,7 +266,7 @@ pub fn pro_with_budget(
         }
     }
     crate::coverage::flush_ledger_stats(&ledger);
-    Ok(PowerAllocation { powers })
+    Ok(PowerAllocation { powers, truncated })
 }
 
 /// The LPQC optimum (§III-A.2) for the *fixed* assignment of `sol`,
@@ -332,14 +352,20 @@ pub fn optimal_power_with_budget(
             ));
         }
         if max_rel_step < 1e-14 {
-            return Ok(PowerAllocation { powers });
+            return Ok(PowerAllocation {
+                powers,
+                truncated: false,
+            });
         }
     }
     // The map contracts whenever the spectral radius of the β-weighted
     // gain matrix is < 1, which feasibility at Pmax guarantees; hitting
     // the iteration cap means the instance sits exactly at the
     // feasibility boundary — return the (feasible) iterate.
-    Ok(PowerAllocation { powers })
+    Ok(PowerAllocation {
+        powers,
+        truncated: false,
+    })
 }
 
 /// The LPQC optimum via the explicit LP formulation (`sag-lp` simplex).
@@ -397,7 +423,10 @@ pub fn optimal_power_lp(scenario: &Scenario, sol: &CoverageSolution) -> SagResul
     }
     let lp_sol = lp.solve().map_err(SagError::from)?;
     let powers: Vec<f64> = lp_sol.x.iter().zip(&scale).map(|(&y, &s)| y * s).collect();
-    Ok(PowerAllocation { powers })
+    Ok(PowerAllocation {
+        powers,
+        truncated: false,
+    })
 }
 
 /// Verifies a power allocation against every coverage + SNR constraint
@@ -557,15 +586,38 @@ mod tests {
     }
 
     #[test]
-    fn pro_with_expired_budget_reports_budget_exceeded() {
+    fn pro_with_passed_deadline_answers_with_truncated_pmax() {
         let (sc, sol) = sample_solution(-15.0);
-        let err = pro_with_budget(
-            &sc,
-            &sol,
-            &Budget::unlimited().with_deadline(std::time::Duration::ZERO),
-        )
-        .unwrap_err();
+        let passed = Budget::unlimited().with_deadline_until(std::time::Instant::now());
+        let alloc = pro_with_budget(&sc, &sol, &passed).unwrap();
+        assert!(alloc.truncated);
+        assert_eq!(alloc.powers, baseline_power(&sc, &sol).powers);
+        assert!(!pro(&sc, &sol).truncated);
+    }
+
+    #[test]
+    fn pro_with_raised_cancel_flag_reports_budget_exceeded() {
+        let (sc, sol) = sample_solution(-15.0);
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let err =
+            pro_with_budget(&sc, &sol, &Budget::unlimited().with_cancel_flag(flag)).unwrap_err();
         assert!(matches!(err, SagError::BudgetExceeded { stage: "pro", .. }));
+    }
+
+    #[test]
+    fn report_with_truncated_pro_powers_validates_clean() {
+        let (sc, _) = sample_solution(-15.0);
+        let mut report = crate::sag::run_sag(&sc).unwrap();
+        let passed = Budget::unlimited().with_deadline_until(std::time::Instant::now());
+        report.lower_power = pro_with_budget(&sc, &report.coverage, &passed).unwrap();
+        assert!(report.lower_power.truncated);
+        let audit = crate::validate::validate_report(&sc, &report);
+        assert_eq!(audit.violations().count(), 0, "{audit}");
+    }
+
+    #[test]
+    fn optimal_power_with_expired_budget_reports_budget_exceeded() {
+        let (sc, sol) = sample_solution(-15.0);
         let err = optimal_power_with_budget(
             &sc,
             &sol,

@@ -37,7 +37,8 @@ pub enum LowerSolver {
     /// greedy set-cover fallback instead of failing.
     IlpqcWithGreedyFallback,
     /// Exact ILPQC with no fallback: budget exhaustion without an
-    /// incumbent surfaces as [`SagError::BudgetExceeded`].
+    /// incumbent surfaces as
+    /// [`SagError::BudgetExceeded`](crate::error::SagError::BudgetExceeded).
     IlpqcStrict,
 }
 
@@ -304,9 +305,11 @@ pub fn run_sag(scenario: &Scenario) -> SagResult<SagReport> {
 /// rung of the ladder that answered.
 ///
 /// # Errors
-/// [`SagError::InvalidScenario`] on malformed input,
-/// [`SagError::BudgetExceeded`] when a stage runs out of budget with no
-/// fallback available; otherwise see [`run_sag`].
+/// [`SagError::InvalidScenario`](crate::error::SagError::InvalidScenario)
+/// on malformed input,
+/// [`SagError::BudgetExceeded`](crate::error::SagError::BudgetExceeded)
+/// when a stage runs out of budget with no fallback available; otherwise
+/// see [`run_sag`].
 pub fn run_sag_with(scenario: &Scenario, config: SagPipelineConfig) -> SagResult<SagReport> {
     // The pipeline's root span: every stage span links under it, so a
     // JSONL capture of one run reassembles into a single tree. This is
@@ -380,12 +383,14 @@ fn run_sag_inner(scenario: &Scenario, config: &SagPipelineConfig) -> SagResult<S
 ///
 /// The node cap is a lower-tier (branch-and-bound) resource and never
 /// carries over. A still-live deadline is kept at the same absolute
-/// cutoff; an already-spent deadline is dropped rather than inherited —
-/// the expensive search has answered, and failing the cheap tail over
-/// time the lower tier legitimately consumed would turn a successful
-/// solve (or degradation) into [`SagError::BudgetExceeded`] — the
+/// cutoff: if it passes during the tail, PRO answers with the feasible
+/// powers it has committed, flagged [`PowerAllocation::truncated`]. An
+/// already-spent deadline is dropped rather than inherited, so PRO
+/// still runs its full descent after a lower tier that used up the
+/// time. Either way a deadline never turns a successful solve (or
+/// degradation) into `SagError::BudgetExceeded`, which would be the
 /// shared-deadline double-spend bug. External cancellation is always
-/// preserved.
+/// preserved and still stops PRO with that error.
 fn tail_budget(budget: &Budget) -> Budget {
     let mut tail = Budget::unlimited();
     if let Some(flag) = budget.cancel_flag() {

@@ -40,7 +40,10 @@ impl UpperTierPower {
         for (&p, &n) in self.hop_power.iter().zip(&self.hops) {
             powers.extend(std::iter::repeat_n(p, n));
         }
-        PowerAllocation { powers }
+        PowerAllocation {
+            powers,
+            truncated: false,
+        }
     }
 }
 

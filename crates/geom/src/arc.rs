@@ -1,12 +1,12 @@
-//! Sampling positions along circles — the motion primitive of *RS Sliding
-//! Movement* (Algorithm 4).
+//! Sampling positions along circles.
 //!
-//! An infeasible relay sits on its covered subscriber's feasible circle;
-//! the algorithm "slides" it along that circle looking for a position that
-//! clears the SNR violations. The continuum of positions is discretised
-//! into a finite candidate sequence by [`sample_circle`] /
-//! [`sample_arc`], which is how the paper's "transfer the unlimited number
-//! of order combinations into limited ones" is realised here.
+//! [`sample_circle`] discretises a circle into a finite, uniformly spaced
+//! point sequence. Its one caller is `sag_core::kcover`, which samples a
+//! half-radius ring inside every subscriber's feasible disk so that the
+//! k-coverage extension has `k` distinct in-disk candidates. *RS Sliding
+//! Movement* (Algorithm 4) does not sample circles: `sag_core::sliding`
+//! moves a relay to a witness point of its subscribers' common area,
+//! found by [`crate::disks`].
 
 use crate::circle::Circle;
 use crate::point::Point;
@@ -29,68 +29,6 @@ pub fn sample_circle(circle: &Circle, n: usize, phase: f64) -> Vec<Point> {
     (0..n)
         .map(|k| circle.point_at(phase + k as f64 * step))
         .collect()
-}
-
-/// Samples `n` points on the arc from angle `from` to angle `to`
-/// (counter-clockwise), endpoints included for `n >= 2`.
-///
-/// For `n == 1` the single sample is the arc midpoint. `to` may be less
-/// than `from`; the arc then wraps through `from + TAU`.
-pub fn sample_arc(circle: &Circle, from: f64, to: f64, n: usize) -> Vec<Point> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut span = to - from;
-    while span < 0.0 {
-        span += std::f64::consts::TAU;
-    }
-    if n == 1 {
-        return vec![circle.point_at(from + span / 2.0)];
-    }
-    let step = span / (n - 1) as f64;
-    (0..n)
-        .map(|k| circle.point_at(from + k as f64 * step))
-        .collect()
-}
-
-/// The angle (radians) of point `p` as seen from the circle's centre.
-///
-/// `p` need not be on the boundary; its direction from the centre is used.
-/// Returns `0.0` if `p` coincides with the centre.
-pub fn angle_of(circle: &Circle, p: Point) -> f64 {
-    let v = p - circle.center;
-    if v.norm() < crate::float::EPS {
-        0.0
-    } else {
-        v.angle()
-    }
-}
-
-/// Sliding candidate sequence: positions on `circle` ordered by angular
-/// distance from the current position `at` (nearest first), alternating
-/// sides, `n` samples total.
-///
-/// This realises the sliding search's locality bias: the relay is tried at
-/// positions progressively farther from where it already stands so that
-/// small corrective moves are preferred — small moves are least likely to
-/// disturb SNR elsewhere.
-pub fn sliding_candidates(circle: &Circle, at: Point, n: usize) -> Vec<Point> {
-    let base = angle_of(circle, at);
-    let step = std::f64::consts::TAU / n.max(1) as f64;
-    let mut out = Vec::with_capacity(n);
-    let mut k = 1usize;
-    out.push(circle.point_at(base));
-    while out.len() < n {
-        let delta = k.div_ceil(2) as f64 * step;
-        let theta = if k % 2 == 1 {
-            base + delta
-        } else {
-            base - delta
-        };
-        out.push(circle.point_at(theta));
-        k += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -131,78 +69,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sample_arc_endpoints() {
-        let circle = c(3.0);
-        let pts = sample_arc(&circle, 0.0, std::f64::consts::PI, 5);
-        assert_eq!(pts.len(), 5);
-        assert!(pts[0].approx_eq(circle.point_at(0.0)));
-        assert!(pts[4].approx_eq(circle.point_at(std::f64::consts::PI)));
-    }
-
-    #[test]
-    fn sample_arc_wraps_negative_span() {
-        let circle = c(1.0);
-        // from 3π/2 to π/2, wrapping through 0.
-        let pts = sample_arc(
-            &circle,
-            3.0 * std::f64::consts::FRAC_PI_2,
-            std::f64::consts::FRAC_PI_2,
-            3,
-        );
-        assert_eq!(pts.len(), 3);
-        // Midpoint should be at angle 0 (the wrap-through point), i.e. (cx + r, cy).
-        assert!(pts[1].approx_eq(circle.point_at(0.0)));
-    }
-
-    #[test]
-    fn sample_arc_single_is_midpoint() {
-        let circle = c(1.0);
-        let pts = sample_arc(&circle, 0.0, std::f64::consts::PI, 1);
-        assert_eq!(pts.len(), 1);
-        assert!(pts[0].approx_eq(circle.point_at(std::f64::consts::FRAC_PI_2)));
-    }
-
-    #[test]
-    fn angle_of_roundtrip() {
-        let circle = c(4.0);
-        for theta in [0.0, 0.7, 2.0, -1.2] {
-            let p = circle.point_at(theta);
-            let got = angle_of(&circle, p);
-            let diff = (got - theta).rem_euclid(std::f64::consts::TAU);
-            assert!(diff < 1e-9 || (std::f64::consts::TAU - diff) < 1e-9);
-        }
-        assert_eq!(angle_of(&circle, circle.center), 0.0);
-    }
-
-    #[test]
-    fn sliding_candidates_start_at_current() {
-        let circle = c(5.0);
-        let at = circle.point_at(1.0);
-        let cands = sliding_candidates(&circle, at, 9);
-        assert_eq!(cands.len(), 9);
-        assert!(cands[0].distance(at) < 1e-9);
-        // Distances from the starting position are non-decreasing in pairs.
-        let d1 = cands[1].distance(at);
-        let d3 = cands[3].distance(at);
-        assert!(d3 >= d1 - 1e-9);
-        assert!(cands.iter().all(|p| circle.on_boundary(*p)));
-    }
-
     prop! {
         fn prop_samples_on_boundary(r in 0.5..60.0f64, n in 1usize..40, phase in -6.3..6.3f64) {
             let circle = Circle::new(Point::new(-3.0, 7.0), r);
             for p in sample_circle(&circle, n, phase) {
-                prop_assert!(circle.on_boundary(p));
-            }
-        }
-
-        fn prop_sliding_candidates_on_boundary(r in 0.5..60.0f64, n in 1usize..40, theta in -6.3..6.3f64) {
-            let circle = Circle::new(Point::new(2.0, 2.0), r);
-            let at = circle.point_at(theta);
-            let cands = sliding_candidates(&circle, at, n);
-            prop_assert_eq!(cands.len(), n);
-            for p in cands {
                 prop_assert!(circle.on_boundary(p));
             }
         }

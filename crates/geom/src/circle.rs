@@ -156,45 +156,6 @@ impl Circle {
             }
         }
     }
-
-    /// Area of the lens-shaped intersection of the two disks.
-    ///
-    /// Used only for diagnostics/visualisation; returns `0.0` for disjoint
-    /// disks and the smaller disk's area for nested disks.
-    pub fn intersection_area(&self, other: &Circle) -> f64 {
-        let d = self.center.distance(other.center);
-        let (r, bigr) = if self.radius <= other.radius {
-            (self.radius, other.radius)
-        } else {
-            (other.radius, self.radius)
-        };
-        if d >= r + bigr {
-            return 0.0;
-        }
-        if d <= bigr - r {
-            return std::f64::consts::PI * r * r;
-        }
-        let r2 = r * r;
-        let big2 = bigr * bigr;
-        let alpha = ((d * d + r2 - big2) / (2.0 * d * r))
-            .clamp(-1.0, 1.0)
-            .acos()
-            * 2.0;
-        let beta = ((d * d + big2 - r2) / (2.0 * d * bigr))
-            .clamp(-1.0, 1.0)
-            .acos()
-            * 2.0;
-        0.5 * (r2 * (alpha - alpha.sin()) + big2 * (beta - beta.sin()))
-    }
-
-    /// The point of this circle closest to `p` (any boundary point if `p`
-    /// is the centre).
-    pub fn closest_boundary_point(&self, p: Point) -> Point {
-        match (p - self.center).normalized() {
-            Some(dir) => self.center + dir * self.radius,
-            None => self.center + Vec2::new(self.radius, 0.0),
-        }
-    }
 }
 
 impl fmt::Display for Circle {
@@ -295,30 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_area_limits() {
-        let a = c(0.0, 0.0, 1.0);
-        assert!((a.intersection_area(&a.clone()) - a.area()).abs() < 1e-9);
-        assert_eq!(a.intersection_area(&c(5.0, 0.0, 1.0)), 0.0);
-        let nested = c(0.1, 0.0, 0.2);
-        assert!((a.intersection_area(&nested) - nested.area()).abs() < 1e-9);
-        // Half-overlapping circles: area strictly between 0 and min area.
-        let b = c(1.0, 0.0, 1.0);
-        let lens = a.intersection_area(&b);
-        assert!(lens > 0.0 && lens < a.area());
-        // Symmetry.
-        assert!((lens - b.intersection_area(&a)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn closest_boundary_point_cases() {
-        let a = c(0.0, 0.0, 2.0);
-        let p = a.closest_boundary_point(Point::new(5.0, 0.0));
-        assert!(p.approx_eq(Point::new(2.0, 0.0)));
-        let q = a.closest_boundary_point(Point::ORIGIN);
-        assert!(a.on_boundary(q));
-    }
-
-    #[test]
     #[should_panic]
     fn negative_radius_panics() {
         Circle::new(Point::ORIGIN, -1.0);
@@ -335,18 +272,6 @@ mod tests {
                 prop_assert!(float::approx_eq_eps(a.center.distance(p), ar, 1e-6));
                 prop_assert!(float::approx_eq_eps(b.center.distance(p), br, 1e-6));
             }
-        }
-
-        fn prop_intersection_area_symmetric_and_bounded(
-            ax in -100.0..100.0f64, ay in -100.0..100.0f64, ar in 1.0..50.0f64,
-            bx in -100.0..100.0f64, by in -100.0..100.0f64, br in 1.0..50.0f64,
-        ) {
-            let a = c(ax, ay, ar);
-            let b = c(bx, by, br);
-            let s = a.intersection_area(&b);
-            prop_assert!(s >= -1e-9);
-            prop_assert!(s <= a.area().min(b.area()) + 1e-6);
-            prop_assert!((s - b.intersection_area(&a)).abs() < 1e-6);
         }
 
         fn prop_point_at_round_trip(theta in -6.3..6.3f64, r in 0.5..40.0f64) {

@@ -12,9 +12,8 @@
 //!   the paper's *Update RS Topology* (Algorithm 5) "common area" check,
 //! * [`SpatialHash`] — a uniform-bucket spatial index used by zone
 //!   partitioning and interference scans,
-//! * [`hull`] — convex hulls for topology export and zone diagnostics,
-//! * [`arc`] — sampling positions along a circle, used by *RS Sliding
-//!   Movement* (Algorithm 4).
+//! * [`arc`] — uniform samples along a circle, which give the k-coverage
+//!   extension its in-disk candidate rings.
 //!
 //! All computation is `f64`; tolerance-controlled comparisons live in
 //! [`float`].
@@ -41,16 +40,12 @@ pub mod circle;
 pub mod disks;
 pub mod float;
 pub mod grid;
-pub mod hull;
-pub mod mec;
 pub mod point;
 pub mod rect;
-pub mod segment;
 pub mod spatial;
 
 pub use circle::{Circle, CircleRelation};
 pub use grid::GridSpec;
 pub use point::{Point, Vec2};
 pub use rect::Rect;
-pub use segment::Segment;
 pub use spatial::SpatialHash;

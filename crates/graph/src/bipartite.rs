@@ -1,13 +1,11 @@
-//! Bipartite graphs, greedy degree-peeling (the shape of *Coverage Link
-//! Escape*, Algorithm 3) and Hopcroft–Karp maximum matching.
+//! Bipartite graphs and greedy degree-peeling (the shape of *Coverage
+//! Link Escape*, Algorithm 3).
 //!
 //! Algorithm 3 builds a bipartite graph between subscribers (side A) and
 //! the hitting-set relay positions (side B), then repeatedly commits the
 //! highest-degree B-point and deletes competing edges so that as many
 //! subscribers as possible end up in *one-on-one* coverage. The generic
 //! peeling loop lives here; the SNR-aware wrapper lives in `sag-core`.
-//! Hopcroft–Karp is provided as the optimal one-on-one maximiser for the
-//! `ablation_escape` bench.
 
 /// A bipartite graph between `left` vertices `0..n_left` and `right`
 /// vertices `0..n_right`.
@@ -19,7 +17,7 @@
 /// g.add_edge(0, 0);
 /// g.add_edge(1, 0);
 /// g.add_edge(1, 1);
-/// assert_eq!(g.max_matching().len(), 2);
+/// assert_eq!(g.escape_assignment(), vec![Some(0), Some(0)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BipartiteGraph {
@@ -126,108 +124,12 @@ impl BipartiteGraph {
         }
         assignment
     }
-
-    /// Maximum bipartite matching via Hopcroft–Karp.
-    ///
-    /// Returns `(left, right)` pairs; each vertex appears at most once.
-    pub fn max_matching(&self) -> Vec<(usize, usize)> {
-        const NIL: usize = usize::MAX;
-        let mut match_l = vec![NIL; self.n_left];
-        let mut match_r = vec![NIL; self.n_right];
-        let mut dist = vec![0usize; self.n_left];
-
-        let bfs = |match_l: &[usize], match_r: &[usize], dist: &mut [usize]| -> bool {
-            let mut queue = std::collections::VecDeque::new();
-            let mut found = false;
-            for l in 0..self.n_left {
-                if match_l[l] == NIL {
-                    dist[l] = 0;
-                    queue.push_back(l);
-                } else {
-                    dist[l] = usize::MAX;
-                }
-            }
-            while let Some(l) = queue.pop_front() {
-                for &r in &self.adj_left[l] {
-                    let next = match_r[r];
-                    if next == NIL {
-                        found = true;
-                    } else if dist[next] == usize::MAX {
-                        dist[next] = dist[l] + 1;
-                        queue.push_back(next);
-                    }
-                }
-            }
-            found
-        };
-
-        fn dfs(
-            l: usize,
-            adj: &[Vec<usize>],
-            match_l: &mut [usize],
-            match_r: &mut [usize],
-            dist: &mut [usize],
-        ) -> bool {
-            const NIL: usize = usize::MAX;
-            for i in 0..adj[l].len() {
-                let r = adj[l][i];
-                let next = match_r[r];
-                if next == NIL
-                    || (dist[next] == dist[l] + 1 && dfs(next, adj, match_l, match_r, dist))
-                {
-                    match_l[l] = r;
-                    match_r[r] = l;
-                    return true;
-                }
-            }
-            dist[l] = usize::MAX;
-            false
-        }
-
-        while bfs(&match_l, &match_r, &mut dist) {
-            for l in 0..self.n_left {
-                if match_l[l] == NIL {
-                    dfs(l, &self.adj_left, &mut match_l, &mut match_r, &mut dist);
-                }
-            }
-        }
-        (0..self.n_left)
-            .filter_map(|l| (match_l[l] != NIL).then_some((l, match_l[l])))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sag_testkit::prelude::*;
-
-    #[test]
-    fn simple_matching() {
-        let mut g = BipartiteGraph::new(3, 3);
-        g.add_edge(0, 0);
-        g.add_edge(1, 0);
-        g.add_edge(1, 1);
-        g.add_edge(2, 2);
-        let m = g.max_matching();
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn matching_respects_structure() {
-        // Two left vertices, one right vertex: matching size 1.
-        let mut g = BipartiteGraph::new(2, 1);
-        g.add_edge(0, 0);
-        g.add_edge(1, 0);
-        assert_eq!(g.max_matching().len(), 1);
-    }
-
-    #[test]
-    fn empty_graph_matching() {
-        let g = BipartiteGraph::new(3, 3);
-        assert!(g.max_matching().is_empty());
-        assert_eq!(g.edge_count(), 0);
-    }
 
     #[test]
     fn duplicate_edges_ignored() {
@@ -269,42 +171,12 @@ mod tests {
     #[test]
     fn escape_uncovered_left_is_none() {
         let g = BipartiteGraph::new(2, 1);
+        assert_eq!(g.edge_count(), 0);
         let a = g.escape_assignment();
         assert_eq!(a, vec![None, None]);
     }
 
-    #[test]
-    fn hopcroft_karp_perfect_on_cycle() {
-        // 4-cycle as bipartite: L={0,1}, R={0,1}, all edges — perfect matching.
-        let mut g = BipartiteGraph::new(2, 2);
-        g.add_edge(0, 0);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        g.add_edge(1, 1);
-        assert_eq!(g.max_matching().len(), 2);
-    }
-
     prop! {
-        fn prop_matching_is_valid(seed in 0u64..500, nl in 1usize..12, nr in 1usize..12) {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut g = BipartiteGraph::new(nl, nr);
-            for l in 0..nl {
-                for r in 0..nr {
-                    if rng.gen_bool(0.3) {
-                        g.add_edge(l, r);
-                    }
-                }
-            }
-            let m = g.max_matching();
-            let mut seen_l = std::collections::HashSet::new();
-            let mut seen_r = std::collections::HashSet::new();
-            for (l, r) in &m {
-                prop_assert!(g.neighbors_of_left(*l).contains(r));
-                prop_assert!(seen_l.insert(*l), "left {l} matched twice");
-                prop_assert!(seen_r.insert(*r), "right {r} matched twice");
-            }
-        }
-
         fn prop_escape_assignment_valid(seed in 0u64..500, nl in 1usize..12, nr in 1usize..12) {
             let mut rng = Rng::seed_from_u64(seed);
             let mut g = BipartiteGraph::new(nl, nr);

@@ -68,33 +68,6 @@ pub fn bfs_order(g: &Graph, start: usize) -> Vec<usize> {
     order
 }
 
-/// Returns `true` if the whole graph is one connected component
-/// (vacuously true for the empty graph).
-pub fn is_connected(g: &Graph) -> bool {
-    g.vertex_count() == 0 || connected_components(g).len() == 1
-}
-
-/// BFS hop distance from `start` to every vertex (`None` = unreachable).
-///
-/// # Panics
-/// Panics if `start` is out of range.
-pub fn hop_distances(g: &Graph, start: usize) -> Vec<Option<usize>> {
-    assert!(start < g.vertex_count(), "start {start} out of range");
-    let mut dist = vec![None; g.vertex_count()];
-    dist[start] = Some(0);
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v].expect("queued vertices have distances");
-        for (nb, _) in g.neighbors(v) {
-            if dist[nb].is_none() {
-                dist[nb] = Some(dv + 1);
-                queue.push_back(nb);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,16 +89,6 @@ mod tests {
     #[test]
     fn empty_graph() {
         assert!(connected_components(&Graph::new(0)).is_empty());
-        assert!(is_connected(&Graph::new(0)));
-    }
-
-    #[test]
-    fn connectivity_predicate() {
-        assert!(!is_connected(&two_islands()));
-        let mut g = two_islands();
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(3, 4, 1.0);
-        assert!(is_connected(&g));
     }
 
     #[test]
@@ -135,17 +98,6 @@ mod tests {
         assert_eq!(order[0], 1);
         assert_eq!(order.len(), 3);
         assert!(!order.contains(&4));
-    }
-
-    #[test]
-    fn hop_distance_values() {
-        let g = two_islands();
-        let d = hop_distances(&g, 0);
-        assert_eq!(d[0], Some(0));
-        assert_eq!(d[1], Some(1));
-        assert_eq!(d[2], Some(2));
-        assert_eq!(d[3], None);
-        assert_eq!(d[5], None);
     }
 
     #[test]

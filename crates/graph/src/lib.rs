@@ -10,9 +10,8 @@
 //!   backbone; the two implementations cross-check each other in tests),
 //! * [`components`] — connected components / BFS / DFS (relay-graph
 //!   resilience, and the all-pairs Zone Partition referee),
-//! * [`paths`] — Dijkstra shortest paths (relay chain bookkeeping),
 //! * [`bipartite`] — bipartite graphs with greedy *Coverage Link Escape*
-//!   marking support and Hopcroft–Karp maximum matching,
+//!   marking support,
 //! * [`mis`] — greedy and exact maximum independent set,
 //! * [`tree`] — rooted tree utilities (parents, depths, root paths) used
 //!   by MBMC/UCPO to walk relay chains toward base stations.
@@ -41,7 +40,6 @@ pub mod components;
 pub mod graph;
 pub mod mis;
 pub mod mst;
-pub mod paths;
 pub mod tree;
 pub mod unionfind;
 

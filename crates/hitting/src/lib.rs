@@ -16,9 +16,9 @@
 //!   instances (`prop_local_between_exact_and_greedy` checks the local
 //!   search against it).
 //!
-//! [`reference`] keeps the full-recompute local-search swap evaluation as
-//! the differential referee that tests and benchmarks compare the
-//! incremental one against; library code does not use it.
+//! [`reference`](mod@reference) keeps the full-recompute local-search
+//! swap evaluation as the differential referee that tests and benchmarks
+//! compare the incremental one against; library code does not use it.
 //!
 //! Candidate points follow the standard normalisation: any hitting set can
 //! be moved onto disk centres and pairwise circle-intersection points

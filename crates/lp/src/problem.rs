@@ -621,7 +621,7 @@ impl LpProblem {
 
     /// Solves the problem, seeding the sparse backend's dual simplex
     /// from a previous solve's basis when `warm` is compatible (same
-    /// [`LoweredShape`] — i.e. only bounds/right-hand sides changed, as
+    /// `LoweredShape` — i.e. only bounds/right-hand sides changed, as
     /// under branch-and-bound branching). Under the dense oracle
     /// backend this is a plain cold solve and no handle is returned.
     ///

@@ -14,7 +14,7 @@
 //!   the bump stays tiny and each FTRAN/BTRAN costs `O(nnz + bump²)`;
 //! * **product-form eta updates** after each pivot (Bartels–Golub
 //!   style), with periodic refactorization once the eta file reaches
-//!   [`SparseSimplex::refactor_period`] — bounding both fill and drift;
+//!   `SparseSimplex::refactor_period` — bounding both fill and drift;
 //! * a **residual self-check** after every refactorization: if
 //!   `‖b − B·x‖∞` drifts past [`RESIDUAL_TOL`], the factorization is
 //!   rebuilt once and, failing that, the solve surfaces

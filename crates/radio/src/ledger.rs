@@ -30,8 +30,8 @@
 //!
 //! [`LedgerMode::Oracle`] keeps the brute-force path alive behind a
 //! switch: every query recomputes the full sum from the registered
-//! relays, ignoring the accumulators. [`snr_checked`]
-//! (InterferenceLedger::snr_checked) and
+//! relays, ignoring the accumulators.
+//! [`snr_checked`](InterferenceLedger::snr_checked) and
 //! [`audit`](InterferenceLedger::audit) cross-check the incremental
 //! state against the oracle and surface divergence as a typed
 //! [`DesyncError`] — never a silently wrong answer.
@@ -154,7 +154,7 @@ pub struct LedgerStats {
     /// Public mutations applied (`add`/`remove`/`move`/`set_power`).
     pub delta_ops: u64,
     /// Subscribers recomputed exactly after a cancelling subtraction
-    /// (the [`CANCEL_REFRESH`] mechanism).
+    /// (the `CANCEL_REFRESH` mechanism).
     pub cancel_refreshes: u64,
     /// Queries answered by the exact fallback because the incremental
     /// difference fell inside the [`CANCELLATION_GUARD`] drift regime.

@@ -7,8 +7,7 @@
 //!   linear↔dB conversions,
 //! * [`tworay`] — the two-ray ground path-loss model of Eq. (2.1),
 //!   `Pr = Pt · G · d^{-α}`,
-//! * [`snr`] — the paper's interference-limited SNR (Definition 2) plus a
-//!   thermal-noise variant,
+//! * [`snr`] — the paper's interference-limited SNR (Definition 2),
 //! * [`ledger`] — the incremental [`InterferenceLedger`]: per-subscriber
 //!   interference accumulators with O(S) relay deltas, O(1) SNR queries
 //!   and a brute-force oracle mode for parity checks,

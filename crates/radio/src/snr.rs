@@ -3,8 +3,8 @@
 //! Definition 2 of the paper: if subscriber `s` receives powers
 //! `p_1, …, p_n` from the placed relays and is served by relay `j`, its SNR
 //! is `p_j / (Σ_i p_i − p_j)` — the serving signal over the sum of all
-//! *other* relays' signals (interference-limited; thermal noise is treated
-//! separately where needed).
+//! *other* relays' signals. The SNR is interference-limited: thermal noise
+//! enters only the capacity↔distance reduction in [`crate::capacity`].
 
 use crate::tworay::TwoRay;
 use sag_geom::Point;
@@ -42,36 +42,6 @@ pub fn snr_interference_limited(received: &[f64], serving_idx: usize) -> f64 {
     }
     let signal = received[serving_idx];
     let interference = total - signal;
-    if signal <= 0.0 {
-        0.0
-    } else if interference <= 0.0 {
-        f64::INFINITY
-    } else {
-        signal / interference
-    }
-}
-
-/// SNR with explicit thermal noise `n0` added to the interference
-/// denominator (SINR). With `n0 == 0` this reduces to
-/// [`snr_interference_limited`].
-///
-/// # Panics
-/// Panics if `serving_idx` is out of bounds, any power is negative, or
-/// `n0 < 0`.
-pub fn sinr(received: &[f64], serving_idx: usize, n0: f64) -> f64 {
-    assert!(n0 >= 0.0, "thermal noise must be ≥ 0, got {n0}");
-    assert!(
-        serving_idx < received.len(),
-        "serving index {serving_idx} out of bounds"
-    );
-    let signal = received[serving_idx];
-    let mut interference = n0;
-    for (i, &p) in received.iter().enumerate() {
-        assert!(p >= 0.0 && !p.is_nan(), "received power {i} must be ≥ 0");
-        if i != serving_idx {
-            interference += p;
-        }
-    }
     if signal <= 0.0 {
         0.0
     } else if interference <= 0.0 {
@@ -139,21 +109,6 @@ pub fn placement_snr_uniform(
     placement_snr(model, subscriber, transmitters, &powers, serving_idx)
 }
 
-/// Minimum serving power needed to reach SNR `beta` at a subscriber given
-/// fixed interference `interference` (sum of other signals plus any
-/// noise): `P_signal ≥ β · I`. Returns the *received* signal power floor.
-///
-/// # Panics
-/// Panics if `beta < 0` or `interference < 0`.
-pub fn min_signal_for_snr(beta: f64, interference: f64) -> f64 {
-    assert!(beta >= 0.0, "beta must be ≥ 0, got {beta}");
-    assert!(
-        interference >= 0.0,
-        "interference must be ≥ 0, got {interference}"
-    );
-    beta * interference
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,16 +132,6 @@ mod tests {
     #[test]
     fn zero_signal_is_zero() {
         assert_eq!(snr_interference_limited(&[0.0, 1.0], 0), 0.0);
-    }
-
-    #[test]
-    fn sinr_reduces_to_snr_at_zero_noise() {
-        let rx = [2.0, 0.5, 0.25];
-        assert!((sinr(&rx, 0, 0.0) - snr_interference_limited(&rx, 0)).abs() < 1e-12);
-        // Noise lowers SINR.
-        assert!(sinr(&rx, 0, 0.5) < snr_interference_limited(&rx, 0));
-        // Single transmitter with noise: finite SINR.
-        assert!((sinr(&[1.0], 0, 0.5) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -215,12 +160,6 @@ mod tests {
         let near = placement_snr_uniform(&m, s, &tx, 0);
         let far = placement_snr_uniform(&m, s, &tx, 1);
         assert!(near > 1.0 && far < 1.0);
-    }
-
-    #[test]
-    fn min_signal_scales_linearly() {
-        assert_eq!(min_signal_for_snr(2.0, 3.0), 6.0);
-        assert_eq!(min_signal_for_snr(0.0, 3.0), 0.0);
     }
 
     #[test]

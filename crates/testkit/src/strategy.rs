@@ -1,7 +1,7 @@
 //! Input strategies for the [`prop!`](crate::prop!) harness.
 //!
 //! A [`Strategy`] knows how to *sample* a value from a seeded
-//! [`Rng`](crate::rng::Rng) and how to *shrink* a failing value toward
+//! [`Rng`] and how to *shrink* a failing value toward
 //! simpler counterexamples. Plain range expressions (`1usize..40`,
 //! `-25.0..-10.0f64`), tuples of strategies, [`vec_of`], [`one_of`] and
 //! [`just`] cover the shapes the workspace's property tests use.

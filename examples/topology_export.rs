@@ -11,7 +11,6 @@
 
 use std::io::Write as _;
 
-use sag_geom::hull::{convex_hull, polygon_area};
 use sag_sim::experiments::fig6;
 use sag_sim::snapshot;
 
@@ -31,18 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for dump in fig6::fig6(seed) {
         let path = format!("{out_dir}/fig6_{}.csv", dump.name.replace('+', "_"));
         std::fs::write(&path, dump.to_csv())?;
-        // A quick footprint statistic: how much of the field the relay
-        // tier spans (convex hull over all relays).
-        let mut pts = dump.coverage_relays.clone();
-        pts.extend(dump.connectivity_relays.iter().copied());
-        let hull = convex_hull(&pts);
         println!(
-            "{:<10} {:>2} cover + {:>3} connect relays, {:>3} links, relay hull {:>9.0} area -> {path}",
+            "{:<10} {:>2} cover + {:>3} connect relays, {:>3} links -> {path}",
             dump.name,
             dump.coverage_relays.len(),
             dump.connectivity_relays.len(),
             dump.links.len(),
-            polygon_area(&hull),
         );
     }
 

@@ -17,6 +17,10 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Rustdoc gate: broken or private intra-doc links fail the build, so a
+# deleted item cannot leave a dangling link behind.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --release --offline --workspace
 run cargo test -q --offline
 
