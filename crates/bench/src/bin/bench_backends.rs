@@ -129,9 +129,8 @@ fn emit_json(
 ) -> std::io::Result<()> {
     let subscribers = CLUSTERS * SUBS_PER_CLUSTER;
     let hardware_threads = sag_bench::hardware_threads();
-    let solver = sag_bench::solver_fields_json();
     let body = format!(
-        "{{\n  \"benchmark\": \"solver_backends\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"exact_min_ns\": {exact_ns},\n  \"adaptive_min_ns\": {adaptive_ns},\n  \"speedup_median\": {speedup:.4},\n  \"adaptive_exact_zones\": {},\n  \"adaptive_lp_round_zones\": {},\n  \"adaptive_local_search_zones\": {},\n  \"adaptive_greedy_zones\": {},\n  \"exact_coverage_relays\": {exact_relays},\n  \"adaptive_coverage_relays\": {adaptive_relays},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"solver_backends\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"hardware_threads\": {hardware_threads},\n  \"exact_min_ns\": {exact_ns},\n  \"adaptive_min_ns\": {adaptive_ns},\n  \"speedup_median\": {speedup:.4},\n  \"adaptive_exact_zones\": {},\n  \"adaptive_lp_round_zones\": {},\n  \"adaptive_local_search_zones\": {},\n  \"adaptive_greedy_zones\": {},\n  \"exact_coverage_relays\": {exact_relays},\n  \"adaptive_coverage_relays\": {adaptive_relays},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
         mix[0], mix[1], mix[2], mix[3],
     );
     std::fs::write(path, body)

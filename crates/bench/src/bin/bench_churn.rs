@@ -132,9 +132,8 @@ fn emit_json(
 ) -> std::io::Result<()> {
     let subscribers = CLUSTERS * SUBS_PER_CLUSTER;
     let hardware_threads = sag_bench::hardware_threads();
-    let solver = sag_bench::solver_fields_json();
     let body = format!(
-        "{{\n  \"benchmark\": \"churn_repair\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"events_per_round\": {events_per_round},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"scratch_min_per_event_ns\": {scratch_ns},\n  \"repair_min_per_event_ns\": {repair_ns},\n  \"repair_speedup_median\": {speedup:.4},\n  \"p50_repair_ns\": {p50_ns},\n  \"p99_repair_ns\": {p99_ns},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"churn_repair\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"events_per_round\": {events_per_round},\n  \"hardware_threads\": {hardware_threads},\n  \"scratch_min_per_event_ns\": {scratch_ns},\n  \"repair_min_per_event_ns\": {repair_ns},\n  \"repair_speedup_median\": {speedup:.4},\n  \"p50_repair_ns\": {p50_ns},\n  \"p99_repair_ns\": {p99_ns},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
     );
     std::fs::write(path, body)
 }

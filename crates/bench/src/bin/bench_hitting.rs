@@ -131,11 +131,10 @@ fn emit_json(
         .collect();
     let default = LocalSearchConfig::default();
     let body = format!(
-        "{{\n  \"benchmark\": \"hitting_local_search\",\n  \"swap_size\": {},\n  \"max_rounds\": {},\n  \"seeds_per_size\": {SEEDS},\n  \"hardware_threads\": {},\n  {},\n  \"sizes\": [\n{}\n  ],\n  \"reference_ms\": {reference_ms:.3},\n  \"incremental_ms\": {incremental_ms:.3},\n  \"speedup\": {speedup:.2},\n  \"parity\": \"identical\",\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"hitting_local_search\",\n  \"swap_size\": {},\n  \"max_rounds\": {},\n  \"seeds_per_size\": {SEEDS},\n  \"hardware_threads\": {},\n  \"sizes\": [\n{}\n  ],\n  \"reference_ms\": {reference_ms:.3},\n  \"incremental_ms\": {incremental_ms:.3},\n  \"speedup\": {speedup:.2},\n  \"parity\": \"identical\",\n  \"gate\": \"{gate}\"\n}}\n",
         default.swap_size,
         default.max_rounds,
         sag_bench::hardware_threads(),
-        sag_bench::solver_fields_json(),
         sizes.join(",\n"),
     );
     std::fs::write(path, body)

@@ -4,8 +4,9 @@
 //!
 //! 1. **Cover LP, dense vs sparse.** A 64-zone block-structured
 //!    set-cover relaxation (the exact row shape `ilpqc` feeds the LP
-//!    layer) solved through [`LpProblem::solve`] under each
-//!    [`LpBackend`]. The dense tableau touches `O(m·width)` per pivot;
+//!    layer) solved by the dense referee [`LpProblem::solve_dense`]
+//!    and by [`LpProblem::solve`], which runs the sparse revised
+//!    simplex. The dense tableau touches `O(m·width)` per pivot;
 //!    the revised simplex touches the nonzeros. The CI gate asserts the
 //!    sparse floor.
 //! 2. **Branch-and-bound, warm vs cold.** A chain of odd-cycle
@@ -35,7 +36,7 @@ use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome};
 use sag_core::model::Scenario;
 use sag_core::reference;
 use sag_geom::Point;
-use sag_lp::{push_backend_override, IlpProblem, LpBackend, LpProblem, Relation};
+use sag_lp::{IlpProblem, LpProblem, Relation};
 use sag_sim::experiments::{gac_grid_for, ILPQC_NODE_LIMIT};
 use sag_sim::gen::ScenarioSpec;
 
@@ -187,7 +188,6 @@ fn emit_json(
     ilpqc: &IlpqcArm,
 ) -> std::io::Result<()> {
     let hardware_threads = sag_bench::hardware_threads();
-    let solver = sag_bench::solver_fields_json();
     let IlpqcArm {
         instances,
         candidates,
@@ -197,7 +197,7 @@ fn emit_json(
         speedup: ilpqc_speedup,
     } = ilpqc;
     let body = format!(
-        "{{\n  \"benchmark\": \"lp_core\",\n  \"zones\": {zones},\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"dense_median_ns\": {dense_ns},\n  \"sparse_median_ns\": {sparse_ns},\n  \"speedup\": {speedup:.3},\n  \"gate\": \"{gate}\",\n  \"bb_triangles\": {TRIANGLES},\n  \"cold_nodes_per_s\": {cold_nodes_per_s:.1},\n  \"warm_nodes_per_s\": {warm_nodes_per_s:.1},\n  \"warm_speedup\": {warm_speedup:.3},\n  \"parity_max_rel_err\": {parity:.3e},\n  \"ilpqc_instances\": {instances},\n  \"ilpqc_candidates\": {candidates},\n  \"ilpqc_nodes\": {nodes},\n  \"ilpqc_reference_median_ns\": {reference_ns},\n  \"ilpqc_session_median_ns\": {session_ns},\n  \"ilpqc_speedup\": {ilpqc_speedup:.3},\n  \"ilpqc_parity\": \"identical outcomes\"\n}}\n"
+        "{{\n  \"benchmark\": \"lp_core\",\n  \"zones\": {zones},\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"hardware_threads\": {hardware_threads},\n  \"dense_median_ns\": {dense_ns},\n  \"sparse_median_ns\": {sparse_ns},\n  \"speedup\": {speedup:.3},\n  \"gate\": \"{gate}\",\n  \"bb_triangles\": {TRIANGLES},\n  \"cold_nodes_per_s\": {cold_nodes_per_s:.1},\n  \"warm_nodes_per_s\": {warm_nodes_per_s:.1},\n  \"warm_speedup\": {warm_speedup:.3},\n  \"parity_max_rel_err\": {parity:.3e},\n  \"ilpqc_instances\": {instances},\n  \"ilpqc_candidates\": {candidates},\n  \"ilpqc_nodes\": {nodes},\n  \"ilpqc_reference_median_ns\": {reference_ns},\n  \"ilpqc_session_median_ns\": {session_ns},\n  \"ilpqc_speedup\": {ilpqc_speedup:.3},\n  \"ilpqc_parity\": \"identical outcomes\"\n}}\n"
     );
     std::fs::write(path, body)
 }
@@ -301,14 +301,8 @@ fn main() {
     let (rows, cols) = (lp.num_constraints(), lp.num_vars());
 
     // Parity gate before any timing: a fast wrong answer is worthless.
-    let sparse_sol = {
-        let _g = push_backend_override(Some(LpBackend::Sparse));
-        lp.solve().expect("cover probe is feasible (sparse)")
-    };
-    let dense_sol = {
-        let _g = push_backend_override(Some(LpBackend::Dense));
-        lp.solve().expect("cover probe is feasible (dense)")
-    };
+    let sparse_sol = lp.solve().expect("cover probe is feasible (sparse)");
+    let dense_sol = lp.solve_dense().expect("cover probe is feasible (dense)");
     let mut parity =
         (sparse_sol.objective - dense_sol.objective).abs() / (1.0 + dense_sol.objective.abs());
     assert!(
@@ -328,13 +322,11 @@ fn main() {
         ROUNDS,
         &mut || {
             time_ns(1, || {
-                let _g = push_backend_override(Some(LpBackend::Dense));
-                std::hint::black_box(lp.solve().expect("dense solve"));
+                std::hint::black_box(lp.solve_dense().expect("dense solve"));
             })
         },
         &mut || {
             time_ns(1, || {
-                let _g = push_backend_override(Some(LpBackend::Sparse));
                 std::hint::black_box(lp.solve().expect("sparse solve"));
             })
         },

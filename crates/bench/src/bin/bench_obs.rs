@@ -121,9 +121,8 @@ fn emit_json(
     gate: &str,
 ) -> std::io::Result<()> {
     let hardware_threads = sag_bench::hardware_threads();
-    let solver = sag_bench::solver_fields_json();
     let body = format!(
-        "{{\n  \"benchmark\": \"obs_overhead\",\n  \"subscribers\": {SUBSCRIBERS},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"baseline_min_ns\": {baseline_ns},\n  \"disabled_min_ns\": {disabled_ns},\n  \"collected_min_ns\": {collected_ns},\n  \"ring_min_ns\": {ring_ns},\n  \"overhead_disabled\": {overhead_disabled:.4},\n  \"overhead_collected\": {overhead_collected:.4},\n  \"overhead_ring\": {overhead_ring:.4},\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"obs_overhead\",\n  \"subscribers\": {SUBSCRIBERS},\n  \"hardware_threads\": {hardware_threads},\n  \"baseline_min_ns\": {baseline_ns},\n  \"disabled_min_ns\": {disabled_ns},\n  \"collected_min_ns\": {collected_ns},\n  \"ring_min_ns\": {ring_ns},\n  \"overhead_disabled\": {overhead_disabled:.4},\n  \"overhead_collected\": {overhead_collected:.4},\n  \"overhead_ring\": {overhead_ring:.4},\n  \"gate\": \"{gate}\"\n}}\n",
     );
     std::fs::write(path, body)
 }

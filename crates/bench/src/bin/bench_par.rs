@@ -114,9 +114,8 @@ fn emit_json(
     gate: &str,
 ) -> std::io::Result<()> {
     let subscribers = CLUSTERS * SUBS_PER_CLUSTER;
-    let solver = sag_bench::solver_fields_json();
     let body = format!(
-        "{{\n  \"benchmark\": \"zone_parallel\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"threads\": {threads},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"lower_tier_sequential_min_ns\": {seq_ns},\n  \"lower_tier_parallel_min_ns\": {par_ns},\n  \"lower_tier_speedup_median\": {speedup:.4},\n  \"pipeline_speedup_median\": {pipeline_speedup:.4},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"zone_parallel\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"threads\": {threads},\n  \"hardware_threads\": {hardware_threads},\n  \"lower_tier_sequential_min_ns\": {seq_ns},\n  \"lower_tier_parallel_min_ns\": {par_ns},\n  \"lower_tier_speedup_median\": {speedup:.4},\n  \"pipeline_speedup_median\": {pipeline_speedup:.4},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
     );
     std::fs::write(path, body)
 }

@@ -163,13 +163,12 @@ fn emit_json(
     gate: &str,
 ) -> std::io::Result<()> {
     let body = format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"subscribers\": {},\n  \"relays\": {},\n  \"probes\": {},\n  \"hardware_threads\": {},\n  {},\n  \"brute_median_ns\": {},\n  \"ledger_median_ns\": {},\n  \"speedup\": {:.3},\n  \"parity_max_rel_err\": {:.3e},\n  \"gate\": \"{}\"\n}}\n",
+        "{{\n  \"benchmark\": \"{}\",\n  \"subscribers\": {},\n  \"relays\": {},\n  \"probes\": {},\n  \"hardware_threads\": {},\n  \"brute_median_ns\": {},\n  \"ledger_median_ns\": {},\n  \"speedup\": {:.3},\n  \"parity_max_rel_err\": {:.3e},\n  \"gate\": \"{}\"\n}}\n",
         json_escape_free("snr_move_probes"),
         SUBSCRIBERS,
         SUBSCRIBERS.div_ceil(2),
         PROBES,
         sag_bench::hardware_threads(),
-        sag_bench::solver_fields_json(),
         brute_ns,
         ledger_ns,
         speedup,

@@ -27,9 +27,10 @@
 //! Usage: `bench_sweep [--out PATH] [--min-speedup X]`
 
 use sag_bench::harness::{interleaved, time_ns, Interleaved};
-use sag_sim::batch::{sweep_multi_reference, sweep_multi_with, JobOrder, SweepCache, SweepOptions};
+use sag_sim::batch::{sweep_multi_with, JobOrder, SweepCache, SweepOptions};
 use sag_sim::experiments::{relays_metric, run_gac_cached, run_iac_cached, run_samc_cached};
 use sag_sim::gen::ScenarioSpec;
+use sag_sim::reference::sweep_multi_reference;
 use sag_sim::runner::SweepConfig;
 use sag_sim::stats::CellStats;
 
@@ -107,11 +108,10 @@ fn emit_json(
     gate: &str,
 ) -> std::io::Result<()> {
     let xs = GRIDS.len();
-    let solver = sag_bench::solver_fields_json();
     let ref_cps = cells as f64 / (ref_ns.max(1) as f64 / 1e9);
     let batched_cps = cells as f64 / (batched_ns.max(1) as f64 / 1e9);
     let body = format!(
-        "{{\n  \"benchmark\": \"sweep_batch\",\n  \"xs\": {xs},\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"hardware_threads\": {hardware_threads},\n  {solver},\n  \"reference_min_ns\": {ref_ns},\n  \"batched_min_ns\": {batched_ns},\n  \"reference_cells_per_sec\": {ref_cps:.2},\n  \"batched_cells_per_sec\": {batched_cps:.2},\n  \"speedup_median\": {speedup:.4},\n  \"cache_hits\": {cache_hits},\n  \"cache_misses\": {cache_misses},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
+        "{{\n  \"benchmark\": \"sweep_batch\",\n  \"xs\": {xs},\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"hardware_threads\": {hardware_threads},\n  \"reference_min_ns\": {ref_ns},\n  \"batched_min_ns\": {batched_ns},\n  \"reference_cells_per_sec\": {ref_cps:.2},\n  \"batched_cells_per_sec\": {batched_cps:.2},\n  \"speedup_median\": {speedup:.4},\n  \"cache_hits\": {cache_hits},\n  \"cache_misses\": {cache_misses},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
     );
     std::fs::write(path, body)
 }

@@ -1,11 +1,9 @@
 //! Shared scaffolding for the eight `bench_*` binaries: gate
-//! resolution, the solver fields every `BENCH_*.json` records,
-//! canonical scenario builders, and a built-in wall-clock [`harness`].
+//! resolution, canonical scenario builders, and a built-in wall-clock
+//! [`harness`].
 //!
 //! Everything is zero-dependency and runs offline; `crates/bench/README.md`
 //! lists the binaries, their artefacts and their CI gates.
-
-use std::time::Instant;
 
 use sag_core::model::Scenario;
 use sag_sim::gen::{BsLayout, ScenarioSpec};
@@ -42,25 +40,6 @@ pub fn resolve_gate(enforce: bool, skip_reason: &str) -> (String, bool) {
     }
 }
 
-/// The solver-backend configuration active for this process, as a
-/// ready-to-splice pair of JSON fields (`solver_backend`,
-/// `solver_selection`). Every `BENCH_*.json` emitter records these so
-/// a number produced under a `SAG_SOLVER` override is never mistaken
-/// for a default-configuration baseline.
-pub fn solver_fields_json() -> String {
-    let choice = sag_core::SolverBuilder::default().choice;
-    let selection = if sag_core::SolverBuilder::choice_from_env() {
-        "env"
-    } else {
-        "default"
-    };
-    format!(
-        "\"solver_backend\": \"{}\",\n  \"solver_selection\": \"{}\"",
-        choice.label(),
-        selection
-    )
-}
-
 /// The sweep configuration benches use: few runs, deterministic seeds.
 pub fn bench_sweep() -> SweepConfig {
     SweepConfig {
@@ -84,14 +63,6 @@ pub fn bench_scenario(field: f64, users: usize, seed: u64) -> Scenario {
     .build(seed)
 }
 
-/// Wall-clock seconds of one invocation (re-exported convenience for
-/// ad-hoc timing in tests and examples).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +71,6 @@ mod tests {
     fn builders_are_deterministic() {
         assert_eq!(bench_scenario(500.0, 10, 1), bench_scenario(500.0, 10, 1));
         assert_eq!(bench_sweep().runs, 2);
-    }
-
-    #[test]
-    fn time_once_reports_duration() {
-        let (v, secs) = time_once(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! distances — the form used during placement; per-relay powers enter
 //! later through PRO.
 
-use std::sync::OnceLock;
-
 use sag_geom::Point;
 use sag_radio::ledger::{InterferenceLedger, LedgerMode};
 use sag_radio::snr;
@@ -26,28 +24,12 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// The environment's ledger query mode: incremental by default, the
-/// exact brute-force oracle when `SAG_SNR_ORACLE=1` is set. Read once
-/// per process — never a per-call `env::var` syscall on the hot path.
-fn env_ledger_mode() -> LedgerMode {
-    static MODE: OnceLock<LedgerMode> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        if std::env::var("SAG_SNR_ORACLE").is_ok_and(|v| v == "1") {
-            LedgerMode::Oracle
-        } else {
-            LedgerMode::Incremental
-        }
-    })
-}
-
 /// The ledger query mode the pipeline runs with: the scoped override
 /// when one is installed (an explicit
-/// [`crate::sag::SagPipelineConfig::snr_oracle`] choice), the cached
-/// `SAG_SNR_ORACLE` environment switch otherwise.
+/// [`crate::sag::SagPipelineConfig::snr_oracle`] choice), incremental
+/// otherwise.
 fn ledger_mode() -> LedgerMode {
-    MODE_OVERRIDE
-        .with(std::cell::Cell::get)
-        .unwrap_or_else(env_ledger_mode)
+    MODE_OVERRIDE.with(std::cell::Cell::get).unwrap_or_default()
 }
 
 /// The currently installed scoped override, if any (what the zone
@@ -58,7 +40,7 @@ pub(crate) fn ledger_mode_override() -> Option<LedgerMode> {
 
 /// Installs a scoped ledger-mode override on this thread; the previous
 /// value is restored when the returned guard drops. `None` clears any
-/// outer override back to the environment default for the scope.
+/// outer override back to the incremental default for the scope.
 pub(crate) fn push_ledger_mode_override(mode: Option<LedgerMode>) -> LedgerModeGuard {
     let previous = MODE_OVERRIDE.with(|c| c.replace(mode));
     LedgerModeGuard { previous }
@@ -79,8 +61,8 @@ impl Drop for LedgerModeGuard {
 /// Builds an [`InterferenceLedger`] over the scenario's subscribers with
 /// the given relays at uniform (unit) power — the placement-time view
 /// where the power level cancels out of every SNR. Relay ids coincide
-/// with indices into `relays`. Honours the `SAG_SNR_ORACLE` debug
-/// switch.
+/// with indices into `relays`. Runs in the mode of the scoped
+/// [`crate::sag::SagPipelineConfig::snr_oracle`] override, if any.
 pub fn interference_ledger(scenario: &Scenario, relays: &[Point]) -> InterferenceLedger {
     let mut ledger = InterferenceLedger::new(
         *scenario.params.link.model(),
@@ -491,12 +473,15 @@ mod tests {
 
     #[test]
     fn ledger_mode_override_scopes_and_restores() {
-        // Regression for the SAG_SNR_ORACLE plumbing: the explicit
+        // Regression for the `snr_oracle` plumbing: the explicit
         // override must reach every ledger built in its scope, nest
-        // properly, and restore the environment default when dropped.
+        // properly, and restore the incremental default when dropped.
         let sc = scenario(vec![(0.0, 0.0, 30.0)], -15.0);
         let relays = [Point::new(10.0, 0.0)];
-        let ambient = interference_ledger(&sc, &relays).mode();
+        assert_eq!(
+            interference_ledger(&sc, &relays).mode(),
+            LedgerMode::Incremental
+        );
         {
             let _g = push_ledger_mode_override(Some(LedgerMode::Oracle));
             assert_eq!(ledger_mode_override(), Some(LedgerMode::Oracle));
@@ -516,6 +501,9 @@ mod tests {
             assert_eq!(interference_ledger(&sc, &relays).mode(), LedgerMode::Oracle);
         }
         assert_eq!(ledger_mode_override(), None);
-        assert_eq!(interference_ledger(&sc, &relays).mode(), ambient);
+        assert_eq!(
+            interference_ledger(&sc, &relays).mode(),
+            LedgerMode::Incremental
+        );
     }
 }

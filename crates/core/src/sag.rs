@@ -7,7 +7,7 @@
 //! so the experiment harness can reproduce each figure from one run.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sag_lp::{Budget, Spent};
@@ -98,9 +98,7 @@ pub struct SagPipelineConfig {
     pub lower_solver: LowerSolver,
     /// Backend selection front for the candidate-set lower tier
     /// (ILPQC variants): fixed, adaptive, or portfolio choice plus the
-    /// degradation ladder. Defaults to the `SAG_SOLVER` environment
-    /// variable (read once per process), else adaptive selection.
-    /// Ignored by [`LowerSolver::Samc`]; [`LowerSolver::IlpqcStrict`]
+    /// degradation ladder. Defaults to adaptive selection. Ignored by [`LowerSolver::Samc`]; [`LowerSolver::IlpqcStrict`]
     /// forces the strict-exact variant regardless of the choice here.
     pub solver: SolverBuilder,
     /// Cooperative budget threaded through every stage (default:
@@ -116,29 +114,15 @@ pub struct SagPipelineConfig {
     /// zones sequentially on the calling thread, `N > 1` solves up to
     /// `N` zones concurrently, `0` uses every available hardware
     /// thread. `threads = 1` and `threads = N` produce byte-identical
-    /// reports (see [`crate::engine`]). Defaults to the `SAG_THREADS`
-    /// environment variable (read once per process), or `1` when unset
-    /// or unparsable.
+    /// reports (see [`crate::engine`]). Defaults to `1`.
     pub threads: usize,
-    /// Explicit override of the `SAG_SNR_ORACLE` debug switch:
-    /// `Some(true)` forces the O(R)-per-query oracle ledger,
-    /// `Some(false)` forces the incremental ledger, `None` (the
-    /// default) defers to the environment variable, which is read once
-    /// per process and cached. The override is installed for the
-    /// duration of the run on the calling thread and propagated to
-    /// zone workers.
+    /// Ledger query mode: `Some(true)` runs every SNR query on the
+    /// O(R)-per-query brute-force oracle ledger, the differential
+    /// referee; `None` (the default) and `Some(false)` run the
+    /// incremental ledger. The choice is installed as a scoped override
+    /// for the duration of the run on the calling thread and propagated
+    /// to zone workers.
     pub snr_oracle: Option<bool>,
-}
-
-/// The `SAG_THREADS` default, read once per process.
-fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1)
-    })
 }
 
 impl Default for SagPipelineConfig {
@@ -149,7 +133,7 @@ impl Default for SagPipelineConfig {
             solver: SolverBuilder::default(),
             budget: Budget::unlimited(),
             collect_metrics: true,
-            threads: default_threads(),
+            threads: 1,
             snr_oracle: None,
         }
     }
@@ -776,13 +760,13 @@ mod tests {
             )
             .unwrap()
         };
-        let by_env = run(None);
+        let default = run(None);
         let oracle = run(Some(true));
         let incremental = run(Some(false));
         // Oracle and incremental ledgers agree on every decision here;
         // the override only swaps the evaluation strategy.
         assert_eq!(oracle.coverage, incremental.coverage);
-        assert_eq!(by_env.coverage, incremental.coverage);
+        assert_eq!(default.coverage, incremental.coverage);
     }
 
     #[test]

@@ -44,14 +44,13 @@
 //! (`portfolio.loser_panic` / `portfolio.loser_cancelled`) and
 //! discarded — never allowed to corrupt the committed answer.
 //!
-//! The process-wide default choice comes from the `SAG_SOLVER`
-//! environment variable (read once): `adaptive` (default), a backend
-//! name (`exact`, `lp_round`, `local_search`, `greedy`), `portfolio`
-//! (exact + lp_round), or `portfolio:<a>+<b>`.
+//! The choice is always explicit: [`SolverBuilder::default`] is
+//! adaptive selection, and callers that want a fixed backend or a race
+//! say so with [`SolverBuilder::fixed`] or [`SolverBuilder::portfolio`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sag_geom::Point;
@@ -98,24 +97,13 @@ impl SolverBackend {
         }
     }
 
-    /// Stable lowercase name (env values, report fields, JSON).
+    /// Stable lowercase name (report fields, JSON).
     pub fn name(self) -> &'static str {
         match self {
             SolverBackend::ExactIlp => "exact",
             SolverBackend::LpRound => "lp_round",
             SolverBackend::LocalSearch => "local_search",
             SolverBackend::Greedy => "greedy",
-        }
-    }
-
-    /// Parses a backend name as accepted by `SAG_SOLVER`.
-    pub fn parse(s: &str) -> Option<SolverBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "exact" | "exact_ilp" | "ilpqc" => Some(SolverBackend::ExactIlp),
-            "lp_round" | "lpround" => Some(SolverBackend::LpRound),
-            "local_search" | "localsearch" => Some(SolverBackend::LocalSearch),
-            "greedy" => Some(SolverBackend::Greedy),
-            _ => None,
         }
     }
 
@@ -135,8 +123,7 @@ impl SolverBackend {
 /// [`crate::sag::SagReport::zone_solvers`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectionReason {
-    /// A fixed [`SolverChoice::Fixed`] (config or `SAG_SOLVER`) forced
-    /// the backend.
+    /// A fixed [`SolverChoice::Fixed`] forced the backend.
     Forced,
     /// Candidate set small enough for the exact search.
     SmallZone,
@@ -537,49 +524,15 @@ fn run_backend(
 }
 
 /// How the builder picks a backend for a zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Per-zone adaptive selection via [`SelectionPolicy`] (default).
-    #[default]
+    /// Per-zone adaptive selection via [`SelectionPolicy`] (the
+    /// [`SolverBuilder::default`] choice).
     Adaptive,
     /// Always this backend.
     Fixed(SolverBackend),
     /// Race two backends; commit by fixed rank arbitration.
     Portfolio(SolverBackend, SolverBackend),
-}
-
-impl SolverChoice {
-    /// Parses a `SAG_SOLVER` value; `None` for unrecognised input (the
-    /// caller then keeps its default).
-    pub fn parse(s: &str) -> Option<SolverChoice> {
-        let v = s.trim().to_ascii_lowercase();
-        if v == "adaptive" {
-            return Some(SolverChoice::Adaptive);
-        }
-        if v == "portfolio" {
-            return Some(SolverChoice::Portfolio(
-                SolverBackend::ExactIlp,
-                SolverBackend::LpRound,
-            ));
-        }
-        if let Some(arms) = v.strip_prefix("portfolio:") {
-            let (a, b) = arms.split_once('+')?;
-            return Some(SolverChoice::Portfolio(
-                SolverBackend::parse(a)?,
-                SolverBackend::parse(b)?,
-            ));
-        }
-        SolverBackend::parse(&v).map(SolverChoice::Fixed)
-    }
-
-    /// Stable label for reports and bench JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverChoice::Adaptive => "adaptive",
-            SolverChoice::Fixed(b) => b.name(),
-            SolverChoice::Portfolio(..) => "portfolio",
-        }
-    }
 }
 
 /// Thresholds for adaptive per-zone selection. Everything here is a
@@ -655,7 +608,7 @@ pub enum LoserFault {
 /// through, so rung accounting cannot drift between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverBuilder {
-    /// How backends are chosen (default: `SAG_SOLVER`, else adaptive).
+    /// How backends are chosen (default: adaptive).
     pub choice: SolverChoice,
     /// Thresholds for [`SolverChoice::Adaptive`].
     pub policy: SelectionPolicy,
@@ -665,22 +618,12 @@ pub struct SolverBuilder {
     loser_fault: Option<LoserFault>,
 }
 
-/// The `SAG_SOLVER` process default, read once.
-fn env_choice() -> Option<SolverChoice> {
-    static CHOICE: OnceLock<Option<SolverChoice>> = OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        std::env::var("SAG_SOLVER")
-            .ok()
-            .and_then(|v| SolverChoice::parse(&v))
-    })
-}
-
 impl Default for SolverBuilder {
-    /// The process default: `SAG_SOLVER` when set and parsable,
-    /// adaptive selection otherwise.
+    /// Adaptive per-zone selection with the default policy and the
+    /// greedy rescue enabled.
     fn default() -> Self {
         SolverBuilder {
-            choice: env_choice().unwrap_or_default(),
+            choice: SolverChoice::Adaptive,
             policy: SelectionPolicy::default(),
             allow_fallback: true,
             loser_fault: None,
@@ -689,39 +632,24 @@ impl Default for SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Adaptive per-zone selection (ignores `SAG_SOLVER`).
+    /// Adaptive per-zone selection (the default).
     pub fn adaptive() -> Self {
-        SolverBuilder {
-            choice: SolverChoice::Adaptive,
-            ..Self::env_free()
-        }
+        Self::default()
     }
 
-    /// Always `backend` (ignores `SAG_SOLVER`).
+    /// Always `backend`.
     pub fn fixed(backend: SolverBackend) -> Self {
         SolverBuilder {
             choice: SolverChoice::Fixed(backend),
-            ..Self::env_free()
+            ..Self::default()
         }
     }
 
-    /// Race `a` against `b` (ignores `SAG_SOLVER`).
+    /// Race `a` against `b`.
     pub fn portfolio(a: SolverBackend, b: SolverBackend) -> Self {
         SolverBuilder {
             choice: SolverChoice::Portfolio(a, b),
-            ..Self::env_free()
-        }
-    }
-
-    /// A builder with library defaults and no env influence — the base
-    /// for the explicit constructors, so tests pinning a choice behave
-    /// the same under any `SAG_SOLVER`.
-    fn env_free() -> Self {
-        SolverBuilder {
-            choice: SolverChoice::Adaptive,
-            policy: SelectionPolicy::default(),
-            allow_fallback: true,
-            loser_fault: None,
+            ..Self::default()
         }
     }
 
@@ -740,11 +668,6 @@ impl SolverBuilder {
     pub fn with_loser_fault(mut self, fault: LoserFault) -> Self {
         self.loser_fault = Some(fault);
         self
-    }
-
-    /// `true` when the process default came from `SAG_SOLVER`.
-    pub fn choice_from_env() -> bool {
-        env_choice().is_some()
     }
 
     /// Solves one zone: select (or race) a backend, run the ladder,
@@ -1174,36 +1097,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, SagError::LedgerDesync(_)));
-    }
-
-    #[test]
-    fn choice_parsing_roundtrips() {
-        assert_eq!(
-            SolverChoice::parse("adaptive"),
-            Some(SolverChoice::Adaptive)
-        );
-        assert_eq!(
-            SolverChoice::parse("lp_round"),
-            Some(SolverChoice::Fixed(SolverBackend::LpRound))
-        );
-        assert_eq!(
-            SolverChoice::parse("portfolio"),
-            Some(SolverChoice::Portfolio(
-                SolverBackend::ExactIlp,
-                SolverBackend::LpRound
-            ))
-        );
-        assert_eq!(
-            SolverChoice::parse("portfolio:greedy+local_search"),
-            Some(SolverChoice::Portfolio(
-                SolverBackend::Greedy,
-                SolverBackend::LocalSearch
-            ))
-        );
-        assert_eq!(SolverChoice::parse("simulated_annealing"), None);
-        for backend in SolverBackend::ALL {
-            assert_eq!(SolverBackend::parse(backend.name()), Some(backend));
-        }
     }
 
     #[test]

@@ -129,12 +129,16 @@ impl fmt::Display for PipelineTrace {
     }
 }
 
-/// Runs the SAG pipeline and returns the report together with its trace.
+/// Runs the SAG pipeline under `config` and returns the report together
+/// with its trace.
 ///
 /// # Errors
-/// Exactly those of [`crate::sag::run_sag`].
-pub fn run_sag_traced(scenario: &Scenario) -> SagResult<(SagReport, PipelineTrace)> {
-    let report = run_sag_with(scenario, SagPipelineConfig::default())?;
+/// Exactly those of [`crate::sag::run_sag_with`].
+pub fn run_sag_traced(
+    scenario: &Scenario,
+    config: SagPipelineConfig,
+) -> SagResult<(SagReport, PipelineTrace)> {
+    let report = run_sag_with(scenario, config)?;
     let trace = trace_from_report(scenario, &report);
     Ok((report, trace))
 }
@@ -223,7 +227,7 @@ mod tests {
     #[test]
     fn trace_records_every_stage() {
         let sc = scenario();
-        let (report, trace) = run_sag_traced(&sc).unwrap();
+        let (report, trace) = run_sag_traced(&sc, SagPipelineConfig::default()).unwrap();
         assert_eq!(trace.events.len(), 5);
         assert!(matches!(trace.events[0], TraceEvent::Zones { .. }));
         assert!(matches!(trace.events[4], TraceEvent::UpperPower { .. }));
@@ -244,7 +248,7 @@ mod tests {
     #[test]
     fn savings_are_consistent() {
         let sc = scenario();
-        let (report, trace) = run_sag_traced(&sc).unwrap();
+        let (report, trace) = run_sag_traced(&sc, SagPipelineConfig::default()).unwrap();
         let saving = trace.total_saving();
         assert!(saving >= 0.0);
         // Savings equal (baseline totals) − (report totals).
@@ -257,7 +261,7 @@ mod tests {
     #[test]
     fn floor_below_after_below_before() {
         let sc = scenario();
-        let (_, trace) = run_sag_traced(&sc).unwrap();
+        let (_, trace) = run_sag_traced(&sc, SagPipelineConfig::default()).unwrap();
         if let TraceEvent::LowerPower {
             before,
             after,
@@ -274,7 +278,7 @@ mod tests {
     #[test]
     fn display_renders() {
         let sc = scenario();
-        let (_, trace) = run_sag_traced(&sc).unwrap();
+        let (_, trace) = run_sag_traced(&sc, SagPipelineConfig::default()).unwrap();
         let s = format!("{trace}");
         assert!(s.contains("zones:"));
         assert!(s.contains("total saving"));

@@ -1,4 +1,4 @@
-//! Connected components and traversals.
+//! Connected components.
 //!
 //! The all-pairs Zone Partition (Algorithm 2) referee in
 //! `sag_core::reference` builds a graph over subscribers whose effective
@@ -45,29 +45,6 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<usize>> {
     out
 }
 
-/// Breadth-first order from `start` (including `start`); unreachable
-/// vertices are absent.
-///
-/// # Panics
-/// Panics if `start` is out of range.
-pub fn bfs_order(g: &Graph, start: usize) -> Vec<usize> {
-    assert!(start < g.vertex_count(), "start {start} out of range");
-    let mut seen = vec![false; g.vertex_count()];
-    let mut queue = std::collections::VecDeque::from([start]);
-    seen[start] = true;
-    let mut order = Vec::new();
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for (nb, _) in g.neighbors(v) {
-            if !seen[nb] {
-                seen[nb] = true;
-                queue.push_back(nb);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,20 +66,5 @@ mod tests {
     #[test]
     fn empty_graph() {
         assert!(connected_components(&Graph::new(0)).is_empty());
-    }
-
-    #[test]
-    fn bfs_order_starts_at_start() {
-        let g = two_islands();
-        let order = bfs_order(&g, 1);
-        assert_eq!(order[0], 1);
-        assert_eq!(order.len(), 3);
-        assert!(!order.contains(&4));
-    }
-
-    #[test]
-    #[should_panic]
-    fn bfs_out_of_range_panics() {
-        bfs_order(&Graph::new(1), 1);
     }
 }

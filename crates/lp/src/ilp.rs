@@ -85,9 +85,9 @@ impl IlpProblem {
     }
 
     /// Enables or disables dual-simplex warm starts of child
-    /// relaxations from their parent's basis (on by default; only
-    /// effective on the sparse backend). Cold solves are the
-    /// differential baseline — `bench_lp` measures the gap.
+    /// relaxations from their parent's basis (on by default). Cold
+    /// solves are the differential baseline — `bench_lp` measures the
+    /// gap.
     pub fn set_warm_start(&mut self, warm: bool) -> &mut Self {
         self.warm_start = warm;
         self

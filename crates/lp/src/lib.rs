@@ -1,10 +1,11 @@
 //! # sag-lp — linear programming and branch-and-bound ILP
 //!
 //! A self-contained LP solver plus a binary/integer branch-and-bound
-//! layer. Solves run on a sparse revised simplex ([`revised`]: CSC
-//! storage, LU basis factors with eta updates, dual-simplex warm
-//! starts) by default; the original dense two-phase tableau
-//! ([`simplex`]) stays as the differential oracle ([`backend`]). This
+//! layer. Every solve runs on a sparse revised simplex ([`revised`]:
+//! CSC storage, LU basis factors with eta updates, dual-simplex warm
+//! starts); the original dense two-phase tableau ([`simplex`]) stays as
+//! the differential referee that tests call by name
+//! ([`LpProblem::solve_dense`]). This
 //! crate is the reproduction's substitute for **Gurobi 5.0**, which the
 //! paper uses for its ILPQC (coverage with quadratic SNR constraints,
 //! §III-A.1) and LPQC (power minimisation, §III-A.2) benchmark
@@ -36,7 +37,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![warn(rust_2018_idioms)]
 
-pub mod backend;
 pub mod budget;
 pub mod error;
 pub mod ilp;
@@ -45,7 +45,6 @@ pub mod revised;
 pub mod simplex;
 pub mod sparse;
 
-pub use backend::{push_backend_override, LpBackend};
 pub use budget::{Budget, Spent};
 pub use error::LpError;
 pub use ilp::{IlpProblem, IlpSolution};

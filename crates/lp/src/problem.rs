@@ -1,9 +1,10 @@
 //! User-facing LP modelling: sparse rows, ≤/≥/=, variable bounds.
 //!
 //! [`LpProblem`] lowers itself to equality standard form for one of two
-//! backends (see [`crate::backend`]): the sparse revised simplex
-//! ([`crate::revised`], the default) or the dense two-phase tableau
-//! ([`crate::simplex`], the differential oracle). Both lowerings shift
+//! cores: the sparse revised simplex ([`crate::revised`]), which every
+//! solve runs, or the dense two-phase tableau ([`crate::simplex`]), the
+//! differential referee that tests call by name through
+//! [`LpProblem::solve_dense`]. Both lowerings shift
 //! variables by their lower bounds, turn finite upper bounds into extra
 //! `≤` rows, and give inequality rows slack/surplus columns. They
 //! differ in one deliberate way: the dense core requires `b ≥ 0`, so
@@ -17,7 +18,6 @@
 // Building dense rows/columns is index arithmetic by nature.
 #![allow(clippy::needless_range_loop)]
 
-use crate::backend::{backend, LpBackend};
 use crate::budget::Budget;
 use crate::error::LpError;
 use crate::revised::{
@@ -127,8 +127,8 @@ pub struct WarmOutcome {
     /// The optimal solution.
     pub solution: LpSolution,
     /// Warm-start handle for a subsequent same-shaped solve; `None`
-    /// under the dense oracle backend or when the terminal basis cannot
-    /// seed one (it kept an artificial for a redundant row).
+    /// when the terminal basis cannot seed one (it kept an artificial
+    /// for a redundant row).
     pub warm: Option<WarmStart>,
     /// Whether the provided seed basis was actually used (shape
     /// matched and the dual simplex accepted it).
@@ -286,21 +286,23 @@ impl LpProblem {
     /// `objective == Σ duals_i · rhs_i + Σ bound contributions` for the
     /// tight rows. Equality-row duals are reported as `None`.
     ///
-    /// Routed through the active [`crate::backend::LpBackend`]: the
-    /// sparse revised simplex by default, the dense tableau under
-    /// `SAG_LP_ORACLE=1` or a scoped override.
+    /// Runs on the sparse revised simplex.
     ///
     /// # Errors
     /// As [`LpProblem::solve`].
     pub fn solve_detailed(&self) -> Result<LpSolutionDetailed, LpError> {
-        match backend() {
-            LpBackend::Dense => self.solve_detailed_dense(),
-            LpBackend::Sparse => self.solve_sparse_outcome(None).map(|o| o.solution),
-        }
+        self.solve_sparse_outcome(None).map(|o| o.solution)
     }
 
-    /// The dense-tableau lowering and solve (the differential oracle).
-    fn solve_detailed_dense(&self) -> Result<LpSolutionDetailed, LpError> {
+    /// Solves the problem on the dense two-phase tableau
+    /// ([`crate::simplex`]), duals included: the differential referee
+    /// for the sparse core. Library code never calls it; parity tests
+    /// and `bench_lp` compare it against [`LpProblem::solve_detailed`]
+    /// and [`LpSession::solve`].
+    ///
+    /// # Errors
+    /// As [`LpProblem::solve`].
+    pub fn solve_dense(&self) -> Result<LpSolutionDetailed, LpError> {
         // Shift x = lower + x'. Build rows over x' ≥ 0.
         let n = self.n;
         let mut rows: Vec<(Vec<f64>, Relation, f64)> = Vec::new();
@@ -619,40 +621,24 @@ impl LpProblem {
         })
     }
 
-    /// Solves the problem, seeding the sparse backend's dual simplex
-    /// from a previous solve's basis when `warm` is compatible (same
+    /// Solves the problem, seeding the sparse core's dual simplex from
+    /// a previous solve's basis when `warm` is compatible (same
     /// `LoweredShape` — i.e. only bounds/right-hand sides changed, as
-    /// under branch-and-bound branching). Under the dense oracle
-    /// backend this is a plain cold solve and no handle is returned.
+    /// under branch-and-bound branching).
     ///
     /// # Errors
     /// As [`LpProblem::solve`]; a warm seed that cannot be used falls
     /// back to a cold solve rather than erroring.
     pub fn solve_with_warm_start(&self, warm: Option<&WarmStart>) -> Result<WarmOutcome, LpError> {
-        match backend() {
-            LpBackend::Dense => {
-                let d = self.solve_detailed_dense()?;
-                Ok(WarmOutcome {
-                    solution: LpSolution {
-                        objective: d.objective,
-                        x: d.x,
-                    },
-                    warm: None,
-                    warm_used: false,
-                })
-            }
-            LpBackend::Sparse => {
-                let out = self.solve_sparse_outcome(warm)?;
-                Ok(WarmOutcome {
-                    solution: LpSolution {
-                        objective: out.solution.objective,
-                        x: out.solution.x,
-                    },
-                    warm: out.warm,
-                    warm_used: out.warm_used,
-                })
-            }
-        }
+        let out = self.solve_sparse_outcome(warm)?;
+        Ok(WarmOutcome {
+            solution: LpSolution {
+                objective: out.solution.objective,
+                x: out.solution.x,
+            },
+            warm: out.warm,
+            warm_used: out.warm_used,
+        })
     }
 
     /// Returns the objective coefficients.
@@ -747,8 +733,8 @@ fn reusable_basis(sf: &SparseStandardForm, basis: Vec<usize>) -> Option<Vec<usiz
 /// factors it uses, the dual-feasibility guard (an unusable basis falls
 /// back to a cold solve) and budget polling, and flushes its own
 /// `lp.sparse_*` counters. A failed solve drops the kept basis, so the
-/// next one starts cold. Under the [`LpBackend::Dense`] oracle every
-/// solve is a cold dense solve of the problem as it stands.
+/// next one starts cold. [`LpProblem::solve_dense`] on
+/// [`LpSession::problem`] is the referee for each re-solve.
 ///
 /// # Example
 /// ```
@@ -817,23 +803,17 @@ impl LpSession {
     /// # Errors
     /// As [`LpProblem::solve`].
     pub fn solve(&mut self) -> Result<LpSolution, LpError> {
-        let d = match backend() {
-            LpBackend::Dense => self.problem.solve_detailed_dense()?,
-            LpBackend::Sparse => {
-                if self.stale_rhs {
-                    self.problem.lower_rhs(&mut self.lowered);
-                    self.stale_rhs = false;
-                }
-                let seed = self.kept.take().map(|(basis, fact)| (basis, Some(fact)));
-                let (solved, _) = solve_lowered(&self.lowered.sf, seed, &self.problem.budget)?;
-                let d = self
-                    .problem
-                    .sparse_detailed(&self.lowered, &solved.solution);
-                self.kept = reusable_basis(&self.lowered.sf, solved.solution.basis)
-                    .map(|basis| (basis, solved.fact));
-                d
-            }
-        };
+        if self.stale_rhs {
+            self.problem.lower_rhs(&mut self.lowered);
+            self.stale_rhs = false;
+        }
+        let seed = self.kept.take().map(|(basis, fact)| (basis, Some(fact)));
+        let (solved, _) = solve_lowered(&self.lowered.sf, seed, &self.problem.budget)?;
+        let d = self
+            .problem
+            .sparse_detailed(&self.lowered, &solved.solution);
+        self.kept = reusable_basis(&self.lowered.sf, solved.solution.basis)
+            .map(|basis| (basis, solved.fact));
         Ok(LpSolution {
             objective: d.objective,
             x: d.x,
@@ -1046,7 +1026,6 @@ mod session_tests {
         lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
         lp.set_budget(Budget::unlimited().with_cancel_flag(flag.clone()));
         let mut session = LpSession::new(lp);
-        let _g = crate::backend::push_backend_override(Some(LpBackend::Sparse));
         assert!((session.solve().unwrap().objective - 1.0).abs() < 1e-9);
         session.set_bounds(0, 0.5, f64::INFINITY);
         flag.store(true, Ordering::Relaxed);

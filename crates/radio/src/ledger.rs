@@ -91,7 +91,7 @@ pub enum LedgerMode {
     Incremental,
     /// Brute-force recompute per query (`O(R)`): the exact reference
     /// path, kept alive for parity checking and debugging
-    /// (`SAG_SNR_ORACLE=1` in the pipeline).
+    /// (`SagPipelineConfig::snr_oracle: Some(true)` in the pipeline).
     Oracle,
 }
 

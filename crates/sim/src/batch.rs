@@ -27,13 +27,12 @@
 //! are byte-identical across thread counts, job orders
 //! ([`JobOrder::Shuffled`] included), cache states (cold, warm,
 //! disabled) and the per-cell reference path
-//! ([`sweep_multi_reference`]). The cache can change only *when* an
-//! artifact is built, never its value.
+//! ([`crate::reference::sweep_multi_reference`]). The cache can change
+//! only *when* an artifact is built, never its value.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::fingerprint::Fingerprint;
@@ -79,8 +78,8 @@ impl SweepCache {
     }
 
     /// A cache that never stores: every access runs the build closure
-    /// (and counts as a miss). This is what `SAG_SWEEP_CACHE=0`
-    /// installs, and what the per-cell reference path uses.
+    /// (and counts as a miss). This is what the per-cell reference
+    /// path uses.
     pub fn disabled() -> Arc<Self> {
         Arc::new(SweepCache {
             enabled: false,
@@ -88,11 +87,6 @@ impl SweepCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
-    }
-
-    /// Whether this cache stores artifacts at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Returns the artifact for `fp`, building it with `build` on the
@@ -148,7 +142,7 @@ impl SweepCache {
 /// Per-sweep handle handed to every `eval` invocation: the gateway to
 /// the invariant cache.
 pub struct BatchCtx<'a> {
-    cache: &'a SweepCache,
+    pub(crate) cache: &'a SweepCache,
 }
 
 impl BatchCtx<'_> {
@@ -159,12 +153,6 @@ impl BatchCtx<'_> {
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
         self.cache.cached(fp, build)
-    }
-
-    /// Whether artifacts are actually being stored (false under
-    /// `SAG_SWEEP_CACHE=0` and on the reference path).
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_enabled()
     }
 }
 
@@ -183,48 +171,32 @@ pub enum JobOrder {
     Shuffled(u64),
 }
 
+/// Cells each sweep worker claims per fetch unless
+/// [`SweepOptions::lanes`] says otherwise.
+const DEFAULT_LANES: usize = 4;
+
 /// Engine knobs beyond [`SweepConfig`].
 #[derive(Clone)]
 pub struct SweepOptions {
     /// Cells claimed per worker fetch (the lane-batch width K);
-    /// clamped to at least 1. Defaults to `SAG_SWEEP_LANES` (read once
-    /// per process), else 4.
+    /// clamped to at least 1. Defaults to 4.
     pub lanes: usize,
     /// Claim order (see [`JobOrder`]).
     pub order: JobOrder,
     /// A shared cache to reuse across sweep calls (warm starts across
-    /// a whole figure); `None` builds a fresh per-call cache, disabled
-    /// when `SAG_SWEEP_CACHE=0`.
+    /// a whole figure); `None` builds a fresh, enabled cache for the
+    /// call.
     pub cache: Option<Arc<SweepCache>>,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            lanes: default_lanes(),
+            lanes: DEFAULT_LANES,
             order: JobOrder::RowMajor,
             cache: None,
         }
     }
-}
-
-/// The `SAG_SWEEP_LANES` default, read once per process.
-fn default_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("SAG_SWEEP_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .unwrap_or(4)
-    })
-}
-
-/// Whether `SAG_SWEEP_CACHE` leaves per-call caches enabled (default
-/// yes; `0` disables), read once per process.
-fn cache_enabled_by_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| !matches!(std::env::var("SAG_SWEEP_CACHE").as_deref(), Ok("0")))
 }
 
 /// One cell's raw outcome: `None` when the eval panicked or returned
@@ -265,13 +237,7 @@ where
     if n_metrics == 0 {
         return Vec::new();
     }
-    let cache = opts.cache.clone().unwrap_or_else(|| {
-        if cache_enabled_by_env() {
-            SweepCache::new()
-        } else {
-            SweepCache::disabled()
-        }
-    });
+    let cache = opts.cache.clone().unwrap_or_else(SweepCache::new);
     let stats_before = cache.stats();
     let ctx = BatchCtx { cache: &cache };
 
@@ -341,97 +307,11 @@ fn aggregate(
         .collect()
 }
 
-/// The pre-existing per-cell sweep path, kept as the differential
-/// reference: one job per `(x, run)` cell, a mutex-guarded outcome
-/// grid, and a build-every-time cache, exactly as the runner worked
-/// before the batched engine. [`sweep_multi_with`] must stay
-/// byte-identical to this at any thread count, cache state and job
-/// order — the determinism suite and `bench_sweep` both diff against
-/// it.
-pub fn sweep_multi_reference<X, F>(
-    xs: &[X],
-    n_metrics: usize,
-    config: SweepConfig,
-    eval: F,
-) -> Vec<Vec<CellStats>>
-where
-    X: Copy + Sync,
-    F: Fn(&BatchCtx<'_>, X, u64) -> Vec<Option<f64>> + Sync,
-{
-    if n_metrics == 0 {
-        return Vec::new();
-    }
-    let cache = SweepCache::disabled();
-    let ctx = BatchCtx { cache: &cache };
-    // outcomes[i][m][r]; failed[i][r] marks crashed runs.
-    let outcomes: Vec<Vec<Mutex<Vec<Option<f64>>>>> = xs
-        .iter()
-        .map(|_| {
-            (0..n_metrics)
-                .map(|_| Mutex::new(vec![None; config.runs]))
-                .collect()
-        })
-        .collect();
-    let failed: Vec<Mutex<Vec<bool>>> = xs
-        .iter()
-        .map(|_| Mutex::new(vec![false; config.runs]))
-        .collect();
-
-    let jobs: Vec<(usize, usize)> = (0..xs.len())
-        .flat_map(|i| (0..config.runs).map(move |r| (i, r)))
-        .collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..config.threads.max(1).min(jobs.len().max(1)) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= jobs.len() {
-                    break;
-                }
-                let (i, r) = jobs[k];
-                let vals = catch_unwind(AssertUnwindSafe(|| eval(&ctx, xs[i], config.seed(i, r))))
-                    .ok()
-                    .filter(|v| v.len() == n_metrics);
-                match vals {
-                    Some(vals) => {
-                        for (m, v) in vals.into_iter().enumerate() {
-                            outcomes[i][m].lock().expect("no worker poisons a cell")[r] = v;
-                        }
-                    }
-                    None => {
-                        failed[i].lock().expect("no worker poisons a cell")[r] = true;
-                    }
-                }
-            });
-        }
-    });
-
-    (0..n_metrics)
-        .map(|m| {
-            xs.iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    let n_failed = failed[i]
-                        .lock()
-                        .expect("workers joined cleanly")
-                        .iter()
-                        .filter(|&&f| f)
-                        .count();
-                    CellStats::from_runs_with_failures(
-                        &outcomes[i][m].lock().expect("workers joined cleanly"),
-                        n_failed,
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fingerprint::FpHasher;
+    use crate::reference::sweep_multi_reference;
 
     fn cfg(runs: usize, threads: usize) -> SweepConfig {
         SweepConfig {

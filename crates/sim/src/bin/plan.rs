@@ -13,6 +13,7 @@
 
 use sag_core::model::Scenario;
 use sag_core::resilience;
+use sag_core::sag::SagPipelineConfig;
 use sag_core::trace::run_sag_traced;
 use sag_core::validate::validate_report;
 use sag_sim::experiments::fig6::TopologyDump;
@@ -96,6 +97,15 @@ fn parse_args() -> Args {
     args
 }
 
+/// Zone-parallel workers for the solve: `SAG_THREADS` when set and
+/// parsable (`0` means every hardware thread), else 1.
+fn env_threads() -> usize {
+    std::env::var("SAG_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(1)
+}
+
 fn main() {
     let _obs = sag_obs::init_from_env();
     let args = parse_args();
@@ -129,7 +139,11 @@ fn main() {
         scenario.params.link.beta_db(),
     );
 
-    let (report, trace) = match run_sag_traced(&scenario) {
+    let config = SagPipelineConfig {
+        threads: env_threads(),
+        ..SagPipelineConfig::default()
+    };
+    let (report, trace) = match run_sag_traced(&scenario, config) {
         Ok(r) => r,
         Err(e) => die(&format!("pipeline failed: {e}")),
     };

@@ -6,8 +6,9 @@
 //! cargo run -p sag-sim --release --bin repro -- fig6 --csv out/
 //! ```
 //!
-//! Flags: `--fast` (3 runs instead of 10), `--runs N`, `--csv DIR`
-//! (also write each table as CSV into DIR).
+//! Flags: `--fast` (3 runs instead of 10), `--runs N`, `--threads N`
+//! (sweep workers), `--csv DIR` (also write each table as CSV into
+//! DIR).
 
 use std::io::Write as _;
 
@@ -102,6 +103,7 @@ fn main() {
         }
         i += 1;
     }
+    let config = config.validated().unwrap_or_else(|e| die(&e.to_string()));
     if picked.is_empty() {
         usage();
         return;
@@ -249,9 +251,6 @@ fn usage() {
     );
     println!("       repro trace FILE.jsonl [OLD.jsonl NEW.jsonl for a diff]");
     println!("experiments: all {}", EXPERIMENTS.join(" "));
-    println!("env: SAG_THREADS=N  zone-parallel workers inside each pipeline solve");
-    println!("     (orthogonal to --threads, which parallelises across sweep cells;");
-    println!("      threads=1 and threads=N solves are byte-identical)");
 }
 
 fn die(msg: &str) -> ! {

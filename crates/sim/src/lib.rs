@@ -12,6 +12,9 @@
 //!   `(x, run)` grid on `sag_obs::par_indexed` workers, and the
 //!   fingerprint-keyed invariant cache,
 //! * [`fingerprint`] — 128-bit content hashes keying that cache,
+//! * [`reference`](mod@reference) — the per-cell sweep path, kept as
+//!   the batched engine's differential referee (tests and benches
+//!   only),
 //! * [`snapshot`] — compact binary scenario snapshots (`bytes`),
 //! * [`experiments`] — one module per paper artefact: Fig. 3(a–e),
 //!   Fig. 4/5(a–d), Fig. 6, Fig. 7(a–c), Table II,
@@ -46,6 +49,7 @@ pub mod fingerprint;
 pub mod gen;
 pub mod heatmap;
 pub mod plot;
+pub mod reference;
 pub mod runner;
 pub mod snapshot;
 pub mod stats;

@@ -14,7 +14,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::stats::CellStats;
 
@@ -46,19 +45,14 @@ pub struct SweepConfig {
     /// Base seed; run `r` at x-index `i` uses `base_seed + i·stride + r`
     /// with `stride = max(runs, 1000)` (see [`SweepConfig::seed`]).
     pub base_seed: u64,
-    /// Maximum worker threads. The default respects `SAG_THREADS`
-    /// (see [`SweepConfig::default`]).
+    /// Maximum worker threads (see [`SweepConfig::default`]).
     pub threads: usize,
 }
 
 impl Default for SweepConfig {
-    /// The default thread count respects `SAG_THREADS` with the same
-    /// semantics as `SagPipelineConfig`: `0` means all hardware
-    /// threads, `N` means exactly `N`. When the variable is unset (or
-    /// unparsable) the fallback is `min(hardware threads, 8)` — the
-    /// historical literal 8 survives only as a cap, so single-thread
-    /// hosts stop oversubscribing. The variable is read once per
-    /// process.
+    /// Ten runs from seed 1 on `min(hardware threads, 8)` workers —
+    /// the historical literal 8 survives only as a cap, so
+    /// single-thread hosts do not oversubscribe.
     fn default() -> Self {
         SweepConfig {
             runs: 10,
@@ -68,22 +62,11 @@ impl Default for SweepConfig {
     }
 }
 
-/// Resolves the `SAG_THREADS`-aware default worker count (read once).
+/// `min(hardware threads, 8)`: the default sweep worker count.
 fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        match std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => hw,
-            Some(n) => n,
-            None => hw.min(8),
-        }
-    })
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(8)
 }
 
 impl SweepConfig {
@@ -200,18 +183,10 @@ mod tests {
 
     #[test]
     fn default_threads_is_positive_and_env_capped() {
-        let t = SweepConfig::default().threads;
-        assert!(t >= 1);
-        // Unset (or unparsable) SAG_THREADS keeps the historical 8
-        // only as a *cap*, never as an oversubscribing floor.
-        match std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            None => assert!(t <= 8),
-            Some(0) => {}
-            Some(n) => assert_eq!(t, n),
-        }
+        // Capped by the host: the historical 8 is only a *cap*, never
+        // an oversubscribing floor.
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(SweepConfig::default().threads, hw.min(8));
     }
 
     #[test]

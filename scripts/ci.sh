@@ -17,6 +17,15 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Configuration at the edge: the library code of sag-core, sag-lp,
+# sag-radio and sag-sim reads no environment. Callers pass what they
+# want in config values; only the binaries under src/bin/ may read a
+# variable and hand it down.
+echo "==> no env::var in the library code of crates/{core,lp,radio,sim}/src"
+if grep -rn 'env::var' crates/core/src crates/lp/src crates/radio/src crates/sim/src | grep -v '/src/bin/'; then
+    echo "library code reads the environment; read it in a binary and pass it in a config"
+    exit 1
+fi
 # Rustdoc gate: broken or private intra-doc links fail the build, so a
 # deleted item cannot leave a dangling link behind.
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
@@ -35,8 +44,9 @@ echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity 
 SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline
 
 # LP parity soak: the sparse revised simplex against the dense tableau
-# oracle (differential rig), warm-vs-cold B&B incumbents, kept-session
-# re-solves under random bound changes (vs cold solves and the oracle,
+# referee (LpProblem::solve_dense), warm-vs-cold B&B incumbents,
+# kept-session re-solves under random bound changes (vs cold solves and
+# the referee,
 # bit-identical unchanged re-solves, LU skew mid-session), refactor
 # cadence bit-stability, and CscMatrix construction fuzz.
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline"
@@ -80,20 +90,11 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test sweep_determinism -q --o
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline
 
-# Solver-backend matrix: the integration suite must stay green when
-# SAG_SOLVER forces every zone onto a heuristic backend. Tests that
-# assert exact-path behaviour pin their builder explicitly, so the
-# override only reaches code that must be backend-agnostic.
-for solver in greedy lp_round; do
-    echo "==> SAG_SOLVER=${solver} cargo test -p sag-integration -q --offline"
-    SAG_SOLVER=${solver} cargo test -p sag-integration -q --offline
-done
-
 # Sweep smoke: a real figure sweep (the cache-heavy Fig. 3(e) shape)
 # driven end to end through the release repro binary and the batched
 # engine. Fig. 3(e) reaches its solvers through solve_ilpqc and samc
-# directly, never through SolverBuilder, so SAG_SOLVER would not
-# change it; the arm checks that the sweep runs to completion.
+# directly, never through SolverBuilder; the arm checks that the sweep
+# runs to completion.
 echo "==> cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1"
 cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1 > /dev/null
 

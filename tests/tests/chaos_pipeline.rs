@@ -122,7 +122,7 @@ fn starved_ilpqc_falls_back_to_greedy_and_reports_it() {
     let config = SagPipelineConfig {
         lower_solver: LowerSolver::IlpqcWithGreedyFallback,
         // Pinned: this acceptance is about the exact → greedy ladder,
-        // whatever `SAG_SOLVER` says in CI.
+        // which adaptive selection skips on a zero node budget.
         solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
         budget: Budget::unlimited().with_node_limit(0),
         ..Default::default()
@@ -338,7 +338,9 @@ fn lp_basis_desync_recovers_or_errs_typed_never_wrong() {
 /// S1 regression: a deadline the lower tier legitimately consumed must
 /// never be double-spent against the polynomial tail. Whatever the
 /// timing, `BudgetExceeded` may only name the lower-tier stage — a
-/// successful SAMC/ILPQC answer implies the tail completes.
+/// successful SAMC/ILPQC answer implies the tail completes. The ILPQC
+/// ladder runs under adaptive selection and with every zone forced onto
+/// each heuristic backend.
 #[test]
 fn tail_stages_never_fail_on_a_deadline_the_lower_tier_spent() {
     for seed in 0..6u64 {
@@ -351,17 +353,33 @@ fn tail_stages_never_fail_on_a_deadline_the_lower_tier_spent() {
                 ..Default::default()
             }
             .build(seed);
-            for solver in [LowerSolver::Samc, LowerSolver::IlpqcWithGreedyFallback] {
+            for (solver, builder) in [
+                (LowerSolver::Samc, SolverBuilder::adaptive()),
+                (
+                    LowerSolver::IlpqcWithGreedyFallback,
+                    SolverBuilder::adaptive(),
+                ),
+                (
+                    LowerSolver::IlpqcWithGreedyFallback,
+                    SolverBuilder::fixed(SolverBackend::Greedy),
+                ),
+                (
+                    LowerSolver::IlpqcWithGreedyFallback,
+                    SolverBuilder::fixed(SolverBackend::LpRound),
+                ),
+            ] {
                 let config = SagPipelineConfig {
                     lower_solver: solver,
+                    solver: builder,
                     budget: Budget::unlimited().with_deadline(Duration::from_millis(deadline_ms)),
                     ..Default::default()
                 };
                 if let Err(SagError::BudgetExceeded { stage, .. }) = run_sag_with(&sc, config) {
                     assert!(
                         stage == "samc" || stage == "ilpqc",
-                        "seed {seed}, {deadline_ms}ms, {solver:?}: \
-                         tail stage {stage:?} starved by a spent deadline"
+                        "seed {seed}, {deadline_ms}ms, {solver:?} {:?}: \
+                         tail stage {stage:?} starved by a spent deadline",
+                        builder.choice
                     );
                 }
             }

@@ -1,5 +1,6 @@
 //! Differential LP test rig: the sparse revised simplex must agree with
-//! the dense tableau oracle on every instance either can express, the
+//! the dense tableau referee (`LpProblem::solve_dense`) on every
+//! instance either can express, the
 //! warm-started branch-and-bound must reach the same incumbents as cold
 //! re-solves, a kept `LpSession` must answer every bound change as a
 //! fresh cold solve would (and an unchanged re-solve to the bit), the
@@ -12,8 +13,8 @@
 use sag_core::candidates::iac_candidates;
 use sag_lp::revised::{clear_lu_skew, inject_lu_skew, solve_sparse_with_period};
 use sag_lp::{
-    push_backend_override, Budget, CscMatrix, IlpProblem, LpBackend, LpError, LpProblem, LpSession,
-    LpSolution, Relation, SparseStandardForm, SIMPLEX_TOL,
+    Budget, CscMatrix, IlpProblem, LpError, LpProblem, LpSession, LpSolution, Relation,
+    SparseStandardForm, SIMPLEX_TOL,
 };
 use sag_sim::gen::ScenarioSpec;
 use sag_testkit::prelude::*;
@@ -53,18 +54,10 @@ fn random_lp(rng: &mut Rng) -> LpProblem {
     lp
 }
 
-/// Solves `lp` under both backends and asserts status + objective
-/// parity.
+/// Solves `lp` on the sparse core and on the dense referee and asserts
+/// status + objective parity.
 fn assert_backend_parity(lp: &LpProblem, what: &str) {
-    let sparse = {
-        let _g = push_backend_override(Some(LpBackend::Sparse));
-        lp.solve()
-    };
-    let dense = {
-        let _g = push_backend_override(Some(LpBackend::Dense));
-        lp.solve()
-    };
-    match (sparse, dense) {
+    match (lp.solve(), dense_solve(lp)) {
         (Ok(s), Ok(d)) => {
             let scale = 1.0 + d.objective.abs();
             prop_assert!(
@@ -104,10 +97,12 @@ fn assert_same_answer(
     }
 }
 
-/// Solves `lp` cold under one backend.
-fn cold_solve(lp: &LpProblem, backend: LpBackend) -> Result<LpSolution, LpError> {
-    let _g = push_backend_override(Some(backend));
-    lp.solve()
+/// Solves `lp` cold on the dense referee.
+fn dense_solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
+    lp.solve_dense().map(|d| LpSolution {
+        objective: d.objective,
+        x: d.x,
+    })
 }
 
 /// A random bound change that keeps the lowered shape: a new lower
@@ -144,7 +139,7 @@ fn random_session_lp(rng: &mut Rng) -> LpProblem {
 prop! {
     /// A kept session under random sequences of bound changes: every
     /// solve agrees in status and objective with a cold sparse solve
-    /// and with the dense oracle on the same bounds, and a re-solve
+    /// and with the dense referee on the same bounds, and a re-solve
     /// with no bound change in between is bit-identical.
     #[cases(64)]
     fn session_matches_cold_solves_under_bound_changes(seed in 0u64..1_000_000) {
@@ -156,17 +151,11 @@ prop! {
                     random_bound_change(&mut rng, &mut session);
                 }
             }
-            let got = {
-                let _g = push_backend_override(Some(LpBackend::Sparse));
-                session.solve()
-            };
+            let got = session.solve();
             let what = format!("step {step}");
-            assert_same_answer(&got, &cold_solve(session.problem(), LpBackend::Sparse), &format!("{what} vs cold sparse"));
-            assert_same_answer(&got, &cold_solve(session.problem(), LpBackend::Dense), &format!("{what} vs dense oracle"));
-            let again = {
-                let _g = push_backend_override(Some(LpBackend::Sparse));
-                session.solve()
-            };
+            assert_same_answer(&got, &session.problem().solve(), &format!("{what} vs cold sparse"));
+            assert_same_answer(&got, &dense_solve(session.problem()), &format!("{what} vs dense referee"));
+            let again = session.solve();
             match (&got, &again) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{}: re-solve objective", what);
@@ -188,7 +177,6 @@ prop! {
     /// answer is still the clean one.
     #[cases(48)]
     fn session_recovers_from_lu_skew(seed in 0u64..1_000_000) {
-        let _g = push_backend_override(Some(LpBackend::Sparse));
         let mut rng = Rng::seed_from_u64(seed);
         let mut session = LpSession::new(random_session_lp(&mut rng));
         clear_lu_skew();
@@ -404,7 +392,6 @@ prop! {
 /// factors, on both rebuilds and on the cold fallback.
 #[test]
 fn session_surfaces_a_persistent_lu_skew() {
-    let _g = push_backend_override(Some(LpBackend::Sparse));
     // min x + 2y  s.t.  x + y ≥ 3,  x ≤ 2 (as a row, not a bound).
     let mut lp = LpProblem::minimize(2);
     lp.set_objective(&[1.0, 2.0]);

@@ -69,10 +69,32 @@ fn arb_spec() -> impl Strategy<Value = (usize, f64, f64, u64)> {
     )
 }
 
+/// The lower-tier arms the headline gate runs: SAMC, and the ILPQC
+/// ladder under adaptive selection and under each heuristic backend
+/// forced on every zone.
+fn lower_tier_arms() -> [(LowerSolver, SolverBuilder); 4] {
+    [
+        (LowerSolver::Samc, SolverBuilder::adaptive()),
+        (
+            LowerSolver::IlpqcWithGreedyFallback,
+            SolverBuilder::adaptive(),
+        ),
+        (
+            LowerSolver::IlpqcWithGreedyFallback,
+            SolverBuilder::fixed(SolverBackend::Greedy),
+        ),
+        (
+            LowerSolver::IlpqcWithGreedyFallback,
+            SolverBuilder::fixed(SolverBackend::LpRound),
+        ),
+    ]
+}
+
 prop! {
     /// The headline gate: over random scenarios spanning single-zone
     /// and many-zone partitions, a sequential and an 8-way parallel run
-    /// produce byte-identical reports for both lower-tier solvers.
+    /// produce byte-identical reports for SAMC and for the ILPQC ladder
+    /// under adaptive, greedy and LP-rounding backends.
     #[cases(24)]
     fn reports_are_identical_across_thread_counts(input in arb_spec()) {
         let (users, field, nmax, seed) = input;
@@ -89,21 +111,23 @@ prop! {
             ..Default::default()
         }
         .build(seed);
-        for solver in [LowerSolver::Samc, LowerSolver::IlpqcWithGreedyFallback] {
+        for (solver, builder) in lower_tier_arms() {
             let run = |threads: usize| {
                 run_sag_with(&sc, SagPipelineConfig {
                     lower_solver: solver,
+                    solver: builder,
                     threads,
                     ..Default::default()
                 })
             };
+            let arm = (solver, builder.choice);
             match (run(1), run(8)) {
                 (Ok(seq), Ok(par)) => {
                     prop_assert_eq!(
                         fingerprint(&seq),
                         fingerprint(&par),
                         "{:?}: threads=1 vs threads=8 diverged ({} zones)",
-                        solver,
+                        arm,
                         zone_partition(&sc).len()
                     );
                     prop_assert_eq!(
@@ -111,19 +135,19 @@ prop! {
                         metrics_fingerprint(&par),
                         "{:?}: collected metrics diverged across thread counts \
                          ({} zones)",
-                        solver,
+                        arm,
                         zone_partition(&sc).len()
                     );
                 }
                 // Errors must agree in kind; unbudgeted runs only fail
                 // deterministically (infeasible geometry), so the whole
                 // error must match.
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{:?}: errors diverged", solver),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{:?}: errors diverged", arm),
                 (a, b) => prop_assert!(
                     false,
                     "{:?}: one thread count failed where the other answered: \
                      seq={:?} par={:?}",
-                    solver, a.is_ok(), b.is_ok()
+                    arm, a.is_ok(), b.is_ok()
                 ),
             }
         }

@@ -154,24 +154,26 @@ fn hitting_strategies_all_yield_feasible_coverage() {
     }
 }
 
-/// Backend cross-validation: the sparse revised simplex and the dense
-/// tableau oracle must report the same ILPQC objective (relay count and
-/// proven optimality) on every zone of a partitioned scenario — the
-/// same per-zone route the parallel engine takes. Each zone is solved
-/// over its IAC candidates and over a fine GAC grid; the GAC sets reach
-/// `lp_bound_min_cands`, so the per-node LP bound session runs under
-/// both backends too.
+/// Backend cross-validation at the LP level, where the dense referee
+/// belongs: ILPQC bounds its branch and bound with the set-cover
+/// relaxation re-solved in one kept sparse `LpSession`, and the dense
+/// tableau (`LpProblem::solve_dense`) must agree with every re-solve.
+/// On every zone of a partitioned scenario — the same per-zone route
+/// the parallel engine takes — the GAC candidate sets that reach
+/// `lp_bound_min_cands` open a session on that relaxation (one `≥ 1`
+/// row per subscriber over its distance-eligible candidates, unit
+/// costs, `x ≥ 0`) and replay a depth-first branch-and-bound walk,
+/// fixing and releasing candidates as `CoverBound::bound` does. The
+/// kept-session ILPQC itself must prune nodes by that bound on these
+/// sets.
 #[test]
 fn ilpqc_backends_agree_per_zone() {
     use sag_core::zone::{zone_partition, zone_scenario};
-    use sag_lp::{push_backend_override, LpBackend};
 
-    let mut zones_checked = 0usize;
+    let min_cands = IlpqcConfig::default().lp_bound_min_cands;
     let mut bounded_sets = 0usize;
-    // LP-bound prunes per backend: the session must actually run under
-    // both cores, not just be built.
-    let sparse_log = Arc::new(sag_obs::Collector::default());
-    let dense_log = Arc::new(sag_obs::Collector::default());
+    let mut resolves = 0usize;
+    let log = Arc::new(sag_obs::Collector::default());
     for seed in 0..5u64 {
         let sc = ScenarioSpec {
             field_size: 600.0,
@@ -184,53 +186,108 @@ fn ilpqc_backends_agree_per_zone() {
         for zone in zone_partition(&sc) {
             let (zsc, _members) = zone_scenario(&sc, &zone);
             let gac = prune_useless(&zsc, gac_candidates(&zsc, GAC_GRID));
-            if gac.len() >= IlpqcConfig::default().lp_bound_min_cands {
-                bounded_sets += 1;
+            if gac.len() < min_cands {
+                continue;
             }
-            for cands in [iac_candidates(&zsc), gac] {
-                let sparse = sag_obs::with_local(sparse_log.clone(), || {
-                    let _g = push_backend_override(Some(LpBackend::Sparse));
-                    solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
-                });
-                let dense = sag_obs::with_local(dense_log.clone(), || {
-                    let _g = push_backend_override(Some(LpBackend::Dense));
-                    solve_ilpqc(&zsc, &cands, IlpqcConfig::default()).ok()
-                });
-                match (sparse, dense) {
-                    (Some(s), Some(d)) => {
-                        assert_eq!(
-                            s.solution.n_relays(),
-                            d.solution.n_relays(),
-                            "seed {seed}: sparse {} vs dense {} relays",
-                            s.solution.n_relays(),
-                            d.solution.n_relays()
-                        );
-                        assert_eq!(s.optimal, d.optimal, "seed {seed}: optimality flags differ");
-                        assert_eq!(s.nodes, d.nodes, "seed {seed}: search trees differ");
-                        zones_checked += 1;
-                    }
-                    (None, None) => {} // both infeasible — consistent
-                    (s, d) => panic!(
-                        "seed {seed}: backend feasibility disagreement sparse={:?} dense={:?}",
-                        s.map(|o| o.solution.n_relays()),
-                        d.map(|o| o.solution.n_relays())
-                    ),
-                }
-            }
+            bounded_sets += 1;
+            resolves += replay_cover_bounds(&zsc, &gac, &format!("seed {seed}"));
+            sag_obs::with_local(log.clone(), || {
+                solve_ilpqc(&zsc, &gac, IlpqcConfig::default()).ok()
+            });
         }
     }
-    assert!(
-        zones_checked >= 5,
-        "too few solvable zones ({zones_checked})"
-    );
     assert!(
         bounded_sets >= 3,
         "too few GAC candidate sets reach the per-node LP bound ({bounded_sets})"
     );
-    for (backend, log) in [("sparse", &sparse_log), ("dense", &dense_log)] {
-        let prunes = log.summary().counter("ilpqc.lp_prunes");
-        assert!(prunes > 0, "{backend}: no node was pruned by the LP bound");
+    assert_eq!(
+        resolves,
+        bounded_sets * BOUND_REPLAY_SOLVES,
+        "every bounded set replays its full walk"
+    );
+    let prunes = log.summary().counter("ilpqc.lp_prunes");
+    assert!(prunes > 0, "no node was pruned by the LP bound");
+}
+
+/// Re-solves per candidate set in [`ilpqc_backends_agree_per_zone`].
+const BOUND_REPLAY_SOLVES: usize = 60;
+
+/// Opens a kept session on the cover relaxation of `cands` and walks
+/// the branch-and-bound tree depth first — branching on the first
+/// subscriber no fixed candidate covers, nearest candidate first — for
+/// [`BOUND_REPLAY_SOLVES`] nodes. Each node fixes its selection to
+/// `[1, ∞)` and releases the previous node's other candidates to
+/// `[0, ∞)`; the re-solve must match the dense referee on the
+/// session's problem in status and in objective. Returns the number of
+/// re-solves checked.
+fn replay_cover_bounds(sc: &sag_core::model::Scenario, cands: &[Point], what: &str) -> usize {
+    use sag_lp::{LpProblem, LpSession, Relation, SIMPLEX_TOL};
+
+    let eligible: Vec<Vec<usize>> = sc
+        .subscribers
+        .iter()
+        .map(|sub| {
+            let circle = sub.feasible_circle();
+            (0..cands.len())
+                .filter(|&c| circle.contains(cands[c]))
+                .collect()
+        })
+        .collect();
+    let mut lp = LpProblem::minimize(cands.len());
+    lp.set_objective(&vec![1.0; cands.len()]);
+    for e in &eligible {
+        let row: Vec<(usize, f64)> = e.iter().map(|&c| (c, 1.0)).collect();
+        lp.add_constraint(&row, Relation::Ge, 1.0);
     }
+    let mut session = LpSession::new(lp);
+
+    let mut fixed: Vec<usize> = Vec::new();
+    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut resolves = 0usize;
+    while let Some(selected) = stack.pop() {
+        if resolves == BOUND_REPLAY_SOLVES {
+            break;
+        }
+        for &c in fixed.iter().filter(|c| !selected.contains(c)) {
+            session.set_bounds(c, 0.0, f64::INFINITY);
+        }
+        for &c in selected.iter().filter(|c| !fixed.contains(c)) {
+            session.set_bounds(c, 1.0, f64::INFINITY);
+        }
+        fixed.clone_from(&selected);
+        let got = session.solve();
+        let want = session.problem().solve_dense();
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                let scale = 1.0 + w.objective.abs();
+                assert!(
+                    (g.objective - w.objective).abs() <= 1e3 * SIMPLEX_TOL * scale,
+                    "{what}, node {resolves}: session {} vs dense {}",
+                    g.objective,
+                    w.objective
+                );
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}, node {resolves}: status"),
+            (g, w) => panic!("{what}, node {resolves}: session {g:?} vs dense {w:?}"),
+        }
+        resolves += 1;
+
+        let uncovered = eligible
+            .iter()
+            .position(|e| !e.iter().any(|c| selected.contains(c)));
+        if let Some(j) = uncovered {
+            let at = sc.subscribers[j].position;
+            let mut options: Vec<usize> = eligible[j].clone();
+            options.sort_by(|&a, &b| cands[b].distance(at).total_cmp(&cands[a].distance(at)));
+            for c in options {
+                let mut next = selected.clone();
+                next.push(c);
+                next.sort_unstable();
+                stack.push(next);
+            }
+        }
+    }
+    resolves
 }
 
 /// GAC grid of the per-zone backend check: fine enough that a zone's

@@ -14,11 +14,11 @@
 use sag_testkit::prelude::*;
 
 use sag_sim::batch::{
-    sweep_multi_cached, sweep_multi_reference, sweep_multi_with, BatchCtx, JobOrder, SweepCache,
-    SweepOptions,
+    sweep_multi_cached, sweep_multi_with, BatchCtx, JobOrder, SweepCache, SweepOptions,
 };
 use sag_sim::experiments::{relays_metric, run_gac_cached, run_samc_cached};
 use sag_sim::gen::ScenarioSpec;
+use sag_sim::reference::sweep_multi_reference;
 use sag_sim::runner::{sweep_multi, SweepConfig};
 use sag_sim::stats::CellStats;
 
