@@ -1,13 +1,14 @@
 //! Adaptive solver selection vs all-exact lower tier (`BENCH_backends.json`).
 //!
 //! The probe is the clustered multi-zone shape per-zone selection
-//! exists for: a 4×4 grid of tight subscriber clusters, each its own
-//! interference zone. Every cluster is dense enough that its candidate
-//! set clears [`sag_core::SelectionPolicy`]'s `lp_round_max_cands`
-//! threshold, so the adaptive builder routes the zone to the LP-free
-//! local-search backend (greedy start, swap/drop improvement) while
-//! the all-exact arm pays full branch-and-bound on every zone. Two
-//! arms are timed interleaved over the same pipeline run:
+//! exists for: [`ClusteredProbe::BACKENDS`], a 4×4 grid of tight
+//! subscriber clusters, each its own interference zone. Every cluster
+//! is dense enough that its candidate set clears
+//! [`sag_core::SelectionPolicy`]'s `lp_round_max_cands` threshold, so
+//! the adaptive builder routes the zone to the LP-free local-search
+//! backend (greedy start, swap/drop improvement) while the all-exact
+//! arm pays full branch-and-bound on every zone. Two arms are timed
+//! interleaved over the same pipeline run:
 //!
 //! * **exact** — `SolverBuilder::fixed(ExactIlp)`: warm-started B&B in
 //!   all sixteen zones, the pre-selection answer;
@@ -20,84 +21,30 @@
 //! the exact backend (otherwise the ratio measures nothing). The
 //! speedup gate needs headroom above timer noise to mean anything:
 //! when the exact arm lands below the timing floor the gate is
-//! recorded as skipped in the JSON (`SAG_BENCH_STRICT=1` turns that
-//! skip into a failure).
+//! recorded as skipped in the JSON.
 //!
-//! Usage: `bench_backends [--out PATH] [--min-speedup X]`
+//! Usage: `bench_backends [--out PATH]`
 
-use sag_bench::harness::{interleaved, Interleaved};
-use sag_core::model::{BaseStation, NetworkParams, Scenario, Subscriber};
+use sag_bench::harness::interleaved;
+use sag_bench::{Artefact, Bound, ClusteredProbe};
+use sag_core::model::Scenario;
 use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig, SagReport};
 use sag_core::validate::validate_report;
 use sag_core::zone::zone_partition;
 use sag_core::{SolverBackend, SolverBuilder};
-use sag_geom::{Point, Rect};
-use sag_radio::{units::Db, LinkBudget};
 
-const FIELD: f64 = 1200.0;
-const CLUSTERS: usize = 16;
-const SUBS_PER_CLUSTER: usize = 16;
 /// Interleaved exact/adaptive measurement rounds.
 const ROUNDS: usize = 7;
 /// Below this per-run exact time the speedup ratio is timer noise.
 const TIMING_FLOOR_NS: u128 = 200_000;
-
-/// The churn-bench cluster grid, densified: sixteen subscribers per
-/// cluster so each zone's IAC candidate set (subscriber positions plus
-/// pairwise circle intersections) lands well above the adaptive
-/// policy's `lp_round_max_cands` threshold. Deterministic sunflower
-/// placement, no RNG.
-fn probe_scenario() -> Scenario {
-    let centers = [
-        (-450.0, -450.0),
-        (-150.0, -450.0),
-        (150.0, -450.0),
-        (450.0, -450.0),
-        (-450.0, -150.0),
-        (-150.0, -150.0),
-        (150.0, -150.0),
-        (450.0, -150.0),
-        (-450.0, 150.0),
-        (-150.0, 150.0),
-        (150.0, 150.0),
-        (450.0, 150.0),
-        (-450.0, 450.0),
-        (-150.0, 450.0),
-        (150.0, 450.0),
-        (450.0, 450.0),
-    ];
-    let golden = 2.399_963_229_728_653_f64; // radians
-    let mut subs = Vec::with_capacity(CLUSTERS * SUBS_PER_CLUSTER);
-    for (ci, &(cx, cy)) in centers.iter().enumerate() {
-        for k in 0..SUBS_PER_CLUSTER {
-            let ang = (ci * SUBS_PER_CLUSTER + k) as f64 * golden;
-            let r = 18.0 * ((k as f64 + 0.5) / SUBS_PER_CLUSTER as f64).sqrt();
-            subs.push(Subscriber::new(
-                Point::new(cx + r * ang.cos(), cy + r * ang.sin()),
-                35.0 + 5.0 * ((k as f64 * 0.37).fract()),
-            ));
-        }
-    }
-    Scenario::new(
-        Rect::centered_square(FIELD),
-        subs,
-        vec![
-            BaseStation::new(Point::new(-550.0, 550.0)),
-            BaseStation::new(Point::new(550.0, -550.0)),
-        ],
-        NetworkParams::new(
-            LinkBudget::builder().snr_threshold(Db::new(-15.0)).build(),
-            1e-3, // d_max = 10
-        ),
-    )
-    .expect("probe geometry is valid")
-}
+/// Gate: the adaptive lower tier is at least this many times faster.
+const MIN_SPEEDUP: f64 = 1.5;
 
 fn run(sc: &Scenario, solver: SolverBuilder) -> SagReport {
     run_sag_with(
         sc,
         SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             solver,
             ..Default::default()
         },
@@ -114,50 +61,13 @@ fn backend_mix(report: &SagReport) -> [usize; 4] {
     mix
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    zones: usize,
-    exact_ns: u128,
-    adaptive_ns: u128,
-    speedup: f64,
-    mix: [usize; 4],
-    exact_relays: usize,
-    adaptive_relays: usize,
-    min_speedup: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let subscribers = CLUSTERS * SUBS_PER_CLUSTER;
-    let hardware_threads = sag_bench::hardware_threads();
-    let body = format!(
-        "{{\n  \"benchmark\": \"solver_backends\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"hardware_threads\": {hardware_threads},\n  \"exact_min_ns\": {exact_ns},\n  \"adaptive_min_ns\": {adaptive_ns},\n  \"speedup_median\": {speedup:.4},\n  \"adaptive_exact_zones\": {},\n  \"adaptive_lp_round_zones\": {},\n  \"adaptive_local_search_zones\": {},\n  \"adaptive_greedy_zones\": {},\n  \"exact_coverage_relays\": {exact_relays},\n  \"adaptive_coverage_relays\": {adaptive_relays},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
-        mix[0], mix[1], mix[2], mix[3],
-    );
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_backends.json");
-    let mut min_speedup = 1.5f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = v.parse().expect("--min-speedup parses as f64");
-            }
-            other => panic!(
-                "unknown argument {other}; usage: \
-                 bench_backends [--out PATH] [--min-speedup X]"
-            ),
-        }
-    }
-
-    let sc = probe_scenario();
+    let mut out = Artefact::from_args("solver_backends", "BENCH_backends.json");
+    let sc = ClusteredProbe::BACKENDS.build();
     let zones = zone_partition(&sc).len();
     assert_eq!(
-        zones, CLUSTERS,
+        zones,
+        ClusteredProbe::BACKENDS.clusters(),
         "probe must fragment into one zone per cluster"
     );
 
@@ -185,54 +95,41 @@ fn main() {
     // Each arm reports its own lower-tier spend: the polynomial tail
     // (PRO, MBMC, UCPO) is identical in both arms and would only dilute
     // the ratio the gate is about.
-    let Interleaved {
-        a_min_ns: exact_ns,
-        b_min_ns: adaptive_ns,
-        ratio_median: speedup,
-        ..
-    } = interleaved(
+    let t = interleaved(
         ROUNDS,
-        &mut || {
-            run(&sc, SolverBuilder::fixed(SolverBackend::ExactIlp))
-                .budget_spent
-                .elapsed
-                .as_nanos()
-        },
-        &mut || {
-            run(&sc, SolverBuilder::adaptive())
-                .budget_spent
-                .elapsed
-                .as_nanos()
-        },
+        &mut [
+            &mut || {
+                run(&sc, SolverBuilder::fixed(SolverBackend::ExactIlp))
+                    .budget_spent
+                    .elapsed
+                    .as_nanos()
+            },
+            &mut || {
+                run(&sc, SolverBuilder::adaptive())
+                    .budget_spent
+                    .elapsed
+                    .as_nanos()
+            },
+        ],
     );
-
-    let (gate, enforce) = sag_bench::resolve_gate(
-        exact_ns >= TIMING_FLOOR_NS,
-        &format!("exact arm {exact_ns} ns below the {TIMING_FLOOR_NS} ns timing floor"),
-    );
-    if enforce {
-        assert!(
-            speedup >= min_speedup,
-            "adaptive selection speedup {speedup:.2}x below the {min_speedup:.2}x floor \
-             (exact {exact_ns} ns, adaptive {adaptive_ns} ns)"
-        );
-    }
-
-    emit_json(
-        &out_path,
-        zones,
-        exact_ns,
-        adaptive_ns,
-        speedup,
-        mix,
-        exact_report.n_coverage_relays(),
-        adaptive_report.n_coverage_relays(),
-        min_speedup,
-        &gate,
-    )
-    .expect("write benchmark artefact");
-    println!(
-        "solver backends: exact {exact_ns} ns, adaptive {adaptive_ns} ns, \
-         speedup {speedup:.2}x, mix {mix:?}, gate {gate}"
-    );
+    let speedup = t.ratio_median(&[0], &[1]);
+    let exact_ns = t.min_ns(0);
+    let skip = (exact_ns < TIMING_FLOOR_NS)
+        .then(|| format!("exact arm {exact_ns} ns below the {TIMING_FLOOR_NS} ns timing floor"));
+    out.field("subscribers", sc.n_subscribers())
+        .field("zones", zones)
+        .field("exact_min_ns", exact_ns)
+        .field("adaptive_min_ns", t.min_ns(1))
+        .field("speedup_median", speedup)
+        .field("adaptive_exact_zones", mix[0])
+        .field("adaptive_lp_round_zones", mix[1])
+        .field("adaptive_local_search_zones", mix[2])
+        .field("adaptive_greedy_zones", mix[3])
+        .field("exact_coverage_relays", exact_report.n_coverage_relays())
+        .field(
+            "adaptive_coverage_relays",
+            adaptive_report.n_coverage_relays(),
+        )
+        .gate("speedup_median", speedup, Bound::Floor(MIN_SPEEDUP), skip);
+    out.finish();
 }

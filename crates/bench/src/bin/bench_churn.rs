@@ -1,13 +1,12 @@
 //! Incremental churn repair vs from-scratch re-solve (`BENCH_churn.json`).
 //!
 //! The probe is the clustered multi-zone shape the dirty-zone repair
-//! path exists for: a 4×4 grid of tight subscriber clusters, each its
-//! own interference zone, so a mobility event dirties one zone while
-//! the from-scratch baseline must re-solve all sixteen. Two arms are
-//! timed
-//! interleaved over the same stationary cycle of intra-cluster move
-//! probes (each displacement is applied and then undone, so every
-//! round sees the same workload):
+//! path exists for: [`ClusteredProbe::CHURN`], a 4×4 grid of tight
+//! subscriber clusters, each its own interference zone, so a mobility
+//! event dirties one zone while the from-scratch baseline must re-solve
+//! all sixteen. Two arms are timed interleaved over the same stationary
+//! cycle of intra-cluster move probes (each displacement is applied and
+//! then undone, so every round sees the same workload):
 //!
 //! * **scratch** — mutate the subscriber position and run a full-field
 //!   [`samc`] solve, the pre-churn-engine answer to every event;
@@ -24,25 +23,22 @@
 //!
 //! The speedup gate needs headroom above timer noise to mean anything:
 //! when the repair path lands below the timing floor the gate is
-//! recorded as skipped in the JSON (`SAG_BENCH_STRICT=1` turns that
-//! skip into a failure).
+//! recorded as skipped in the JSON. The p99 latency gate is always
+//! enforced.
 //!
-//! Usage: `bench_churn [--out PATH] [--min-speedup X] [--max-p99-us X]`
+//! Usage: `bench_churn [--out PATH]`
 
-use sag_bench::harness::{interleaved, time_ns, Interleaved};
+use sag_bench::harness::{interleaved, time_ns};
+use sag_bench::{Artefact, Bound, ClusteredProbe};
 use sag_core::churn::{ChurnConfig, ChurnEngine, ChurnEvent, RepairRung};
 use sag_core::coverage::is_feasible;
-use sag_core::model::{BaseStation, NetworkParams, Scenario, Subscriber};
+use sag_core::model::Scenario;
 use sag_core::samc::samc;
 use sag_core::zone::zone_partition;
-use sag_geom::{Point, Rect};
+use sag_geom::Point;
 use sag_lp::Budget;
-use sag_radio::{units::Db, LinkBudget};
 use sag_sim::experiments::churn::{churn_trace, ChurnTraceSpec};
 
-const FIELD: f64 = 1200.0;
-const CLUSTERS: usize = 16;
-const SUBS_PER_CLUSTER: usize = 9;
 /// Move probes per round; each probe is two events (out and back).
 const PROBES: usize = 8;
 /// Interleaved scratch/repair measurement rounds.
@@ -51,57 +47,11 @@ const ROUNDS: usize = 9;
 const TRACE_EVENTS: usize = 32;
 /// Below this per-event repair time the speedup ratio is timer noise.
 const TIMING_FLOOR_NS: u128 = 5_000;
-
-/// A 4×4 grid of tight clusters spread across the field with an
-/// ignorable-noise level whose `d_max` (10) links subscribers within a
-/// cluster but never across clusters, so Zone Partition yields sixteen
-/// zones and an intra-cluster move dirties exactly one of them.
-/// Deterministic sunflower placement, no RNG.
-fn probe_scenario() -> Scenario {
-    let centers = [
-        (-450.0, -450.0),
-        (-150.0, -450.0),
-        (150.0, -450.0),
-        (450.0, -450.0),
-        (-450.0, -150.0),
-        (-150.0, -150.0),
-        (150.0, -150.0),
-        (450.0, -150.0),
-        (-450.0, 150.0),
-        (-150.0, 150.0),
-        (150.0, 150.0),
-        (450.0, 150.0),
-        (-450.0, 450.0),
-        (-150.0, 450.0),
-        (150.0, 450.0),
-        (450.0, 450.0),
-    ];
-    let golden = 2.399_963_229_728_653_f64; // radians
-    let mut subs = Vec::with_capacity(CLUSTERS * SUBS_PER_CLUSTER);
-    for (ci, &(cx, cy)) in centers.iter().enumerate() {
-        for k in 0..SUBS_PER_CLUSTER {
-            let ang = (ci * SUBS_PER_CLUSTER + k) as f64 * golden;
-            let r = 18.0 * ((k as f64 + 0.5) / SUBS_PER_CLUSTER as f64).sqrt();
-            subs.push(Subscriber::new(
-                Point::new(cx + r * ang.cos(), cy + r * ang.sin()),
-                35.0 + 5.0 * ((k as f64 * 0.37).fract()),
-            ));
-        }
-    }
-    Scenario::new(
-        Rect::centered_square(FIELD),
-        subs,
-        vec![
-            BaseStation::new(Point::new(-550.0, 550.0)),
-            BaseStation::new(Point::new(550.0, -550.0)),
-        ],
-        NetworkParams::new(
-            LinkBudget::builder().snr_threshold(Db::new(-15.0)).build(),
-            1e-3, // d_max = 10
-        ),
-    )
-    .expect("probe geometry is valid")
-}
+/// Gate: incremental repair is at least this many times faster than a
+/// from-scratch solve per event.
+const MIN_SPEEDUP: f64 = 5.0;
+/// Gate: p99 per-event repair latency, in ns (500 µs).
+const MAX_P99_NS: f64 = 500_000.0;
 
 /// Deterministic intra-cluster displacement probes: `(slot, to, back)`.
 fn move_probes(sc: &Scenario) -> Vec<(usize, Point, Point)> {
@@ -117,54 +67,13 @@ fn move_probes(sc: &Scenario) -> Vec<(usize, Point, Point)> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    zones: usize,
-    events_per_round: usize,
-    scratch_ns: u128,
-    repair_ns: u128,
-    speedup: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    min_speedup: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let subscribers = CLUSTERS * SUBS_PER_CLUSTER;
-    let hardware_threads = sag_bench::hardware_threads();
-    let body = format!(
-        "{{\n  \"benchmark\": \"churn_repair\",\n  \"subscribers\": {subscribers},\n  \"zones\": {zones},\n  \"events_per_round\": {events_per_round},\n  \"hardware_threads\": {hardware_threads},\n  \"scratch_min_per_event_ns\": {scratch_ns},\n  \"repair_min_per_event_ns\": {repair_ns},\n  \"repair_speedup_median\": {speedup:.4},\n  \"p50_repair_ns\": {p50_ns},\n  \"p99_repair_ns\": {p99_ns},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
-    );
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_churn.json");
-    let mut min_speedup = 5.0f64;
-    let mut max_p99_us: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = v.parse().expect("--min-speedup parses as f64");
-            }
-            "--max-p99-us" => {
-                let v = args.next().expect("--max-p99-us needs a number");
-                max_p99_us = Some(v.parse().expect("--max-p99-us parses as f64"));
-            }
-            other => panic!(
-                "unknown argument {other}; usage: \
-                 bench_churn [--out PATH] [--min-speedup X] [--max-p99-us X]"
-            ),
-        }
-    }
-
-    let scenario = probe_scenario();
+    let mut out = Artefact::from_args("churn_repair", "BENCH_churn.json");
+    let scenario = ClusteredProbe::CHURN.build();
     let zones = zone_partition(&scenario).len();
     assert_eq!(
-        zones, CLUSTERS,
+        zones,
+        ClusteredProbe::CHURN.clusters(),
         "probe must partition into exactly one zone per cluster"
     );
 
@@ -215,41 +124,38 @@ fn main() {
     .expect("probe is coverable");
     let mut scratch_sc = scenario.clone();
     // One round is one full probe cycle.
-    let Interleaved {
-        a_min_ns: scratch_round_ns,
-        b_min_ns: repair_round_ns,
-        ratio_median: speedup,
-        ..
-    } = interleaved(
+    let t = interleaved(
         ROUNDS,
-        &mut || {
-            time_ns(1, || {
-                for &(j, to, back) in &probes {
-                    scratch_sc.subscribers[j].position = to;
-                    std::hint::black_box(samc(&scratch_sc).expect("scratch solve (out)"));
-                    scratch_sc.subscribers[j].position = back;
-                    std::hint::black_box(samc(&scratch_sc).expect("scratch solve (back)"));
-                }
-            })
-        },
-        &mut || {
-            time_ns(1, || {
-                for &(j, to, back) in &probes {
-                    engine
-                        .apply_event(ChurnEvent::SsMove { subscriber: j, to }, &budget)
-                        .expect("repair (out)");
-                    engine
-                        .apply_event(
-                            ChurnEvent::SsMove {
-                                subscriber: j,
-                                to: back,
-                            },
-                            &budget,
-                        )
-                        .expect("repair (back)");
-                }
-            })
-        },
+        &mut [
+            &mut || {
+                time_ns(1, || {
+                    for &(j, to, back) in &probes {
+                        scratch_sc.subscribers[j].position = to;
+                        std::hint::black_box(samc(&scratch_sc).expect("scratch solve (out)"));
+                        scratch_sc.subscribers[j].position = back;
+                        std::hint::black_box(samc(&scratch_sc).expect("scratch solve (back)"));
+                    }
+                })
+            },
+            &mut || {
+                time_ns(1, || {
+                    for &(j, to, back) in &probes {
+                        engine
+                            .apply_event(ChurnEvent::SsMove { subscriber: j, to }, &budget)
+                            .expect("repair (out)");
+                        engine
+                            .apply_event(
+                                ChurnEvent::SsMove {
+                                    subscriber: j,
+                                    to: back,
+                                },
+                                &budget,
+                            )
+                            .expect("repair (back)");
+                    }
+                })
+            },
+        ],
     );
     engine.audit().expect("ledger audit clean after timing");
     assert_eq!(
@@ -258,49 +164,35 @@ fn main() {
         "unlimited per-event budget must never defer"
     );
 
-    let scratch_ns = scratch_round_ns / events_per_round as u128;
-    let repair_ns = repair_round_ns / events_per_round as u128;
-    let p50_ns = engine.report().p50_ns();
+    let speedup = t.ratio_median(&[0], &[1]);
+    let repair_ns = t.min_ns(1) / events_per_round as u128;
     let p99_ns = engine.report().p99_ns();
-
     // Below the floor the ratio measures the timer, not the engine.
-    let (gate, enforce) = sag_bench::resolve_gate(
-        repair_ns >= TIMING_FLOOR_NS,
-        &format!("repair path {repair_ns} ns/event below the {TIMING_FLOOR_NS} ns timing floor"),
-    );
-
-    println!("benchmark group: churn_repair ({ROUNDS} interleaved rounds, min per-event ns)");
-    println!("scratch samc per event        {scratch_ns:>12}");
-    println!("dirty-zone repair per event   {repair_ns:>12}");
-    println!("repair latency p50/p99        {p50_ns:>12} / {p99_ns} ns");
-    println!("median speedup: {speedup:.3}x over {zones} zones [{gate}]");
-
-    emit_json(
-        &out_path,
-        zones,
-        events_per_round,
-        scratch_ns,
-        repair_ns,
-        speedup,
-        p50_ns,
-        p99_ns,
-        min_speedup,
-        &gate,
-    )
-    .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        assert!(
-            speedup >= min_speedup,
-            "dirty-zone repair speedup {speedup:.3}x is below the {min_speedup:.2}x floor"
+    let skip = (repair_ns < TIMING_FLOOR_NS).then(|| {
+        format!("repair path {repair_ns} ns/event below the {TIMING_FLOOR_NS} ns timing floor")
+    });
+    out.field("subscribers", scenario.n_subscribers())
+        .field("zones", zones)
+        .field("events_per_round", events_per_round)
+        .field(
+            "scratch_min_per_event_ns",
+            t.min_ns(0) / events_per_round as u128,
+        )
+        .field("repair_min_per_event_ns", repair_ns)
+        .field("repair_speedup_median", speedup)
+        .field("p50_repair_ns", engine.report().p50_ns())
+        .field("p99_repair_ns", p99_ns)
+        .gate(
+            "repair_speedup_median",
+            speedup,
+            Bound::Floor(MIN_SPEEDUP),
+            skip,
+        )
+        .gate(
+            "p99_repair_ns",
+            p99_ns as f64,
+            Bound::Ceiling(MAX_P99_NS),
+            None,
         );
-        if let Some(ceiling) = max_p99_us {
-            let p99_us = p99_ns as f64 / 1e3;
-            assert!(
-                p99_us <= ceiling,
-                "p99 repair latency {p99_us:.1}us exceeds the {ceiling:.1}us SLO ceiling"
-            );
-        }
-    }
+    out.finish();
 }

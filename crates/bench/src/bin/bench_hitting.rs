@@ -10,14 +10,16 @@
 //! re-derives coverage over the whole solution for every removal set) and by
 //! [`sag_hitting::local_search`]. The two must return identical
 //! candidate indices on every instance before anything is timed; then
-//! per-size and aggregate medians and their ratio are written as
-//! hand-rolled JSON, and the CI gate asserts the aggregate speedup floor.
+//! all 32 arms are timed in interleaved rounds, and the median
+//! per-round ratio of the summed reference to the summed incremental
+//! times is gated at [`MIN_SPEEDUP`].
 //!
-//! Usage: `bench_hitting [--out PATH] [--min-speedup X]`
+//! Usage: `bench_hitting [--out PATH]`
 
 use std::time::Duration;
 
-use sag_bench::harness::Bench;
+use sag_bench::harness::{calibrated, interleaved};
+use sag_bench::{Artefact, Bound, Fields};
 use sag_core::zone::{zone_partition, zone_scenario};
 use sag_hitting::local_search::{local_search_with, LocalSearchConfig};
 use sag_hitting::{reference, DiskInstance};
@@ -45,6 +47,13 @@ const SIZES: [(f64, usize); 16] = [
 /// Scenarios per size.
 const SEEDS: u64 = 4;
 const BASE_SEED: u64 = 1300;
+/// Interleaved measurement rounds.
+const ROUNDS: usize = 7;
+/// Least wall-clock time each arm spends per round.
+const ROUND_TARGET: Duration = Duration::from_millis(20);
+/// Gate: the incremental search is at least this many times faster in
+/// aggregate.
+const MIN_SPEEDUP: f64 = 10.0;
 
 /// The instances of one size: every zone of every seeded scenario.
 struct SizeSet {
@@ -88,75 +97,20 @@ fn build_sizes() -> Vec<SizeSet> {
         .collect()
 }
 
+/// A local-search entry point: the reference or the incremental one.
+type Solver = fn(&DiskInstance, LocalSearchConfig) -> Vec<usize>;
+
 /// Solves every instance of a size; returns the total hitting-set size
 /// so the work cannot be optimised away.
-fn solve_all(set: &SizeSet, solve: fn(&DiskInstance, LocalSearchConfig) -> Vec<usize>) -> usize {
+fn solve_all(set: &SizeSet, solve: Solver) -> usize {
     set.instances
         .iter()
         .map(|inst| solve(inst, LocalSearchConfig::default()).len())
         .sum()
 }
 
-/// One timed size: medians in milliseconds per pass over its instances.
-struct Row {
-    field: f64,
-    users: usize,
-    instances: usize,
-    points: usize,
-    reference_ms: f64,
-    incremental_ms: f64,
-}
-
-fn emit_json(
-    path: &str,
-    rows: &[Row],
-    (reference_ms, incremental_ms): (f64, f64),
-    speedup: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let sizes: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"field\": {}, \"users\": {}, \"instances\": {}, \"points\": {}, \"reference_ms\": {:.4}, \"incremental_ms\": {:.4}, \"speedup\": {:.2}}}",
-                r.field,
-                r.users,
-                r.instances,
-                r.points,
-                r.reference_ms,
-                r.incremental_ms,
-                r.reference_ms / r.incremental_ms.max(1e-9),
-            )
-        })
-        .collect();
-    let default = LocalSearchConfig::default();
-    let body = format!(
-        "{{\n  \"benchmark\": \"hitting_local_search\",\n  \"swap_size\": {},\n  \"max_rounds\": {},\n  \"seeds_per_size\": {SEEDS},\n  \"hardware_threads\": {},\n  \"sizes\": [\n{}\n  ],\n  \"reference_ms\": {reference_ms:.3},\n  \"incremental_ms\": {incremental_ms:.3},\n  \"speedup\": {speedup:.2},\n  \"parity\": \"identical\",\n  \"gate\": \"{gate}\"\n}}\n",
-        default.swap_size,
-        default.max_rounds,
-        sag_bench::hardware_threads(),
-        sizes.join(",\n"),
-    );
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_hitting.json");
-    let mut min_speedup: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = Some(v.parse().expect("--min-speedup parses as f64"));
-            }
-            other => panic!(
-                "unknown argument {other}; usage: bench_hitting [--out PATH] [--min-speedup X]"
-            ),
-        }
-    }
-
+    let mut out = Artefact::from_args("hitting_local_search", "BENCH_hitting.json");
     let sizes = build_sizes();
 
     // Parity gate before any timing: a fast wrong answer is worthless.
@@ -174,62 +128,53 @@ fn main() {
         }
     }
 
-    let mut bench = Bench::new("hitting")
-        .samples(7)
-        .sample_target(Duration::from_millis(20));
-    let rows: Vec<Row> = sizes
+    // Arms 2s and 2s + 1 are size s's reference and incremental solves.
+    let solvers: [Solver; 2] = [reference::local_search_with, local_search_with];
+    let mut arms: Vec<_> = sizes
         .iter()
-        .map(|set| {
-            let label = format!("{}x{}_{}ss", set.field, set.field, set.users);
-            let reference_ms = bench
-                .run(format!("reference_{label}"), || {
-                    solve_all(set, reference::local_search_with)
-                })
-                .median
-                .as_secs_f64()
-                * 1e3;
-            let incremental_ms = bench
-                .run(format!("incremental_{label}"), || {
-                    solve_all(set, local_search_with)
-                })
-                .median
-                .as_secs_f64()
-                * 1e3;
-            Row {
-                field: set.field,
-                users: set.users,
-                instances: set.instances.len(),
-                points: solve_all(set, local_search_with),
-                reference_ms,
-                incremental_ms,
-            }
+        .flat_map(|set| {
+            solvers.map(|solve| calibrated(ROUND_TARGET, move || solve_all(set, solve)))
         })
         .collect();
-    bench.print();
+    let mut arms: Vec<&mut dyn FnMut() -> u128> = arms
+        .iter_mut()
+        .map(|arm| arm as &mut dyn FnMut() -> u128)
+        .collect();
+    let t = interleaved(ROUNDS, &mut arms);
 
-    let reference_ms: f64 = rows.iter().map(|r| r.reference_ms).sum();
-    let incremental_ms: f64 = rows.iter().map(|r| r.incremental_ms).sum();
-    let speedup = reference_ms / incremental_ms.max(1e-9);
-    let (gate, enforce) =
-        sag_bench::resolve_gate(min_speedup.is_some(), "no --min-speedup floor given");
-    println!(
-        "aggregate: reference {reference_ms:.2} ms, incremental {incremental_ms:.3} ms, speedup {speedup:.2}x [{gate}]"
-    );
-    emit_json(
-        &out_path,
-        &rows,
-        (reference_ms, incremental_ms),
-        speedup,
-        &gate,
-    )
-    .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        let floor = min_speedup.unwrap_or_default();
-        assert!(
-            speedup >= floor,
-            "speedup {speedup:.2}x is below the required {floor:.2}x floor"
-        );
-    }
+    let ms = |arm: usize| t.median_ns(arm) as f64 / 1e6;
+    let rows: Vec<Fields> = sizes
+        .iter()
+        .enumerate()
+        .map(|(s, set)| {
+            Fields::default()
+                .with("field", set.field)
+                .with("users", set.users)
+                .with("instances", set.instances.len())
+                .with("points", solve_all(set, local_search_with))
+                .with("reference_ms", ms(2 * s))
+                .with("incremental_ms", ms(2 * s + 1))
+                .with("speedup", t.ratio_median(&[2 * s], &[2 * s + 1]))
+        })
+        .collect();
+    let reference_arms: Vec<usize> = (0..sizes.len()).map(|s| 2 * s).collect();
+    let incremental_arms: Vec<usize> = (0..sizes.len()).map(|s| 2 * s + 1).collect();
+    let speedup = t.ratio_median(&reference_arms, &incremental_arms);
+    let default = LocalSearchConfig::default();
+    out.field("swap_size", default.swap_size)
+        .field("max_rounds", default.max_rounds)
+        .field("seeds_per_size", SEEDS)
+        .field("sizes", rows)
+        .field(
+            "reference_ms",
+            reference_arms.iter().map(|&a| ms(a)).sum::<f64>(),
+        )
+        .field(
+            "incremental_ms",
+            incremental_arms.iter().map(|&a| ms(a)).sum::<f64>(),
+        )
+        .field("speedup", speedup)
+        .field("parity", "identical")
+        .gate("speedup", speedup, Bound::Floor(MIN_SPEEDUP), None);
+    out.finish();
 }

@@ -1,13 +1,13 @@
 //! Dense-vs-sparse LP core benchmark (`BENCH_lp.json`).
 //!
-//! Two probes, both parity-checked before any timing:
+//! Three probes, all parity-checked before any timing:
 //!
-//! 1. **Cover LP, dense vs sparse.** A 64-zone block-structured
+//! 1. **Cover LP, dense vs sparse.** A 96-zone block-structured
 //!    set-cover relaxation (the exact row shape `ilpqc` feeds the LP
 //!    layer) solved by the dense referee [`LpProblem::solve_dense`]
 //!    and by [`LpProblem::solve`], which runs the sparse revised
 //!    simplex. The dense tableau touches `O(m·width)` per pivot;
-//!    the revised simplex touches the nonzeros. The CI gate asserts the
+//!    the revised simplex touches the nonzeros. The gate asserts the
 //!    sparse floor.
 //! 2. **Branch-and-bound, warm vs cold.** A chain of odd-cycle
 //!    (triangle) covers whose LP relaxation is fractional at every
@@ -20,17 +20,13 @@
 //!    experiments' node limit) solved by `sag_core::reference`'s
 //!    per-node re-lowering and by `sag_core::ilpqc`'s kept LP session.
 //!    Identical outcomes (relays, assignment, nodes, optimality) are
-//!    asserted on every instance before timing; the CI gate asserts
+//!    asserted on every instance before timing; the gate asserts
 //!    the session's speedup floor.
 //!
-//! The dense-vs-sparse gate needs a large instance to mean anything:
-//! below `MIN_GATE_ZONES` zones the probe is recorded as skipped in the
-//! JSON instead of enforcing a floor on noise.
-//!
-//! Usage: `bench_lp [--out PATH] [--min-speedup X] [--min-warm-speedup X]
-//! [--min-ilpqc-speedup X] [--zones N]`
+//! Usage: `bench_lp [--out PATH]`
 
-use sag_bench::harness::{interleaved, time_ns, Interleaved};
+use sag_bench::harness::{interleaved, time_ns};
+use sag_bench::{Artefact, Bound};
 use sag_core::candidates::{gac_candidates, prune_useless};
 use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome};
 use sag_core::model::Scenario;
@@ -43,9 +39,7 @@ use sag_sim::gen::ScenarioSpec;
 /// Zones in the cover probe (past the large end of the paper's sweeps:
 /// the dense tableau's advantage shrinks as the block count grows, so
 /// the gate probe sits where the asymptotics, not constants, decide).
-const DEFAULT_ZONES: usize = 96;
-/// Below this many zones the dense-vs-sparse gate is skipped.
-const MIN_GATE_ZONES: usize = 16;
+const ZONES: usize = 96;
 const ROWS_PER_ZONE: usize = 6;
 const CANDS_PER_ZONE: usize = 8;
 /// Triangles in the branch-and-bound probe.
@@ -56,6 +50,13 @@ const ROUNDS: usize = 9;
 const ILPQC_USERS: [usize; 8] = [15, 20, 25, 30, 35, 40, 45, 50];
 /// Scenario seed of the ILPQC probe.
 const ILPQC_SEED: u64 = 1;
+/// Gate: the sparse cover solve is at least this many times faster.
+const MIN_SPEEDUP: f64 = 3.0;
+/// Gate: warm-started B&B explores at least this many times more nodes
+/// per second.
+const MIN_WARM_SPEEDUP: f64 = 1.5;
+/// Gate: the kept-session ILPQC is at least this many times faster.
+const MIN_ILPQC_SPEEDUP: f64 = 4.0;
 
 /// Deterministic splitmix64 stream (no RNG dependency).
 fn next(state: &mut u64) -> u64 {
@@ -171,37 +172,6 @@ fn ilpqc_fingerprint(out: &IlpqcOutcome) -> (Vec<(u64, u64)>, Vec<usize>, usize,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    zones: usize,
-    rows: usize,
-    cols: usize,
-    dense_ns: u128,
-    sparse_ns: u128,
-    speedup: f64,
-    gate: &str,
-    cold_nodes_per_s: f64,
-    warm_nodes_per_s: f64,
-    warm_speedup: f64,
-    parity: f64,
-    ilpqc: &IlpqcArm,
-) -> std::io::Result<()> {
-    let hardware_threads = sag_bench::hardware_threads();
-    let IlpqcArm {
-        instances,
-        candidates,
-        nodes,
-        reference_ns,
-        session_ns,
-        speedup: ilpqc_speedup,
-    } = ilpqc;
-    let body = format!(
-        "{{\n  \"benchmark\": \"lp_core\",\n  \"zones\": {zones},\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"hardware_threads\": {hardware_threads},\n  \"dense_median_ns\": {dense_ns},\n  \"sparse_median_ns\": {sparse_ns},\n  \"speedup\": {speedup:.3},\n  \"gate\": \"{gate}\",\n  \"bb_triangles\": {TRIANGLES},\n  \"cold_nodes_per_s\": {cold_nodes_per_s:.1},\n  \"warm_nodes_per_s\": {warm_nodes_per_s:.1},\n  \"warm_speedup\": {warm_speedup:.3},\n  \"parity_max_rel_err\": {parity:.3e},\n  \"ilpqc_instances\": {instances},\n  \"ilpqc_candidates\": {candidates},\n  \"ilpqc_nodes\": {nodes},\n  \"ilpqc_reference_median_ns\": {reference_ns},\n  \"ilpqc_session_median_ns\": {session_ns},\n  \"ilpqc_speedup\": {ilpqc_speedup:.3},\n  \"ilpqc_parity\": \"identical outcomes\"\n}}\n"
-    );
-    std::fs::write(path, body)
-}
-
 /// Measurements of the ILPQC arm (probe 3).
 struct IlpqcArm {
     instances: usize,
@@ -241,63 +211,28 @@ fn run_ilpqc_arm() -> IlpqcArm {
             let _ = std::hint::black_box(solve(&inst.scenario, &inst.candidates, ilpqc_config()));
         }
     };
-    let Interleaved {
-        a_median_ns: reference_ns,
-        b_median_ns: session_ns,
-        ratio_median: speedup,
-        ..
-    } = interleaved(
+    let t = interleaved(
         ROUNDS,
-        &mut || time_ns(1, || solve_all(reference::solve_ilpqc)),
-        &mut || time_ns(1, || solve_all(solve_ilpqc)),
+        &mut [
+            &mut || time_ns(1, || solve_all(reference::solve_ilpqc)),
+            &mut || time_ns(1, || solve_all(solve_ilpqc)),
+        ],
     );
     IlpqcArm {
         instances: probe.len(),
         candidates: probe.iter().map(|i| i.candidates.len()).sum(),
         nodes,
-        reference_ns,
-        session_ns,
-        speedup,
+        reference_ns: t.median_ns(0),
+        session_ns: t.median_ns(1),
+        speedup: t.ratio_median(&[0], &[1]),
     }
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_lp.json");
-    let mut min_speedup = 3.0f64;
-    let mut min_warm_speedup = 1.5f64;
-    let mut min_ilpqc_speedup = 4.0f64;
-    let mut zones = DEFAULT_ZONES;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = v.parse().expect("--min-speedup parses as f64");
-            }
-            "--min-warm-speedup" => {
-                let v = args.next().expect("--min-warm-speedup needs a number");
-                min_warm_speedup = v.parse().expect("--min-warm-speedup parses as f64");
-            }
-            "--min-ilpqc-speedup" => {
-                let v = args.next().expect("--min-ilpqc-speedup needs a number");
-                min_ilpqc_speedup = v.parse().expect("--min-ilpqc-speedup parses as f64");
-            }
-            "--zones" => {
-                let v = args.next().expect("--zones needs a number");
-                zones = v.parse().expect("--zones parses as usize");
-                assert!(zones >= 1, "--zones must be at least 1");
-            }
-            other => panic!(
-                "unknown argument {other}; usage: bench_lp [--out PATH] \
-                 [--min-speedup X] [--min-warm-speedup X] [--min-ilpqc-speedup X] \
-                 [--zones N]"
-            ),
-        }
-    }
+    let mut out = Artefact::from_args("lp_core", "BENCH_lp.json");
 
     // ---- Probe 1: cover LP, dense vs sparse -------------------------
-    let lp = cover_probe(zones);
+    let lp = cover_probe(ZONES);
     let (rows, cols) = (lp.num_constraints(), lp.num_vars());
 
     // Parity gate before any timing: a fast wrong answer is worthless.
@@ -313,31 +248,14 @@ fn main() {
         dense_sol.objective
     );
 
-    let Interleaved {
-        a_median_ns: dense_ns,
-        b_median_ns: sparse_ns,
-        ratio_median: speedup,
-        ..
-    } = interleaved(
+    let cover = interleaved(
         ROUNDS,
-        &mut || {
-            time_ns(1, || {
-                std::hint::black_box(lp.solve_dense().expect("dense solve"));
-            })
-        },
-        &mut || {
-            time_ns(1, || {
-                std::hint::black_box(lp.solve().expect("sparse solve"));
-            })
-        },
+        &mut [
+            &mut || time_ns(1, || lp.solve_dense().expect("dense solve")),
+            &mut || time_ns(1, || lp.solve().expect("sparse solve")),
+        ],
     );
-
-    // The floor only means something on a large instance; a small probe
-    // records the measurement but skips enforcement.
-    let (gate, enforce) = sag_bench::resolve_gate(
-        zones >= MIN_GATE_ZONES,
-        &format!("{zones} zones below the {MIN_GATE_ZONES}-zone minimum"),
-    );
+    let speedup = cover.ratio_median(&[0], &[1]);
 
     // ---- Probe 2: branch-and-bound, warm vs cold --------------------
     let cold_ilp = triangle_ilp(false);
@@ -357,83 +275,58 @@ fn main() {
 
     let mut cold_nodes = 0usize;
     let mut warm_nodes = 0usize;
-    let Interleaved {
-        a_median_ns: cold_ns,
-        b_median_ns: warm_ns,
-        ..
-    } = interleaved(
+    let bb = interleaved(
         ROUNDS,
-        &mut || {
-            time_ns(1, || {
-                cold_nodes = std::hint::black_box(cold_ilp.solve().expect("cold solve")).nodes;
-            })
-        },
-        &mut || {
-            time_ns(1, || {
-                warm_nodes = std::hint::black_box(warm_ilp.solve().expect("warm solve")).nodes;
-            })
-        },
+        &mut [
+            &mut || {
+                time_ns(1, || {
+                    cold_nodes = cold_ilp.solve().expect("cold solve").nodes
+                })
+            },
+            &mut || {
+                time_ns(1, || {
+                    warm_nodes = warm_ilp.solve().expect("warm solve").nodes
+                })
+            },
+        ],
     );
-    let cold_nodes_per_s = cold_nodes as f64 / (cold_ns.max(1) as f64 / 1e9);
-    let warm_nodes_per_s = warm_nodes as f64 / (warm_ns.max(1) as f64 / 1e9);
+    let cold_nodes_per_s = cold_nodes as f64 / (bb.median_ns(0).max(1) as f64 / 1e9);
+    let warm_nodes_per_s = warm_nodes as f64 / (bb.median_ns(1).max(1) as f64 / 1e9);
     let warm_speedup = warm_nodes_per_s / cold_nodes_per_s;
-
-    println!("benchmark group: lp_core ({ROUNDS} interleaved rounds, median ns)");
-    println!("cover {rows}x{cols} dense      {dense_ns:>12}");
-    println!("cover {rows}x{cols} sparse     {sparse_ns:>12}");
-    println!("speedup: {speedup:.2}x [{gate}]");
-    println!("b&b cold  {cold_nodes:>5} nodes  {cold_ns:>12} ns  ({cold_nodes_per_s:.0} nodes/s)");
-    println!("b&b warm  {warm_nodes:>5} nodes  {warm_ns:>12} ns  ({warm_nodes_per_s:.0} nodes/s)");
-    println!("warm node throughput: {warm_speedup:.2}x (parity max rel err {parity:.3e})");
 
     // ---- Probe 3: ILPQC, reference vs kept session ------------------
     let ilpqc = run_ilpqc_arm();
-    println!(
-        "ilpqc reference  {:>2} GAC instances {:>5} nodes {:>12} ns",
-        ilpqc.instances, ilpqc.nodes, ilpqc.reference_ns
-    );
-    println!(
-        "ilpqc session    {:>2} GAC instances {:>5} nodes {:>12} ns",
-        ilpqc.instances, ilpqc.nodes, ilpqc.session_ns
-    );
-    println!("ilpqc speedup: {:.2}x (identical outcomes)", ilpqc.speedup);
 
-    emit_json(
-        &out_path,
-        zones,
-        rows,
-        cols,
-        dense_ns,
-        sparse_ns,
-        speedup,
-        &gate,
-        cold_nodes_per_s,
-        warm_nodes_per_s,
-        warm_speedup,
-        parity,
-        &ilpqc,
-    )
-    .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        assert!(
-            speedup >= min_speedup,
-            "dense-vs-sparse speedup {speedup:.2}x is below the required \
-             {min_speedup:.2}x floor"
+    out.field("zones", ZONES)
+        .field("rows", rows)
+        .field("cols", cols)
+        .field("dense_median_ns", cover.median_ns(0))
+        .field("sparse_median_ns", cover.median_ns(1))
+        .field("speedup", speedup)
+        .field("bb_triangles", TRIANGLES)
+        .field("cold_nodes_per_s", cold_nodes_per_s)
+        .field("warm_nodes_per_s", warm_nodes_per_s)
+        .field("warm_speedup", warm_speedup)
+        .field("parity_max_rel_err", parity)
+        .field("ilpqc_instances", ilpqc.instances)
+        .field("ilpqc_candidates", ilpqc.candidates)
+        .field("ilpqc_nodes", ilpqc.nodes)
+        .field("ilpqc_reference_median_ns", ilpqc.reference_ns)
+        .field("ilpqc_session_median_ns", ilpqc.session_ns)
+        .field("ilpqc_speedup", ilpqc.speedup)
+        .field("ilpqc_parity", "identical outcomes")
+        .gate("speedup", speedup, Bound::Floor(MIN_SPEEDUP), None)
+        .gate(
+            "warm_speedup",
+            warm_speedup,
+            Bound::Floor(MIN_WARM_SPEEDUP),
+            None,
+        )
+        .gate(
+            "ilpqc_speedup",
+            ilpqc.speedup,
+            Bound::Floor(MIN_ILPQC_SPEEDUP),
+            None,
         );
-        assert!(
-            warm_speedup >= min_warm_speedup,
-            "warm-vs-cold node throughput {warm_speedup:.2}x is below the \
-             required {min_warm_speedup:.2}x floor"
-        );
-    }
-    // The ILPQC probe is paper-scale by construction, so its floor is
-    // always enforced.
-    assert!(
-        ilpqc.speedup >= min_ilpqc_speedup,
-        "ILPQC session-vs-reference speedup {:.2}x is below the required \
-         {min_ilpqc_speedup:.2}x floor",
-        ilpqc.speedup
-    );
+    out.finish();
 }

@@ -1,7 +1,7 @@
 //! Observability overhead benchmark (`BENCH_obs.json`) and JSONL
 //! checker.
 //!
-//! Three variants of the same full-pipeline solve are timed:
+//! Four variants of the same full-pipeline solve are timed:
 //!
 //! * **baseline** — the stages composed by hand with no recorder
 //!   anywhere (validate → SAMC → PRO → MBMC → UCPO), the closest thing
@@ -16,9 +16,9 @@
 //!   timeline costs (informational).
 //!
 //! All variants are checked for identical deployments before any
-//! timing — instrumentation must never change results. The CI gate
+//! timing — instrumentation must never change results. The gate
 //! asserts the disabled path (flight recorder compiled in but off)
-//! stays within a few percent of the baseline.
+//! stays within [`MAX_OVERHEAD`] of the baseline.
 //!
 //! `--check-jsonl FILE` switches to validator mode: every line of a
 //! `SAG_OBS_JSON` capture must parse as JSON, the header/trailer must
@@ -27,9 +27,10 @@
 //! span, and the solver work counters (`lp.*`, `ledger.*`) must be
 //! present.
 //!
-//! Usage: `bench_obs [--out PATH] [--max-overhead X] [--check-jsonl FILE]`
+//! Usage: `bench_obs [--out PATH]` or `bench_obs --check-jsonl FILE`
 
-use sag_bench::bench_scenario;
+use sag_bench::harness::{interleaved, time_ns};
+use sag_bench::{bench_scenario, Artefact, Bound};
 use sag_core::mbmc::mbmc;
 use sag_core::model::Scenario;
 use sag_core::pro::pro_with_budget;
@@ -44,8 +45,10 @@ const FIELD: f64 = 500.0;
 const SEED: u64 = 4242;
 /// Pipeline solves per timing sample.
 const INNER_ITERS: u32 = 8;
-/// Interleaved baseline/disabled/collected measurement rounds.
+/// Interleaved baseline/disabled/collected/ring measurement rounds.
 const ROUNDS: usize = 25;
+/// Gate: the disabled path costs at most this multiple of the baseline.
+const MAX_OVERHEAD: f64 = 1.02;
 
 /// Stage spans every full-pipeline run must emit.
 const REQUIRED_STAGES: &[&str] = &["samc", "zone_partition", "pro", "mbmc", "ucpo"];
@@ -106,25 +109,6 @@ fn parity_check(scenario: &Scenario) {
             "collected run is missing the '{stage}' span"
         );
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    baseline_ns: u128,
-    disabled_ns: u128,
-    collected_ns: u128,
-    ring_ns: u128,
-    overhead_disabled: f64,
-    overhead_collected: f64,
-    overhead_ring: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let hardware_threads = sag_bench::hardware_threads();
-    let body = format!(
-        "{{\n  \"benchmark\": \"obs_overhead\",\n  \"subscribers\": {SUBSCRIBERS},\n  \"hardware_threads\": {hardware_threads},\n  \"baseline_min_ns\": {baseline_ns},\n  \"disabled_min_ns\": {disabled_ns},\n  \"collected_min_ns\": {collected_ns},\n  \"ring_min_ns\": {ring_ns},\n  \"overhead_disabled\": {overhead_disabled:.4},\n  \"overhead_collected\": {overhead_collected:.4},\n  \"overhead_ring\": {overhead_ring:.4},\n  \"gate\": \"{gate}\"\n}}\n",
-    );
-    std::fs::write(path, body)
 }
 
 fn check_jsonl(path: &str) {
@@ -217,28 +201,12 @@ fn check_jsonl(path: &str) {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_obs.json");
-    let mut max_overhead: Option<f64> = None;
-    let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--max-overhead" => {
-                let v = args.next().expect("--max-overhead needs a number");
-                max_overhead = Some(v.parse().expect("--max-overhead parses as f64"));
-            }
-            "--check-jsonl" => check_path = Some(args.next().expect("--check-jsonl needs a path")),
-            other => panic!(
-                "unknown argument {other}; usage: \
-                 bench_obs [--out PATH] [--max-overhead X] [--check-jsonl FILE]"
-            ),
-        }
-    }
-    if let Some(path) = check_path {
-        check_jsonl(&path);
+    if args.next().as_deref() == Some("--check-jsonl") {
+        check_jsonl(&args.next().expect("--check-jsonl needs a path"));
         return;
     }
+    let mut out = Artefact::from_args("obs_overhead", "BENCH_obs.json");
 
     let scenario = bench_scenario(FIELD, SUBSCRIBERS, SEED);
 
@@ -248,99 +216,45 @@ fn main() {
 
     // A ≤2% gate is below the run-to-run noise of timing the variants
     // back to back (clock ramp, scheduler interference): interleave
-    // them instead, so every noise phase hits all three, and gate on
-    // each variant's fastest round — the closest observable to the
-    // true cost of its code path.
-    let time_rounds = |f: &mut dyn FnMut()| -> u128 {
-        let start = std::time::Instant::now();
-        for _ in 0..INNER_ITERS {
-            f();
-        }
-        (start.elapsed() / INNER_ITERS).as_nanos()
-    };
-    let mut baseline_f = || {
-        std::hint::black_box(baseline_pipeline(&scenario));
-    };
-    let mut disabled_f = || {
-        std::hint::black_box(disabled_pipeline(&scenario));
-    };
-    let mut collected_f = || {
-        std::hint::black_box(run_sag(&scenario).expect("pipeline succeeds"));
-    };
-    // Disabled path with the flight recorder armed: what the crash
-    // timeline costs when somebody sets SAG_OBS_RING. The ring is
-    // re-disarmed after every sample so the other variants keep
-    // measuring the truly-off path.
-    let mut ring_f = || {
-        sag_obs::ring::configure(256);
-        std::hint::black_box(disabled_pipeline(&scenario));
-        sag_obs::ring::configure(0);
-    };
-    // Warm-up round (not measured), then interleaved measured rounds.
-    // Adjacent samples within one round share the same noise phase, so
-    // the per-round ratio is far more stable than any absolute time;
-    // the median over rounds discards the outliers entirely.
-    time_rounds(&mut baseline_f);
-    time_rounds(&mut disabled_f);
-    time_rounds(&mut collected_f);
-    time_rounds(&mut ring_f);
-    /// One interleaved round: (baseline, disabled, collected, ring) ns.
-    type Round = (u128, u128, u128, u128);
-    let mut rounds: Vec<Round> = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        rounds.push((
-            time_rounds(&mut baseline_f),
-            time_rounds(&mut disabled_f),
-            time_rounds(&mut collected_f),
-            time_rounds(&mut ring_f),
-        ));
-    }
-    let median_ratio = |pick: &dyn Fn(&Round) -> u128| -> f64 {
-        let mut ratios: Vec<f64> = rounds
-            .iter()
-            .map(|r| pick(r) as f64 / r.0.max(1) as f64)
-            .collect();
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        ratios[ratios.len() / 2]
-    };
-    let baseline_ns = rounds.iter().map(|r| r.0).min().unwrap_or(0);
-    let disabled_ns = rounds.iter().map(|r| r.1).min().unwrap_or(0);
-    let collected_ns = rounds.iter().map(|r| r.2).min().unwrap_or(0);
-    let ring_ns = rounds.iter().map(|r| r.3).min().unwrap_or(0);
-    println!("benchmark group: obs ({ROUNDS} interleaved rounds, min per-iter ns)");
-    println!("baseline_pipeline   {baseline_ns:>12}");
-    println!("disabled_pipeline   {disabled_ns:>12}");
-    println!("collected_pipeline  {collected_ns:>12}");
-    println!("ring_pipeline       {ring_ns:>12}");
-
-    let overhead = median_ratio(&|r| r.1);
-    let overhead_collected = median_ratio(&|r| r.2);
-    let overhead_ring = median_ratio(&|r| r.3);
-    let (gate, enforce) =
-        sag_bench::resolve_gate(max_overhead.is_some(), "no --max-overhead ceiling given");
-    println!(
-        "disabled-path overhead: {overhead:.4}x (collected: {overhead_collected:.4}x, \
-         ring: {overhead_ring:.4}x) [{gate}]"
+    // them instead, so every noise phase hits all four, and gate on the
+    // median per-round ratio.
+    let t = interleaved(
+        ROUNDS,
+        &mut [
+            &mut || time_ns(INNER_ITERS, || baseline_pipeline(&scenario)),
+            &mut || time_ns(INNER_ITERS, || disabled_pipeline(&scenario)),
+            &mut || {
+                time_ns(INNER_ITERS, || {
+                    run_sag(&scenario).expect("pipeline succeeds")
+                })
+            },
+            // Disabled path with the flight recorder armed: what the
+            // crash timeline costs when somebody sets SAG_OBS_RING. The
+            // ring is re-disarmed after every sample so the other
+            // variants keep measuring the truly-off path.
+            &mut || {
+                time_ns(INNER_ITERS, || {
+                    sag_obs::ring::configure(256);
+                    std::hint::black_box(disabled_pipeline(&scenario));
+                    sag_obs::ring::configure(0);
+                })
+            },
+        ],
     );
-    emit_json(
-        &out_path,
-        baseline_ns,
-        disabled_ns,
-        collected_ns,
-        ring_ns,
-        overhead,
-        overhead_collected,
-        overhead_ring,
-        &gate,
-    )
-    .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        let ceiling = max_overhead.unwrap_or_default();
-        assert!(
-            overhead <= ceiling,
-            "disabled-path overhead {overhead:.4}x exceeds the {ceiling:.2}x ceiling"
+    let overhead = t.ratio_median(&[1], &[0]);
+    out.field("subscribers", SUBSCRIBERS)
+        .field("baseline_min_ns", t.min_ns(0))
+        .field("disabled_min_ns", t.min_ns(1))
+        .field("collected_min_ns", t.min_ns(2))
+        .field("ring_min_ns", t.min_ns(3))
+        .field("overhead_disabled", overhead)
+        .field("overhead_collected", t.ratio_median(&[2], &[0]))
+        .field("overhead_ring", t.ratio_median(&[3], &[0]))
+        .gate(
+            "overhead_disabled",
+            overhead,
+            Bound::Ceiling(MAX_OVERHEAD),
+            None,
         );
-    }
+    out.finish();
 }

@@ -5,15 +5,15 @@
 //! [`sag_core::coverage::snr_violations_brute`] (the pre-ledger hot
 //! path), and once applying each move as an `O(S)` delta to a shared
 //! [`sag_radio::InterferenceLedger`]. Both paths are checked for parity
-//! before timing, then the medians and their ratio are written as
-//! hand-rolled JSON — the CI gate asserts the speedup floor.
+//! before timing; then the two sweeps are timed in interleaved rounds
+//! and the median per-round speedup is gated at [`MIN_SPEEDUP`].
 //!
-//! Usage: `bench_snr [--out PATH] [--min-speedup X]`
+//! Usage: `bench_snr [--out PATH]`
 
 use std::time::Duration;
 
-use sag_bench::bench_scenario;
-use sag_bench::harness::Bench;
+use sag_bench::harness::{calibrated, interleaved};
+use sag_bench::{bench_scenario, Artefact, Bound};
 use sag_core::coverage::{interference_ledger, snr_violations_brute, snr_violations_ledger};
 use sag_core::model::Scenario;
 use sag_geom::Point;
@@ -23,6 +23,12 @@ const SUBSCRIBERS: usize = 100;
 const FIELD: f64 = 800.0;
 const SEED: u64 = 4242;
 const PROBES: usize = 32;
+/// Interleaved brute/ledger measurement rounds.
+const ROUNDS: usize = 11;
+/// Least wall-clock time each arm spends per round.
+const ROUND_TARGET: Duration = Duration::from_millis(20);
+/// Gate: the ledger sweep is at least this many times faster.
+const MIN_SPEEDUP: f64 = 5.0;
 
 /// The benchmark workload: a placement, its nearest-relay assignment,
 /// and a deterministic cycle of relay displacement probes.
@@ -145,56 +151,8 @@ fn parity_check(w: &Workload) -> f64 {
     worst
 }
 
-fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "bench labels stay in the JSON-safe subset"
-    );
-    s
-}
-
-fn emit_json(
-    path: &str,
-    brute_ns: u128,
-    ledger_ns: u128,
-    speedup: f64,
-    parity: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let body = format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"subscribers\": {},\n  \"relays\": {},\n  \"probes\": {},\n  \"hardware_threads\": {},\n  \"brute_median_ns\": {},\n  \"ledger_median_ns\": {},\n  \"speedup\": {:.3},\n  \"parity_max_rel_err\": {:.3e},\n  \"gate\": \"{}\"\n}}\n",
-        json_escape_free("snr_move_probes"),
-        SUBSCRIBERS,
-        SUBSCRIBERS.div_ceil(2),
-        PROBES,
-        sag_bench::hardware_threads(),
-        brute_ns,
-        ledger_ns,
-        speedup,
-        parity,
-        gate,
-    );
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_snr.json");
-    let mut min_speedup: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = Some(v.parse().expect("--min-speedup parses as f64"));
-            }
-            other => {
-                panic!("unknown argument {other}; usage: bench_snr [--out PATH] [--min-speedup X]")
-            }
-        }
-    }
-
+    let mut out = Artefact::from_args("snr_move_probes", "BENCH_snr.json");
     let w = build_workload();
 
     // Parity gate before any timing: a fast wrong answer is worthless.
@@ -211,33 +169,22 @@ fn main() {
         "violation counts diverge between brute and ledger sweeps"
     );
 
-    let mut bench = Bench::new("snr")
-        .samples(11)
-        .sample_target(Duration::from_millis(20));
-    let brute_ns = bench
-        .run("brute_sweep", || sweep_brute(&w))
-        .median
-        .as_nanos();
     let mut ledger = interference_ledger(&w.scenario, &w.relays);
-    let ledger_ns = bench
-        .run("ledger_sweep", || sweep_ledger(&w, &mut ledger))
-        .median
-        .as_nanos();
-    bench.print();
-
-    let speedup = brute_ns as f64 / ledger_ns.max(1) as f64;
-    let (gate, enforce) =
-        sag_bench::resolve_gate(min_speedup.is_some(), "no --min-speedup floor given");
-    println!("speedup: {speedup:.2}x (parity max rel err {parity:.3e}) [{gate}]");
-    emit_json(&out_path, brute_ns, ledger_ns, speedup, parity, &gate)
-        .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        let floor = min_speedup.unwrap_or_default();
-        assert!(
-            speedup >= floor,
-            "speedup {speedup:.2}x is below the required {floor:.2}x floor"
-        );
-    }
+    let t = interleaved(
+        ROUNDS,
+        &mut [
+            &mut calibrated(ROUND_TARGET, || sweep_brute(&w)),
+            &mut calibrated(ROUND_TARGET, || sweep_ledger(&w, &mut ledger)),
+        ],
+    );
+    let speedup = t.ratio_median(&[0], &[1]);
+    out.field("subscribers", SUBSCRIBERS)
+        .field("relays", w.relays.len())
+        .field("probes", PROBES)
+        .field("brute_median_ns", t.median_ns(0))
+        .field("ledger_median_ns", t.median_ns(1))
+        .field("speedup", speedup)
+        .field("parity_max_rel_err", parity)
+        .gate("speedup", speedup, Bound::Floor(MIN_SPEEDUP), None);
+    out.finish();
 }

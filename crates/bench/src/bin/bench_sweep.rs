@@ -4,7 +4,7 @@
 //! while the GAC grid size marches across sixteen x positions — through
 //! the batched, fingerprint-cached sweep engine versus the pre-existing
 //! per-cell path (`sweep_multi_reference`), and gates the
-//! sweep-cells-per-second improvement at a configurable floor.
+//! sweep-cells-per-second improvement at [`MIN_SPEEDUP`].
 //!
 //! This is the workload the invariant cache exists for: the IAC and
 //! SAMC reference lines, and the scenario geometry itself, are
@@ -21,12 +21,13 @@
 //! — a cache that bought throughput by changing results would be
 //! worthless.
 //!
-//! The gate self-skips (machine-readably, honoring `SAG_BENCH_STRICT`)
-//! only when the reference sweep is too fast for the timer to resolve.
+//! The gate self-skips (recorded with its reason in the JSON) only when
+//! the reference sweep is too fast for the timer to resolve.
 //!
-//! Usage: `bench_sweep [--out PATH] [--min-speedup X]`
+//! Usage: `bench_sweep [--out PATH]`
 
-use sag_bench::harness::{interleaved, time_ns, Interleaved};
+use sag_bench::harness::{interleaved, time_ns};
+use sag_bench::{Artefact, Bound};
 use sag_sim::batch::{sweep_multi_with, JobOrder, SweepCache, SweepOptions};
 use sag_sim::experiments::{relays_metric, run_gac_cached, run_iac_cached, run_samc_cached};
 use sag_sim::gen::ScenarioSpec;
@@ -48,6 +49,8 @@ const ROUNDS: usize = 11;
 /// Below this per-sweep reference time the ratio measures the timer,
 /// not the engine.
 const TIMING_FLOOR_NS: u128 = 2_000_000;
+/// Gate: the batched sweep is at least this many times faster.
+const MIN_SPEEDUP: f64 = 4.0;
 
 /// The probe scenario family: the paper's 500-field at −15 dB with a
 /// user cluster large enough that IAC candidate generation and its
@@ -80,8 +83,7 @@ fn batched(config: SweepConfig, opts: SweepOptions) -> Vec<Vec<CellStats>> {
 }
 
 /// A cold, explicitly-enabled cache per invocation: the bench measures
-/// the engine (including its one-time builds), never the `SAG_SWEEP_*`
-/// environment.
+/// the engine including its one-time builds.
 fn cold_opts() -> SweepOptions {
     SweepOptions {
         cache: Some(SweepCache::new()),
@@ -93,47 +95,8 @@ fn fingerprint(series: &[Vec<CellStats>]) -> String {
     format!("{series:?}")
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    path: &str,
-    cells: usize,
-    threads: usize,
-    hardware_threads: usize,
-    ref_ns: u128,
-    batched_ns: u128,
-    speedup: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    min_speedup: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let xs = GRIDS.len();
-    let ref_cps = cells as f64 / (ref_ns.max(1) as f64 / 1e9);
-    let batched_cps = cells as f64 / (batched_ns.max(1) as f64 / 1e9);
-    let body = format!(
-        "{{\n  \"benchmark\": \"sweep_batch\",\n  \"xs\": {xs},\n  \"cells\": {cells},\n  \"threads\": {threads},\n  \"hardware_threads\": {hardware_threads},\n  \"reference_min_ns\": {ref_ns},\n  \"batched_min_ns\": {batched_ns},\n  \"reference_cells_per_sec\": {ref_cps:.2},\n  \"batched_cells_per_sec\": {batched_cps:.2},\n  \"speedup_median\": {speedup:.4},\n  \"cache_hits\": {cache_hits},\n  \"cache_misses\": {cache_misses},\n  \"min_speedup\": {min_speedup:.2},\n  \"gate\": \"{gate}\"\n}}\n",
-    );
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let mut out_path = String::from("BENCH_sweep.json");
-    let mut min_speedup = 4.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = v.parse().expect("--min-speedup parses as f64");
-            }
-            other => panic!(
-                "unknown argument {other}; usage: \
-                 bench_sweep [--out PATH] [--min-speedup X]"
-            ),
-        }
-    }
-
+    let mut out = Artefact::from_args("sweep_batch", "BENCH_sweep.json");
     let config = sag_bench::bench_sweep();
     let threads = config.threads;
     let cells = GRIDS.len() * config.runs;
@@ -180,65 +143,36 @@ fn main() {
          (threads 1/{threads}, cold/warm cache, shuffled queue)"
     );
 
-    let Interleaved {
-        a_min_ns: ref_ns,
-        b_min_ns: batched_ns,
-        ratio_median: speedup,
-        ..
-    } = interleaved(
+    let t = interleaved(
         ROUNDS,
-        &mut || {
-            time_ns(INNER_ITERS, || {
-                std::hint::black_box(sweep_multi_reference(&GRIDS, 3, config, eval));
-            })
-        },
-        &mut || {
-            time_ns(INNER_ITERS, || {
-                std::hint::black_box(batched(config, cold_opts()));
-            })
-        },
+        &mut [
+            &mut || {
+                time_ns(INNER_ITERS, || {
+                    sweep_multi_reference(&GRIDS, 3, config, eval)
+                })
+            },
+            &mut || time_ns(INNER_ITERS, || batched(config, cold_opts())),
+        ],
     );
 
-    let hardware_threads = sag_bench::hardware_threads();
+    let speedup = t.ratio_median(&[0], &[1]);
+    let (ref_ns, batched_ns) = (t.min_ns(0), t.min_ns(1));
+    let cells_per_sec = |ns: u128| cells as f64 / (ns.max(1) as f64 / 1e9);
     // The speedup is cache-driven (shared IAC/SAMC/geometry work), so
     // it is enforceable at any hardware thread count; only a sweep too
     // fast for the timer to resolve invalidates the ratio.
-    let (gate, enforce) = sag_bench::resolve_gate(
-        ref_ns >= TIMING_FLOOR_NS,
-        &format!("reference sweep {ref_ns}ns below the {TIMING_FLOOR_NS}ns timing floor"),
-    );
-
-    let ref_cps = cells as f64 / (ref_ns.max(1) as f64 / 1e9);
-    let batched_cps = cells as f64 / (batched_ns.max(1) as f64 / 1e9);
-    println!("benchmark group: sweep_batch ({ROUNDS} interleaved rounds, min per-sweep ns)");
-    println!("per-cell reference            {ref_ns:>12}  ({ref_cps:.1} cells/s)");
-    println!("batched + cold cache          {batched_ns:>12}  ({batched_cps:.1} cells/s)");
-    println!(
-        "median speedup {speedup:.3}x over {cells} cells \
-         (one cold sweep: {} hits / {} misses) [{gate}]",
-        cold_stats.hits, cold_stats.misses
-    );
-
-    emit_json(
-        &out_path,
-        cells,
-        threads,
-        hardware_threads,
-        ref_ns,
-        batched_ns,
-        speedup,
-        cold_stats.hits,
-        cold_stats.misses,
-        min_speedup,
-        &gate,
-    )
-    .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        assert!(
-            speedup >= min_speedup,
-            "batched sweep speedup {speedup:.3}x is below the {min_speedup:.2}x floor"
-        );
-    }
+    let skip = (ref_ns < TIMING_FLOOR_NS)
+        .then(|| format!("reference sweep {ref_ns}ns below the {TIMING_FLOOR_NS}ns timing floor"));
+    out.field("xs", GRIDS.len())
+        .field("cells", cells)
+        .field("threads", threads)
+        .field("reference_min_ns", ref_ns)
+        .field("batched_min_ns", batched_ns)
+        .field("reference_cells_per_sec", cells_per_sec(ref_ns))
+        .field("batched_cells_per_sec", cells_per_sec(batched_ns))
+        .field("speedup_median", speedup)
+        .field("cache_hits", cold_stats.hits)
+        .field("cache_misses", cold_stats.misses)
+        .gate("speedup_median", speedup, Bound::Floor(MIN_SPEEDUP), skip);
+    out.finish();
 }

@@ -95,7 +95,6 @@ pub mod sag;
 pub mod samc;
 pub mod sliding;
 pub mod solver;
-pub mod trace;
 pub mod ucpo;
 pub mod validate;
 pub mod zone;

@@ -32,14 +32,15 @@ pub enum LowerSolver {
     /// The paper's polynomial SAMC (Algorithm 1) — the default.
     #[default]
     Samc,
-    /// Exact ILPQC branch-and-bound over IAC candidates; when its
-    /// [`Budget`] runs out before any incumbent exists, degrade to the
-    /// greedy set-cover fallback instead of failing.
-    IlpqcWithGreedyFallback,
-    /// Exact ILPQC with no fallback: budget exhaustion without an
-    /// incumbent surfaces as
-    /// [`SagError::BudgetExceeded`](crate::error::SagError::BudgetExceeded).
-    IlpqcStrict,
+    /// Per-zone solves over IAC candidates by the backend
+    /// [`SagPipelineConfig::solver`] selects (exact ILPQC
+    /// branch-and-bound or a heuristic). Whether an exhausted
+    /// [`Budget`] degrades to the greedy set-cover fallback or surfaces
+    /// as
+    /// [`SagError::BudgetExceeded`](crate::error::SagError::BudgetExceeded)
+    /// is the builder's [`SolverBuilder::allow_fallback`]
+    /// ([`SolverBuilder::strict_exact`] clears it).
+    Candidates,
 }
 
 /// Which solver actually produced the coverage in a [`SagReport`].
@@ -96,10 +97,10 @@ pub struct SagPipelineConfig {
     pub samc: SamcConfig,
     /// Lower-tier solver selection (default: SAMC).
     pub lower_solver: LowerSolver,
-    /// Backend selection front for the candidate-set lower tier
-    /// (ILPQC variants): fixed, adaptive, or portfolio choice plus the
-    /// degradation ladder. Defaults to adaptive selection. Ignored by [`LowerSolver::Samc`]; [`LowerSolver::IlpqcStrict`]
-    /// forces the strict-exact variant regardless of the choice here.
+    /// Backend selection front for [`LowerSolver::Candidates`]: fixed,
+    /// adaptive, or portfolio choice plus the degradation ladder.
+    /// Defaults to adaptive selection with the greedy rescue enabled.
+    /// Ignored by [`LowerSolver::Samc`].
     pub solver: SolverBuilder,
     /// Cooperative budget threaded through every stage (default:
     /// unlimited). See [`Budget`].
@@ -283,9 +284,9 @@ pub fn run_sag(scenario: &Scenario) -> SagResult<SagReport> {
 ///
 /// The scenario is deep-validated first ([`Scenario::validate`]), so a
 /// report is only ever produced from well-formed input. The lower tier
-/// is solved per `config.lower_solver`; with
-/// [`LowerSolver::IlpqcWithGreedyFallback`] an exhausted budget degrades
-/// to the greedy set cover and the report's `solver` field records the
+/// is solved per `config.lower_solver`; with [`LowerSolver::Candidates`]
+/// and a builder that allows fallback, an exhausted budget degrades to
+/// the greedy set cover and the report's `solver` field records the
 /// rung of the ladder that answered.
 ///
 /// # Errors
@@ -415,17 +416,13 @@ fn solve_lower_tier(
             };
             Ok((coverage, AnsweringSolver::Samc, spent, Vec::new()))
         }
-        LowerSolver::IlpqcWithGreedyFallback | LowerSolver::IlpqcStrict => {
+        LowerSolver::Candidates => {
             let zones = observed_zone_partition(scenario);
             let base = interference_ledger(scenario, &[]);
             // One pool across all zone solves: the node cap bounds the
             // *combined* branch-and-bound effort, so N workers cannot
             // multiply the configured budget by N.
             let shared = config.budget.clone().with_shared_node_pool();
-            let builder = match config.lower_solver {
-                LowerSolver::IlpqcStrict => config.solver.strict_exact(),
-                _ => config.solver,
-            };
             let outcomes = engine::run_zones("ilpqc", zones.len(), config.threads, |zi| {
                 let (zsc, _back_map) = zone_scenario(scenario, &zones[zi]);
                 let cands = iac_candidates(&zsc);
@@ -435,7 +432,7 @@ fn solve_lower_tier(
                     reason,
                     optimal,
                     spent,
-                } = builder.solve_zone(&zsc, &cands, &shared)?;
+                } = config.solver.solve_zone(&zsc, &cands, &shared)?;
                 Ok((
                     engine::zone_outcome(&base, &zones[zi], solution),
                     backend,
@@ -572,7 +569,7 @@ mod tests {
     fn ilpqc_solver_records_ilpqc() {
         let sc = scenario(2);
         let config = SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             ..Default::default()
         };
         let report = run_sag_with(&sc, config).unwrap();
@@ -594,7 +591,7 @@ mod tests {
     fn tiny_budget_falls_back_to_greedy() {
         let sc = scenario(2);
         let config = SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             budget: Budget::unlimited().with_node_limit(0),
             ..Default::default()
         };
@@ -618,7 +615,7 @@ mod tests {
         let fixed = run_sag_with(
             &sc,
             SagPipelineConfig {
-                lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                lower_solver: LowerSolver::Candidates,
                 solver: SolverBuilder::fixed(crate::solver::SolverBackend::LpRound),
                 ..Default::default()
             },
@@ -634,7 +631,7 @@ mod tests {
         let raced = run_sag_with(
             &sc,
             SagPipelineConfig {
-                lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                lower_solver: LowerSolver::Candidates,
                 solver: SolverBuilder::portfolio(
                     crate::solver::SolverBackend::ExactIlp,
                     crate::solver::SolverBackend::Greedy,
@@ -656,7 +653,8 @@ mod tests {
     fn tiny_budget_strict_surfaces_budget_exceeded() {
         let sc = scenario(2);
         let config = SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcStrict,
+            lower_solver: LowerSolver::Candidates,
+            solver: SolverBuilder::default().strict_exact(),
             budget: Budget::unlimited().with_node_limit(0),
             ..Default::default()
         };
@@ -713,7 +711,7 @@ mod tests {
         // handing PRO the same exhausted budget.
         let sc = scenario(2);
         let config = SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             budget: Budget::unlimited().with_node_limit(1),
             ..Default::default()
         };
@@ -726,7 +724,7 @@ mod tests {
     #[test]
     fn thread_counts_produce_identical_reports() {
         let sc = scenario(3);
-        for solver in [LowerSolver::Samc, LowerSolver::IlpqcWithGreedyFallback] {
+        for solver in [LowerSolver::Samc, LowerSolver::Candidates] {
             let run = |threads: usize| {
                 run_sag_with(
                     &sc,

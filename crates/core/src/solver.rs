@@ -613,7 +613,7 @@ pub struct SolverBuilder {
     /// Thresholds for [`SolverChoice::Adaptive`].
     pub policy: SelectionPolicy,
     /// Whether a budget-exhausted backend may degrade to greedy (the
-    /// `IlpqcWithGreedyFallback` behaviour); strict mode clears it.
+    /// default); [`SolverBuilder::strict_exact`] clears it.
     pub allow_fallback: bool,
     loser_fault: Option<LoserFault>,
 }
@@ -655,7 +655,7 @@ impl SolverBuilder {
 
     /// Strict-exact variant: forces the exact backend and disables the
     /// greedy rescue, so budget exhaustion surfaces as
-    /// [`SagError::BudgetExceeded`] (the `IlpqcStrict` contract).
+    /// [`SagError::BudgetExceeded`].
     pub fn strict_exact(self) -> Self {
         SolverBuilder {
             choice: SolverChoice::Fixed(SolverBackend::ExactIlp),

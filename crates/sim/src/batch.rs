@@ -172,14 +172,16 @@ pub enum JobOrder {
 }
 
 /// Cells each sweep worker claims per fetch unless
-/// [`SweepOptions::lanes`] says otherwise.
-const DEFAULT_LANES: usize = 4;
+/// [`SweepOptions::lanes`] says otherwise. One cell per claim measured
+/// faster than four on the batched-sweep benchmark: a wider batch holds
+/// cells of both runs, so workers wait on one shared build.
+const DEFAULT_LANES: usize = 1;
 
 /// Engine knobs beyond [`SweepConfig`].
 #[derive(Clone)]
 pub struct SweepOptions {
     /// Cells claimed per worker fetch (the lane-batch width K);
-    /// clamped to at least 1. Defaults to 4.
+    /// clamped to at least 1. Defaults to 1.
     pub lanes: usize,
     /// Claim order (see [`JobOrder`]).
     pub order: JobOrder,

@@ -13,8 +13,7 @@
 
 use sag_core::model::Scenario;
 use sag_core::resilience;
-use sag_core::sag::SagPipelineConfig;
-use sag_core::trace::run_sag_traced;
+use sag_core::sag::{run_sag_with, SagPipelineConfig};
 use sag_core::validate::validate_report;
 use sag_sim::experiments::fig6::TopologyDump;
 use sag_sim::gen::{BsLayout, ScenarioSpec};
@@ -40,32 +39,27 @@ fn parse_args() -> Args {
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let num = |argv: &[String], i: usize, what: &str| -> f64 {
-        argv.get(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| die(&format!("{what} needs a number")))
-    };
     while i < argv.len() {
         match argv[i].as_str() {
             "--users" => {
                 i += 1;
-                args.spec.n_subscribers = num(&argv, i, "--users") as usize;
+                args.spec.n_subscribers = value(&argv, i, "--users");
             }
             "--field" => {
                 i += 1;
-                args.spec.field_size = num(&argv, i, "--field");
+                args.spec.field_size = value(&argv, i, "--field");
             }
             "--bs" => {
                 i += 1;
-                args.spec.n_base_stations = num(&argv, i, "--bs") as usize;
+                args.spec.n_base_stations = value(&argv, i, "--bs");
             }
             "--snr" => {
                 i += 1;
-                args.spec.snr_db = num(&argv, i, "--snr");
+                args.spec.snr_db = value(&argv, i, "--snr");
             }
             "--seed" => {
                 i += 1;
-                args.seed = num(&argv, i, "--seed") as u64;
+                args.seed = value(&argv, i, "--seed");
             }
             "--corners" => args.spec.bs_layout = BsLayout::Corners,
             "--load" => {
@@ -97,6 +91,15 @@ fn parse_args() -> Args {
     args
 }
 
+/// The value of the flag `what` at `argv[i]`, parsed as a `T` (a
+/// count or seed must be a non-negative integer, so `2.9` and `-1` are
+/// usage errors, not silently truncated).
+fn value<T: std::str::FromStr>(argv: &[String], i: usize, what: &str) -> T {
+    argv.get(i)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| die(&format!("{what} needs a {}", std::any::type_name::<T>())))
+}
+
 /// Zone-parallel workers for the solve: `SAG_THREADS` when set and
 /// parsable (`0` means every hardware thread), else 1.
 fn env_threads() -> usize {
@@ -118,6 +121,9 @@ fn main() {
         }
         if !(args.spec.field_size.is_finite() && args.spec.field_size > 0.0) {
             die("--field must be a positive number");
+        }
+        if !args.spec.snr_db.is_finite() {
+            die("--snr must be a finite number");
         }
     }
     let scenario: Scenario = match &args.load {
@@ -143,12 +149,16 @@ fn main() {
         threads: env_threads(),
         ..SagPipelineConfig::default()
     };
-    let (report, trace) = match run_sag_traced(&scenario, config) {
-        Ok(r) => r,
-        Err(e) => die(&format!("pipeline failed: {e}")),
-    };
-    println!("pipeline trace:\n{trace}");
+    let report =
+        run_sag_with(&scenario, config).unwrap_or_else(|e| die(&format!("pipeline failed: {e}")));
     println!("{report}");
+    // Every coverage relay and every chain hop transmitting at Pmax.
+    let hops: usize = report.plan.chains.iter().map(|c| c.hops).sum();
+    let all_pmax = (report.n_coverage_relays() + hops) as f64 * scenario.params.link.pmax();
+    println!(
+        "saving vs all-Pmax: {:.3}",
+        all_pmax - report.power_summary().total
+    );
 
     let audit = validate_report(&scenario, &report);
     println!("{audit}");

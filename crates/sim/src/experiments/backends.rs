@@ -54,7 +54,7 @@ fn solve(sc: &sag_core::model::Scenario, solver: SolverBuilder) -> Option<SagRep
     run_sag_with(
         sc,
         SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             solver,
             ..Default::default()
         },

@@ -18,11 +18,11 @@ run() {
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 # Configuration at the edge: the library code of sag-core, sag-lp,
-# sag-radio and sag-sim reads no environment. Callers pass what they
-# want in config values; only the binaries under src/bin/ may read a
-# variable and hand it down.
-echo "==> no env::var in the library code of crates/{core,lp,radio,sim}/src"
-if grep -rn 'env::var' crates/core/src crates/lp/src crates/radio/src crates/sim/src | grep -v '/src/bin/'; then
+# sag-radio, sag-sim and sag-bench reads no environment. Callers pass
+# what they want in config values; only the binaries under src/bin/ may
+# read a variable and hand it down.
+echo "==> no env::var in the library code of crates/{core,lp,radio,sim,bench}/src"
+if grep -rn 'env::var' crates/core/src crates/lp/src crates/radio/src crates/sim/src crates/bench/src | grep -v '/src/bin/'; then
     echo "library code reads the environment; read it in a binary and pass it in a config"
     exit 1
 fi
@@ -98,68 +98,62 @@ SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --off
 echo "==> cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1"
 cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1 > /dev/null
 
-# SNR engine benchmark: brute vs ledger on the 100-subscriber probe
-# workload. Emits BENCH_snr.json and enforces the 5x speedup floor.
-run cargo run --release --offline -p sag-bench --bin bench_snr -- --out BENCH_snr.json --min-speedup 5
+# Benchmarks. Each bench_* binary asserts its parity or contract
+# checks before any timing, then writes BENCH_*.json through the shared
+# sag_bench::Artefact writer: measured fields plus a `gates` list
+# (name, value, floor or ceiling, "enforced" or "skipped (reason)").
+# The file is written before the run fails on an enforced gate that
+# missed. Gate values are named constants in each binary.
 
-# Hitting-set benchmark: the full-recompute reference local search vs the
+# SNR engine: brute vs ledger on the 100-subscriber probe workload.
+# Gate: bench_snr MIN_SPEEDUP (>=5x).
+run cargo run --release --offline -p sag-bench --bin bench_snr -- --out BENCH_snr.json
+
+# Hitting set: the full-recompute reference local search vs the
 # incremental swap evaluation on seeded Fig. 4/5 fields (one zone each
-# at the paper's N_max). Identical hitting sets are asserted on every
-# instance before timing. Emits BENCH_hitting.json and enforces a 10x
-# floor on the aggregate speedup.
-run cargo run --release --offline -p sag-bench --bin bench_hitting -- --out BENCH_hitting.json --min-speedup 10
+# at the paper's N_max); identical hitting sets on every instance.
+# Gate: bench_hitting MIN_SPEEDUP (>=10x aggregate).
+run cargo run --release --offline -p sag-bench --bin bench_hitting -- --out BENCH_hitting.json
 
-# Observability overhead gate: the disabled instrumentation path must
-# stay within 2% of the hand-composed uninstrumented pipeline. Emits
-# BENCH_obs.json (parity between the paths is asserted before timing).
-run cargo run --release --offline -p sag-bench --bin bench_obs -- --out BENCH_obs.json --max-overhead 1.02
+# Observability overhead: the disabled instrumentation path vs the
+# hand-composed uninstrumented pipeline (parity asserted first).
+# Gate: bench_obs MAX_OVERHEAD (disabled path <=1.02x).
+run cargo run --release --offline -p sag-bench --bin bench_obs -- --out BENCH_obs.json
 
-# Zone-parallel engine gate: byte-identical deployments at threads=1
-# vs threads=4 (always asserted), and a >=2x lower-tier speedup on the
-# 8-zone probe. Emits BENCH_par.json. The speedup gate self-skips on
-# hosts without 4 hardware threads — a single-core runner physically
-# cannot show wall-clock speedup, but the determinism contract still
-# holds and is still enforced there.
-run cargo run --release --offline -p sag-bench --bin bench_par -- --out BENCH_par.json --min-speedup 2 --threads 4
+# Zone-parallel engine: byte-identical deployments at threads=1 vs
+# THREADS=4 (always asserted) on the 8-zone probe. Gate: bench_par
+# MIN_SPEEDUP (>=2x lower tier); it self-skips on hosts with fewer than
+# 4 hardware threads, which cannot show the wall-clock speedup.
+run cargo run --release --offline -p sag-bench --bin bench_par -- --out BENCH_par.json
 
-# LP core benchmark: dense tableau vs sparse revised simplex on the
-# 96-zone cover probe (>=3x floor), cold vs warm-started B&B node
-# throughput (>=1.5x floor), and the seed ILPQC (sag_core::reference)
-# vs the kept-LP-session ILPQC on Fig. 3(a)-shaped GAC instances (>=4x
-# floor). Parity is asserted before any timing; the ILPQC arm requires
-# identical outcomes. Emits BENCH_lp.json. The first two gates
-# self-skip below the 16-zone minimum instance size (--zones), where
-# constants, not asymptotics, decide; the ILPQC gate is always enforced.
-run cargo run --release --offline -p sag-bench --bin bench_lp -- --out BENCH_lp.json --min-speedup 3 --min-warm-speedup 1.5 --min-ilpqc-speedup 4
+# LP core: dense tableau vs sparse revised simplex on the 96-zone cover
+# probe, cold vs warm-started B&B node throughput, and the seed ILPQC
+# (sag_core::reference) vs the kept-LP-session ILPQC on Fig. 3(a)-shaped
+# GAC instances; parity is asserted before any timing. Gates: bench_lp
+# MIN_SPEEDUP (>=3x), MIN_WARM_SPEEDUP (>=1.5x), MIN_ILPQC_SPEEDUP (>=4x).
+run cargo run --release --offline -p sag-bench --bin bench_lp -- --out BENCH_lp.json
 
-# Churn repair benchmark: incremental dirty-zone repair vs a
-# from-scratch SAMC per event on the 16-zone clustered probe. A mixed
-# seeded trace must replay audit-clean before timing. Emits
-# BENCH_churn.json with p50/p99 per-event repair latency; gates the
-# median repair speedup at >=5x and the p99 latency at <=500us. The
-# gate self-skips below the per-event timing floor, where the ratio
-# would measure the timer rather than the engine.
-run cargo run --release --offline -p sag-bench --bin bench_churn -- --out BENCH_churn.json --min-speedup 5 --max-p99-us 500
+# Churn repair: incremental dirty-zone repair vs a from-scratch SAMC per
+# event on the 16-zone clustered probe; a mixed seeded trace must replay
+# audit-clean first. Gates: bench_churn MIN_SPEEDUP (>=5x median repair
+# speedup; self-skips below the per-event timing floor) and MAX_P99_NS
+# (p99 repair latency <=500us).
+run cargo run --release --offline -p sag-bench --bin bench_churn -- --out BENCH_churn.json
 
-# Solver-backend benchmark: adaptive per-zone selection vs an all-exact
-# lower tier on the 16-zone dense clustered probe. Both arms must pass
-# the independent report audit before timing (equal feasibility), and
-# the adaptive arm must route zones away from the exact backend. Emits
-# BENCH_backends.json; gates the lower-tier speedup at >=1.5x. The gate
-# self-skips below the timing floor, where the ratio would measure the
-# timer rather than the selector.
-run cargo run --release --offline -p sag-bench --bin bench_backends -- --out BENCH_backends.json --min-speedup 1.5
+# Solver backends: adaptive per-zone selection vs an all-exact lower
+# tier on the 16-zone dense clustered probe; both arms pass the report
+# audit and adaptive must route zones away from the exact backend.
+# Gate: bench_backends MIN_SPEEDUP (>=1.5x; self-skips below the timing
+# floor).
+run cargo run --release --offline -p sag-bench --bin bench_backends -- --out BENCH_backends.json
 
-# Batched sweep engine gate: the fingerprint-cached engine vs the
-# per-cell path on the Fig. 3(e)-shaped probe (scenarios fixed, GAC
-# grid marching). Byte-identical CellStats are asserted before timing
-# at threads=1/N, cold/warm cache and a shuffled work queue; then the
-# sweep-cells-per-second speedup is gated at >=4x. The speedup is
-# cache-driven, so it is enforced at any hardware thread count; the
-# gate self-skips (machine-readably, honoring SAG_BENCH_STRICT) only
-# when the reference sweep is too fast for the timer to resolve. Emits
-# BENCH_sweep.json.
-run cargo run --release --offline -p sag-bench --bin bench_sweep -- --out BENCH_sweep.json --min-speedup 4
+# Batched sweep engine: the fingerprint-cached engine vs the per-cell
+# path on the Fig. 3(e)-shaped probe; byte-identical CellStats at
+# threads=1/N, cold/warm cache and a shuffled queue first. The speedup
+# is cache-driven, so it holds at any hardware thread count. Gate:
+# bench_sweep MIN_SPEEDUP (>=4x; self-skips only when the reference
+# sweep is too fast for the timer).
+run cargo run --release --offline -p sag-bench --bin bench_sweep -- --out BENCH_sweep.json
 
 # Churn chaos smoke: a short seeded trace through every chaos arm
 # (burst, boundary hop, worker panic, ledger desync); every arm must

@@ -120,7 +120,7 @@ fn starved_ilpqc_falls_back_to_greedy_and_reports_it() {
         -15.0,
     );
     let config = SagPipelineConfig {
-        lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+        lower_solver: LowerSolver::Candidates,
         // Pinned: this acceptance is about the exact → greedy ladder,
         // which adaptive selection skips on a zero node budget.
         solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
@@ -140,7 +140,8 @@ fn starved_ilpqc_falls_back_to_greedy_and_reports_it() {
 fn starved_strict_ilpqc_reports_budget_exceeded() {
     let sc = scenario(500.0, &[(0.0, 0.0, 30.0)], &[(100.0, 100.0)], -15.0);
     let config = SagPipelineConfig {
-        lower_solver: LowerSolver::IlpqcStrict,
+        lower_solver: LowerSolver::Candidates,
+        solver: SolverBuilder::default().strict_exact(),
         budget: Budget::unlimited().with_node_limit(0),
         ..Default::default()
     };
@@ -166,7 +167,8 @@ fn deadline_is_honoured_within_epsilon() {
         }
         .build(seed);
         let config = SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcStrict,
+            lower_solver: LowerSolver::Candidates,
+            solver: SolverBuilder::default().strict_exact(),
             budget: Budget::unlimited().with_deadline(deadline),
             ..Default::default()
         };
@@ -189,7 +191,8 @@ fn cancellation_flag_stops_the_pipeline() {
     let flag = Arc::new(AtomicBool::new(true));
     let sc = scenario(500.0, &[(0.0, 0.0, 30.0)], &[(100.0, 100.0)], -15.0);
     let config = SagPipelineConfig {
-        lower_solver: LowerSolver::IlpqcStrict,
+        lower_solver: LowerSolver::Candidates,
+        solver: SolverBuilder::default().strict_exact(),
         budget: Budget::unlimited().with_cancel_flag(Arc::clone(&flag)),
         ..Default::default()
     };
@@ -249,7 +252,7 @@ fn portfolio_loser_death_leaves_the_winner_clean() {
         run_sag_with(
             &sc,
             SagPipelineConfig {
-                lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                lower_solver: LowerSolver::Candidates,
                 solver,
                 ..Default::default()
             },
@@ -355,16 +358,13 @@ fn tail_stages_never_fail_on_a_deadline_the_lower_tier_spent() {
             .build(seed);
             for (solver, builder) in [
                 (LowerSolver::Samc, SolverBuilder::adaptive()),
+                (LowerSolver::Candidates, SolverBuilder::adaptive()),
                 (
-                    LowerSolver::IlpqcWithGreedyFallback,
-                    SolverBuilder::adaptive(),
-                ),
-                (
-                    LowerSolver::IlpqcWithGreedyFallback,
+                    LowerSolver::Candidates,
                     SolverBuilder::fixed(SolverBackend::Greedy),
                 ),
                 (
-                    LowerSolver::IlpqcWithGreedyFallback,
+                    LowerSolver::Candidates,
                     SolverBuilder::fixed(SolverBackend::LpRound),
                 ),
             ] {

@@ -255,8 +255,8 @@ fn budget_exhaustion_dumps_spend_accounting() {
         outcome = run_sag_with(
             &sc,
             SagPipelineConfig {
-                lower_solver: LowerSolver::IlpqcStrict,
-                solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
+                lower_solver: LowerSolver::Candidates,
+                solver: SolverBuilder::default().strict_exact(),
                 budget: Budget::unlimited().with_node_limit(0),
                 ..Default::default()
             },
@@ -332,7 +332,7 @@ fn portfolio_loser_panic_and_hang_both_dump() {
             outcome = run_sag_with(
                 &sc,
                 SagPipelineConfig {
-                    lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                    lower_solver: LowerSolver::Candidates,
                     solver: SolverBuilder::portfolio(
                         SolverBackend::ExactIlp,
                         SolverBackend::Greedy,

@@ -179,7 +179,7 @@ fn greedy_fallback_run_records_its_rungs() {
     // pipeline to degrade; the span set must record both rungs.
     let sc = build(6, 2, 13);
     let config = SagPipelineConfig {
-        lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+        lower_solver: LowerSolver::Candidates,
         // Pinned: the span-set assertions below are about the exact →
         // greedy ladder, which adaptive selection skips on a zero node
         // budget.
@@ -243,7 +243,7 @@ fn ilpqc_run_records_solver_work_counters() {
     // LP/B&B work counters belong to the exact lower-tier path.
     let sc = build(8, 2, 11);
     let config = SagPipelineConfig {
-        lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+        lower_solver: LowerSolver::Candidates,
         // Pinned: the work counters below belong to the exact backend.
         solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
         ..Default::default()
@@ -297,7 +297,7 @@ fn budget_spent_is_stage_local_on_every_arm() {
     let ilpqc = run_sag_with(
         &sc,
         SagPipelineConfig {
-            lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+            lower_solver: LowerSolver::Candidates,
             // Pinned: `ilpqc.nodes` parity only holds on the exact path.
             solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
             ..Default::default()

@@ -75,16 +75,13 @@ fn arb_spec() -> impl Strategy<Value = (usize, f64, f64, u64)> {
 fn lower_tier_arms() -> [(LowerSolver, SolverBuilder); 4] {
     [
         (LowerSolver::Samc, SolverBuilder::adaptive()),
+        (LowerSolver::Candidates, SolverBuilder::adaptive()),
         (
-            LowerSolver::IlpqcWithGreedyFallback,
-            SolverBuilder::adaptive(),
-        ),
-        (
-            LowerSolver::IlpqcWithGreedyFallback,
+            LowerSolver::Candidates,
             SolverBuilder::fixed(SolverBackend::Greedy),
         ),
         (
-            LowerSolver::IlpqcWithGreedyFallback,
+            LowerSolver::Candidates,
             SolverBuilder::fixed(SolverBackend::LpRound),
         ),
     ]
@@ -174,7 +171,7 @@ prop! {
         .build(seed);
         let run = |threads: usize| {
             run_sag_with(&sc, SagPipelineConfig {
-                lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                lower_solver: LowerSolver::Candidates,
                 solver: SolverBuilder::portfolio(
                     SolverBackend::ExactIlp,
                     SolverBackend::LpRound,

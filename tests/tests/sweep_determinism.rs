@@ -74,9 +74,9 @@ prop! {
                     },
                 ),
                 (
-                    "lanes=1",
+                    "lanes=4",
                     SweepOptions {
-                        lanes: 1,
+                        lanes: 4,
                         ..Default::default()
                     },
                 ),
