@@ -21,9 +21,14 @@
 //!    per-node re-lowering and by `sag_core::ilpqc`'s kept LP session.
 //!    Identical outcomes (relays, assignment, nodes, optimality) are
 //!    asserted on every instance before timing; the gate asserts
-//!    the session's speedup floor.
+//!    the session's speedup floor. One session run under a collector
+//!    also records the pricing passes (`lp.sparse_pricings`) per LP
+//!    solve: a kept-session re-solve that makes no pivot prices no
+//!    column.
 //!
 //! Usage: `bench_lp [--out PATH]`
+
+use std::sync::Arc;
 
 use sag_bench::harness::{interleaved, time_ns};
 use sag_bench::{Artefact, Bound};
@@ -179,6 +184,8 @@ struct IlpqcArm {
     candidates: usize,
     /// Branch-and-bound nodes summed over the instances.
     nodes: usize,
+    /// Pricing passes per LP solve over one session run of the probe.
+    pricings_per_solve: f64,
     reference_ns: u128,
     session_ns: u128,
     speedup: f64,
@@ -202,6 +209,15 @@ fn run_ilpqc_arm() -> IlpqcArm {
         );
         nodes += fast.nodes;
     }
+    let collector = Arc::new(sag_obs::Collector::default());
+    sag_obs::with_local(collector.clone(), || {
+        for inst in &probe {
+            let _ = solve_ilpqc(&inst.scenario, &inst.candidates, ilpqc_config());
+        }
+    });
+    let lp = collector.summary();
+    let pricings_per_solve =
+        lp.counter("lp.sparse_pricings") as f64 / lp.counter("lp.sparse_solves").max(1) as f64;
     let solve_all = |solve: fn(
         &Scenario,
         &[Point],
@@ -222,6 +238,7 @@ fn run_ilpqc_arm() -> IlpqcArm {
         instances: probe.len(),
         candidates: probe.iter().map(|i| i.candidates.len()).sum(),
         nodes,
+        pricings_per_solve,
         reference_ns: t.median_ns(0),
         session_ns: t.median_ns(1),
         speedup: t.ratio_median(&[0], &[1]),
@@ -311,6 +328,7 @@ fn main() {
         .field("ilpqc_instances", ilpqc.instances)
         .field("ilpqc_candidates", ilpqc.candidates)
         .field("ilpqc_nodes", ilpqc.nodes)
+        .field("ilpqc_pricings_per_solve", ilpqc.pricings_per_solve)
         .field("ilpqc_reference_median_ns", ilpqc.reference_ns)
         .field("ilpqc_session_median_ns", ilpqc.session_ns)
         .field("ilpqc_speedup", ilpqc.speedup)

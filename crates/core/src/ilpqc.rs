@@ -115,6 +115,7 @@ pub fn solve_ilpqc(
     // eligible[j] = candidate indices within subscriber j's distance
     // (the shared helper every backend builds its lists with).
     let eligible = crate::fallback::eligibility(scenario, candidates, "ilpqc")?;
+    let mut coverage = CoverageMasks::new(n_cands, &eligible);
 
     // Root lower bound: LP relaxation of the set cover, the kept
     // session's first solve.
@@ -190,13 +191,7 @@ pub fn solve_ilpqc(
                 break; // incumbent provably optimal
             }
         }
-        // First subscriber not distance-covered.
-        let uncovered = (0..n_subs).find(|&j| {
-            !eligible[j]
-                .iter()
-                .any(|c| selected.binary_search(c).is_ok())
-        });
-        match uncovered {
+        match coverage.first_uncovered(&selected) {
             Some(j) => {
                 if let Some(b) = &best {
                     if selected.len() + 1 >= b.len() {
@@ -345,6 +340,56 @@ pub fn solve_ilpqc(
         None => Err(SagError::Infeasible(
             "ilpqc: no SNR-feasible cover exists over the candidates".into(),
         )),
+    }
+}
+
+/// Per-candidate subscriber bitmasks, built once per solve: a node's
+/// distance coverage is the OR of its selected candidates' masks.
+struct CoverageMasks {
+    n_subs: usize,
+    /// 64-bit words per mask.
+    words: usize,
+    /// Candidate `c`'s mask is `masks[c·words..(c+1)·words]`: bit `j`
+    /// is set when `c` is eligible for subscriber `j`.
+    masks: Vec<u64>,
+    /// The OR under construction (one mask).
+    covered: Vec<u64>,
+}
+
+impl CoverageMasks {
+    fn new(n_cands: usize, eligible: &[Vec<usize>]) -> Self {
+        let n_subs = eligible.len();
+        let words = n_subs.div_ceil(64);
+        let mut masks = vec![0u64; n_cands * words];
+        for (j, e) in eligible.iter().enumerate() {
+            for &c in e {
+                masks[c * words + j / 64] |= 1 << (j % 64);
+            }
+        }
+        CoverageMasks {
+            n_subs,
+            words,
+            masks,
+            covered: vec![0; words],
+        }
+    }
+
+    /// The lowest subscriber no candidate of `selected` is eligible for.
+    fn first_uncovered(&mut self, selected: &[usize]) -> Option<usize> {
+        self.covered.fill(0);
+        for &c in selected {
+            let mask = &self.masks[c * self.words..(c + 1) * self.words];
+            for (w, m) in self.covered.iter_mut().zip(mask) {
+                *w |= m;
+            }
+        }
+        // Bits past `n_subs` are never set, so only the last word can
+        // report a subscriber that does not exist.
+        self.covered
+            .iter()
+            .position(|&w| w != u64::MAX)
+            .map(|w| w * 64 + self.covered[w].trailing_ones() as usize)
+            .filter(|&j| j < self.n_subs)
     }
 }
 
@@ -716,6 +761,33 @@ mod tests {
     }
 
     prop! {
+        /// The bitmask node test finds the same first uncovered
+        /// subscriber as a scan of each subscriber's eligible list, also
+        /// past one 64-bit word of subscribers.
+        #[cases(64)]
+        fn coverage_masks_find_the_first_uncovered_subscriber(seed in 0u64..100_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n_cands = rng.gen_range(1..40usize);
+            let n_subs = rng.gen_range(0..150usize);
+            let eligible: Vec<Vec<usize>> = (0..n_subs)
+                .map(|_| {
+                    let mut e: Vec<usize> = (0..n_cands).filter(|_| rng.gen_bool(0.1)).collect();
+                    if e.is_empty() {
+                        e.push(rng.gen_range(0..n_cands));
+                    }
+                    e
+                })
+                .collect();
+            let mut masks = CoverageMasks::new(n_cands, &eligible);
+            for _ in 0..8 {
+                let selected: Vec<usize> = (0..n_cands).filter(|_| rng.gen_bool(0.3)).collect();
+                let want = (0..n_subs).find(|&j| {
+                    !eligible[j].iter().any(|c| selected.binary_search(c).is_ok())
+                });
+                prop_assert_eq!(masks.first_uncovered(&selected), want, "selected {:?}", selected);
+            }
+        }
+
         /// Soundness of the pruning bound (the S4 regression): over
         /// random set-cover instances, the rounded LP lower bound never
         /// exceeds the brute-forced integer optimum — an over-rounded

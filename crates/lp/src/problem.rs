@@ -21,7 +21,7 @@
 use crate::budget::Budget;
 use crate::error::LpError;
 use crate::revised::{
-    resume_dual, solve_cold, Factorization, RevisedSolution, Solved, SparseStandardForm,
+    resume_dual, solve_cold, Factored, RevisedSolution, Solved, SparseStandardForm,
     DEFAULT_REFACTOR_PERIOD,
 };
 use crate::simplex::{solve_standard_with, StandardForm};
@@ -133,13 +133,6 @@ pub struct WarmOutcome {
     /// Whether the provided seed basis was actually used (shape
     /// matched and the dual simplex accepted it).
     pub warm_used: bool,
-}
-
-/// Internal detailed variant of [`WarmOutcome`].
-struct SparseOutcome {
-    solution: LpSolutionDetailed,
-    warm: Option<WarmStart>,
-    warm_used: bool,
 }
 
 /// A problem lowered to the any-sign-rhs sparse standard form, plus
@@ -272,11 +265,7 @@ impl LpProblem {
     /// [`LpError::IterationLimit`] from the simplex core, and
     /// [`LpError::Cancelled`] when an attached budget trips.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        let d = self.solve_detailed()?;
-        Ok(LpSolution {
-            objective: d.objective,
-            x: d.x,
-        })
+        self.solve_with_warm_start(None).map(|out| out.solution)
     }
 
     /// Solves the problem and additionally recovers shadow prices
@@ -291,7 +280,9 @@ impl LpProblem {
     /// # Errors
     /// As [`LpProblem::solve`].
     pub fn solve_detailed(&self) -> Result<LpSolutionDetailed, LpError> {
-        self.solve_sparse_outcome(None).map(|o| o.solution)
+        let lowered = self.lower_sparse();
+        let (solved, _) = solve_lowered(&lowered.sf, None, &self.budget)?;
+        Ok(self.sparse_detailed(&lowered, &solved.solution))
     }
 
     /// Solves the problem on the dense two-phase tableau
@@ -567,14 +558,20 @@ impl LpProblem {
         }
     }
 
-    /// Maps a sparse solution of `lowered` back to this problem's
-    /// variables: unshifted `x`, objective in the problem's own sense,
-    /// and dual recovery as in the dense path, minus the negation term
-    /// (sparse rows are never negated).
+    /// Maps a sparse solution's structural values back to this
+    /// problem's variables: the unshifted `x` and the objective in the
+    /// problem's own sense.
+    fn unshift(&self, sol_x: &[f64]) -> LpSolution {
+        let x: Vec<f64> = (0..self.n).map(|v| sol_x[v] + self.lower[v]).collect();
+        let objective: f64 = self.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+        LpSolution { objective, x }
+    }
+
+    /// [`Self::unshift`] plus dual recovery as in the dense path, minus
+    /// the negation term (sparse rows are never negated).
     fn sparse_detailed(&self, lowered: &Lowered, sol: &RevisedSolution) -> LpSolutionDetailed {
         let n = self.n;
-        let x: Vec<f64> = (0..n).map(|v| sol.x[v] + self.lower[v]).collect();
-        let objective: f64 = self.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+        let LpSolution { objective, x } = self.unshift(&sol.x);
         let sense = if self.minimize { 1.0 } else { -1.0 };
         let duals: Vec<Option<f64>> = (0..self.rows.len())
             .map(|i| {
@@ -596,48 +593,31 @@ impl LpProblem {
         }
     }
 
-    /// Solves via the sparse revised simplex, optionally warm-starting
-    /// the dual simplex from `warm` (ignored unless its
-    /// [`LoweredShape`] matches; an unusable seed falls back to a cold
-    /// solve). Returns the detailed solution plus the terminal basis
-    /// for future warm starts.
-    fn solve_sparse_outcome(&self, warm: Option<&WarmStart>) -> Result<SparseOutcome, LpError> {
-        let lowered = self.lower_sparse();
-        let seed = warm
-            .filter(|ws| ws.shape == lowered.shape)
-            .map(|ws| (ws.basis.clone(), None));
-        let (solved, warm_used) = solve_lowered(&lowered.sf, seed, &self.budget)?;
-        let solution = self.sparse_detailed(&lowered, &solved.solution);
-        // A basis containing artificials (redundant rows) cannot seed a
-        // warm start; report no handle rather than a poisoned one.
-        let warm_out = reusable_basis(&lowered.sf, solved.solution.basis).map(|basis| WarmStart {
-            basis,
-            shape: lowered.shape,
-        });
-        Ok(SparseOutcome {
-            solution,
-            warm: warm_out,
-            warm_used,
-        })
-    }
-
     /// Solves the problem, seeding the sparse core's dual simplex from
     /// a previous solve's basis when `warm` is compatible (same
     /// `LoweredShape` — i.e. only bounds/right-hand sides changed, as
-    /// under branch-and-bound branching).
+    /// under branch-and-bound branching). The basis is factorized and
+    /// priced afresh.
     ///
     /// # Errors
     /// As [`LpProblem::solve`]; a warm seed that cannot be used falls
     /// back to a cold solve rather than erroring.
     pub fn solve_with_warm_start(&self, warm: Option<&WarmStart>) -> Result<WarmOutcome, LpError> {
-        let out = self.solve_sparse_outcome(warm)?;
+        let lowered = self.lower_sparse();
+        let seed = warm
+            .filter(|ws| ws.shape == lowered.shape)
+            .map(|ws| (ws.basis.clone(), None));
+        let (solved, warm_used) = solve_lowered(&lowered.sf, seed, &self.budget)?;
+        // A basis containing artificials (redundant rows) cannot seed a
+        // warm start; report no handle rather than a poisoned one.
+        let warm = reusable_basis(&lowered.sf, solved.solution.basis).map(|basis| WarmStart {
+            basis,
+            shape: lowered.shape,
+        });
         Ok(WarmOutcome {
-            solution: LpSolution {
-                objective: out.solution.objective,
-                x: out.solution.x,
-            },
-            warm: out.warm,
-            warm_used: out.warm_used,
+            solution: self.unshift(&solved.solution.x),
+            warm,
+            warm_used,
         })
     }
 
@@ -700,7 +680,7 @@ impl LpProblem {
 /// propagates. Returns whether the seed was used.
 fn solve_lowered(
     sf: &SparseStandardForm,
-    seed: Option<(Vec<usize>, Option<Factorization>)>,
+    seed: Option<(Vec<usize>, Option<Factored>)>,
     budget: &Budget,
 ) -> Result<(Solved, bool), LpError> {
     if let Some((basis, kept)) = seed {
@@ -727,14 +707,23 @@ fn reusable_basis(sf: &SparseStandardForm, basis: Vec<usize>) -> Option<Vec<usiz
 /// `b` — recomputed from the bounds by the same formula a fresh
 /// lowering uses, so it is bit-identical to one. Each
 /// [`LpSession::solve`] resumes the dual simplex from the basis the
-/// previous solve ended on *and its LU factors*: a bound change leaves
-/// that basis dual feasible, and a re-solve that needs no pivot never
-/// refactorizes. Every solve still runs the residual self-check on the
-/// factors it uses, the dual-feasibility guard (an unusable basis falls
-/// back to a cold solve) and budget polling, and flushes its own
-/// `lp.sparse_*` counters. A failed solve drops the kept basis, so the
-/// next one starts cold. [`LpProblem::solve_dense`] on
-/// [`LpSession::problem`] is the referee for each re-solve.
+/// previous solve ended on, *its LU factors and the reduced costs its
+/// extraction priced through them*: a bound change leaves that basis
+/// dual feasible, so a re-solve whose dual pass needs no pivot reads the
+/// carried costs for the dual-feasibility guard, the primal clean-up
+/// check and extraction — one FTRAN for `x_B` and the residual check,
+/// no refactorization, no BTRAN, no column pricing. Any pivot,
+/// refactorization or applied [`crate::revised::inject_lu_skew`] drops
+/// the carried costs, and the solve prices afresh exactly as a one-shot
+/// resume does; answers are bit-identical to
+/// [`LpProblem::solve_with_warm_start`] from the same basis. Every
+/// solve still runs the residual self-check on the factors it uses,
+/// the dual-feasibility guard (an unusable basis falls back to a cold
+/// solve) and budget polling, extracts through a fresh factorization
+/// after any pivot, and flushes its own `lp.sparse_*` counters. A
+/// failed solve drops all kept state, so the next one starts cold.
+/// [`LpProblem::solve_dense`] on [`LpSession::problem`] is the referee
+/// for each re-solve.
 ///
 /// # Example
 /// ```
@@ -753,8 +742,9 @@ fn reusable_basis(sf: &SparseStandardForm, basis: Vec<usize>) -> Option<Vec<usiz
 pub struct LpSession {
     problem: LpProblem,
     lowered: Lowered,
-    /// The last solve's terminal basis and the factors built for it.
-    kept: Option<(Vec<usize>, Factorization)>,
+    /// The last solve's terminal basis, the factors built for it and
+    /// the reduced costs priced through them.
+    kept: Option<(Vec<usize>, Factored)>,
     /// Bounds changed since `lowered.sf.b` was last written.
     stale_rhs: bool,
 }
@@ -807,17 +797,21 @@ impl LpSession {
             self.problem.lower_rhs(&mut self.lowered);
             self.stale_rhs = false;
         }
-        let seed = self.kept.take().map(|(basis, fact)| (basis, Some(fact)));
-        let (solved, _) = solve_lowered(&self.lowered.sf, seed, &self.problem.budget)?;
-        let d = self
-            .problem
-            .sparse_detailed(&self.lowered, &solved.solution);
-        self.kept = reusable_basis(&self.lowered.sf, solved.solution.basis)
-            .map(|basis| (basis, solved.fact));
-        Ok(LpSolution {
-            objective: d.objective,
-            x: d.x,
-        })
+        let seed = self.kept.take().map(|(basis, kept)| (basis, Some(kept)));
+        let (Solved { solution, fact }, _) =
+            solve_lowered(&self.lowered.sf, seed, &self.problem.budget)?;
+        let answer = self.problem.unshift(&solution.x);
+        let reduced_costs = solution.reduced_costs;
+        self.kept = reusable_basis(&self.lowered.sf, solution.basis).map(|basis| {
+            (
+                basis,
+                Factored {
+                    fact,
+                    reduced_costs,
+                },
+            )
+        });
+        Ok(answer)
     }
 }
 

@@ -28,7 +28,9 @@
 //!   basis dual feasible. [`solve_sparse_from_basis`] is its one-shot
 //!   use (branch-and-bound children seeded with a parent's basis); a
 //!   kept [`crate::LpSession`] also hands back the LU factors its last
-//!   solve ended on, so an unpivoted re-solve never refactorizes.
+//!   solve ended on and the reduced costs its extraction priced through
+//!   them, so a re-solve that makes no pivot neither refactorizes nor
+//!   prices a column.
 //!
 //! The final answer is always extracted from a *fresh* factorization of
 //! the terminal basis — never through the eta file — so the reported
@@ -320,15 +322,17 @@ impl Factorization {
     /// Applies a pending [`inject_lu_skew`] to these factors: one entry
     /// is multiplied by `1 + delta`. Called on every build and on every
     /// reuse of kept factors — the residual self-check must catch the
-    /// skew, never the caller.
-    fn apply_pending_skew(&mut self) {
-        if let Some(delta) = consume_lu_skew() {
-            if self.k > 0 {
-                self.u_diag[0] *= 1.0 + delta;
-            } else if self.nb > 0 {
-                self.lu[0] *= 1.0 + delta;
-            }
+    /// skew, never the caller. Returns whether a skew was applied.
+    fn apply_pending_skew(&mut self) -> bool {
+        let Some(delta) = consume_lu_skew() else {
+            return false;
+        };
+        if self.k > 0 {
+            self.u_diag[0] *= 1.0 + delta;
+        } else if self.nb > 0 {
+            self.lu[0] *= 1.0 + delta;
         }
+        true
     }
 
     /// Solves `B x = v` through the factorization alone (no etas).
@@ -503,6 +507,12 @@ struct SparseSimplex<'a> {
     etas: Vec<Eta>,
     /// Basic variable values, indexed by basis slot.
     x_b: Vec<f64>,
+    /// Reduced costs under the true costs `c`, priced through `fact`
+    /// for the current basis by the extraction of an earlier solve (zero
+    /// for basic columns). Only a resume from kept factors starts with
+    /// them; any pivot, refactorization or applied skew drops them, and
+    /// pricing then computes them afresh.
+    carried: Option<Vec<f64>>,
     /// Etas accumulated before a full refactorization.
     refactor_period: usize,
     /// Rotating start column for partial pricing.
@@ -510,6 +520,16 @@ struct SparseSimplex<'a> {
     budget: &'a Budget,
     pivots: usize,
     refactors: usize,
+    /// Passes that priced the columns against a BTRAN'd vector.
+    pricings: Cell<usize>,
+}
+
+/// Where a pass over the columns reads reduced costs from.
+enum Pricing<'s> {
+    /// The costs carried for the current factors and basis.
+    Carried(&'s [f64]),
+    /// `y = B⁻ᵀ c_B`, to price each column against.
+    Duals(Vec<f64>),
 }
 
 /// Partial-pricing block: columns scanned per sweep step before the
@@ -536,6 +556,28 @@ impl<'a> SparseSimplex<'a> {
             self.sf.a.dot_col(j, y)
         } else {
             y[j - self.n] * self.art_sign[j - self.n]
+        }
+    }
+
+    /// The reduced costs of a pass under `costs`: the carried ones while
+    /// they are valid, else `y = B⁻ᵀ c_B` — one pricing pass. Costs are
+    /// only carried in a resume, which prices nothing but the true
+    /// costs `c`.
+    fn pricing(&self, costs: &[f64]) -> Pricing<'_> {
+        if let Some(rc) = self.carried.as_deref() {
+            debug_assert_eq!(&costs[..self.n], &self.sf.c[..]);
+            return Pricing::Carried(rc);
+        }
+        self.pricings.set(self.pricings.get() + 1);
+        let c_b: Vec<f64> = self.basis.iter().map(|&j| costs[j]).collect();
+        Pricing::Duals(self.btran(&c_b))
+    }
+
+    /// `d_j = c_j − y·a_j` of nonbasic column `j` under `pricing`.
+    fn reduced_cost(&self, pricing: &Pricing<'_>, costs: &[f64], j: usize) -> f64 {
+        match pricing {
+            Pricing::Carried(rc) => rc[j],
+            Pricing::Duals(y) => costs[j] - self.price_col(j, y),
         }
     }
 
@@ -582,12 +624,22 @@ impl<'a> SparseSimplex<'a> {
         self.fact.solve_transpose(&z)
     }
 
+    /// `z = B⁻ᵀ e_p`, for a pass that prices the columns against row
+    /// `p` of `B⁻¹` (counted as one pricing pass).
+    fn btran_row(&self, p: usize) -> Vec<f64> {
+        self.pricings.set(self.pricings.get() + 1);
+        let mut e_p = vec![0.0; self.m];
+        e_p[p] = 1.0;
+        self.btran(&e_p)
+    }
+
     /// Rebuilds the factorization from the current basis, clears the
     /// eta file, recomputes `x_B`, and verifies the residual
     /// `‖b − B·x_B‖∞ / (1 + ‖b‖∞)`. One silent retry (recovers a
     /// one-shot skew or accumulated drift); persistent failure is
     /// [`LpError::Numerical`].
     fn refactorize(&mut self) -> Result<(), LpError> {
+        self.carried = None;
         for attempt in 0..2 {
             let cols: Vec<Vec<(usize, f64)>> =
                 self.basis.iter().map(|&j| self.col_entries(j)).collect();
@@ -613,12 +665,19 @@ impl<'a> SparseSimplex<'a> {
     }
 
     /// Puts factors kept from an earlier solve of the current basis back
-    /// to use: recomputes `x_B` through them and runs the residual
-    /// self-check a fresh build gets, refactorizing when it fails.
-    fn reuse(&mut self, mut fact: Factorization) -> Result<(), LpError> {
-        fact.apply_pending_skew();
+    /// to use, with the reduced costs priced through them: recomputes
+    /// `x_B` through the factors and runs the residual self-check a
+    /// fresh build gets, refactorizing when it fails. A skew applied to
+    /// the factors drops the costs.
+    fn reuse(&mut self, kept: Factored) -> Result<(), LpError> {
+        let Factored {
+            mut fact,
+            reduced_costs,
+        } = kept;
+        let skewed = fact.apply_pending_skew();
         self.fact = fact;
         self.etas.clear();
+        self.carried = (!skewed && reduced_costs.len() == self.n).then_some(reduced_costs);
         self.x_b = self.fact.solve(&self.sf.b);
         if self.residual_ok() {
             return Ok(());
@@ -635,10 +694,16 @@ impl<'a> SparseSimplex<'a> {
         let mut r = self.sf.b.clone();
         for (slot, &j) in self.basis.iter().enumerate() {
             let xv = self.x_b[slot];
-            if xv != 0.0 {
-                for &(row, val) in &self.col_entries(j) {
+            if xv == 0.0 {
+                continue;
+            }
+            if j < self.n {
+                let (rows, vals) = self.sf.a.col(j);
+                for (&row, &val) in rows.iter().zip(vals) {
                     r[row] -= val * xv;
                 }
+            } else {
+                r[j - self.n] -= self.art_sign[j - self.n] * xv;
             }
         }
         let bnorm = self.sf.b.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
@@ -669,6 +734,7 @@ impl<'a> SparseSimplex<'a> {
             self.in_basis[q] = true;
         }
         self.etas.push(Eta { r: p, wr, nz });
+        self.carried = None;
         self.pivots += 1;
         if self.etas.len() >= self.refactor_period {
             self.refactorize()?;
@@ -682,16 +748,13 @@ impl<'a> SparseSimplex<'a> {
     fn run_primal(&mut self, costs: &[f64]) -> Result<(), LpError> {
         let max_iters = 50 * (self.m + self.n) + 1000;
         let bland_after = 5 * (self.m + self.n);
-        let mut c_b = vec![0.0; self.m];
         for iter in 0..max_iters {
             if iter & BUDGET_POLL_MASK == 0 {
                 self.budget.check_interrupt()?;
             }
-            // Pricing: y = B⁻ᵀ c_B, then d_j = c_j − y·a_j.
-            for (slot, &j) in self.basis.iter().enumerate() {
-                c_b[slot] = costs[j];
-            }
-            let y = self.btran(&c_b);
+            // Pricing: y = B⁻ᵀ c_B, then d_j = c_j − y·a_j (or the
+            // carried d_j, before any pivot of a resume).
+            let pricing = self.pricing(costs);
             let entering = if iter < bland_after {
                 // Partial pricing: scan rotating blocks and take the most
                 // negative reduced cost from the first block holding one,
@@ -711,7 +774,7 @@ impl<'a> SparseSimplex<'a> {
                         if self.in_basis[j] {
                             continue;
                         }
-                        let d = costs[j] - self.price_col(j, &y);
+                        let d = self.reduced_cost(&pricing, costs, j);
                         if d < -TOL && best.is_none_or(|(_, bv)| d < bv) {
                             best = Some((j, d));
                         }
@@ -723,7 +786,8 @@ impl<'a> SparseSimplex<'a> {
                 }
                 best.map(|(j, _)| j)
             } else {
-                (0..self.n).find(|&j| !self.in_basis[j] && costs[j] - self.price_col(j, &y) < -TOL)
+                (0..self.n)
+                    .find(|&j| !self.in_basis[j] && self.reduced_cost(&pricing, costs, j) < -TOL)
             };
             let Some(q) = entering else {
                 return Ok(());
@@ -786,13 +850,11 @@ impl<'a> SparseSimplex<'a> {
             let Some(p) = p else {
                 return Ok(());
             };
-            // Row p of B⁻¹A over nonbasic structurals: z = B⁻ᵀ e_p.
-            let mut e_p = vec![0.0; self.m];
-            e_p[p] = 1.0;
-            let z = self.btran(&e_p);
-            // Current reduced costs (recomputed — dual pivots are few).
-            let c_b: Vec<f64> = self.basis.iter().map(|&j| costs[j]).collect();
-            let y = self.btran(&c_b);
+            // Row p of B⁻¹A over nonbasic structurals.
+            let z = self.btran_row(p);
+            // Current reduced costs (recomputed after a pivot — dual
+            // pivots are few).
+            let pricing = self.pricing(costs);
             let mut enter: Option<(usize, f64)> = None;
             for j in 0..self.n {
                 if self.in_basis[j] {
@@ -800,7 +862,7 @@ impl<'a> SparseSimplex<'a> {
                 }
                 let alpha = self.price_col(j, &z);
                 if alpha < -TOL {
-                    let d = (costs[j] - self.price_col(j, &y)).max(0.0);
+                    let d = self.reduced_cost(&pricing, costs, j).max(0.0);
                     let ratio = d / -alpha;
                     let better = match enter {
                         None => true,
@@ -838,9 +900,7 @@ impl<'a> SparseSimplex<'a> {
             if self.basis[p] < self.n {
                 continue;
             }
-            let mut e_p = vec![0.0; self.m];
-            e_p[p] = 1.0;
-            let z = self.btran(&e_p);
+            let z = self.btran_row(p);
             let candidate =
                 (0..self.n).find(|&j| !self.in_basis[j] && self.price_col(j, &z).abs() > 1e-9);
             if let Some(q) = candidate {
@@ -853,13 +913,17 @@ impl<'a> SparseSimplex<'a> {
         Ok(())
     }
 
-    /// Extracts the final answer from a *fresh* factorization of the
-    /// terminal basis, re-verifying optimality; returns `None` when the
-    /// recomputed reduced costs or feasibility demand more pivoting.
-    /// With an empty eta file no pivot has happened since the last
-    /// build, so the current factors already are that factorization (and
-    /// `x_B` was solved through them) — only pivots force a rebuild.
-    fn extract(&mut self) -> Result<Option<RevisedSolution>, LpError> {
+    /// Extracts the final answer under the true `costs` from a *fresh*
+    /// factorization of the terminal basis, re-verifying optimality;
+    /// returns `None` when the recomputed reduced costs or feasibility
+    /// demand more pivoting. With an empty eta file no pivot has
+    /// happened since the last build, so the current factors already
+    /// are that factorization (and `x_B` was solved through them) —
+    /// only pivots force a rebuild. Costs still carried were priced
+    /// through these factors for this basis by an earlier extraction
+    /// and passed the dual-feasibility guard, so they are the answer's
+    /// reduced costs as they stand.
+    fn extract(&mut self, costs: &[f64]) -> Result<Option<RevisedSolution>, LpError> {
         if !self.etas.is_empty() {
             self.refactorize()?;
         }
@@ -867,21 +931,22 @@ impl<'a> SparseSimplex<'a> {
         if self.x_b.iter().any(|&v| v < -OPT_TOL) {
             return Ok(None);
         }
-        let c_b: Vec<f64> = self
-            .basis
-            .iter()
-            .map(|&j| if j < self.n { self.sf.c[j] } else { 0.0 })
-            .collect();
-        let y = self.btran(&c_b);
-        let mut reduced_costs = vec![0.0; self.n];
-        for j in 0..self.n {
-            if !self.in_basis[j] {
-                reduced_costs[j] = self.sf.c[j] - self.price_col(j, &y);
-                if reduced_costs[j] < -OPT_TOL {
-                    return Ok(None);
+        let reduced_costs = match self.carried.take() {
+            Some(rc) => rc,
+            None => {
+                let pricing = self.pricing(costs);
+                let mut reduced_costs = vec![0.0; self.n];
+                for j in 0..self.n {
+                    if !self.in_basis[j] {
+                        reduced_costs[j] = self.reduced_cost(&pricing, costs, j);
+                        if reduced_costs[j] < -OPT_TOL {
+                            return Ok(None);
+                        }
+                    }
                 }
+                reduced_costs
             }
-        }
+        };
         let mut x = vec![0.0; self.n];
         for (slot, &j) in self.basis.iter().enumerate() {
             if j < self.n {
@@ -929,14 +994,14 @@ pub const DEFAULT_REFACTOR_PERIOD: usize = 64;
 
 /// Builds the solver state around an initial basis, factorizing it —
 /// or reusing `kept`, factors built for exactly this basis by an
-/// earlier solve of the same matrix. `refactor_period` is clamped to
-/// ≥ 1.
+/// earlier solve of the same matrix, with the reduced costs priced
+/// through them. `refactor_period` is clamped to ≥ 1.
 fn make_solver<'a>(
     sf: &'a SparseStandardForm,
     m: usize,
     n: usize,
     basis: Vec<usize>,
-    kept: Option<Factorization>,
+    kept: Option<Factored>,
     budget: &'a Budget,
     refactor_period: usize,
 ) -> Result<SparseSimplex<'a>, LpError> {
@@ -973,25 +1038,37 @@ fn make_solver<'a>(
         },
         etas: Vec::new(),
         x_b: Vec::new(),
+        carried: None,
         refactor_period: refactor_period.max(1),
         price_start: 0,
         budget,
         pivots: 0,
         refactors: 0,
+        pricings: Cell::new(0),
     };
     match kept {
-        Some(fact) if fact.m == m => solver.reuse(fact)?,
+        Some(kept) if kept.fact.m == m => solver.reuse(kept)?,
         _ => solver.refactorize()?,
     }
     Ok(solver)
 }
 
 /// A finished sparse solve: the answer plus the factors it ended on —
-/// the fresh factorization of `solution.basis`, which a kept session
-/// resumes from.
+/// the fresh factorization of `solution.basis`, through which its
+/// extraction priced `solution.reduced_costs`. A kept session resumes
+/// from both.
 pub(crate) struct Solved {
     pub(crate) solution: RevisedSolution,
     pub(crate) fact: Factorization,
+}
+
+/// What a kept session hands a resume besides the basis: the factors
+/// an earlier solve of the same matrix ended on for exactly that basis,
+/// and the reduced costs its extraction priced through them.
+#[derive(Debug, Clone)]
+pub(crate) struct Factored {
+    pub(crate) fact: Factorization,
+    pub(crate) reduced_costs: Vec<f64>,
 }
 
 /// Solves a sparse standard-form LP with the revised simplex
@@ -1105,7 +1182,7 @@ fn finish_primal(
 ) -> Result<RevisedSolution, LpError> {
     for _ in 0..4 {
         solver.run_primal(costs)?;
-        if let Some(sol) = solver.extract()? {
+        if let Some(sol) = solver.extract(costs)? {
             return Ok(sol);
         }
     }
@@ -1138,12 +1215,15 @@ pub fn solve_sparse_from_basis(
 /// The one dual-simplex entry: resumes from `basis` and, when given,
 /// `kept` — the factors an earlier solve of this matrix ended on for
 /// exactly that basis, reused instead of refactorizing (their residual
-/// is still checked against the new `b`). Errors as
-/// [`solve_sparse_from_basis`].
+/// is still checked against the new `b`), and the reduced costs priced
+/// through them, read instead of re-priced until a pivot, a
+/// refactorization or a skew drops them. A resume that makes no pivot
+/// therefore runs one FTRAN for `x_B` and the residual check, and
+/// prices no column. Errors as [`solve_sparse_from_basis`].
 pub(crate) fn resume_dual(
     sf: &SparseStandardForm,
     basis: Vec<usize>,
-    kept: Option<Factorization>,
+    kept: Option<Factored>,
     budget: &Budget,
 ) -> Result<Solved, LpError> {
     let (m, n) = validate(sf)?;
@@ -1162,21 +1242,18 @@ pub(crate) fn resume_dual(
         seen[j] = true;
     }
     let mut solver = make_solver(sf, m, n, basis, kept, budget, DEFAULT_REFACTOR_PERIOD)?;
+    let mut costs = vec![0.0; n + m];
+    costs[..n].copy_from_slice(&sf.c);
     // Dual feasibility: the parent's optimal reduced costs must carry
     // over (same A, same c). A materially negative one means the basis
     // is not from a matching problem — fall back cold.
-    let c_b: Vec<f64> = solver.basis.iter().map(|&j| sf.c[j]).collect();
-    let y = solver.btran(&c_b);
-    for j in 0..n {
-        if !solver.in_basis[j] && sf.c[j] - solver.price_col(j, &y) < -OPT_TOL {
-            flush_obs(&solver, false);
-            return Err(LpError::Numerical(
-                "warm-start basis is not dual feasible".into(),
-            ));
-        }
+    let pricing = solver.pricing(&costs);
+    if (0..n).any(|j| !solver.in_basis[j] && solver.reduced_cost(&pricing, &costs, j) < -OPT_TOL) {
+        flush_obs(&solver, false);
+        return Err(LpError::Numerical(
+            "warm-start basis is not dual feasible".into(),
+        ));
     }
-    let mut costs = vec![0.0; n + m];
-    costs[..n].copy_from_slice(&sf.c);
     let out = finish_dual(&mut solver, &costs);
     flush_obs(&solver, matches!(out, Err(LpError::Cancelled)));
     out.map(|solution| Solved {
@@ -1194,7 +1271,7 @@ fn finish_dual(solver: &mut SparseSimplex<'_>, costs: &[f64]) -> Result<RevisedS
         // Rarely, refreshed numerics reveal residual dual infeasibility;
         // a primal clean-up pass restores it before extraction.
         solver.run_primal(costs)?;
-        if let Some(sol) = solver.extract()? {
+        if let Some(sol) = solver.extract(costs)? {
             return Ok(sol);
         }
     }
@@ -1208,6 +1285,7 @@ fn flush_obs(solver: &SparseSimplex<'_>, cancelled: bool) {
         sag_obs::counter("lp.sparse_solves", 1);
         sag_obs::counter("lp.sparse_pivots", solver.pivots as u64);
         sag_obs::counter("lp.sparse_refactors", solver.refactors as u64);
+        sag_obs::counter("lp.sparse_pricings", solver.pricings.get() as u64);
         if cancelled {
             sag_obs::counter("lp.budget_exhausted", 1);
         }
@@ -1219,6 +1297,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use sag_testkit::prelude::Rng;
 
     fn csc(nrows: usize, ncols: usize, t: &[(usize, usize, f64)]) -> CscMatrix {
         CscMatrix::from_triplets(nrows, ncols, t).unwrap()
@@ -1455,6 +1534,100 @@ mod tests {
         assert_eq!(
             solve_sparse_with(&sf, &budget).unwrap_err(),
             LpError::Cancelled
+        );
+    }
+
+    /// A seeded random cover standard form: one row per subscriber over
+    /// its eligible candidates, `x − s = b` with a surplus column per
+    /// row, unit costs on the candidates. Returns the form (with `b`
+    /// written for all lower bounds at 0) and each row's candidates.
+    fn random_cover(rng: &mut Rng) -> (SparseStandardForm, Vec<Vec<usize>>) {
+        let n_cands = rng.gen_range(6usize..30);
+        let m = rng.gen_range(4usize..16);
+        let rows: Vec<Vec<usize>> = (0..m)
+            .map(|_| {
+                let mut e: Vec<usize> = (0..n_cands).filter(|_| rng.gen_bool(0.3)).collect();
+                if e.is_empty() {
+                    e.push(rng.gen_range(0..n_cands));
+                }
+                e
+            })
+            .collect();
+        let mut t: Vec<(usize, usize, f64)> = Vec::new();
+        for (i, e) in rows.iter().enumerate() {
+            t.extend(e.iter().map(|&c| (i, c, 1.0)));
+            t.push((i, n_cands + i, -1.0));
+        }
+        let mut c = vec![1.0; n_cands];
+        c.resize(n_cands + m, 0.0);
+        let sf = SparseStandardForm {
+            a: csc(m, n_cands + m, &t),
+            b: vec![1.0; m],
+            c,
+        };
+        (sf, rows)
+    }
+
+    /// The carried reduced costs are a pure speedup: along chains of
+    /// lower-bound flips on random cover LPs, a resume from the kept
+    /// factors and costs returns the same solution, bit for bit, as a
+    /// resume from the same basis with nothing kept (which refactorizes
+    /// and prices every column afresh).
+    #[test]
+    fn carried_costs_resume_matches_a_fresh_resume_bit_for_bit() {
+        let budget = Budget::unlimited();
+        let (mut pivoted, mut unpivoted) = (0usize, 0usize);
+        for seed in 0..48u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let (mut sf, rows) = random_cover(&mut rng);
+            let n_cands = sf.c.len() - rows.len();
+            let mut lower = vec![0.0f64; n_cands];
+            let cold = solve_cold(&sf, &budget, DEFAULT_REFACTOR_PERIOD).unwrap();
+            let mut basis = cold.solution.basis;
+            let mut kept = Factored {
+                fact: cold.fact,
+                reduced_costs: cold.solution.reduced_costs,
+            };
+            for step in 0..24 {
+                let c = rng.gen_range(0..n_cands);
+                lower[c] = 1.0 - lower[c];
+                for (i, e) in rows.iter().enumerate() {
+                    sf.b[i] = 1.0 - e.iter().map(|&c| lower[c]).sum::<f64>();
+                }
+                let fresh = resume_dual(&sf, basis.clone(), None, &budget).unwrap();
+                let resumed = resume_dual(&sf, basis, Some(kept), &budget).unwrap();
+                let (f, r) = (&fresh.solution, &resumed.solution);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let what = format!("seed {seed} step {step}");
+                assert_eq!(
+                    f.objective.to_bits(),
+                    r.objective.to_bits(),
+                    "{what}: objective"
+                );
+                assert_eq!(bits(&f.x), bits(&r.x), "{what}: x");
+                assert_eq!(
+                    bits(&f.reduced_costs),
+                    bits(&r.reduced_costs),
+                    "{what}: reduced costs"
+                );
+                assert_eq!(f.basis, r.basis, "{what}: basis");
+                assert_eq!(f.pivots, r.pivots, "{what}: pivots");
+                if r.pivots > 0 {
+                    pivoted += 1;
+                } else {
+                    unpivoted += 1;
+                }
+                basis = resumed.solution.basis;
+                kept = Factored {
+                    fact: resumed.fact,
+                    reduced_costs: resumed.solution.reduced_costs,
+                };
+            }
+        }
+        assert!(pivoted >= 100, "only {pivoted} resumes pivoted");
+        assert!(
+            unpivoted >= 100,
+            "only {unpivoted} resumes read carried costs"
         );
     }
 

@@ -3,7 +3,8 @@
 //! instance either can express, the
 //! warm-started branch-and-bound must reach the same incumbents as cold
 //! re-solves, a kept `LpSession` must answer every bound change as a
-//! fresh cold solve would (and an unchanged re-solve to the bit), the
+//! fresh cold solve would (an unchanged re-solve, and a
+//! `solve_with_warm_start` chain through the same changes, to the bit), the
 //! refactorization cadence must not change reported objectives by a
 //! single bit, and `CscMatrix` construction must map arbitrary garbage
 //! to a canonical matrix or a typed error — never a panic.
@@ -14,7 +15,7 @@ use sag_core::candidates::iac_candidates;
 use sag_lp::revised::{clear_lu_skew, inject_lu_skew, solve_sparse_with_period};
 use sag_lp::{
     Budget, CscMatrix, IlpProblem, LpError, LpProblem, LpSession, LpSolution, Relation,
-    SparseStandardForm, SIMPLEX_TOL,
+    SparseStandardForm, WarmStart, SIMPLEX_TOL,
 };
 use sag_sim::gen::ScenarioSpec;
 use sag_testkit::prelude::*;
@@ -136,6 +137,57 @@ fn random_session_lp(rng: &mut Rng) -> LpProblem {
     lp
 }
 
+/// A seeded random cover relaxation as ILPQC bounds with: minimise Σx
+/// over `x ≥ 0`, one `≥ 1` row per subscriber over its eligible
+/// candidates, no upper bounds.
+fn random_cover_lp(rng: &mut Rng) -> LpProblem {
+    let n_cands = rng.gen_range(4usize..30);
+    let mut lp = LpProblem::minimize(n_cands);
+    lp.set_objective(&vec![1.0; n_cands]);
+    for _ in 0..rng.gen_range(2usize..14) {
+        let mut coeffs: Vec<(usize, f64)> = (0..n_cands)
+            .filter(|_| rng.gen_bool(0.3))
+            .map(|c| (c, 1.0))
+            .collect();
+        if coeffs.is_empty() {
+            coeffs.push((rng.gen_range(0..n_cands), 1.0));
+        }
+        lp.add_constraint(&coeffs, Relation::Ge, 1.0);
+    }
+    lp
+}
+
+/// ILPQC's node bound change: fix a candidate to `[1, ∞)` or release
+/// it to `[0, ∞)`.
+fn random_cover_flip(rng: &mut Rng, session: &mut LpSession) {
+    let c = rng.gen_range(0..session.problem().num_vars());
+    let lo = 1.0 - session.problem().lower_bound(c);
+    session.set_bounds(c, lo, f64::INFINITY);
+}
+
+/// Status, objective bits and `x` bits agree.
+fn assert_same_bits(
+    got: &Result<LpSolution, LpError>,
+    want: &Result<LpSolution, LpError>,
+    what: &str,
+) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => {
+            prop_assert_eq!(
+                g.objective.to_bits(),
+                w.objective.to_bits(),
+                "{}: objective",
+                what
+            );
+            let xg: Vec<u64> = g.x.iter().map(|v| v.to_bits()).collect();
+            let xw: Vec<u64> = w.x.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(xg, xw, "{}: x", what);
+        }
+        (Err(g), Err(w)) => prop_assert_eq!(g, w, "{}: status", what),
+        (g, w) => prop_assert!(false, "{what}: status disagreement {g:?} vs {w:?}"),
+    }
+}
+
 prop! {
     /// A kept session under random sequences of bound changes: every
     /// solve agrees in status and objective with a cold sparse solve
@@ -166,6 +218,37 @@ prop! {
                 (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}: re-solve status", what),
                 (a, b) => prop_assert!(false, "{what}: re-solve changed status {a:?} -> {b:?}"),
             }
+        }
+    }
+
+    /// A kept session and a `solve_with_warm_start` chain (which
+    /// refactorizes and re-prices on every call) go through the same
+    /// bound changes — random ones on random LPs, and ILPQC's `[1, ∞)` /
+    /// `[0, ∞)` flips on cover relaxations — and agree on the status and
+    /// on the bits of the objective and `x` at every step. Both start
+    /// cold and drop their basis after a failed solve.
+    #[cases(64)]
+    fn session_matches_a_warm_start_chain_to_the_bit(seed in 0u64..1_000_000) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let cover = rng.gen_bool(0.5);
+        let lp = if cover { random_cover_lp(&mut rng) } else { random_session_lp(&mut rng) };
+        let mut session = LpSession::new(lp);
+        let mut warm: Option<WarmStart> = None;
+        for step in 0..24 {
+            if step > 0 {
+                for _ in 0..rng.gen_range(1usize..4) {
+                    if cover {
+                        random_cover_flip(&mut rng, &mut session);
+                    } else {
+                        random_bound_change(&mut rng, &mut session);
+                    }
+                }
+            }
+            let got = session.solve();
+            let chain = session.problem().solve_with_warm_start(warm.as_ref());
+            let want = chain.as_ref().map(|o| o.solution.clone()).map_err(Clone::clone);
+            warm = chain.ok().and_then(|o| o.warm);
+            assert_same_bits(&got, &want, &format!("step {step}"));
         }
     }
 
