@@ -1,7 +1,11 @@
 //! Observability overhead benchmark (`BENCH_obs.json`) and JSONL
 //! checker.
 //!
-//! Four variants of the same full-pipeline solve are timed:
+//! Four variants of the same full-pipeline solves are timed, each sample
+//! one pass over a fixed probe of bench scenarios at every Fig. 4
+//! (500×500, 5–50 SS) and Fig. 5 (800×800, 20–70 SS) size — several
+//! milliseconds, so a 2% difference stands clear of the timer's and the
+//! scheduler's noise:
 //!
 //! * **baseline** — the stages composed by hand with no recorder
 //!   anywhere (validate → SAMC → PRO → MBMC → UCPO), the closest thing
@@ -15,8 +19,9 @@
 //!   (`SAG_OBS_RING`-style), measuring what the always-on crash
 //!   timeline costs (informational).
 //!
-//! All variants are checked for identical deployments before any
-//! timing — instrumentation must never change results. The gate
+//! All variants are checked for identical deployments on every probe
+//! scenario before any timing — instrumentation must never change
+//! results. The gate
 //! asserts the disabled path (flight recorder compiled in but off)
 //! stays within [`MAX_OVERHEAD`] of the baseline.
 //!
@@ -40,13 +45,20 @@ use sag_core::ucpo::ucpo;
 use sag_lp::Budget;
 use sag_obs::json::{field_str, field_u64};
 
-const SUBSCRIBERS: usize = 18;
-const FIELD: f64 = 500.0;
+/// Fig. 4 user counts on the 500×500 field.
+const FIG4_USERS: [usize; 10] = [5, 10, 15, 20, 25, 30, 35, 40, 45, 50];
+/// Fig. 5 user counts on the 800×800 field.
+const FIG5_USERS: [usize; 6] = [20, 30, 40, 50, 60, 70];
 const SEED: u64 = 4242;
-/// Pipeline solves per timing sample.
-const INNER_ITERS: u32 = 8;
-/// Interleaved baseline/disabled/collected/ring measurement rounds.
-const ROUNDS: usize = 25;
+/// What the artefact records as the probe.
+const PROBE: &str = "bench_scenario at Fig. 4 (500x500: 5-50 SS, step 5) and \
+                     Fig. 5 (800x800: 20-70 SS, step 10) sizes, seed 4242";
+/// Passes over the probe per timing sample.
+const INNER_ITERS: u32 = 1;
+/// Interleaved baseline/disabled/collected/ring measurement rounds: at
+/// 25 the median per-round ratio still wandered ±2.5% between runs,
+/// the width of the gate.
+const ROUNDS: usize = 75;
 /// Gate: the disabled path costs at most this multiple of the baseline.
 const MAX_OVERHEAD: f64 = 1.02;
 
@@ -80,6 +92,16 @@ fn disabled_pipeline(scenario: &Scenario) -> SagReport {
         },
     )
     .expect("pipeline succeeds")
+}
+
+/// The timed probe: one bench scenario at every Fig. 4/5 size.
+fn probe() -> Vec<Scenario> {
+    let fig4 = FIG4_USERS.map(|users| (500.0, users));
+    let fig5 = FIG5_USERS.map(|users| (800.0, users));
+    fig4.into_iter()
+        .chain(fig5)
+        .map(|(field, users)| bench_scenario(field, users, SEED))
+        .collect()
 }
 
 fn parity_check(scenario: &Scenario) {
@@ -208,11 +230,13 @@ fn main() {
     }
     let mut out = Artefact::from_args("obs_overhead", "BENCH_obs.json");
 
-    let scenario = bench_scenario(FIELD, SUBSCRIBERS, SEED);
+    let probe = probe();
 
     // Parity gate before any timing: instrumentation that changes the
     // deployment would make the overhead number meaningless.
-    parity_check(&scenario);
+    for scenario in &probe {
+        parity_check(scenario);
+    }
 
     // A ≤2% gate is below the run-to-run noise of timing the variants
     // back to back (clock ramp, scheduler interference): interleave
@@ -221,11 +245,22 @@ fn main() {
     let t = interleaved(
         ROUNDS,
         &mut [
-            &mut || time_ns(INNER_ITERS, || baseline_pipeline(&scenario)),
-            &mut || time_ns(INNER_ITERS, || disabled_pipeline(&scenario)),
             &mut || {
                 time_ns(INNER_ITERS, || {
-                    run_sag(&scenario).expect("pipeline succeeds")
+                    probe.iter().map(baseline_pipeline).collect::<Vec<_>>()
+                })
+            },
+            &mut || {
+                time_ns(INNER_ITERS, || {
+                    probe.iter().map(disabled_pipeline).collect::<Vec<_>>()
+                })
+            },
+            &mut || {
+                time_ns(INNER_ITERS, || {
+                    probe
+                        .iter()
+                        .map(|scenario| run_sag(scenario).expect("pipeline succeeds"))
+                        .collect::<Vec<_>>()
                 })
             },
             // Disabled path with the flight recorder armed: what the
@@ -235,14 +270,20 @@ fn main() {
             &mut || {
                 time_ns(INNER_ITERS, || {
                     sag_obs::ring::configure(256);
-                    std::hint::black_box(disabled_pipeline(&scenario));
+                    let reports: Vec<_> = probe.iter().map(disabled_pipeline).collect();
                     sag_obs::ring::configure(0);
+                    reports
                 })
             },
         ],
     );
     let overhead = t.ratio_median(&[1], &[0]);
-    out.field("subscribers", SUBSCRIBERS)
+    out.field("probe", PROBE)
+        .field("scenarios", probe.len())
+        .field(
+            "subscribers",
+            probe.iter().map(Scenario::n_subscribers).sum::<usize>(),
+        )
         .field("baseline_min_ns", t.min_ns(0))
         .field("disabled_min_ns", t.min_ns(1))
         .field("collected_min_ns", t.min_ns(2))

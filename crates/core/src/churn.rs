@@ -213,8 +213,8 @@ pub struct ChurnEngine {
     serving: Vec<Option<usize>>,
     /// Relay-id-aligned positions (`None` = freed id).
     relay_pos: Vec<Option<Point>>,
-    /// Incremental interference state over all slots (exact mode; churn
-    /// forbids the truncated cutoff because subscriber mutations do).
+    /// Incremental interference state over all slots; a subscriber
+    /// event computes one path factor per live relay.
     ledger: InterferenceLedger,
     config: ChurnConfig,
     /// Subscriber slots whose repair was deferred (dedup'd, unordered).

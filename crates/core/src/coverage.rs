@@ -100,8 +100,9 @@ pub fn powered_ledger(scenario: &Scenario, relays: &[Point], powers: &[f64]) -> 
 }
 
 /// Flushes a ledger's accumulated [`sag_radio::LedgerStats`] into the
-/// observability counters (`ledger.delta_ops`, `ledger.cancel_refreshes`,
-/// `ledger.guard_activations`, `ledger.rebuilds`). Stages call this once
+/// observability counters (`ledger.delta_ops`, `ledger.path_factors`,
+/// `ledger.cancel_refreshes`, `ledger.guard_activations`,
+/// `ledger.rebuilds`). Stages call this once
 /// at the end of a solve so the per-mutation hot paths stay
 /// uninstrumented; a no-op while recording is disabled.
 pub(crate) fn flush_ledger_stats(ledger: &InterferenceLedger) {
@@ -110,6 +111,7 @@ pub(crate) fn flush_ledger_stats(ledger: &InterferenceLedger) {
     }
     let s = ledger.stats();
     sag_obs::counter("ledger.delta_ops", s.delta_ops);
+    sag_obs::counter("ledger.path_factors", s.path_factors);
     sag_obs::counter("ledger.cancel_refreshes", s.cancel_refreshes);
     sag_obs::counter("ledger.guard_activations", s.guard_activations);
     sag_obs::counter("ledger.rebuilds", s.rebuilds);

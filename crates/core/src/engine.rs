@@ -132,10 +132,12 @@ pub(crate) fn zone_outcome(
 /// Relays are concatenated zone by zone, assignments remapped through
 /// each zone's subscriber indices, and the zone ledgers merged into a
 /// clone of the relay-free base — which replays, add for add, the
-/// sequential global build, so the merged accumulators are bit-identical
-/// to `threads = 1`. Zones are interference-independent only up to
-/// `N_max`; the merged placement is re-checked and one global repair
-/// round clears any residual inter-zone violations.
+/// sequential global build (copying the zone's own path factors and
+/// computing only those to the other zones' subscribers), so the merged
+/// accumulators are bit-identical to `threads = 1`. Zones are
+/// interference-independent only up to `N_max`; the merged placement is
+/// re-checked and one global repair round clears any residual
+/// inter-zone violations.
 pub(crate) fn merge_zone_outcomes(
     scenario: &Scenario,
     zones: &[Zone],
@@ -153,7 +155,7 @@ pub(crate) fn merge_zone_outcomes(
         for (local_j, &global_j) in zone.iter().enumerate() {
             global_assignment[global_j] = offset + outcome.solution.assignment[local_j];
         }
-        merged.merge_from(&outcome.ledger);
+        merged.merge_from(&outcome.ledger, zone);
     }
     debug_assert!(global_assignment.iter().all(|&a| a != usize::MAX));
 

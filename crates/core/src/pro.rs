@@ -114,22 +114,21 @@ fn snr_power(
 /// transmitting at `power_r` and every other relay at its power in the
 /// ledger, with a small relative slack (`1e-6`) so that allocations
 /// sitting exactly on a constraint boundary — the LP optimum always
-/// does — verify cleanly.
+/// does — verify cleanly. The trial signal comes from the ledger's
+/// cached path factor ([`InterferenceLedger::signal_at`]): `r` did not
+/// move, so no path loss is recomputed.
 fn relay_constraints_ok(
     scenario: &Scenario,
-    sol: &CoverageSolution,
     ledger: &InterferenceLedger,
     served: &ServedIndex,
     r: usize,
     power_r: f64,
 ) -> bool {
     const REL_TOL: f64 = 1e-6;
-    let model = scenario.params.link.model();
     let beta = scenario.params.link.beta();
     for &j in served.of(r) {
         let sub = &scenario.subscribers[j];
-        let d = sol.relays[r].distance(sub.position);
-        let signal = model.received_power(power_r, d);
+        let signal = ledger.signal_at(j, r, power_r);
         if signal < scenario.params.pss_for(sub) * (1.0 - REL_TOL) {
             return false;
         }
@@ -235,7 +234,7 @@ pub fn pro_with_budget(
         let mut still_pending = Vec::new();
         for &r in &pending {
             let trial = pc[r].min(pmax);
-            if relay_constraints_ok(scenario, sol, &ledger, &served, r, trial) {
+            if relay_constraints_ok(scenario, &ledger, &served, r, trial) {
                 powers[r] = trial;
                 ledger.set_power(r, trial);
                 committed_any = true;
@@ -449,7 +448,7 @@ pub fn allocation_is_feasible(
     let ledger = powered_ledger(scenario, &sol.relays, &alloc.powers);
     let served = sol.served_index();
     (0..sol.n_relays())
-        .all(|r| relay_constraints_ok(scenario, sol, &ledger, &served, r, alloc.powers[r]))
+        .all(|r| relay_constraints_ok(scenario, &ledger, &served, r, alloc.powers[r]))
 }
 
 #[cfg(test)]

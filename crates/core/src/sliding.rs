@@ -290,9 +290,10 @@ fn update_rs_topology(
 
     // Try combinations of updatable relays, smallest first (Alg. 5 Step 3
     // tries "any combination"; ordering by size prefers minimal moves).
-    // Each trial clones the ledger (O(S + R)) and applies ≤ MAX_ENUMERATED
-    // move deltas — the full violation rescan the old code did per mask
-    // was the hottest loop of the whole stage.
+    // Each trial clones the ledger (O(S·R): the path-factor columns come
+    // along, one memcpy) and applies ≤ MAX_ENUMERATED move deltas, each
+    // computing one column — the full violation rescan the old code did
+    // per mask was the hottest loop of the whole stage.
     let m = updatable.len();
     let mut masks: Vec<u32> = (1u32..(1 << m)).collect();
     masks.sort_by_key(|mask| mask.count_ones());

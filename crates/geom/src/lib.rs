@@ -10,8 +10,8 @@
 //!   candidate construction,
 //! * [`disks`] — common-intersection tests over families of disks, used by
 //!   the paper's *Update RS Topology* (Algorithm 5) "common area" check,
-//! * [`SpatialHash`] — a uniform-bucket spatial index used by zone
-//!   partitioning and interference scans,
+//! * [`SpatialHash`] — a uniform-bucket spatial index whose fixed-radius
+//!   pair walk drives zone partitioning,
 //! * [`arc`] — uniform samples along a circle, which give the k-coverage
 //!   extension its in-disk candidate rings.
 //!

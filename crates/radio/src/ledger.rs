@@ -12,15 +12,35 @@
 //! Relay mutations ([`add_relay`](InterferenceLedger::add_relay),
 //! [`remove_relay`](InterferenceLedger::remove_relay),
 //! [`move_relay`](InterferenceLedger::move_relay),
-//! [`set_power`](InterferenceLedger::set_power)) are `O(S)` deltas —
-//! or better under a cutoff, see below — and SNR queries are `O(1)`:
-//! `snr(j, a) = signal / (T_j − signal)` with
+//! [`set_power`](InterferenceLedger::set_power)) are `O(S)` deltas and
+//! SNR queries are `O(1)`: `snr(j, a) = signal / (T_j − signal)` with
 //! `signal = Pr(p_a, d_aj)`.
+//!
+//! ## Path-factor columns
+//!
+//! `Pr(p, d) = (p·G)·x` with the geometry-only path factor
+//! `x = max(d, NEAR_FIELD)^{-α}` (`TwoRay::path_factor`, one `powf`).
+//! The ledger keeps, per relay slot, the column of `x` to every
+//! subscriber slot, and computes a factor only when a relay or a
+//! subscriber takes a new position:
+//! [`add_relay`](InterferenceLedger::add_relay) and
+//! [`move_relay`](InterferenceLedger::move_relay) compute one column
+//! (`S` factors), [`add_subscriber`](InterferenceLedger::add_subscriber)
+//! one entry per live relay, and
+//! [`merge_from`](InterferenceLedger::merge_from) only the entries
+//! between a zone's relays and the subscribers outside the zone. Every
+//! other operation — `set_power`, `remove_relay`, `signal`, `snr`,
+//! `interference_at`, the exact refreshes, `rebuild`, `snr_checked`,
+//! [`LedgerMode::Oracle`] and `split` — multiplies cached factors.
+//! Each term is the same `f64` that [`TwoRay::received_power`] returns,
+//! so caching changes no result. The columns cost one `f64` per
+//! (relay slot, subscriber slot); [`LedgerStats::path_factors`] counts
+//! the factors computed.
 //!
 //! ## Exactness and the brute-force oracle
 //!
-//! A freshly built ledger (no cutoff) accumulates contributions in
-//! relay order, so `T_j` is **bit-identical** to the sum inside
+//! A freshly built ledger accumulates contributions in relay order, so
+//! `T_j` is **bit-identical** to the sum inside
 //! [`crate::snr::snr_interference_limited`] and the resulting SNR is
 //! bit-identical to [`crate::snr::placement_snr`]. After incremental
 //! mutations the accumulators can drift from the exact sum by a few
@@ -28,27 +48,18 @@
 //! parity bound is `1e-9` relative, enforced by property tests and far
 //! below every feasibility margin in the pipeline.
 //!
-//! [`LedgerMode::Oracle`] keeps the brute-force path alive behind a
-//! switch: every query recomputes the full sum from the registered
-//! relays, ignoring the accumulators.
-//! [`snr_checked`](InterferenceLedger::snr_checked) and
-//! [`audit`](InterferenceLedger::audit) cross-check the incremental
-//! state against the oracle and surface divergence as a typed
-//! [`DesyncError`] — never a silently wrong answer.
-//!
-//! ## Cutoff and the residual bound
-//!
-//! With a negligible-contribution cutoff `d_cut`, mutations only touch
-//! subscribers within `d_cut` of the relay (found through a
-//! [`sag_geom::SpatialHash`] radius walk). Each far subscriber's missed
-//! contribution is *over*-approximated by the per-relay bound
-//! `Pr(p, d_cut)` folded into a residual term, so the queried SNR is a
-//! **lower bound** on the exact SNR: a constraint that passes under the
-//! cutoff also passes exactly (soundness; see DESIGN.md, "Interference
-//! engine"). The default everywhere in the pipeline is no cutoff.
+//! [`LedgerMode::Oracle`] keeps the exact sum alive behind a switch:
+//! every query re-sums the registered relays' terms, ignoring the
+//! accumulators. [`snr_checked`](InterferenceLedger::snr_checked)
+//! cross-checks the accumulators against that sum, and
+//! [`audit`](InterferenceLedger::audit) recomputes every term from the
+//! relay and subscriber positions; every accumulator is a sum of column
+//! terms, so the audit checks the cached columns as well as the
+//! accumulators. Both surface divergence as a typed [`DesyncError`] —
+//! never a silently wrong answer.
 
 use crate::tworay::TwoRay;
-use sag_geom::{float, Point, SpatialHash};
+use sag_geom::Point;
 
 /// Relative tolerance of the oracle cross-checks ([`DesyncError`]
 /// detection). Incremental ulp drift sits orders of magnitude below
@@ -89,8 +100,8 @@ pub enum LedgerMode {
     /// `O(1)` queries from the per-subscriber accumulators.
     #[default]
     Incremental,
-    /// Brute-force recompute per query (`O(R)`): the exact reference
-    /// path, kept alive for parity checking and debugging
+    /// Exact re-sum per query (`O(R)`): the reference path, kept alive
+    /// for parity checking and debugging
     /// (`SagPipelineConfig::snr_oracle: Some(true)` in the pipeline).
     Oracle,
 }
@@ -131,20 +142,6 @@ struct RelaySlot {
     power: f64,
 }
 
-/// Cutoff state: the subscriber spatial index plus the conservative
-/// residual bookkeeping (see the module docs).
-#[derive(Debug, Clone)]
-struct Cutoff {
-    radius: f64,
-    index: SpatialHash,
-    /// `Σ` over active relays of the per-relay far bound `Pr(p, d_cut)`.
-    residual_total: f64,
-    /// Per subscriber, the portion of `residual_total` contributed by
-    /// relays *within* its cutoff range (whose exact contribution is in
-    /// `total_rx` instead). Residual for `j` is the difference.
-    near_bound: Vec<f64>,
-}
-
 /// Snapshot of a ledger's cumulative work counters (see
 /// [`InterferenceLedger::stats`]). These are observability data, not
 /// algorithm state: consumers flush them into `sag-obs` counters at
@@ -153,6 +150,9 @@ struct Cutoff {
 pub struct LedgerStats {
     /// Public mutations applied (`add`/`remove`/`move`/`set_power`).
     pub delta_ops: u64,
+    /// Path factors computed into the columns (one `powf` each); see
+    /// the module docs for which operations compute them.
+    pub path_factors: u64,
     /// Subscribers recomputed exactly after a cancelling subtraction
     /// (the `CANCEL_REFRESH` mechanism).
     pub cancel_refreshes: u64,
@@ -169,6 +169,7 @@ pub struct LedgerStats {
 #[derive(Debug, Default)]
 struct StatsCell {
     delta_ops: u64,
+    path_factors: u64,
     cancel_refreshes: u64,
     rebuilds: u64,
     guard_activations: std::sync::atomic::AtomicU64,
@@ -178,6 +179,7 @@ impl StatsCell {
     fn snapshot(&self) -> LedgerStats {
         LedgerStats {
             delta_ops: self.delta_ops,
+            path_factors: self.path_factors,
             cancel_refreshes: self.cancel_refreshes,
             guard_activations: self
                 .guard_activations
@@ -197,6 +199,7 @@ impl Clone for StatsCell {
         let s = self.snapshot();
         StatsCell {
             delta_ops: s.delta_ops,
+            path_factors: s.path_factors,
             cancel_refreshes: s.cancel_refreshes,
             rebuilds: s.rebuilds,
             guard_activations: std::sync::atomic::AtomicU64::new(s.guard_activations),
@@ -229,8 +232,14 @@ pub struct InterferenceLedger {
     free: Vec<usize>,
     n_active: usize,
     total_rx: Vec<f64>,
+    /// Path-factor columns: relay slot `id`'s factor to subscriber slot
+    /// `j` is `path[id * stride + j]`. A freed slot's column is stale
+    /// until the slot is reused.
+    path: Vec<f64>,
+    /// Column length: subscriber slots the columns have room for
+    /// (at least `subscribers.len()`).
+    stride: usize,
     mode: LedgerMode,
-    cutoff: Option<Cutoff>,
     /// Reused buffer of subscribers needing an exact refresh after a
     /// severely-cancelling subtraction (see [`CANCEL_REFRESH`]).
     scratch: Vec<usize>,
@@ -239,8 +248,8 @@ pub struct InterferenceLedger {
 }
 
 impl InterferenceLedger {
-    /// An empty ledger over the given subscriber positions (exact: no
-    /// cutoff, incremental mode).
+    /// An empty ledger over the given subscriber positions, in
+    /// incremental mode.
     ///
     /// # Panics
     /// Panics if any subscriber position is not finite.
@@ -258,8 +267,9 @@ impl InterferenceLedger {
             free: Vec::new(),
             n_active: 0,
             total_rx: vec![0.0; n],
+            path: Vec::new(),
+            stride: n,
             mode: LedgerMode::default(),
-            cutoff: None,
             scratch: Vec::new(),
             stats: StatsCell::default(),
         }
@@ -271,46 +281,9 @@ impl InterferenceLedger {
         self
     }
 
-    /// Enables the negligible-contribution cutoff at `radius` (builder
-    /// style): mutations only touch subscribers within `radius` of the
-    /// relay; farther contributions are folded into the conservative
-    /// residual bound. Queries become SNR *lower* bounds — sound but
-    /// not exact. Must be set before any relay is added.
-    ///
-    /// # Panics
-    /// Panics if `radius` is not strictly positive and finite, or if
-    /// relays were already added.
-    pub fn with_cutoff(mut self, radius: f64) -> Self {
-        assert!(
-            radius.is_finite() && radius > 0.0,
-            "cutoff radius must be > 0, got {radius}"
-        );
-        assert!(
-            self.n_active == 0,
-            "set the cutoff before adding relays (it is part of the accumulator layout)"
-        );
-        assert!(
-            self.sub_free.is_empty(),
-            "set the cutoff before mutating subscribers (the spatial index is static)"
-        );
-        let index = SpatialHash::build(&self.subscribers, radius);
-        self.cutoff = Some(Cutoff {
-            radius,
-            index,
-            residual_total: 0.0,
-            near_bound: vec![0.0; self.subscribers.len()],
-        });
-        self
-    }
-
     /// The active query mode.
     pub fn mode(&self) -> LedgerMode {
         self.mode
-    }
-
-    /// The cutoff radius, if one is set.
-    pub fn cutoff_radius(&self) -> Option<f64> {
-        self.cutoff.as_ref().map(|c| c.radius)
     }
 
     /// Number of subscribers the ledger tracks.
@@ -343,24 +316,21 @@ impl InterferenceLedger {
     /// Registers a subscriber and returns its slot id, mirroring
     /// [`add_relay`](InterferenceLedger::add_relay): the lowest-freed
     /// slot is reused first (LIFO), otherwise a new slot is appended.
-    /// The new accumulator is initialised to the exact slot-order sum
-    /// of [`TwoRay::received_power`] over the registered relays, so an
+    /// Computes the slot's path factor to every live relay, then
+    /// initialises the accumulator to the exact slot-order sum, so an
     /// added subscriber is **bit-identical** to one present in a fresh
     /// build with the same relay sequence. `O(R)`.
     ///
     /// # Panics
-    /// Panics if `pos` is not finite, or if a cutoff is set (the
-    /// subscriber spatial index is static; churn requires an exact
-    /// ledger, which is the pipeline default).
+    /// Panics if `pos` is not finite.
     pub fn add_subscriber(&mut self, pos: Point) -> usize {
         assert!(pos.is_finite(), "subscriber position is not finite");
-        assert!(
-            self.cutoff.is_none(),
-            "subscriber mutations require an exact (no-cutoff) ledger"
-        );
         let j = match self.sub_free.pop() {
             Some(j) => j,
             None => {
+                if self.subscribers.len() == self.stride {
+                    self.grow_columns();
+                }
                 self.subscribers.push(pos);
                 self.sub_active.push(false);
                 self.total_rx.push(0.0);
@@ -369,25 +339,26 @@ impl InterferenceLedger {
         };
         self.subscribers[j] = pos;
         self.sub_active[j] = true;
+        for (id, slot) in self.slots.iter().enumerate() {
+            if let Some(slot) = slot {
+                self.path[id * self.stride + j] = self.model.path_factor(slot.pos.distance(pos));
+            }
+        }
+        self.stats.path_factors += self.n_active as u64;
         self.total_rx[j] = self.expected_total(j);
         self.stats.delta_ops += 1;
         j
     }
 
     /// Tombstones subscriber slot `j`, returning its position. The slot
-    /// keeps its position and continues to receive relay deltas (so
-    /// [`audit`](InterferenceLedger::audit) stays uniform across slots
-    /// and re-activation is exact); it is merely excluded from the
-    /// active count and eligible for reuse. `O(1)`.
+    /// keeps its position, its path factors and continues to receive
+    /// relay deltas (so [`audit`](InterferenceLedger::audit) stays
+    /// uniform across slots and re-activation is exact); it is merely
+    /// excluded from the active count and eligible for reuse. `O(1)`.
     ///
     /// # Panics
-    /// Panics if `j` is not an active subscriber slot, or if a cutoff
-    /// is set.
+    /// Panics if `j` is not an active subscriber slot.
     pub fn remove_subscriber(&mut self, j: usize) -> Point {
-        assert!(
-            self.cutoff.is_none(),
-            "subscriber mutations require an exact (no-cutoff) ledger"
-        );
         assert!(
             self.sub_active.get(j).copied().unwrap_or(false),
             "subscriber slot {j} is not active"
@@ -406,8 +377,8 @@ impl InterferenceLedger {
     /// by construction. `O(R)`.
     ///
     /// # Panics
-    /// Panics if `j` is not an active subscriber slot, `pos` is not
-    /// finite, or a cutoff is set.
+    /// Panics if `j` is not an active subscriber slot or `pos` is not
+    /// finite.
     pub fn move_subscriber(&mut self, j: usize, pos: Point) -> Point {
         assert!(pos.is_finite(), "subscriber position is not finite");
         let old = self.remove_subscriber(j);
@@ -421,8 +392,8 @@ impl InterferenceLedger {
         self.n_active
     }
 
-    /// Registers a relay and returns its id. `O(S)`, or `O(|near|)`
-    /// under a cutoff.
+    /// Registers a relay and returns its id: computes its path-factor
+    /// column and adds its contribution. `O(S)`.
     ///
     /// # Panics
     /// Panics if `pos` is not finite or `power` is negative/non-finite.
@@ -432,21 +403,14 @@ impl InterferenceLedger {
             power.is_finite() && power >= 0.0,
             "relay power must be ≥ 0 and finite, got {power}"
         );
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        self.slots[id] = Some(RelaySlot { pos, power });
-        self.n_active += 1;
-        self.stats.delta_ops += 1;
-        self.apply_add(pos, power);
+        let id = self.register(pos, power);
+        self.compute_column(id, pos);
+        self.apply_add(id, power);
         id
     }
 
-    /// Unregisters relay `id`, returning its position and power.
+    /// Unregisters relay `id`, returning its position and power. Its
+    /// contribution is subtracted through its cached column.
     ///
     /// # Panics
     /// Panics if `id` is not a registered relay.
@@ -458,20 +422,18 @@ impl InterferenceLedger {
             // No relays left: reset the accumulators to exact zero so
             // incremental drift cannot survive an empty ledger.
             self.total_rx.fill(0.0);
-            if let Some(c) = &mut self.cutoff {
-                c.residual_total = 0.0;
-                c.near_bound.fill(0.0);
-            }
         } else {
             let mut dirty = std::mem::take(&mut self.scratch);
-            let residual_stale = self.apply_sub(slot.pos, slot.power, &mut dirty);
-            self.refresh(&mut dirty, residual_stale);
+            self.apply_sub(id, slot.power, &mut dirty);
+            self.refresh(&mut dirty);
         }
         self.free.push(id);
         (slot.pos, slot.power)
     }
 
-    /// Moves relay `id` to `pos` (remove + add delta in one pass pair).
+    /// Moves relay `id` to `pos`: subtracts its old contribution through
+    /// the cached column, computes the column at `pos` and adds the new
+    /// contribution.
     ///
     /// # Panics
     /// Panics if `id` is not registered or `pos` is not finite.
@@ -481,18 +443,20 @@ impl InterferenceLedger {
         if slot.pos == pos {
             return;
         }
-        let (old_pos, power) = (slot.pos, slot.power);
+        let power = slot.power;
         // Commit the slot first: exact refreshes recompute from the
         // slot table, which must describe the *final* state.
         self.slot_mut(id).pos = pos;
         self.stats.delta_ops += 1;
         let mut dirty = std::mem::take(&mut self.scratch);
-        let residual_stale = self.apply_sub(old_pos, power, &mut dirty);
-        self.apply_add(pos, power);
-        self.refresh(&mut dirty, residual_stale);
+        self.apply_sub(id, power, &mut dirty);
+        self.compute_column(id, pos);
+        self.apply_add(id, power);
+        self.refresh(&mut dirty);
     }
 
-    /// Changes relay `id`'s transmit power.
+    /// Changes relay `id`'s transmit power. The relay did not move, so
+    /// both deltas reuse its cached column.
     ///
     /// # Panics
     /// Panics if `id` is not registered or `power` is
@@ -506,13 +470,13 @@ impl InterferenceLedger {
         if slot.power == power {
             return;
         }
-        let (pos, old_power) = (slot.pos, slot.power);
+        let old_power = slot.power;
         self.slot_mut(id).power = power;
         self.stats.delta_ops += 1;
         let mut dirty = std::mem::take(&mut self.scratch);
-        let residual_stale = self.apply_sub(pos, old_power, &mut dirty);
-        self.apply_add(pos, power);
-        self.refresh(&mut dirty, residual_stale);
+        self.apply_sub(id, old_power, &mut dirty);
+        self.apply_add(id, power);
+        self.refresh(&mut dirty);
     }
 
     /// Relay `id`'s position.
@@ -531,25 +495,36 @@ impl InterferenceLedger {
         self.slot(id).power
     }
 
-    /// Exact received power at subscriber `j` from relay `id` (always
-    /// recomputed from the relay's registered position/power — never
-    /// subject to cutoff or drift).
+    /// Exact received power at subscriber `j` from relay `id` at its
+    /// registered power (never subject to drift):
+    /// [`signal_at`](InterferenceLedger::signal_at) that power.
     pub fn signal(&self, j: usize, id: usize) -> f64 {
-        let slot = self.slot(id);
-        self.model
-            .received_power(slot.power, slot.pos.distance(self.subscribers[j]))
+        self.signal_at(j, id, self.slot(id).power)
+    }
+
+    /// Received power at subscriber `j` from relay `id` were it
+    /// transmitting at `power` instead of its registered power — a trial
+    /// power, such as PRO's, checked without a mutation. Bit-identical
+    /// to [`TwoRay::received_power`] at the relay's distance.
+    ///
+    /// # Panics
+    /// Panics if `id` is not registered, `j` is out of range or `power`
+    /// is negative.
+    pub fn signal_at(&self, j: usize, id: usize, power: f64) -> f64 {
+        assert!(power >= 0.0, "transmit power must be ≥ 0, got {power}");
+        // Panics on an unregistered id: a freed slot's column is stale.
+        self.slot(id);
+        power * self.model.gain() * self.column(id)[j]
     }
 
     /// Aggregate interference at subscriber `j` excluding relay
     /// `serving` — the denominator of Definition 2. `O(1)` in
-    /// incremental mode; an upper bound under a cutoff (hence SNR from
-    /// it is a sound lower bound); exact brute recompute in
-    /// [`LedgerMode::Oracle`].
+    /// incremental mode; exact re-sum in [`LedgerMode::Oracle`].
     pub fn interference_at(&self, j: usize, serving: usize) -> f64 {
         match self.mode {
             LedgerMode::Oracle => self.interference_oracle(j, serving),
             LedgerMode::Incremental => {
-                let v = self.interference_incremental(j, self.signal(j, serving));
+                let v = self.total_rx[j] - self.signal(j, serving);
                 if v <= CANCELLATION_GUARD * self.total_rx[j].abs() {
                     // Drift-scale difference: resolve exactly rather
                     // than clamp (see `snr_incremental`).
@@ -573,15 +548,14 @@ impl InterferenceLedger {
     }
 
     /// [`snr`](InterferenceLedger::snr) with the oracle cross-check:
-    /// recomputes the exact SNR from the registered relays and returns
-    /// a typed [`DesyncError`] when the incremental answer diverges
-    /// beyond [`AUDIT_REL_TOL`] (beyond the sound direction, for cutoff
-    /// ledgers). This is the "wrong answers become typed errors" hook
-    /// the chaos suite drives.
+    /// re-sums the exact SNR from the registered relays and returns a
+    /// typed [`DesyncError`] when the incremental answer diverges beyond
+    /// [`AUDIT_REL_TOL`]. This is the "wrong answers become typed
+    /// errors" hook the chaos suite drives.
     ///
     /// # Errors
     /// [`DesyncError`] when the accumulators no longer agree with the
-    /// brute-force recompute.
+    /// exact re-sum.
     pub fn snr_checked(&self, j: usize, serving: usize) -> Result<f64, DesyncError> {
         // Accumulator staleness first: the cancellation-guard fallback
         // answers from the slot table when the incremental difference is
@@ -603,15 +577,7 @@ impl InterferenceLedger {
         // cancellation-guard regime the exact and incremental paths may
         // legitimately disagree about "huge vs infinite".
         let saturated = inc >= SNR_SATURATED && oracle >= SNR_SATURATED;
-        let ok = saturated
-            || if self.cutoff.is_some() {
-                // Conservative mode: the incremental answer must stay a
-                // lower bound (up to tolerance).
-                inc <= oracle * (1.0 + AUDIT_REL_TOL)
-            } else {
-                (inc - oracle).abs() <= AUDIT_REL_TOL * oracle.abs().max(AUDIT_REL_TOL)
-            };
-        if ok {
+        if saturated || (inc - oracle).abs() <= AUDIT_REL_TOL * oracle.abs().max(AUDIT_REL_TOL) {
             Ok(match self.mode {
                 LedgerMode::Oracle => oracle,
                 LedgerMode::Incremental => inc,
@@ -625,23 +591,26 @@ impl InterferenceLedger {
         }
     }
 
-    /// Full accumulator audit against the brute-force recompute:
+    /// Full accumulator audit against a recompute from positions:
     /// `Ok(())` when every subscriber slot's accumulator (tombstoned
-    /// slots included) matches the exact sum within [`AUDIT_REL_TOL`],
-    /// the first divergence otherwise.
+    /// slots included) matches it within [`AUDIT_REL_TOL`], the first
+    /// divergence otherwise.
     ///
-    /// The recompute sums the same relays in the same slot order as
-    /// the accumulators' exact sum, under the same cutoff membership,
-    /// but takes each term from the `powf`-free closed form at `α = 3`.
-    /// It agrees with the `received_power` sum to ~1e-14 relative —
-    /// eight orders of magnitude inside [`AUDIT_REL_TOL`] — so a clean
-    /// ledger passes and a stale accumulator still fails.
+    /// The recompute takes every term from the relay's and the
+    /// subscriber's positions, not from the cached columns, and sums the
+    /// same relays in the same slot order as the accumulators' exact
+    /// sum. Every accumulator is a sum of column terms, so a stale column
+    /// fails the audit at each subscriber slot it feeds, as a stale
+    /// accumulator does. Each term comes from the `powf`-free closed form
+    /// at `α = 3`; it agrees with [`TwoRay::received_power`] to a few
+    /// ulps and the sum to ~1e-14 relative — eight orders of magnitude
+    /// inside [`AUDIT_REL_TOL`] — so a clean ledger passes.
     ///
     /// # Errors
     /// [`DesyncError`] naming the lowest diverged subscriber slot.
     pub fn audit(&self) -> Result<(), DesyncError> {
         for (j, &got) in self.total_rx.iter().enumerate() {
-            let expected = self.slot_order_total(j, TwoRay::received_power_closed_form);
+            let expected = self.recomputed_total(j);
             if (got - expected).abs() > AUDIT_REL_TOL * expected.abs().max(1e-12) {
                 return Err(DesyncError {
                     subscriber: j,
@@ -653,20 +622,17 @@ impl InterferenceLedger {
         Ok(())
     }
 
-    /// Recomputes every accumulator from the registered relays,
-    /// discarding any incremental drift. `O(R·S)` — cheap insurance for
-    /// long mutation sequences (branch-and-bound calls this
-    /// periodically).
+    /// Recomputes every accumulator from the registered relays' cached
+    /// columns, discarding any incremental drift. `O(R·S)`, no path
+    /// factor computed — cheap insurance for long mutation sequences
+    /// (branch-and-bound calls this periodically).
     pub fn rebuild(&mut self) {
         self.stats.rebuilds += 1;
         self.total_rx.fill(0.0);
-        if let Some(c) = &mut self.cutoff {
-            c.residual_total = 0.0;
-            c.near_bound.fill(0.0);
-        }
-        let active: Vec<RelaySlot> = self.slots.iter().filter_map(|s| *s).collect();
-        for slot in active {
-            self.apply_add(slot.pos, slot.power);
+        for id in 0..self.slots.len() {
+            if let Some(slot) = self.slots[id] {
+                self.apply_add(id, slot.power);
+            }
         }
     }
 
@@ -681,47 +647,83 @@ impl InterferenceLedger {
 
     /// A new ledger restricted to the subscriber subset `subset`
     /// (indices into this ledger, kept in the caller's order), with the
-    /// same propagation model, query mode, cutoff and registered relays.
+    /// same propagation model, query mode and registered relays.
     ///
-    /// Subset accumulators are rebuilt exactly (relays re-added in slot
-    /// id order), so a split of a freshly built ledger is bit-identical
-    /// to building over the subset directly — zone workers get private
-    /// drift-free state. Relay ids compact to `0, 1, 2, …` in the
-    /// parent's slot id order.
+    /// The relays' column entries for the subset are copied, not
+    /// recomputed, and the subset accumulators are summed exactly
+    /// (relays re-added in slot id order), so a split of a freshly built
+    /// ledger is bit-identical to building over the subset directly —
+    /// zone workers get private drift-free state. Relay ids compact to
+    /// `0, 1, 2, …` in the parent's slot id order.
     ///
     /// # Panics
     /// Panics if any subset index is out of range.
     pub fn split(&self, subset: &[usize]) -> InterferenceLedger {
         let subs: Vec<Point> = subset.iter().map(|&j| self.subscribers[j]).collect();
         let mut out = InterferenceLedger::new(self.model, subs).with_mode(self.mode);
-        if let Some(c) = &self.cutoff {
-            out = out.with_cutoff(c.radius);
-        }
-        for slot in self.slots.iter().flatten() {
-            out.add_relay(slot.pos, slot.power);
+        for (id, slot) in self.live_slots() {
+            let column = self.column(id);
+            let k = out.register(slot.pos, slot.power);
+            out.set_column(k, |i, _| column[subset[i]]);
+            out.apply_add(k, slot.power);
         }
         out
     }
 
     /// Registers every relay of `other` into `self` (in `other`'s slot
-    /// id order), returning the ids assigned here. Contributions are
-    /// recomputed against *this* ledger's subscribers, so merging the
-    /// per-zone ledgers of a partition back into an empty global ledger
-    /// — in zone order — reproduces, bit for bit, the ledger a
-    /// sequential build of the concatenated relay list would produce.
-    pub fn merge_from(&mut self, other: &InterferenceLedger) -> Vec<usize> {
+    /// id order), returning the ids assigned here. `other` must be a
+    /// ledger over the subscriber subset `subset` of this one, such as
+    /// [`split(subset)`](InterferenceLedger::split) returns: its
+    /// subscriber slot `i` is this ledger's slot `subset[i]`. Column
+    /// entries for the subset are copied from `other`; only those to the
+    /// subscribers outside it are computed. Contributions are summed
+    /// against *this* ledger's subscribers, so merging the per-zone
+    /// ledgers of a partition back into an empty global ledger — in zone
+    /// order — reproduces, bit for bit, the ledger a sequential build of
+    /// the concatenated relay list would produce.
+    ///
+    /// # Panics
+    /// Panics if the two ledgers' models differ, `subset` does not name
+    /// one slot here per subscriber slot of `other`, or a named slot
+    /// sits at another position.
+    pub fn merge_from(&mut self, other: &InterferenceLedger, subset: &[usize]) -> Vec<usize> {
+        assert_eq!(self.model, other.model, "merged ledgers share one model");
+        assert_eq!(
+            subset.len(),
+            other.subscribers.len(),
+            "one subscriber slot per merged subscriber"
+        );
+        let mut local = vec![None; self.subscribers.len()];
+        for (i, &j) in subset.iter().enumerate() {
+            assert_eq!(
+                self.subscribers[j], other.subscribers[i],
+                "merged subscriber {i} is not at slot {j}'s position"
+            );
+            local[j] = Some(i);
+        }
+        let cross_zone = local.iter().filter(|i| i.is_none()).count() as u64;
+        let model = self.model;
         other
-            .slots
-            .iter()
-            .flatten()
-            .map(|slot| self.add_relay(slot.pos, slot.power))
+            .live_slots()
+            .map(|(oid, slot)| {
+                let column = other.column(oid);
+                let id = self.register(slot.pos, slot.power);
+                self.set_column(id, |j, sub| match local[j] {
+                    Some(i) => column[i],
+                    None => model.path_factor(slot.pos.distance(sub)),
+                });
+                self.stats.path_factors += cross_zone;
+                self.apply_add(id, slot.power);
+                id
+            })
             .collect()
     }
 
-    /// Snapshot of the cumulative work counters: delta mutations,
-    /// exact cancel-refresh recomputes, cancellation-guard query
-    /// fallbacks and full rebuilds. Counters survive [`Clone`] (the
-    /// clone starts from the parent's totals) and are never reset.
+    /// Snapshot of the cumulative work counters: delta mutations, path
+    /// factors computed, exact cancel-refresh recomputes,
+    /// cancellation-guard query fallbacks and full rebuilds. Counters
+    /// survive [`Clone`] (the clone starts from the parent's totals) and
+    /// are never reset.
     pub fn stats(&self) -> LedgerStats {
         self.stats.snapshot()
     }
@@ -749,130 +751,109 @@ impl InterferenceLedger {
             .unwrap_or_else(|| panic!("relay id {id} is not registered"))
     }
 
-    /// Adds one relay's contribution to every (in-range) accumulator.
-    /// Addition of non-negative terms cannot cancel, so no refresh
-    /// bookkeeping is needed on this path.
-    fn apply_add(&mut self, pos: Point, power: f64) {
-        match &mut self.cutoff {
+    /// The registered relays with their slot ids, in slot order.
+    fn live_slots(&self) -> impl Iterator<Item = (usize, RelaySlot)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| slot.map(|s| (id, s)))
+    }
+
+    /// Relay slot `id`'s path factors, one per subscriber slot.
+    #[inline]
+    fn column(&self, id: usize) -> &[f64] {
+        &self.path[id * self.stride..][..self.subscribers.len()]
+    }
+
+    /// Takes a slot for a new relay (the lowest freed one, else a new
+    /// column) and counts the mutation. The caller fills the column and
+    /// adds the contribution.
+    fn register(&mut self, pos: Point, power: f64) -> usize {
+        let id = match self.free.pop() {
+            Some(id) => id,
             None => {
-                for (j, sub) in self.subscribers.iter().enumerate() {
-                    self.total_rx[j] += self.model.received_power(power, pos.distance(*sub));
-                }
+                self.slots.push(None);
+                self.path.resize(self.slots.len() * self.stride, 0.0);
+                self.slots.len() - 1
             }
-            Some(c) => {
-                let bound = self.model.received_power(power, c.radius);
-                c.residual_total += bound;
-                let Cutoff {
-                    radius,
-                    index,
-                    near_bound,
-                    ..
-                } = c;
-                let total_rx = &mut self.total_rx;
-                let model = self.model;
-                index.for_each_within(pos, *radius, |j, d| {
-                    total_rx[j] += model.received_power(power, d);
-                    near_bound[j] += bound;
-                });
-            }
+        };
+        self.slots[id] = Some(RelaySlot { pos, power });
+        self.n_active += 1;
+        self.stats.delta_ops += 1;
+        id
+    }
+
+    /// Writes `factor(j, subscriber j's position)` into relay slot
+    /// `id`'s column for every subscriber slot `j`.
+    fn set_column(&mut self, id: usize, mut factor: impl FnMut(usize, Point) -> f64) {
+        let column = &mut self.path[id * self.stride..][..self.subscribers.len()];
+        for (j, (x, &sub)) in column.iter_mut().zip(&self.subscribers).enumerate() {
+            *x = factor(j, sub);
         }
     }
 
-    /// Subtracts one relay's contribution. Subscribers whose
-    /// accumulator lost more than [`CANCEL_REFRESH`] of its magnitude
-    /// (the difference is then rounding noise from the old, larger
-    /// value) are pushed onto `dirty` for exact recomputation once the
-    /// slot table reflects the final state. Returns whether the cutoff
-    /// residual total suffered the same fate.
-    fn apply_sub(&mut self, pos: Point, power: f64, dirty: &mut Vec<usize>) -> bool {
-        match &mut self.cutoff {
-            None => {
-                for (j, sub) in self.subscribers.iter().enumerate() {
-                    let old = self.total_rx[j];
-                    let new = old - self.model.received_power(power, pos.distance(*sub));
-                    self.total_rx[j] = new;
-                    if new.abs() < CANCEL_REFRESH * old.abs() {
-                        dirty.push(j);
-                    }
-                }
-                false
-            }
-            Some(c) => {
-                let bound = self.model.received_power(power, c.radius);
-                let old_rt = c.residual_total;
-                c.residual_total -= bound;
-                let residual_stale = c.residual_total.abs() < CANCEL_REFRESH * old_rt.abs();
-                let Cutoff {
-                    radius,
-                    index,
-                    near_bound,
-                    ..
-                } = c;
-                let total_rx = &mut self.total_rx;
-                let model = self.model;
-                index.for_each_within(pos, *radius, |j, d| {
-                    let old = total_rx[j];
-                    let new = old - model.received_power(power, d);
-                    total_rx[j] = new;
-                    let old_nb = near_bound[j];
-                    near_bound[j] -= bound;
-                    if new.abs() < CANCEL_REFRESH * old.abs()
-                        || near_bound[j].abs() < CANCEL_REFRESH * old_nb.abs()
-                    {
-                        dirty.push(j);
-                    }
-                });
-                residual_stale
+    /// Computes relay slot `id`'s column for a relay at `pos`: one path
+    /// factor per subscriber slot.
+    fn compute_column(&mut self, id: usize, pos: Point) {
+        let model = self.model;
+        self.set_column(id, |_, sub| model.path_factor(pos.distance(sub)));
+        self.stats.path_factors += self.subscribers.len() as u64;
+    }
+
+    /// Lengthens every column by a quarter (at least one slot) so an
+    /// appended subscriber slot fits; columns move to their new offsets.
+    fn grow_columns(&mut self) {
+        let (old, stride) = (self.stride, self.stride + self.stride / 4 + 1);
+        let mut path = vec![0.0; self.slots.len() * stride];
+        for id in 0..self.slots.len() {
+            path[id * stride..][..old].copy_from_slice(&self.path[id * old..][..old]);
+        }
+        self.path = path;
+        self.stride = stride;
+    }
+
+    /// Adds relay `id`'s contribution at `power` to every accumulator,
+    /// each term `(power·G)·x` from its column. Addition of
+    /// non-negative terms cannot cancel, so no refresh bookkeeping is
+    /// needed on this path.
+    fn apply_add(&mut self, id: usize, power: f64) {
+        let pg = power * self.model.gain();
+        let column = &self.path[id * self.stride..][..self.subscribers.len()];
+        for (total, &x) in self.total_rx.iter_mut().zip(column) {
+            *total += pg * x;
+        }
+    }
+
+    /// Subtracts relay `id`'s contribution at `power` through its
+    /// column. Subscribers whose accumulator lost more than
+    /// [`CANCEL_REFRESH`] of its magnitude (the difference is then
+    /// rounding noise from the old, larger value) are pushed onto
+    /// `dirty` for exact recomputation once the slot table reflects the
+    /// final state.
+    fn apply_sub(&mut self, id: usize, power: f64, dirty: &mut Vec<usize>) {
+        let pg = power * self.model.gain();
+        let column = &self.path[id * self.stride..][..self.subscribers.len()];
+        for (j, (total, &x)) in self.total_rx.iter_mut().zip(column).enumerate() {
+            let old = *total;
+            let new = old - pg * x;
+            *total = new;
+            if new.abs() < CANCEL_REFRESH * old.abs() {
+                dirty.push(j);
             }
         }
     }
 
     /// Exactly recomputes the accumulators of every subscriber in
-    /// `dirty` (and the residual total when stale) from the slot table,
-    /// then returns the buffer to `scratch` for reuse.
-    fn refresh(&mut self, dirty: &mut Vec<usize>, residual_stale: bool) {
+    /// `dirty` from the slot table, then returns the buffer to
+    /// `scratch` for reuse.
+    fn refresh(&mut self, dirty: &mut Vec<usize>) {
         let mut buf = std::mem::take(dirty);
         self.stats.cancel_refreshes += buf.len() as u64;
         for &j in &buf {
             self.total_rx[j] = self.expected_total(j);
-            if self.cutoff.is_some() {
-                let nb = self.expected_near_bound(j);
-                if let Some(c) = &mut self.cutoff {
-                    c.near_bound[j] = nb;
-                }
-            }
-        }
-        if residual_stale {
-            let rt = self.expected_residual_total();
-            if let Some(c) = &mut self.cutoff {
-                c.residual_total = rt;
-            }
         }
         buf.clear();
         self.scratch = buf;
-    }
-
-    /// The conservative residual interference bound for subscriber `j`
-    /// (0 without a cutoff).
-    fn residual(&self, j: usize) -> f64 {
-        match &self.cutoff {
-            None => 0.0,
-            Some(c) => (c.residual_total - c.near_bound[j]).max(0.0),
-        }
-    }
-
-    /// Interference at `j` given the serving relay's `signal` there.
-    fn interference_incremental(&self, j: usize, signal: f64) -> f64 {
-        // Without a cutoff this is exactly `total − signal`, matching
-        // the brute path bit-for-bit on a freshly built ledger. With a
-        // cutoff the serving relay may or may not be inside `total`;
-        // either way the residual covers the gap from above (see
-        // DESIGN.md "Interference engine" for the case analysis).
-        let base = self.total_rx[j] - signal;
-        match &self.cutoff {
-            None => base,
-            Some(_) => base + self.residual(j),
-        }
     }
 
     fn snr_incremental(&self, j: usize, serving: usize) -> f64 {
@@ -880,12 +861,12 @@ impl InterferenceLedger {
         if signal <= 0.0 {
             return 0.0;
         }
-        let interference = self.interference_incremental(j, signal);
+        let interference = self.total_rx[j] - signal;
         // The cancellation guard subsumes the `≤ 0` branch: interference
         // at ulp scale relative to the aggregate is drift, not physics —
         // the incremental difference cannot distinguish "exactly zero"
         // from "tiny but real". Resolve the ambiguity exactly instead of
-        // guessing: an `O(R)` recompute, paid only in the rare regime
+        // guessing: an `O(R)` re-sum, paid only in the rare regime
         // where the serving relay all but owns the aggregate. Guessing
         // `∞` here would be unsound against adversarially huge
         // thresholds (the chaos suite's `ExtremeThreshold` pushes β far
@@ -899,14 +880,11 @@ impl InterferenceLedger {
     }
 
     fn interference_oracle(&self, j: usize, serving: usize) -> f64 {
-        let sub = self.subscribers[j];
+        let g = self.model.gain();
         let mut sum = 0.0;
-        for (id, slot) in self.slots.iter().enumerate() {
-            if id == serving {
-                continue;
-            }
-            if let Some(s) = slot {
-                sum += self.model.received_power(s.power, s.pos.distance(sub));
+        for (id, slot) in self.live_slots() {
+            if id != serving {
+                sum += slot.power * g * self.column(id)[j];
             }
         }
         sum
@@ -916,13 +894,7 @@ impl InterferenceLedger {
         // Mirror `snr_interference_limited`: accumulate the *total* in
         // slot order and subtract the serving signal, so a fresh ledger
         // and the brute helper agree bit-for-bit.
-        let sub = self.subscribers[j];
-        let mut total = 0.0;
-        for slot in self.slots.iter().flatten() {
-            total += self
-                .model
-                .received_power(slot.power, slot.pos.distance(sub));
-        }
+        let total = self.expected_total(j);
         let signal = self.signal(j, serving);
         let interference = total - signal;
         if signal <= 0.0 {
@@ -935,57 +907,28 @@ impl InterferenceLedger {
     }
 
     /// What `total_rx[j]` *should* hold: the slot-order sum of every
-    /// active relay's contribution, restricted to in-range relays under
-    /// a cutoff (same membership predicate as the spatial walk).
+    /// active relay's term `(power·G)·x`, from the cached columns.
     fn expected_total(&self, j: usize) -> f64 {
-        self.slot_order_total(j, TwoRay::received_power)
-    }
-
-    /// `Σ term(model, power, d)` over the active relays in slot order
-    /// (only those within the cutoff radius of `j` when one is set).
-    #[inline]
-    fn slot_order_total(&self, j: usize, term: impl Fn(&TwoRay, f64, f64) -> f64) -> f64 {
-        let sub = self.subscribers[j];
+        let g = self.model.gain();
         let mut total = 0.0;
-        for slot in self.slots.iter().flatten() {
-            let d = slot.pos.distance(sub);
-            if let Some(c) = &self.cutoff {
-                if !float::leq(d, c.radius) {
-                    continue;
-                }
-            }
-            total += term(&self.model, slot.power, d);
+        for (id, slot) in self.live_slots() {
+            total += slot.power * g * self.column(id)[j];
         }
         total
     }
 
-    /// What `near_bound[j]` should hold: the sum of per-relay far
-    /// bounds over active relays within cutoff range of `j`.
-    fn expected_near_bound(&self, j: usize) -> f64 {
-        let Some(c) = &self.cutoff else {
-            return 0.0;
-        };
+    /// The audit's recompute of `total_rx[j]` from positions: the
+    /// slot-order sum of every active relay's
+    /// [`TwoRay::received_power_closed_form`] term.
+    fn recomputed_total(&self, j: usize) -> f64 {
         let sub = self.subscribers[j];
         let mut total = 0.0;
         for slot in self.slots.iter().flatten() {
-            if float::leq(slot.pos.distance(sub), c.radius) {
-                total += self.model.received_power(slot.power, c.radius);
-            }
+            total += self
+                .model
+                .received_power_closed_form(slot.power, slot.pos.distance(sub));
         }
         total
-    }
-
-    /// What `residual_total` should hold: the sum of every active
-    /// relay's far bound.
-    fn expected_residual_total(&self) -> f64 {
-        let Some(c) = &self.cutoff else {
-            return 0.0;
-        };
-        self.slots
-            .iter()
-            .flatten()
-            .map(|slot| self.model.received_power(slot.power, c.radius))
-            .sum()
     }
 }
 
@@ -1042,6 +985,96 @@ mod tests {
     }
 
     #[test]
+    fn path_factors_are_computed_only_for_new_positions() {
+        let mut ledger = InterferenceLedger::new(model(), subs());
+        let factors = |l: &InterferenceLedger| l.stats().path_factors;
+        // `add_relay` and `move_relay` compute one column of S.
+        let a = ledger.add_relay(Point::new(10.0, 0.0), 1.0);
+        let b = ledger.add_relay(Point::new(40.0, 10.0), 0.5);
+        assert_eq!(factors(&ledger), 6);
+        ledger.move_relay(a, Point::new(12.0, 3.0));
+        assert_eq!(factors(&ledger), 9);
+        // Power changes, removals, queries, checks, rebuilds and splits
+        // multiply cached factors.
+        let before = factors(&ledger);
+        ledger.set_power(b, 0.25);
+        for j in 0..3 {
+            for id in [a, b] {
+                let _ = ledger.signal(j, id);
+                let _ = ledger.signal_at(j, id, 0.6);
+                let _ = ledger.snr(j, id);
+                let _ = ledger.interference_at(j, id);
+                let _ = ledger.snr_checked(j, id);
+            }
+        }
+        ledger.rebuild();
+        assert!(ledger.audit().is_ok());
+        let piece = ledger.split(&[2, 0]);
+        assert_eq!(piece.stats().path_factors, 0);
+        let oracle = ledger.clone().with_mode(LedgerMode::Oracle);
+        let _ = oracle.snr(1, a);
+        let _ = oracle.interference_at(1, b);
+        assert_eq!(oracle.stats().path_factors, before);
+        let c = ledger.add_relay(Point::new(-30.0, 60.0), 1.0);
+        ledger.remove_relay(c);
+        assert_eq!(factors(&ledger), before + 3);
+        // `add_subscriber` computes one entry per live relay.
+        let j = ledger.add_subscriber(Point::new(25.0, 25.0));
+        assert_eq!(factors(&ledger), before + 3 + 2);
+        ledger.remove_subscriber(j);
+        assert_eq!(factors(&ledger), before + 5);
+    }
+
+    #[test]
+    fn signal_at_is_received_power_at_a_trial_power() {
+        let mut ledger = InterferenceLedger::new(TwoRay::new(0.8, 3.3), subs());
+        let id = ledger.add_relay(Point::new(17.0, -4.0), 1.0);
+        for j in 0..3 {
+            let d = ledger.position(id).distance(ledger.subscriber(j));
+            for p in [0.0, 0.3, 1.0, 2.5] {
+                let want = TwoRay::new(0.8, 3.3).received_power(p, d);
+                assert_eq!(ledger.signal_at(j, id, p).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn audit_catches_a_stale_path_factor() {
+        let mut ledger = InterferenceLedger::new(model(), subs());
+        ledger.add_relay(Point::new(10.0, 0.0), 1.0);
+        let id = ledger.add_relay(Point::new(30.0, 40.0), 0.6);
+        assert!(ledger.audit().is_ok());
+        // A column entry that no longer matches the positions is a
+        // desync even when the accumulators agree with the columns.
+        ledger.path[id * ledger.stride + 2] *= 1.0 + 1e-3;
+        ledger.rebuild();
+        let err = ledger.audit().unwrap_err();
+        assert_eq!(err.subscriber, 2);
+        assert_eq!(err.ledger, ledger.total_rx[2]);
+    }
+
+    #[test]
+    fn columns_survive_subscriber_slot_growth() {
+        let mut ledger = InterferenceLedger::new(model(), subs());
+        let ids: Vec<usize> = [(10.0, 0.0), (40.0, 10.0), (-20.0, 35.0)]
+            .iter()
+            .map(|&(x, y)| ledger.add_relay(Point::new(x, y), 0.9))
+            .collect();
+        for k in 0..9 {
+            ledger.add_subscriber(Point::new(5.0 * k as f64, -7.0 * k as f64));
+        }
+        assert!(ledger.stride >= ledger.n_subscribers());
+        for j in 0..ledger.n_subscribers() {
+            for &id in &ids {
+                let d = ledger.position(id).distance(ledger.subscriber(j));
+                let want = model().received_power(ledger.power(id), d);
+                assert_eq!(ledger.signal(j, id).to_bits(), want.to_bits());
+            }
+        }
+        assert!(ledger.audit().is_ok());
+    }
+
+    #[test]
     fn guard_activations_count_exact_fallback_queries() {
         // One lone relay serving a subscriber: all interference comes
         // from itself, so the incremental difference is pure drift and
@@ -1076,14 +1109,24 @@ mod tests {
         assert_eq!(piece.n_subscribers(), 2);
         assert_eq!(piece.n_relays(), 2);
         assert_eq!(piece.subscriber(1), Point::new(0.0, 80.0));
-        // Bit-identical to building fresh over the subset.
+        // Bit-identical to building fresh over the subset, without
+        // computing a path factor: the columns are copied.
+        assert_eq!(piece.stats().path_factors, 0);
         let mut direct =
             InterferenceLedger::new(model(), vec![Point::new(0.0, 0.0), Point::new(0.0, 80.0)]);
         direct.add_relay(Point::new(10.0, 0.0), 1.0);
         direct.add_relay(Point::new(45.0, 5.0), 0.7);
         for j in 0..2 {
             for id in 0..2 {
-                assert_eq!(piece.interference_at(j, id), direct.interference_at(j, id));
+                assert_eq!(
+                    piece.interference_at(j, id).to_bits(),
+                    direct.interference_at(j, id).to_bits()
+                );
+                assert_eq!(piece.snr(j, id).to_bits(), direct.snr(j, id).to_bits());
+                assert_eq!(
+                    piece.signal(j, id).to_bits(),
+                    direct.signal(j, id).to_bits()
+                );
             }
         }
         // Mode survives the split.
@@ -1093,42 +1136,67 @@ mod tests {
 
     #[test]
     fn merging_zone_ledgers_reproduces_the_sequential_build() {
-        // Two "zones" over disjoint subscriber subsets; each zone
-        // ledger carries its own relays. Merging them into an empty
-        // global ledger in zone order must equal adding the
-        // concatenated relay list to a fresh global ledger.
-        let all = subs();
+        // Three "zones" over disjoint, interleaved subscriber subsets;
+        // each zone ledger carries its own relays. Merging them into an
+        // empty global ledger in zone order must equal adding the
+        // concatenated relay list to a fresh global ledger, copying the
+        // in-zone path factors and computing only the cross-zone ones.
+        let mut all = subs();
+        all.extend([Point::new(-60.0, 10.0), Point::new(30.0, 120.0)]);
+        let zones: [&[usize]; 3] = [&[0, 3], &[1], &[2, 4]];
+        let relays: [&[(Point, f64)]; 3] = [
+            &[(Point::new(8.0, 2.0), 1.0), (Point::new(-55.0, 12.0), 0.4)],
+            &[(Point::new(42.0, -3.0), 1.0)],
+            &[(Point::new(4.0, 71.0), 0.8), (Point::new(28.0, 115.0), 1.0)],
+        ];
         let global_empty = InterferenceLedger::new(model(), all.clone());
-        let mut zone_a = global_empty.split(&[0, 1]);
-        zone_a.add_relay(Point::new(8.0, 2.0), 1.0);
-        zone_a.add_relay(Point::new(42.0, -3.0), 1.0);
-        let mut zone_b = global_empty.split(&[2]);
-        zone_b.add_relay(Point::new(4.0, 71.0), 1.0);
-
         let mut merged = global_empty.clone();
-        let ids_a = merged.merge_from(&zone_a);
-        let ids_b = merged.merge_from(&zone_b);
-        assert_eq!(ids_a, vec![0, 1]);
-        assert_eq!(ids_b, vec![2]);
-
-        let mut sequential = InterferenceLedger::new(model(), all);
-        for p in [
-            Point::new(8.0, 2.0),
-            Point::new(42.0, -3.0),
-            Point::new(4.0, 71.0),
-        ] {
-            sequential.add_relay(p, 1.0);
+        let mut next_id = 0;
+        for (zone, zone_relays) in zones.iter().zip(relays) {
+            let mut piece = global_empty.split(zone);
+            for &(p, w) in zone_relays {
+                piece.add_relay(p, w);
+            }
+            let before = merged.stats().path_factors;
+            let ids = merged.merge_from(&piece, zone);
+            assert_eq!(
+                ids,
+                (next_id..next_id + zone_relays.len()).collect::<Vec<_>>()
+            );
+            next_id += zone_relays.len();
+            let cross = (all.len() - zone.len()) * zone_relays.len();
+            assert_eq!(merged.stats().path_factors - before, cross as u64);
         }
-        for j in 0..3 {
-            for id in 0..3 {
+
+        let mut sequential = InterferenceLedger::new(model(), all.clone());
+        for &(p, w) in relays.iter().flat_map(|r| r.iter()) {
+            sequential.add_relay(p, w);
+        }
+        for j in 0..all.len() {
+            for id in 0..next_id {
                 assert_eq!(
-                    merged.interference_at(j, id),
-                    sequential.interference_at(j, id),
+                    merged.interference_at(j, id).to_bits(),
+                    sequential.interference_at(j, id).to_bits(),
+                    "merge diverged at (j={j}, id={id})"
+                );
+                assert_eq!(
+                    merged.snr(j, id).to_bits(),
+                    sequential.snr(j, id).to_bits(),
                     "merge diverged at (j={j}, id={id})"
                 );
             }
         }
         merged.audit().expect("merged ledger is exact");
+    }
+
+    #[test]
+    #[should_panic(expected = "not at slot")]
+    fn merging_with_a_mismatched_subset_panics() {
+        let global = InterferenceLedger::new(model(), subs());
+        let mut piece = global.split(&[0, 1]);
+        piece.add_relay(Point::new(8.0, 2.0), 1.0);
+        let mut merged = global.clone();
+        merged.merge_from(&piece, &[0, 2]);
     }
 
     #[test]
@@ -1267,43 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_snr_is_a_sound_lower_bound() {
-        let positions = [
-            Point::new(5.0, 0.0),
-            Point::new(55.0, 0.0),
-            Point::new(0.0, 75.0),
-            Point::new(400.0, 400.0), // far: outside every cutoff range
-        ];
-        let mut exact = InterferenceLedger::new(model(), subs());
-        let mut cut = InterferenceLedger::new(model(), subs()).with_cutoff(150.0);
-        for p in positions {
-            exact.add_relay(p, 1.0);
-            cut.add_relay(p, 1.0);
-        }
-        assert_eq!(cut.cutoff_radius(), Some(150.0));
-        for j in 0..3 {
-            for s in 0..3 {
-                let lo = cut.snr(j, s);
-                let hi = exact.snr(j, s);
-                assert!(
-                    lo <= hi * (1.0 + 1e-12) || (lo.is_infinite() && hi.is_infinite()),
-                    "cutoff SNR {lo} must lower-bound exact {hi}"
-                );
-            }
-        }
-        // The bound is tight when everything is in range.
-        let mut wide = InterferenceLedger::new(model(), subs()).with_cutoff(1e4);
-        for p in positions {
-            wide.add_relay(p, 1.0);
-        }
-        for j in 0..3 {
-            assert_snr_close(wide.snr(j, 0), exact.snr(j, 0));
-        }
-        assert!(cut.audit().is_ok());
-        assert!(cut.snr_checked(0, 0).is_ok());
-    }
-
-    #[test]
     fn subscriber_mutations_reuse_slots_and_track_activity() {
         let mut ledger = InterferenceLedger::new(model(), subs());
         ledger.add_relay(Point::new(10.0, 0.0), 1.0);
@@ -1381,24 +1412,9 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn subscriber_mutation_under_cutoff_panics() {
-        let mut ledger = InterferenceLedger::new(model(), subs()).with_cutoff(100.0);
-        ledger.add_subscriber(Point::new(1.0, 1.0));
-    }
-
-    #[test]
-    #[should_panic]
     fn unknown_relay_id_panics() {
         let ledger = InterferenceLedger::new(model(), subs());
         ledger.power(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn cutoff_after_relays_panics() {
-        let mut ledger = InterferenceLedger::new(model(), subs());
-        ledger.add_relay(Point::ORIGIN, 1.0);
-        let _ = ledger.with_cutoff(10.0);
     }
 
     prop! {
@@ -1451,23 +1467,20 @@ mod tests {
             }
         }
 
-        /// The audit's recompute agrees with the slot-order sum of
-        /// `received_power` within 1e-13 relative, at the closed-form and
-        /// `powf` exponents, with and without a cutoff, over relays
-        /// inside the near field, coincident with a subscriber, or at
-        /// zero power.
+        /// The audit's recompute from positions agrees with the
+        /// slot-order sum of `received_power` within 1e-13 relative, at
+        /// the closed-form and `powf` exponents, over relays inside the
+        /// near field, coincident with a subscriber, or at zero power;
+        /// the cached-column sum equals that sum bit for bit.
         fn prop_audit_recompute_matches_received_power_sum(
             alpha in one_of([2.0, 2.5, 3.0, 3.3, 4.0]),
             g in 0.1..10.0f64,
-            cutoff in one_of([None, Some(5.0), Some(150.0)]),
             at in (-300.0..300.0f64, -300.0..300.0f64),
             relays in vec_of((-300.0..300.0f64, -300.0..300.0f64, 0.0..2.0f64, 0usize..5), 0..40),
         ) {
             let at = Point::new(at.0, at.1);
-            let mut ledger = InterferenceLedger::new(TwoRay::new(g, alpha), vec![at]);
-            if let Some(r) = cutoff {
-                ledger = ledger.with_cutoff(r);
-            }
+            let model = TwoRay::new(g, alpha);
+            let mut ledger = InterferenceLedger::new(model, vec![at]);
             let near = TwoRay::NEAR_FIELD;
             for (x, y, pt, kind) in relays {
                 let (pos, pt) = match kind {
@@ -1478,8 +1491,12 @@ mod tests {
                 };
                 ledger.add_relay(pos, pt);
             }
-            let got = ledger.slot_order_total(0, TwoRay::received_power_closed_form);
-            let want = ledger.expected_total(0);
+            let got = ledger.recomputed_total(0);
+            let want = ledger
+                .live_slots()
+                .map(|(_, s)| model.received_power(s.power, s.pos.distance(at)))
+                .fold(0.0, |sum, term| sum + term);
+            prop_assert_eq!(ledger.expected_total(0).to_bits(), want.to_bits());
             prop_assert!(
                 (got - want).abs() <= 1e-13 * want.abs(),
                 "α {alpha}: audit recompute {got:e} vs received_power sum {want:e}"
@@ -1488,20 +1505,15 @@ mod tests {
 
         /// The audit passes after every op of random relay sequences
         /// (add/remove/move/set-power) interleaved with subscriber
-        /// mutations, at closed-form and `powf` exponents, on plain and
-        /// cutoff ledgers (which allow no subscriber mutations).
+        /// mutations, at closed-form and `powf` exponents.
         fn prop_audit_passes_after_mutation_sequences(
             alpha in one_of([2.0, 2.5, 3.0, 3.3, 4.0]),
-            cutoff in one_of([None, Some(60.0), Some(250.0)]),
             subs_raw in vec_of((0.0..500.0f64, 0.0..500.0f64), 1..8),
             ops in vec_of((0usize..7, 0.0..500.0f64, 0.0..500.0f64, 0.0..2.0f64), 1..30),
         ) {
             let subscribers: Vec<Point> =
                 subs_raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
             let mut ledger = InterferenceLedger::new(TwoRay::new(1.0, alpha), subscribers);
-            if let Some(r) = cutoff {
-                ledger = ledger.with_cutoff(r);
-            }
             let mut relay_ids: Vec<usize> = Vec::new();
             let mut active: Vec<usize> = (0..ledger.n_subscribers()).collect();
             for (kind, x, y, p) in ops {
@@ -1513,47 +1525,16 @@ mod tests {
                     }
                     2 if !relay_ids.is_empty() => ledger.move_relay(relay_ids[mid], at),
                     3 if !relay_ids.is_empty() => ledger.set_power(relay_ids[mid], p),
-                    4 if cutoff.is_none() => active.push(ledger.add_subscriber(at)),
-                    5 if cutoff.is_none() && active.len() > 1 => {
+                    4 => active.push(ledger.add_subscriber(at)),
+                    5 if active.len() > 1 => {
                         ledger.remove_subscriber(active.remove(active.len() / 2));
                     }
-                    6 if cutoff.is_none() => {
+                    6 => {
                         ledger.move_subscriber(active[active.len() / 2], at);
                     }
                     _ => relay_ids.push(ledger.add_relay(at, p)),
                 }
                 prop_assert!(ledger.audit().is_ok(), "audit failed after op {kind}");
-            }
-        }
-
-        /// Cutoff ledgers never overestimate the SNR (soundness), for
-        /// any cutoff radius and geometry.
-        fn prop_cutoff_is_sound(
-            subs_raw in vec_of((0.0..400.0f64, 0.0..400.0f64), 1..6),
-            relays_raw in vec_of((0.0..400.0f64, 0.0..400.0f64, 0.1..2.0f64), 1..6),
-            radius in 10.0..500.0f64,
-        ) {
-            let subscribers: Vec<Point> =
-                subs_raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let mut exact = InterferenceLedger::new(model(), subscribers.clone());
-            let mut cut =
-                InterferenceLedger::new(model(), subscribers.clone()).with_cutoff(radius);
-            let mut ids = Vec::new();
-            for &(x, y, p) in &relays_raw {
-                ids.push(exact.add_relay(Point::new(x, y), p));
-                cut.add_relay(Point::new(x, y), p);
-            }
-            for j in 0..subscribers.len() {
-                for &s in &ids {
-                    let lo = cut.snr(j, s);
-                    let hi = exact.snr(j, s);
-                    prop_assert!(
-                        lo <= hi * (1.0 + 1e-9)
-                            || hi >= SNR_SATURATED
-                            || hi.is_infinite(),
-                        "cutoff SNR {lo} exceeds exact {hi}"
-                    );
-                }
             }
         }
 

@@ -9,8 +9,9 @@
 //!   `Pr = Pt · G · d^{-α}`,
 //! * [`snr`] — the paper's interference-limited SNR (Definition 2),
 //! * [`ledger`] — the incremental [`InterferenceLedger`]: per-subscriber
-//!   interference accumulators with O(S) relay deltas, O(1) SNR queries
-//!   and a brute-force oracle mode for parity checks,
+//!   interference accumulators with O(S) relay deltas, O(1) SNR queries,
+//!   a cached path-factor column per relay so only a new position costs
+//!   a `powf`, and an exact oracle mode for parity checks,
 //! * [`capacity`] — Shannon capacity and the capacity↔distance reduction
 //!   of §II that turns data-rate requests into distance requests,
 //! * [`link`] — a [`LinkBudget`] convenience facade combining all of the

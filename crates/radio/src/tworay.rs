@@ -66,7 +66,9 @@ impl TwoRay {
     }
 
     /// Received power at distance `d` for transmit power `pt`:
-    /// `Pr = Pt·G·d^{-α}`.
+    /// `Pr = Pt·G·d^{-α}`, evaluated as `(Pt·G)·x` with the path factor
+    /// `x = max(d, NEAR_FIELD)^{-α}`, so the interference ledger, which
+    /// keeps `x`, reproduces it bit for bit.
     ///
     /// Distances below [`TwoRay::NEAR_FIELD`] are clamped to it — the
     /// far-field model diverges as `d → 0` and stations are never
@@ -76,9 +78,19 @@ impl TwoRay {
     /// Panics if `pt < 0` or `d < 0`.
     pub fn received_power(&self, pt: f64, d: f64) -> f64 {
         assert!(pt >= 0.0, "transmit power must be ≥ 0, got {pt}");
+        pt * self.g * self.path_factor(d)
+    }
+
+    /// The geometry-only factor of Eq. (2.1), `x = max(d, NEAR_FIELD)^{-α}`:
+    /// what [`TwoRay::received_power`] multiplies `Pt·G` by. It depends
+    /// on the distance alone, so a power change leaves it unchanged.
+    ///
+    /// # Panics
+    /// Panics if `d < 0`.
+    #[inline]
+    pub(crate) fn path_factor(&self, d: f64) -> f64 {
         assert!(d >= 0.0, "distance must be ≥ 0, got {d}");
-        let d = d.max(Self::NEAR_FIELD);
-        pt * self.g * d.powf(-self.alpha)
+        d.max(Self::NEAR_FIELD).powf(-self.alpha)
     }
 
     /// Minimum near-field distance; receivers closer than this are treated
@@ -183,6 +195,15 @@ mod tests {
         assert!((m.required_tx_power(pr, 37.0) - 5.0).abs() < 1e-9);
         let d = m.max_range(5.0, pr);
         assert!((d - 37.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn received_power_is_power_times_gain_times_path_factor() {
+        let m = TwoRay::new(0.7, 3.3);
+        for (pt, d) in [(1.0, 37.0), (0.25, 0.0), (3.5, 512.25)] {
+            let want = pt * m.gain() * m.path_factor(d);
+            assert_eq!(m.received_power(pt, d).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -38,8 +38,12 @@ run cargo test -q --offline
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test chaos_pipeline -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test chaos_pipeline -q --offline
 
-# Ledger parity soak: the incremental-vs-brute SNR contract at an
-# elevated case count (tentpole invariant of the interference ledger).
+# Ledger parity soak at an elevated case count: after any sequence of
+# relay and subscriber mutations, rebuilds and split-then-merge round
+# trips, incremental SNR matches brute force, and the path-factor
+# columns never go stale (every live relay's signal at every subscriber
+# slot is bit-identical to received_power from the current positions,
+# and audit() is clean).
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline
 
@@ -116,7 +120,8 @@ run cargo run --release --offline -p sag-bench --bin bench_snr -- --out BENCH_sn
 run cargo run --release --offline -p sag-bench --bin bench_hitting -- --out BENCH_hitting.json
 
 # Observability overhead: the disabled instrumentation path vs the
-# hand-composed uninstrumented pipeline (parity asserted first).
+# hand-composed uninstrumented pipeline, each sample one pass over bench
+# scenarios at every Fig. 4/5 size (parity asserted on each first).
 # Gate: bench_obs MAX_OVERHEAD (disabled path <=1.02x).
 run cargo run --release --offline -p sag-bench --bin bench_obs -- --out BENCH_obs.json
 

@@ -1,14 +1,20 @@
 //! Workspace parity suite for the incremental interference ledger.
 //!
-//! The contract under test is the PR-3 tentpole invariant: after **any**
-//! sequence of `add_relay` / `remove_relay` / `move_relay` / `set_power`
-//! mutations, every `InterferenceLedger::snr` query agrees with the
-//! brute-force recomputation (`sag_radio::snr::placement_snr`) to within
-//! 1e-9 relative — with both sides treated as equal once they saturate
-//! past [`SNR_SATURATED`]. A cutoff-equipped ledger must stay *sound*
-//! (never report an SNR above the exact value), and a desynchronised
-//! accumulator must surface as a typed [`DesyncError`], never as a
-//! silently wrong answer.
+//! The contracts under test, after **any** sequence of relay mutations
+//! (`add_relay` / `remove_relay` / `move_relay` / `set_power`),
+//! subscriber mutations (`add_subscriber` / `remove_subscriber` /
+//! `move_subscriber`), `rebuild`s and split-then-merge round trips:
+//!
+//! * every `InterferenceLedger::snr` query agrees with the brute-force
+//!   recomputation (`sag_radio::snr::placement_snr`) to within 1e-9
+//!   relative — with both sides treated as equal once they saturate
+//!   past [`SNR_SATURATED`];
+//! * the path-factor columns never go stale: every live relay's
+//!   `signal` at every subscriber slot, tombstoned ones included, is
+//!   bit-identical to `TwoRay::received_power` from the current
+//!   positions, and `audit()` is clean;
+//! * a desynchronised accumulator surfaces as a typed `DesyncError`,
+//!   never as a silently wrong answer.
 
 use sag_geom::Point;
 use sag_radio::ledger::SNR_SATURATED;
@@ -35,36 +41,92 @@ fn subscribers(n: usize, seed: u64) -> Vec<Point> {
 }
 
 /// One mutation drawn from the op-sequence strategy: `(kind, xf, yf, p)`
-/// where `kind` selects add/remove/move/set-power and the fractions are
-/// mapped onto field coordinates, active-slot choices, and powers.
+/// where `kind` selects the operation (see [`apply_op`]) and the
+/// fractions are mapped onto field coordinates, roster choices, and
+/// powers.
 type Op = (usize, f64, f64, f64);
 
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
-    vec_of((0usize..4, 0.0..1.0f64, 0.0..1.0f64, 0.01..1.0f64), 1..40)
+    vec_of((0usize..9, 0.0..1.0f64, 0.0..1.0f64, 0.01..1.0f64), 1..40)
 }
 
 fn op_point(xf: f64, yf: f64) -> Point {
     Point::new((xf - 0.5) * FIELD, (yf - 0.5) * FIELD)
 }
 
-/// Applies `op` to `ledger`, keeping `ids` as the live relay-id roster.
-/// Remove/move/set-power on an empty ledger degrade to an add, so every
-/// sequence is valid by construction.
-fn apply_op(ledger: &mut InterferenceLedger, ids: &mut Vec<usize>, op: Op) {
+/// Applies `op` to `ledger`, keeping `ids` as the live relay-id roster
+/// and `active` as the active subscriber-slot roster. Kinds: 0 add, 1
+/// remove, 2 move, 3 set-power a relay; 4 add, 5 remove, 6 move a
+/// subscriber; 7 rebuild; 8 split-then-merge round trip. An op whose
+/// roster is empty (or, for a subscriber removal, would empty it)
+/// degrades to a relay add, so every sequence is valid by construction.
+fn apply_op(
+    ledger: &mut InterferenceLedger,
+    ids: &mut Vec<usize>,
+    active: &mut Vec<usize>,
+    op: Op,
+) {
     let (kind, xf, yf, p) = op;
-    if ids.is_empty() || kind == 0 {
-        ids.push(ledger.add_relay(op_point(xf, yf), p));
-        return;
-    }
-    let pick = ((xf * ids.len() as f64) as usize).min(ids.len() - 1);
+    let pick = |len: usize| ((xf * len as f64) as usize).min(len - 1);
     match kind {
-        1 => {
-            let id = ids.swap_remove(pick);
+        1 if !ids.is_empty() => {
+            let id = ids.swap_remove(pick(ids.len()));
             ledger.remove_relay(id);
         }
-        2 => ledger.move_relay(ids[pick], op_point(yf, xf)),
-        _ => ledger.set_power(ids[pick], p),
+        2 if !ids.is_empty() => ledger.move_relay(ids[pick(ids.len())], op_point(yf, xf)),
+        3 if !ids.is_empty() => ledger.set_power(ids[pick(ids.len())], p),
+        4 => active.push(ledger.add_subscriber(op_point(xf, yf))),
+        5 if active.len() > 1 => {
+            let j = active.swap_remove(pick(active.len()));
+            ledger.remove_subscriber(j);
+        }
+        6 => {
+            ledger.move_subscriber(active[pick(active.len())], op_point(yf, xf));
+        }
+        7 => ledger.rebuild(),
+        8 => split_merge_round_trip(ledger, ids, yf),
+        _ => ids.push(ledger.add_relay(op_point(xf, yf), p)),
     }
+}
+
+/// Rebuilds `ledger` the way the zone engine does: the subscriber slots
+/// are cut into two zones at fraction `cut`, the relays dealt to them
+/// alternately, each zone's ledger split from a relay-free copy and
+/// given its relays, and the zone ledgers merged back in zone order —
+/// in-zone path factors copied, cross-zone ones computed. Tombstoned
+/// slots are tombstoned again; `ids` becomes the merged relay ids.
+fn split_merge_round_trip(ledger: &mut InterferenceLedger, ids: &mut Vec<usize>, cut: f64) {
+    let n = ledger.n_subscribers();
+    let positions = (0..n).map(|j| ledger.subscriber(j)).collect();
+    let empty = InterferenceLedger::new(model(), positions);
+    let cut = ((cut * (n + 1) as f64) as usize).min(n);
+    let zones: [Vec<usize>; 2] = [(0..cut).collect(), (cut..n).collect()];
+    let mut merged = empty.clone();
+    let mut merged_ids = Vec::with_capacity(ids.len());
+    for (k, zone) in zones.iter().enumerate() {
+        let mut piece = empty.split(zone);
+        for &id in ids.iter().skip(k).step_by(2) {
+            piece.add_relay(ledger.position(id), ledger.power(id));
+        }
+        merged_ids.extend(merged.merge_from(&piece, zone));
+    }
+    for j in (0..n).filter(|&j| !ledger.is_subscriber_active(j)) {
+        merged.remove_subscriber(j);
+    }
+    *ledger = merged;
+    *ids = merged_ids;
+}
+
+/// Runs `ops` on a fresh ledger over `n_subs` seeded subscribers and
+/// returns it with its relay-id roster.
+fn run_ops(ops: Vec<Op>, n_subs: usize, seed: u64) -> (InterferenceLedger, Vec<usize>) {
+    let mut ledger = InterferenceLedger::new(model(), subscribers(n_subs, seed));
+    let mut ids: Vec<usize> = Vec::new();
+    let mut active: Vec<usize> = (0..n_subs).collect();
+    for op in ops {
+        apply_op(&mut ledger, &mut ids, &mut active, op);
+    }
+    (ledger, ids)
 }
 
 /// Exact SNR over the ledger's current relay set, via the brute helper.
@@ -101,12 +163,7 @@ prop! {
         n_subs in 1usize..8,
         seed in 0u64..10_000,
     ) {
-        let subs = subscribers(n_subs, seed);
-        let mut ledger = InterferenceLedger::new(model(), subs);
-        let mut ids: Vec<usize> = Vec::new();
-        for op in ops {
-            apply_op(&mut ledger, &mut ids, op);
-        }
+        let (ledger, ids) = run_ops(ops, n_subs, seed);
         for j in 0..ledger.n_subscribers() {
             for &serving in &ids {
                 let inc = ledger.snr(j, serving);
@@ -119,32 +176,48 @@ prop! {
         }
     }
 
-    /// A cutoff-equipped ledger stays sound under mutation: its residual
-    /// bound can only *overstate* interference, so the reported SNR is
-    /// never above the exact value (and saturation agrees upward).
-    #[cases(32)]
-    fn cutoff_ledger_is_sound_after_any_op_sequence(
+    /// The column contract: after any op sequence, every live relay's
+    /// signal at every subscriber slot (tombstoned slots included) is
+    /// bit-identical to `received_power` recomputed from the current
+    /// positions and power, and the audit, which recomputes every path
+    /// factor from positions, is clean. The same holds for a split of
+    /// the final ledger over its slots in reverse order, whose columns
+    /// are copied entries.
+    #[cases(48)]
+    fn path_factor_columns_never_go_stale(
         ops in op_strategy(),
         n_subs in 1usize..8,
         seed in 0u64..10_000,
-        radius in 50.0..400.0f64,
     ) {
-        let subs = subscribers(n_subs, seed);
-        let mut ledger = InterferenceLedger::new(model(), subs).with_cutoff(radius);
-        let mut ids: Vec<usize> = Vec::new();
-        for op in ops {
-            apply_op(&mut ledger, &mut ids, op);
-        }
-        for j in 0..ledger.n_subscribers() {
-            for &serving in &ids {
-                let bounded = ledger.snr(j, serving);
-                let exact = brute_snr(&ledger, &ids, j, serving);
-                prop_assert!(
-                    bounded <= exact * (1.0 + 1e-9) || exact >= SNR_SATURATED,
-                    "cutoff ledger unsound at (j={j}, serving={serving}): {bounded} > exact {exact}"
+        let (ledger, ids) = run_ops(ops, n_subs, seed);
+        let reversed: Vec<usize> = (0..ledger.n_subscribers()).rev().collect();
+        let piece = ledger.split(&reversed);
+        // Split compacts relay ids to 0, 1, 2, … in slot id order.
+        let mut by_slot = ids.clone();
+        by_slot.sort_unstable();
+        for (piece_id, &id) in by_slot.iter().enumerate() {
+            for j in 0..ledger.n_subscribers() {
+                let d = ledger.position(id).distance(ledger.subscriber(j));
+                let want = model().received_power(ledger.power(id), d).to_bits();
+                prop_assert_eq!(
+                    ledger.signal(j, id).to_bits(),
+                    want,
+                    "stale path factor at (j={}, id={})",
+                    j,
+                    id
+                );
+                let k = reversed.len() - 1 - j;
+                prop_assert_eq!(
+                    piece.signal(k, piece_id).to_bits(),
+                    want,
+                    "split copied a wrong path factor at (j={}, id={})",
+                    j,
+                    id
                 );
             }
         }
+        prop_assert!(ledger.audit().is_ok(), "audit: {:?}", ledger.audit());
+        prop_assert!(piece.audit().is_ok(), "split audit: {:?}", piece.audit());
     }
 
     /// Chaos hook: under `Fault::LedgerDesync` (a skewed accumulator),
