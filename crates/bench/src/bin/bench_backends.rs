@@ -4,7 +4,8 @@
 //! exists for: [`ClusteredProbe::BACKENDS`], a 4×4 grid of tight
 //! subscriber clusters, each its own interference zone. Every cluster
 //! is dense enough that its candidate set clears
-//! [`sag_core::SelectionPolicy`]'s `lp_round_max_cands` threshold, so
+//! [`sag_core::solver::LP_ROUND_MAX_CANDS`], the adaptive LP-round
+//! threshold, so
 //! the adaptive builder routes the zone to the LP-free local-search
 //! backend (greedy start, swap/drop improvement) while the all-exact
 //! arm pays full branch-and-bound on every zone. Two arms are timed

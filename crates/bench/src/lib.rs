@@ -96,7 +96,8 @@ impl ClusteredProbe {
 
     /// `bench_backends`' probe: the churn lattice densified to sixteen
     /// subscribers per cluster, so each zone's IAC candidate set lands
-    /// well above the adaptive policy's `lp_round_max_cands` threshold.
+    /// well above [`sag_core::solver::LP_ROUND_MAX_CANDS`], the adaptive
+    /// LP-round threshold.
     pub const BACKENDS: ClusteredProbe = ClusteredProbe {
         per_cluster: 16,
         ..ClusteredProbe::CHURN

@@ -9,7 +9,7 @@
 //! later through PRO.
 
 use sag_geom::Point;
-use sag_radio::ledger::{InterferenceLedger, LedgerMode};
+use sag_radio::ledger::{InterferenceLedger, LedgerMode, LedgerStats};
 use sag_radio::snr;
 
 use crate::model::Scenario;
@@ -99,17 +99,17 @@ pub fn powered_ledger(scenario: &Scenario, relays: &[Point], powers: &[f64]) -> 
     ledger
 }
 
-/// Flushes a ledger's accumulated [`sag_radio::LedgerStats`] into the
-/// observability counters (`ledger.delta_ops`, `ledger.path_factors`,
-/// `ledger.cancel_refreshes`, `ledger.guard_activations`,
-/// `ledger.rebuilds`). Stages call this once
-/// at the end of a solve so the per-mutation hot paths stay
-/// uninstrumented; a no-op while recording is disabled.
-pub(crate) fn flush_ledger_stats(ledger: &InterferenceLedger) {
+/// Flushes ledger work counters ([`InterferenceLedger::stats`]) into
+/// the observability counters (`ledger.delta_ops`,
+/// `ledger.path_factors`, `ledger.cancel_refreshes`,
+/// `ledger.guard_activations`, `ledger.rebuilds`). Each ledger's work is
+/// flushed exactly once, by the stage that owns the ledger, at the end
+/// of its solve, so the per-mutation hot paths stay uninstrumented; a
+/// no-op while recording is disabled.
+pub(crate) fn flush_ledger_stats(s: LedgerStats) {
     if !sag_obs::enabled() {
         return;
     }
-    let s = ledger.stats();
     sag_obs::counter("ledger.delta_ops", s.delta_ops);
     sag_obs::counter("ledger.path_factors", s.path_factors);
     sag_obs::counter("ledger.cancel_refreshes", s.cancel_refreshes);

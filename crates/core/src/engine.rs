@@ -113,7 +113,9 @@ pub(crate) struct ZoneOutcome {
 }
 
 /// Builds a worker's [`ZoneOutcome`]: split the relay-free base ledger
-/// down to the zone's subscribers and apply the zone's relays.
+/// down to the zone's subscribers and apply the zone's relays. The
+/// zone ledger is complete here (the merge only copies from it), so its
+/// work is flushed here, on the worker.
 pub(crate) fn zone_outcome(
     base: &InterferenceLedger,
     zone: &Zone,
@@ -123,6 +125,7 @@ pub(crate) fn zone_outcome(
     for &relay in &solution.relays {
         ledger.add_relay(relay, 1.0);
     }
+    flush_ledger_stats(ledger.stats());
     ZoneOutcome { solution, ledger }
 }
 
@@ -163,7 +166,7 @@ pub(crate) fn merge_zone_outcomes(
     // Residual inter-zone violations the merged check surfaced (the
     // global repair round clears them or fails the solve).
     sag_obs::gauge("coverage.snr_violations", violations.len() as f64);
-    flush_ledger_stats(&merged);
+    flush_ledger_stats(merged.stats());
     if violations.is_empty() {
         return Ok(CoverageSolution {
             relays: all_relays,

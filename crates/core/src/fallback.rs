@@ -54,6 +54,37 @@ pub(crate) fn eligibility(
     Ok(eligible)
 }
 
+/// Nearest-eligible assignment: for each subscriber, the position (index
+/// into `selected`) of its closest selected eligible candidate. With all
+/// relays at `Pmax` this is the SNR-optimal assignment, because the total
+/// received power is assignment-independent.
+///
+/// # Errors
+/// The first subscriber none of whose eligible candidates is selected.
+pub(crate) fn nearest_assignment(
+    scenario: &Scenario,
+    candidates: &[Point],
+    eligible: &[Vec<usize>],
+    selected: &[usize],
+) -> Result<Vec<usize>, usize> {
+    let mut out = Vec::with_capacity(scenario.n_subscribers());
+    for (j, e) in eligible.iter().enumerate() {
+        let spos = scenario.subscribers[j].position;
+        let best = e
+            .iter()
+            .filter_map(|c| selected.binary_search(c).ok())
+            .min_by(|&a, &b| {
+                sag_geom::float::total_cmp(
+                    &candidates[selected[a]].distance(spos),
+                    &candidates[selected[b]].distance(spos),
+                )
+            })
+            .ok_or(j)?;
+        out.push(best);
+    }
+    Ok(out)
+}
+
 /// Greedy set cover over precomputed eligibility lists: repeatedly take
 /// the candidate covering the most still-uncovered subscribers. Returns
 /// the selected candidate indices, sorted ascending.
@@ -120,11 +151,16 @@ pub(crate) fn repair_and_prune(
     stage: &str,
 ) -> SagResult<CoverageSolution> {
     loop {
-        let assignment = nearest_assignment(scenario, candidates, eligible, &selected, stage)?;
+        let assignment =
+            nearest_assignment(scenario, candidates, eligible, &selected).map_err(|_| {
+                SagError::Infeasible(format!(
+                    "{stage}: selection does not cover every subscriber"
+                ))
+            })?;
         let relays: Vec<Point> = selected.iter().map(|&c| candidates[c]).collect();
         let violated = snr_violations(scenario, &relays, &assignment);
         let Some(&j) = violated.first() else {
-            return prune_unused(scenario, candidates, eligible, selected, stage);
+            return Ok(prune_unused(candidates, &selected, assignment));
         };
         let spos = scenario.subscribers[j].position;
         let cur_d = candidates[selected[assignment[j]]].distance(spos);
@@ -175,48 +211,14 @@ pub fn greedy_cover(scenario: &Scenario, candidates: &[Point]) -> SagResult<Cove
     repair_and_prune(scenario, candidates, &eligible, selected, "fallback")
 }
 
-/// Nearest-eligible assignment over the selected candidates.
-fn nearest_assignment(
-    scenario: &Scenario,
-    candidates: &[Point],
-    eligible: &[Vec<usize>],
-    selected: &[usize],
-    stage: &str,
-) -> SagResult<Vec<usize>> {
-    let mut out = Vec::with_capacity(scenario.n_subscribers());
-    for (j, e) in eligible.iter().enumerate() {
-        let spos = scenario.subscribers[j].position;
-        let best = e
-            .iter()
-            .filter_map(|c| selected.binary_search(c).ok())
-            .min_by(|&a, &b| {
-                sag_geom::float::total_cmp(
-                    &candidates[selected[a]].distance(spos),
-                    &candidates[selected[b]].distance(spos),
-                )
-            });
-        match best {
-            Some(b) => out.push(b),
-            None => {
-                return Err(SagError::Infeasible(format!(
-                    "{stage}: selection does not cover every subscriber"
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Drops selected candidates that serve nobody and remaps the
-/// assignment onto the compacted relay list.
+/// Drops selected candidates that serve nobody under `assignment` (an
+/// index into `selected` per subscriber) and remaps the assignment onto
+/// the compacted relay list.
 fn prune_unused(
-    scenario: &Scenario,
     candidates: &[Point],
-    eligible: &[Vec<usize>],
-    selected: Vec<usize>,
-    stage: &str,
-) -> SagResult<CoverageSolution> {
-    let assignment = nearest_assignment(scenario, candidates, eligible, &selected, stage)?;
+    selected: &[usize],
+    assignment: Vec<usize>,
+) -> CoverageSolution {
     let mut used = vec![false; selected.len()];
     for &a in &assignment {
         used[a] = true;
@@ -232,7 +234,7 @@ fn prune_unused(
         }
     }
     let assignment = assignment.into_iter().map(|a| remap[a]).collect();
-    Ok(CoverageSolution { relays, assignment })
+    CoverageSolution { relays, assignment }
 }
 
 #[cfg(test)]

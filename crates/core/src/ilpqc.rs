@@ -39,6 +39,7 @@ use sag_radio::InterferenceLedger;
 
 use crate::coverage::{interference_ledger, CoverageSolution};
 use crate::error::{SagError, SagResult};
+use crate::fallback::nearest_assignment;
 use crate::model::Scenario;
 
 /// How often (in nodes) the wall-clock/cancellation state is polled.
@@ -61,13 +62,6 @@ pub struct IlpqcConfig {
     /// the search at the next poll, returning the incumbent if one
     /// exists and [`SagError::BudgetExceeded`] otherwise.
     pub budget: Budget,
-    /// Minimum candidate count before per-node LP completion bounds
-    /// kick in. Each incomplete node then re-solves the cover LP with
-    /// its selection forced to at least 1 — resumed by the dual simplex
-    /// from the previous node's basis and factors, so the marginal cost
-    /// is a handful of pivots. Small instances (golden tests, hand-laid
-    /// scenarios) stay on the pure combinatorial search.
-    pub lp_bound_min_cands: usize,
 }
 
 impl Default for IlpqcConfig {
@@ -75,10 +69,17 @@ impl Default for IlpqcConfig {
         IlpqcConfig {
             node_limit: 200_000,
             budget: Budget::unlimited(),
-            lp_bound_min_cands: 24,
         }
     }
 }
+
+/// Minimum candidate count before per-node LP completion bounds kick
+/// in. Each incomplete node then re-solves the cover LP with its
+/// selection forced to at least 1 — resumed by the dual simplex from
+/// the previous node's basis and factors, so the marginal cost is a
+/// handful of pivots. Small instances (golden tests, hand-laid
+/// scenarios) stay on the pure combinatorial search.
+pub const LP_BOUND_MIN_CANDS: usize = 24;
 
 /// Outcome of an ILPQC solve.
 #[derive(Debug, Clone)]
@@ -148,7 +149,7 @@ pub fn solve_ilpqc(
     // LP with the node's selection forced to at least 1 lower-bounds
     // every completion of that node. Only bounds change between nodes,
     // so each solve resumes the session from the previous one.
-    let use_lp_bounds = n_cands >= config.lp_bound_min_cands;
+    let use_lp_bounds = n_cands >= LP_BOUND_MIN_CANDS;
     let mut lp_prunes = 0u64;
 
     // One interference ledger for the whole search, synced to each
@@ -255,7 +256,8 @@ pub fn solve_ilpqc(
                 if evals.is_multiple_of(LEDGER_REBUILD_PERIOD) {
                     ledger.rebuild();
                 }
-                let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+                let assignment = nearest_assignment(scenario, candidates, &eligible, &selected)
+                    .expect("distance-complete selection covers every subscriber");
                 let violated: Vec<usize> = (0..n_subs)
                     .filter(|&j| {
                         let slot = slot_of[selected[assignment[j]]]
@@ -316,7 +318,7 @@ pub fn solve_ilpqc(
             sag_obs::counter("ilpqc.budget_exhausted", 1);
         }
     }
-    crate::coverage::flush_ledger_stats(&ledger);
+    crate::coverage::flush_ledger_stats(ledger.stats());
     let spent = Spent {
         nodes,
         elapsed: started.elapsed(),
@@ -324,7 +326,8 @@ pub fn solve_ilpqc(
     match best {
         Some(selected) => {
             let relays: Vec<Point> = selected.iter().map(|&c| candidates[c]).collect();
-            let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+            let assignment = nearest_assignment(scenario, candidates, &eligible, &selected)
+                .expect("distance-complete selection covers every subscriber");
             let solution = CoverageSolution { relays, assignment };
             Ok(IlpqcOutcome {
                 solution,
@@ -440,38 +443,11 @@ fn symmetric_diff(old: &[usize], new: &[usize], mut on: impl FnMut(usize, bool))
     }
 }
 
-/// Nearest-eligible assignment: for each subscriber, the position (index
-/// into `selected`) of its closest selected eligible candidate. With all
-/// relays at `Pmax` this is the SNR-optimal assignment, because the total
-/// received power is assignment-independent.
-pub(crate) fn nearest_assignment(
-    scenario: &Scenario,
-    candidates: &[Point],
-    eligible: &[Vec<usize>],
-    selected: &[usize],
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(scenario.n_subscribers());
-    for (j, e) in eligible.iter().enumerate() {
-        let spos = scenario.subscribers[j].position;
-        let best = e
-            .iter()
-            .filter_map(|c| selected.binary_search(c).ok())
-            .min_by(|&a, &b| {
-                sag_geom::float::total_cmp(
-                    &candidates[selected[a]].distance(spos),
-                    &candidates[selected[b]].distance(spos),
-                )
-            })
-            .expect("distance-complete selection covers every subscriber");
-        out.push(best);
-    }
-    out
-}
-
 /// Builds the set-cover relaxation: minimise Σx over x ∈ [0,1] subject
-/// to one `≥ 1` coverage row per subscriber. The `LpRound` backend in
-/// [`crate::solver`] rounds this relaxation and reads its `x`, so it
-/// keeps the `x ≤ 1` bounds (the reference B&B bounds with it too).
+/// to one `≥ 1` coverage row per subscriber. The LP-rounding backend
+/// ([`crate::solver::SolverBackend::LpRound`]) rounds this relaxation
+/// and reads its `x`, so it keeps the `x ≤ 1` bounds (the reference
+/// B&B bounds with it too).
 pub(crate) fn build_cover_lp(n_cands: usize, eligible: &[Vec<usize>]) -> LpProblem {
     let mut lp = cover_relaxation(n_cands, eligible);
     for c in 0..n_cands {
@@ -701,7 +677,6 @@ mod tests {
         let config = IlpqcConfig {
             node_limit: usize::MAX,
             budget: Budget::unlimited().with_node_limit(1),
-            ..Default::default()
         };
         match solve_ilpqc(&sc, &cands, config) {
             Ok(out) => assert!(!out.optimal),

@@ -105,7 +105,4 @@ pub use error::{SagError, SagResult};
 pub use model::{BaseStation, NetworkParams, Relay, RelayRole, Scenario, Subscriber};
 pub use sag::{run_sag, run_sag_with, AnsweringSolver, LowerSolver, SagPipelineConfig, SagReport};
 pub use sag_lp::{Budget, Spent};
-pub use solver::{
-    CoverageSolver, LoserFault, SelectionPolicy, SelectionReason, SolveOutcome, SolverBackend,
-    SolverBuilder, SolverChoice,
-};
+pub use solver::{SelectionReason, SolveOutcome, SolverBackend, SolverBuilder, SolverChoice};

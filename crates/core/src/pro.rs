@@ -264,7 +264,7 @@ pub fn pro_with_budget(
             pending.retain(|&r| r != r_min);
         }
     }
-    crate::coverage::flush_ledger_stats(&ledger);
+    crate::coverage::flush_ledger_stats(ledger.stats());
     Ok(PowerAllocation { powers, truncated })
 }
 

@@ -28,9 +28,10 @@ use sag_lp::{Budget, Spent, WarmStart};
 
 use crate::coverage::{interference_ledger, CoverageSolution};
 use crate::error::{SagError, SagResult};
+use crate::fallback::nearest_assignment;
 use crate::ilpqc::{
-    build_cover_lp, nearest_assignment, round_lp_lower_bound, sync_ledger, IlpqcConfig,
-    IlpqcOutcome, BUDGET_POLL_MASK, LEDGER_REBUILD_PERIOD,
+    build_cover_lp, round_lp_lower_bound, sync_ledger, IlpqcConfig, IlpqcOutcome, BUDGET_POLL_MASK,
+    LEDGER_REBUILD_PERIOD, LP_BOUND_MIN_CANDS,
 };
 use crate::model::Scenario;
 use crate::zone::Zone;
@@ -88,7 +89,7 @@ pub fn solve_ilpqc(
     // completion of that node. Consecutive nodes share a matrix shape
     // (only bounds change), so each solve warm-starts from the previous
     // one's basis via the dual simplex.
-    let use_lp_bounds = n_cands >= config.lp_bound_min_cands;
+    let use_lp_bounds = n_cands >= LP_BOUND_MIN_CANDS;
     let cover_lp = if use_lp_bounds {
         Some(build_cover_lp(n_cands, &eligible))
     } else {
@@ -215,7 +216,8 @@ pub fn solve_ilpqc(
                 if evals.is_multiple_of(LEDGER_REBUILD_PERIOD) {
                     ledger.rebuild();
                 }
-                let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+                let assignment = nearest_assignment(scenario, candidates, &eligible, &selected)
+                    .expect("distance-complete selection covers every subscriber");
                 let violated: Vec<usize> = (0..n_subs)
                     .filter(|&j| {
                         let slot = slot_of[selected[assignment[j]]]
@@ -276,7 +278,7 @@ pub fn solve_ilpqc(
             sag_obs::counter("ilpqc.budget_exhausted", 1);
         }
     }
-    crate::coverage::flush_ledger_stats(&ledger);
+    crate::coverage::flush_ledger_stats(ledger.stats());
     let spent = Spent {
         nodes,
         elapsed: started.elapsed(),
@@ -284,7 +286,8 @@ pub fn solve_ilpqc(
     match best {
         Some(selected) => {
             let relays: Vec<Point> = selected.iter().map(|&c| candidates[c]).collect();
-            let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+            let assignment = nearest_assignment(scenario, candidates, &eligible, &selected)
+                .expect("distance-complete selection covers every subscriber");
             let solution = CoverageSolution { relays, assignment };
             Ok(IlpqcOutcome {
                 solution,

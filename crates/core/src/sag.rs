@@ -97,8 +97,8 @@ pub struct SagPipelineConfig {
     pub samc: SamcConfig,
     /// Lower-tier solver selection (default: SAMC).
     pub lower_solver: LowerSolver,
-    /// Backend selection front for [`LowerSolver::Candidates`]: fixed,
-    /// adaptive, or portfolio choice plus the degradation ladder.
+    /// Backend selection front for [`LowerSolver::Candidates`]: fixed
+    /// or adaptive choice plus the degradation ladder.
     /// Defaults to adaptive selection with the greedy rescue enabled.
     /// Ignored by [`LowerSolver::Samc`].
     pub solver: SolverBuilder,
@@ -391,10 +391,10 @@ fn tail_budget(budget: &Budget) -> Budget {
 
 /// Step 2 with backend selection: SAMC runs as-is; the candidate-set
 /// path routes every zone through [`SolverBuilder::solve_zone`], which
-/// owns adaptive selection, portfolio racing, and the degradation
-/// ladder (budget-exhausted → greedy). Both paths run on the
-/// zone-parallel engine with `config.threads` workers; the returned
-/// [`Spent`] is stage-local (this stage's wall time and node count, not
+/// owns adaptive selection and the degradation ladder
+/// (budget-exhausted → greedy). Both paths run on the zone-parallel
+/// engine with `config.threads` workers; the returned [`Spent`] is
+/// stage-local (this stage's wall time and node count, not
 /// pipeline-so-far) on every arm.
 fn solve_lower_tier(
     scenario: &Scenario,
@@ -610,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_and_portfolio_overrides_reach_the_zone_workers() {
+    fn fixed_override_reaches_the_zone_workers() {
         let sc = scenario(2);
         let fixed = run_sag_with(
             &sc,
@@ -627,26 +627,38 @@ mod tests {
             .zone_solvers
             .iter()
             .all(|r| r.reason == SelectionReason::Forced));
+    }
 
-        let raced = run_sag_with(
-            &sc,
-            SagPipelineConfig {
-                lower_solver: LowerSolver::Candidates,
-                solver: SolverBuilder::portfolio(
-                    crate::solver::SolverBackend::ExactIlp,
-                    crate::solver::SolverBackend::Greedy,
-                ),
-                ..Default::default()
-            },
+    #[test]
+    fn ledger_counters_count_every_ledger_of_a_one_zone_solve() {
+        // One zone whose SAMC placement is SNR-feasible at sliding's
+        // first check: sliding's build, the zone outcome and PRO each
+        // build an R×S ledger, and each must reach `ledger.path_factors`.
+        let sc = Scenario::new(
+            Rect::centered_square(600.0),
+            vec![
+                Subscriber::new(Point::new(0.0, 0.0), 35.0),
+                Subscriber::new(Point::new(30.0, 10.0), 32.0),
+                Subscriber::new(Point::new(90.0, -20.0), 30.0),
+            ],
+            vec![BaseStation::new(Point::new(250.0, 250.0))],
+            NetworkParams::new(
+                LinkBudget::builder().snr_threshold(Db::new(-15.0)).build(),
+                1e-9,
+            ),
         )
         .unwrap();
-        // Rank arbitration: the exact arm wins whenever it answers.
-        assert_eq!(raced.solver, AnsweringSolver::Ilpqc);
-        assert!(raced
-            .zone_solvers
-            .iter()
-            .all(|r| r.reason == SelectionReason::PortfolioRank));
-        assert!(raced.metrics.counter("portfolio.races") >= 1);
+        assert_eq!(crate::zone::zone_partition(&sc).len(), 1);
+        let report = run_sag(&sc).unwrap();
+        let m = &report.metrics;
+        assert_eq!(m.counter("sliding.trials"), 0, "sliding must exit early");
+        let (r, s) = (report.n_coverage_relays() as u64, sc.n_subscribers() as u64);
+        assert!(
+            m.counter("ledger.path_factors") >= 3 * r * s,
+            "ledger.path_factors {} < 3·R·S = {}",
+            m.counter("ledger.path_factors"),
+            3 * r * s
+        );
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //! exactly as here: only the discrete updatable-relay subsets are tried.
 
 use sag_geom::{disks, Circle, Point};
-use sag_radio::InterferenceLedger;
+use sag_radio::{InterferenceLedger, LedgerStats};
 
-use crate::coverage::{interference_ledger, snr_violations_ledger, CoverageSolution, ServedIndex};
+use crate::coverage::{
+    flush_ledger_stats, interference_ledger, snr_violations_ledger, CoverageSolution, ServedIndex,
+};
 use crate::model::Scenario;
 
 /// Upper bound on relays considered in one subset-enumeration round
@@ -51,6 +53,22 @@ struct SlideStats {
     accepted_moves: u64,
     /// Combinations rejected because the violation set did not shrink.
     mask_rejections: u64,
+    /// Ledger work: the repair ledger's own plus each trial clone's,
+    /// counted from the moment it was cloned (a clone starts from the
+    /// totals of the ledger it copies).
+    ledger_work: LedgerStats,
+}
+
+impl SlideStats {
+    /// Adds the work `ledger` did since its counters read `base`.
+    fn add_ledger_work(&mut self, ledger: &InterferenceLedger, base: LedgerStats) {
+        let (t, s) = (&mut self.ledger_work, ledger.stats());
+        t.delta_ops += s.delta_ops - base.delta_ops;
+        t.path_factors += s.path_factors - base.path_factors;
+        t.cancel_refreshes += s.cancel_refreshes - base.cancel_refreshes;
+        t.guard_activations += s.guard_activations - base.guard_activations;
+        t.rebuilds += s.rebuilds - base.rebuilds;
+    }
 }
 
 /// Runs the sliding-movement repair on a placement with a fixed
@@ -69,17 +87,26 @@ pub fn rs_sliding_movement(
 ) -> Option<CoverageSolution> {
     let _span = sag_obs::span("sliding");
     let mut stats = SlideStats::default();
-    let out = sliding_inner(scenario, relays, assignment, &mut stats);
+    // One interference ledger for the whole repair: relay ids coincide
+    // with indices into `relays`, every slide below is a `move_relay`
+    // delta, and each violation scan is O(S) instead of O(S·R²).
+    let mut ledger = interference_ledger(scenario, &relays);
+    let out = sliding_inner(scenario, &mut ledger, relays, assignment, &mut stats);
     if sag_obs::enabled() {
         sag_obs::counter("sliding.trials", stats.trials);
         sag_obs::counter("sliding.accepted_moves", stats.accepted_moves);
         sag_obs::counter("sliding.mask_rejections", stats.mask_rejections);
     }
+    // One flush per call, on every exit: the repair ledger's work plus
+    // every trial clone's.
+    stats.add_ledger_work(&ledger, LedgerStats::default());
+    flush_ledger_stats(stats.ledger_work);
     out
 }
 
 fn sliding_inner(
     scenario: &Scenario,
+    ledger: &mut InterferenceLedger,
     mut relays: Vec<Point>,
     mut assignment: Vec<usize>,
     stats: &mut SlideStats,
@@ -93,11 +120,6 @@ fn sliding_inner(
         assignment.iter().all(|&r| r < relays.len()),
         "assignment references a relay out of range"
     );
-
-    // One interference ledger for the whole repair: relay ids coincide
-    // with indices into `relays`, every slide below is a `move_relay`
-    // delta, and each violation scan is O(S) instead of O(S·R²).
-    let mut ledger = interference_ledger(scenario, &relays);
 
     // Refinement loop: snap one-on-one relays (Alg. 4 Step 2) and
     // re-serve violated subscribers from their nearest in-range relay.
@@ -119,7 +141,7 @@ fn sliding_inner(
                 ledger.move_relay(r, *pos);
             }
         }
-        let violated = snr_violations_ledger(scenario, &ledger, &assignment);
+        let violated = snr_violations_ledger(scenario, ledger, &assignment);
         if violated.is_empty() {
             drop_unused_relays(&mut relays, &mut assignment);
             return Some(CoverageSolution { relays, assignment });
@@ -152,7 +174,7 @@ fn sliding_inner(
         }
     }
 
-    let violated = snr_violations_ledger(scenario, &ledger, &assignment);
+    let violated = snr_violations_ledger(scenario, ledger, &assignment);
     if violated.is_empty() {
         drop_unused_relays(&mut relays, &mut assignment);
         return Some(CoverageSolution { relays, assignment });
@@ -161,7 +183,6 @@ fn sliding_inner(
     // may have exited right after a reassignment) so Update RS Topology
     // sees every relay's true subscriber set — otherwise a move could
     // leave a reassigned subscriber outside its feasible circle.
-    crate::coverage::flush_ledger_stats(&ledger);
     let served = ServedIndex::build(relays.len(), &assignment);
     let repaired = update_rs_topology(
         scenario,
@@ -239,7 +260,7 @@ fn virtual_circle(
 fn update_rs_topology(
     scenario: &Scenario,
     relays: Vec<Point>,
-    ledger: InterferenceLedger,
+    ledger: &InterferenceLedger,
     assignment: &[usize],
     served: &ServedIndex,
     violated: Vec<usize>,
@@ -265,7 +286,7 @@ fn update_rs_topology(
             if ok {
                 w.push(scenario.subscribers[j].feasible_circle());
             } else {
-                match virtual_circle(scenario, &ledger, j, r) {
+                match virtual_circle(scenario, ledger, j, r) {
                     Some(c) => w.push(c),
                     None => {
                         possible = false;
@@ -297,7 +318,9 @@ fn update_rs_topology(
     let m = updatable.len();
     let mut masks: Vec<u32> = (1u32..(1 << m)).collect();
     masks.sort_by_key(|mask| mask.count_ones());
-    let mut best_recursion: Option<Vec<Point>> = None;
+    // A trial clone starts from `ledger`'s totals; only what it does
+    // after the clone is its own work.
+    let base = ledger.stats();
     for mask in masks {
         stats.trials += 1;
         let mut moved = relays.clone();
@@ -309,33 +332,31 @@ fn update_rs_topology(
             }
         }
         let now_violated = snr_violations_ledger(scenario, &moved_ledger, assignment);
-        if now_violated.is_empty() {
-            stats.accepted_moves += u64::from(mask.count_ones());
-            return Some(moved);
-        }
-        if now_violated.len() >= violated.len() {
+        let repaired = if now_violated.is_empty() {
+            Some(moved)
+        } else if now_violated.len() >= violated.len() {
             stats.mask_rejections += 1;
-            continue;
-        }
-        if best_recursion.is_none() {
+            None
+        } else {
             // Alg. 5: recurse on the strictly smaller violation set.
-            if let Some(sol) = update_rs_topology(
+            update_rs_topology(
                 scenario,
                 moved,
-                moved_ledger,
+                &moved_ledger,
                 assignment,
                 served,
                 now_violated,
                 depth - 1,
                 stats,
-            ) {
-                stats.accepted_moves += u64::from(mask.count_ones());
-                best_recursion = Some(sol);
-                break;
-            }
+            )
+        };
+        stats.add_ledger_work(&moved_ledger, base);
+        if repaired.is_some() {
+            stats.accepted_moves += u64::from(mask.count_ones());
+            return repaired;
         }
     }
-    best_recursion
+    None
 }
 
 #[cfg(test)]

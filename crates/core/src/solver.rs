@@ -1,57 +1,46 @@
-//! Pluggable lower-tier coverage solver backends.
+//! Lower-tier coverage solver backends.
 //!
 //! The exact ILPQC formulation is only tractable on small zones;
 //! everywhere else the pipeline used to *fall* down the degradation
 //! ladder (exact → greedy) on budget exhaustion. This module turns that
-//! failure path into a first-class scheduling policy, in the spirit of
-//! multi-backend LP fronts: a [`CoverageSolver`] trait with four
-//! in-tree backends, a [`SolverBuilder`] that *chooses* a backend per
-//! zone, and a deterministic portfolio mode that races two backends
-//! under the shared cooperative budget.
+//! failure path into a first-class scheduling policy: four in-tree
+//! backends behind [`SolverBackend::solve`], and a [`SolverBuilder`]
+//! that *chooses* a backend per zone.
 //!
 //! # Backends
 //!
-//! * [`ExactIlp`] — the warm-started ILPQC branch-and-bound
-//!   ([`crate::ilpqc`]); optimal when it finishes inside its budget.
-//! * [`LpRound`] — solve the set-cover LP relaxation with the sparse
-//!   revised simplex (the same relaxation the B&B prunes with), round
-//!   candidates with ≥ 0.5 mass, patch uncovered subscribers with their
-//!   highest-mass eligible candidate, then run the shared SNR
-//!   repair + prune pass. One LP solve instead of a tree search.
-//! * [`LocalSearch`] — greedy start, then deterministic drop and
-//!   2-for-1 swap passes that shrink the cover, then SNR repair.
-//! * [`Greedy`] — the classic greedy set cover ([`crate::fallback`]);
-//!   the last rung, deliberately budget-oblivious.
+//! * [`SolverBackend::ExactIlp`] — the warm-started ILPQC
+//!   branch-and-bound ([`crate::ilpqc`]); optimal when it finishes
+//!   inside its budget.
+//! * [`SolverBackend::LpRound`] — solve the set-cover LP relaxation
+//!   with the sparse revised simplex (the same relaxation the B&B
+//!   prunes with), round candidates with ≥ 0.5 mass, patch uncovered
+//!   subscribers with their highest-mass eligible candidate, then run
+//!   the shared SNR repair + prune pass. One LP solve instead of a tree
+//!   search.
+//! * [`SolverBackend::LocalSearch`] — greedy start, then deterministic
+//!   drop and 2-for-1 swap passes that shrink the cover, then SNR
+//!   repair.
+//! * [`SolverBackend::Greedy`] — the classic greedy set cover
+//!   ([`crate::fallback`]); the last rung, deliberately
+//!   budget-oblivious.
 //!
 //! # Selection and determinism
 //!
-//! [`SelectionPolicy`] picks by candidate-set size and the *static*
-//! properties of the remaining [`Budget`] (node-cap size, not wall
-//! clock) — wall-clock remaining time differs across thread counts and
-//! would break the byte-identical `threads = 1 ≡ threads = N` contract
-//! of [`crate::engine`].
-//!
-//! [`SolverChoice::Portfolio`] races two backends: the higher-ranked
-//! arm (lower [`SolverBackend::rank`]) runs on the calling thread under
-//! the real budget; the other arm runs on a scoped thread under its own
-//! budget slice (same deadline and node cap, its own cancel flag, **no
-//! shared node pool** — a loser charging the winner's pool would
-//! perturb the winner's search between runs). The committed answer is
-//! decided by *rank*, never by wall-clock arrival: if the primary arm
-//! returns a feasible answer it wins regardless of timing, so the
-//! result is byte-identical at any thread count and across replays. A
-//! loser that panics or hangs past its slice is counted
-//! (`portfolio.loser_panic` / `portfolio.loser_cancelled`) and
-//! discarded — never allowed to corrupt the committed answer.
+//! Adaptive selection picks by candidate-set size
+//! ([`EXACT_MAX_CANDS`], [`LP_ROUND_MAX_CANDS`],
+//! [`LOCAL_SEARCH_MAX_CANDS`]) and the *static* properties of the
+//! remaining [`Budget`] (node-cap size against
+//! [`EXACT_MIN_NODE_BUDGET`], not wall clock) — wall-clock remaining
+//! time differs across thread counts and would break the
+//! byte-identical `threads = 1 ≡ threads = N` contract of
+//! [`crate::engine`].
 //!
 //! The choice is always explicit: [`SolverBuilder::default`] is
-//! adaptive selection, and callers that want a fixed backend or a race
-//! say so with [`SolverBuilder::fixed`] or [`SolverBuilder::portfolio`].
+//! adaptive selection, and callers that want a fixed backend say so
+//! with [`SolverBuilder::fixed`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sag_geom::Point;
 use sag_lp::{Budget, Spent};
@@ -62,8 +51,25 @@ use crate::fallback;
 use crate::ilpqc::{build_cover_lp, solve_ilpqc, IlpqcConfig};
 use crate::model::Scenario;
 
-/// Identity of a coverage backend (the key selection and reporting
-/// speak in; the trait objects themselves carry tuning knobs).
+/// Candidate count up to which adaptive selection runs the exact
+/// search. IAC yields up to `n + 2·C(n,2)` candidates per cluster, so
+/// this is roughly "clusters of ≤ 7 subscribers stay exact".
+pub const EXACT_MAX_CANDS: usize = 48;
+/// Candidate count up to which adaptive selection runs LP rounding.
+pub const LP_ROUND_MAX_CANDS: usize = 192;
+/// Candidate count up to which adaptive selection runs local search;
+/// beyond it, greedy.
+pub const LOCAL_SEARCH_MAX_CANDS: usize = 512;
+/// Node caps below this make an exact search pointless (it could not
+/// even enumerate one branching level); adaptive selection goes
+/// straight to greedy.
+pub const EXACT_MIN_NODE_BUDGET: usize = 64;
+/// Improvement rounds of the local-search backend before it settles
+/// (each round is one drop pass plus one swap pass; the loop exits
+/// early when a round finds nothing).
+const LOCAL_SEARCH_ROUNDS: usize = 4;
+
+/// A lower-tier coverage backend over a finite candidate set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverBackend {
     /// Exact ILPQC branch-and-bound.
@@ -85,9 +91,9 @@ impl SolverBackend {
         SolverBackend::Greedy,
     ];
 
-    /// Fixed arbitration rank: lower is stronger. Portfolio races
-    /// commit by this rank — never by wall-clock arrival — so racing
-    /// stays deterministic.
+    /// Strength rank: lower is stronger ([`SolverBackend::ALL`] is in
+    /// rank order). A multi-zone report names the weakest backend that
+    /// answered any zone by this rank.
     pub fn rank(self) -> usize {
         match self {
             SolverBackend::ExactIlp => 0,
@@ -117,6 +123,32 @@ impl SolverBackend {
             SolverBackend::Greedy => "solver.selected.greedy",
         }
     }
+
+    /// Solves coverage for `scenario` over `candidates` with this
+    /// backend.
+    ///
+    /// Every backend is a pure function of `(scenario, candidates)` up
+    /// to budget truncation: given the same inputs and an un-exhausted
+    /// budget it returns the same answer, because zone workers rely on
+    /// it for the byte-identical thread-count contract.
+    ///
+    /// # Errors
+    /// [`SagError::Infeasible`] when no feasible cover exists over the
+    /// candidates; [`SagError::BudgetExceeded`] when the budget stops
+    /// the solve before any feasible answer.
+    pub fn solve(
+        self,
+        scenario: &Scenario,
+        candidates: &[Point],
+        budget: &Budget,
+    ) -> SagResult<BackendAnswer> {
+        match self {
+            SolverBackend::ExactIlp => solve_exact(scenario, candidates, budget),
+            SolverBackend::LpRound => solve_lp_round(scenario, candidates, budget),
+            SolverBackend::LocalSearch => solve_local_search(scenario, candidates, budget),
+            SolverBackend::Greedy => solve_greedy(scenario, candidates),
+        }
+    }
 }
 
 /// Why a backend was chosen for a zone (recorded per zone in
@@ -136,8 +168,6 @@ pub enum SelectionReason {
     /// The budget's node cap is too small for any search to finish;
     /// skip straight to the budget-oblivious greedy rung.
     BudgetCapped,
-    /// Won a portfolio race under fixed rank arbitration.
-    PortfolioRank,
     /// The selected backend exhausted its budget and the ladder
     /// degraded to greedy.
     FallbackRung,
@@ -153,7 +183,6 @@ impl SelectionReason {
             SelectionReason::LargeZone => "large_zone",
             SelectionReason::HugeZone => "huge_zone",
             SelectionReason::BudgetCapped => "budget_capped",
-            SelectionReason::PortfolioRank => "portfolio_rank",
             SelectionReason::FallbackRung => "fallback_rung",
         }
     }
@@ -187,77 +216,26 @@ pub struct SolveOutcome {
     pub spent: Spent,
 }
 
-/// A lower-tier coverage solver over a finite candidate set.
-///
-/// Implementations must be pure functions of `(scenario, candidates)`
-/// up to budget truncation: given the same inputs and an un-exhausted
-/// budget they must return the same answer, because zone workers rely
-/// on it for the byte-identical thread-count contract.
-pub trait CoverageSolver {
-    /// Which backend this is.
-    fn backend(&self) -> SolverBackend;
-
-    /// Solves coverage for `scenario` over `candidates`.
-    ///
-    /// # Errors
-    /// [`SagError::Infeasible`] when no feasible cover exists over the
-    /// candidates; [`SagError::BudgetExceeded`] when the budget stops
-    /// the solve before any feasible answer.
-    fn solve(
-        &self,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<BackendAnswer>;
-}
-
-/// The exact ILPQC branch-and-bound backend (wraps
-/// [`crate::ilpqc::solve_ilpqc`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExactIlp {
-    /// Node budget for the search (see [`IlpqcConfig::node_limit`]).
-    pub node_limit: usize,
-    /// Candidate-count threshold for per-node LP bounds (see
-    /// [`IlpqcConfig::lp_bound_min_cands`]).
-    pub lp_bound_min_cands: usize,
-}
-
-impl Default for ExactIlp {
-    fn default() -> Self {
-        let d = IlpqcConfig::default();
-        ExactIlp {
-            node_limit: d.node_limit,
-            lp_bound_min_cands: d.lp_bound_min_cands,
-        }
-    }
-}
-
-impl CoverageSolver for ExactIlp {
-    fn backend(&self) -> SolverBackend {
-        SolverBackend::ExactIlp
-    }
-
-    fn solve(
-        &self,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<BackendAnswer> {
-        let out = solve_ilpqc(
-            scenario,
-            candidates,
-            IlpqcConfig {
-                node_limit: self.node_limit,
-                budget: budget.clone(),
-                lp_bound_min_cands: self.lp_bound_min_cands,
-            },
-        )?;
-        Ok(BackendAnswer {
-            solution: out.solution,
-            optimal: out.optimal,
-            spent: out.spent,
-        })
-    }
+/// The exact backend: [`crate::ilpqc::solve_ilpqc`] at its default
+/// node limit under `budget`.
+fn solve_exact(
+    scenario: &Scenario,
+    candidates: &[Point],
+    budget: &Budget,
+) -> SagResult<BackendAnswer> {
+    let out = solve_ilpqc(
+        scenario,
+        candidates,
+        IlpqcConfig {
+            budget: budget.clone(),
+            ..IlpqcConfig::default()
+        },
+    )?;
+    Ok(BackendAnswer {
+        solution: out.solution,
+        optimal: out.optimal,
+        spent: out.spent,
+    })
 }
 
 /// The LP-rounding backend: one sparse-simplex solve of the set-cover
@@ -265,368 +243,255 @@ impl CoverageSolver for ExactIlp {
 /// pass for subscribers the rounding dropped, then the shared SNR
 /// repair + prune. No optimality certificate, but one LP instead of a
 /// search tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LpRound;
-
-impl CoverageSolver for LpRound {
-    fn backend(&self) -> SolverBackend {
-        SolverBackend::LpRound
-    }
-
-    fn solve(
-        &self,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<BackendAnswer> {
-        let _stage = sag_obs::span("lp_round");
-        let started = Instant::now();
-        let eligible = fallback::eligibility(scenario, candidates, "lp_round")?;
-        let mut lp = build_cover_lp(candidates.len(), &eligible);
-        lp.set_budget(budget.clone());
-        let sol = lp.solve().map_err(|e| {
-            if e == sag_lp::LpError::Cancelled {
-                SagError::BudgetExceeded {
-                    stage: "lp_round",
-                    spent: Spent {
-                        nodes: 0,
-                        elapsed: started.elapsed(),
-                    },
-                }
-            } else {
-                SagError::Lp(e)
+fn solve_lp_round(
+    scenario: &Scenario,
+    candidates: &[Point],
+    budget: &Budget,
+) -> SagResult<BackendAnswer> {
+    let _stage = sag_obs::span("lp_round");
+    let started = Instant::now();
+    let eligible = fallback::eligibility(scenario, candidates, "lp_round")?;
+    let mut lp = build_cover_lp(candidates.len(), &eligible);
+    lp.set_budget(budget.clone());
+    let sol = lp.solve().map_err(|e| {
+        if e == sag_lp::LpError::Cancelled {
+            SagError::BudgetExceeded {
+                stage: "lp_round",
+                spent: Spent {
+                    nodes: 0,
+                    elapsed: started.elapsed(),
+                },
             }
-        })?;
-
-        // Round: keep every candidate carrying at least half a unit of
-        // LP mass. Threshold rounding of a ≥1-row cover LP can leave a
-        // subscriber whose mass is spread thin uncovered; the repair
-        // pass below patches exactly those.
-        let mut selected: Vec<usize> = (0..candidates.len()).filter(|&c| sol.x[c] >= 0.5).collect();
-        for e in &eligible {
-            if e.iter().any(|c| selected.binary_search(c).is_ok()) {
-                continue;
-            }
-            // Uncovered after rounding: take its highest-mass eligible
-            // candidate, first-max-wins so ties break to the lower
-            // index deterministically.
-            let mut best = e[0];
-            for &c in &e[1..] {
-                if sol.x[c] > sol.x[best] + 1e-12 {
-                    best = c;
-                }
-            }
-            let pos = match selected.binary_search(&best) {
-                Ok(p) | Err(p) => p,
-            };
-            selected.insert(pos, best);
+        } else {
+            SagError::Lp(e)
         }
+    })?;
 
-        let solution =
-            fallback::repair_and_prune(scenario, candidates, &eligible, selected, "lp_round")?;
-        Ok(BackendAnswer {
-            solution,
-            optimal: false,
-            spent: Spent {
-                nodes: 0,
-                elapsed: started.elapsed(),
-            },
-        })
+    // Round: keep every candidate carrying at least half a unit of
+    // LP mass. Threshold rounding of a ≥1-row cover LP can leave a
+    // subscriber whose mass is spread thin uncovered; the repair
+    // pass below patches exactly those.
+    let mut selected: Vec<usize> = (0..candidates.len()).filter(|&c| sol.x[c] >= 0.5).collect();
+    for e in &eligible {
+        if e.iter().any(|c| selected.binary_search(c).is_ok()) {
+            continue;
+        }
+        // Uncovered after rounding: take its highest-mass eligible
+        // candidate, first-max-wins so ties break to the lower
+        // index deterministically.
+        let mut best = e[0];
+        for &c in &e[1..] {
+            if sol.x[c] > sol.x[best] + 1e-12 {
+                best = c;
+            }
+        }
+        let pos = match selected.binary_search(&best) {
+            Ok(p) | Err(p) => p,
+        };
+        selected.insert(pos, best);
     }
+
+    let solution =
+        fallback::repair_and_prune(scenario, candidates, &eligible, selected, "lp_round")?;
+    Ok(BackendAnswer {
+        solution,
+        optimal: false,
+        spent: Spent {
+            nodes: 0,
+            elapsed: started.elapsed(),
+        },
+    })
 }
 
 /// The local-search backend: greedy start, then deterministic
 /// improvement passes — drop redundant relays, replace relay *pairs*
 /// whose joint duty a single unselected candidate can absorb — up to
-/// [`LocalSearch::max_rounds`] rounds, then the shared SNR
-/// repair + prune. Iteration order is fixed (ascending indices), so the
-/// result is a pure function of the inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSearch {
-    /// Improvement rounds before settling (each round is one drop pass
-    /// plus one swap pass; the loop exits early when a round finds
-    /// nothing).
-    pub max_rounds: usize,
-}
-
-impl Default for LocalSearch {
-    fn default() -> Self {
-        LocalSearch { max_rounds: 4 }
-    }
-}
-
-impl LocalSearch {
-    /// Removes every selected candidate whose subscribers are all
-    /// covered by another selected candidate. Returns `true` when
-    /// anything was dropped.
-    fn drop_pass(eligible: &[Vec<usize>], selected: &mut Vec<usize>) -> bool {
-        let mut counts = vec![0usize; eligible.len()];
-        for (j, e) in eligible.iter().enumerate() {
-            counts[j] = e
-                .iter()
-                .filter(|c| selected.binary_search(c).is_ok())
-                .count();
-        }
-        let mut dropped = false;
-        let mut i = 0;
-        while i < selected.len() {
-            let c = selected[i];
-            let redundant = eligible
-                .iter()
-                .enumerate()
-                .all(|(j, e)| e.binary_search(&c).is_err() || counts[j] >= 2);
-            if redundant {
-                for (j, e) in eligible.iter().enumerate() {
-                    if e.binary_search(&c).is_ok() {
-                        counts[j] -= 1;
-                    }
-                }
-                selected.remove(i);
-                dropped = true;
-            } else {
-                i += 1;
-            }
-        }
-        dropped
-    }
-
-    /// One 2-for-1 swap: find a selected pair whose sole subscribers
-    /// can all be served by a single unselected candidate (or by the
-    /// rest of the selection) and apply the first such move in
-    /// ascending index order. Returns `true` when a move was applied.
-    fn swap_pass(eligible: &[Vec<usize>], n_cands: usize, selected: &mut Vec<usize>) -> bool {
-        for ai in 0..selected.len() {
-            for bi in ai + 1..selected.len() {
-                let (a, b) = (selected[ai], selected[bi]);
-                // Subscribers whose only selected coverers are a and/or b.
-                let must: Vec<usize> = eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| {
-                        (e.binary_search(&a).is_ok() || e.binary_search(&b).is_ok())
-                            && !e
-                                .iter()
-                                .any(|&c| c != a && c != b && selected.binary_search(&c).is_ok())
-                    })
-                    .map(|(j, _)| j)
-                    .collect();
-                if must.is_empty() {
-                    // Jointly redundant pair: drop both outright.
-                    selected.retain(|&s| s != a && s != b);
-                    return true;
-                }
-                let replacement = (0..n_cands).find(|&c| {
-                    selected.binary_search(&c).is_err()
-                        && must.iter().all(|&j| eligible[j].binary_search(&c).is_ok())
-                });
-                if let Some(c) = replacement {
-                    selected.retain(|&s| s != a && s != b);
-                    let pos = match selected.binary_search(&c) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    selected.insert(pos, c);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-impl CoverageSolver for LocalSearch {
-    fn backend(&self) -> SolverBackend {
-        SolverBackend::LocalSearch
-    }
-
-    fn solve(
-        &self,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<BackendAnswer> {
-        let _stage = sag_obs::span("local_search");
-        let started = Instant::now();
-        let interrupted = || SagError::BudgetExceeded {
-            stage: "local_search",
-            spent: Spent {
-                nodes: 0,
-                elapsed: started.elapsed(),
-            },
-        };
-        let eligible = fallback::eligibility(scenario, candidates, "local_search")?;
-        let mut selected = fallback::greedy_select(&eligible, candidates.len(), "local_search")?;
-        for _ in 0..self.max_rounds {
-            budget.check_interrupt().map_err(|_| interrupted())?;
-            let mut improved = LocalSearch::drop_pass(&eligible, &mut selected);
-            while LocalSearch::swap_pass(&eligible, candidates.len(), &mut selected) {
-                improved = true;
-                budget.check_interrupt().map_err(|_| interrupted())?;
-            }
-            if !improved {
-                break;
-            }
-        }
-        let solution =
-            fallback::repair_and_prune(scenario, candidates, &eligible, selected, "local_search")?;
-        Ok(BackendAnswer {
-            solution,
-            optimal: false,
-            spent: Spent {
-                nodes: 0,
-                elapsed: started.elapsed(),
-            },
-        })
-    }
-}
-
-/// The greedy set-cover backend (wraps
-/// [`crate::fallback::greedy_cover`]); the budget-oblivious last rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Greedy;
-
-impl CoverageSolver for Greedy {
-    fn backend(&self) -> SolverBackend {
-        SolverBackend::Greedy
-    }
-
-    fn solve(
-        &self,
-        scenario: &Scenario,
-        candidates: &[Point],
-        _budget: &Budget,
-    ) -> SagResult<BackendAnswer> {
-        let started = Instant::now();
-        let solution = fallback::greedy_cover(scenario, candidates)?;
-        Ok(BackendAnswer {
-            solution,
-            optimal: false,
-            spent: Spent {
-                nodes: 0,
-                elapsed: started.elapsed(),
-            },
-        })
-    }
-}
-
-/// Dispatches a backend identity to its default-tuned implementation.
-fn run_backend(
-    backend: SolverBackend,
+/// [`LOCAL_SEARCH_ROUNDS`] rounds, then the shared SNR repair + prune.
+/// Iteration order is fixed (ascending indices), so the result is a
+/// pure function of the inputs.
+fn solve_local_search(
     scenario: &Scenario,
     candidates: &[Point],
     budget: &Budget,
 ) -> SagResult<BackendAnswer> {
-    match backend {
-        SolverBackend::ExactIlp => ExactIlp::default().solve(scenario, candidates, budget),
-        SolverBackend::LpRound => LpRound.solve(scenario, candidates, budget),
-        SolverBackend::LocalSearch => LocalSearch::default().solve(scenario, candidates, budget),
-        SolverBackend::Greedy => Greedy.solve(scenario, candidates, budget),
+    let _stage = sag_obs::span("local_search");
+    let started = Instant::now();
+    let interrupted = || SagError::BudgetExceeded {
+        stage: "local_search",
+        spent: Spent {
+            nodes: 0,
+            elapsed: started.elapsed(),
+        },
+    };
+    let eligible = fallback::eligibility(scenario, candidates, "local_search")?;
+    let mut selected = fallback::greedy_select(&eligible, candidates.len(), "local_search")?;
+    for _ in 0..LOCAL_SEARCH_ROUNDS {
+        budget.check_interrupt().map_err(|_| interrupted())?;
+        let mut improved = drop_pass(&eligible, &mut selected);
+        while swap_pass(&eligible, candidates.len(), &mut selected) {
+            improved = true;
+            budget.check_interrupt().map_err(|_| interrupted())?;
+        }
+        if !improved {
+            break;
+        }
     }
+    let solution =
+        fallback::repair_and_prune(scenario, candidates, &eligible, selected, "local_search")?;
+    Ok(BackendAnswer {
+        solution,
+        optimal: false,
+        spent: Spent {
+            nodes: 0,
+            elapsed: started.elapsed(),
+        },
+    })
+}
+
+/// Removes every selected candidate whose subscribers are all covered
+/// by another selected candidate. Returns `true` when anything was
+/// dropped.
+fn drop_pass(eligible: &[Vec<usize>], selected: &mut Vec<usize>) -> bool {
+    let mut counts = vec![0usize; eligible.len()];
+    for (j, e) in eligible.iter().enumerate() {
+        counts[j] = e
+            .iter()
+            .filter(|c| selected.binary_search(c).is_ok())
+            .count();
+    }
+    let mut dropped = false;
+    let mut i = 0;
+    while i < selected.len() {
+        let c = selected[i];
+        let redundant = eligible
+            .iter()
+            .enumerate()
+            .all(|(j, e)| e.binary_search(&c).is_err() || counts[j] >= 2);
+        if redundant {
+            for (j, e) in eligible.iter().enumerate() {
+                if e.binary_search(&c).is_ok() {
+                    counts[j] -= 1;
+                }
+            }
+            selected.remove(i);
+            dropped = true;
+        } else {
+            i += 1;
+        }
+    }
+    dropped
+}
+
+/// One 2-for-1 swap: find a selected pair whose sole subscribers can
+/// all be served by a single unselected candidate (or by the rest of
+/// the selection) and apply the first such move in ascending index
+/// order. Returns `true` when a move was applied.
+fn swap_pass(eligible: &[Vec<usize>], n_cands: usize, selected: &mut Vec<usize>) -> bool {
+    for ai in 0..selected.len() {
+        for bi in ai + 1..selected.len() {
+            let (a, b) = (selected[ai], selected[bi]);
+            // Subscribers whose only selected coverers are a and/or b.
+            let must: Vec<usize> = eligible
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| {
+                    (e.binary_search(&a).is_ok() || e.binary_search(&b).is_ok())
+                        && !e
+                            .iter()
+                            .any(|&c| c != a && c != b && selected.binary_search(&c).is_ok())
+                })
+                .map(|(j, _)| j)
+                .collect();
+            if must.is_empty() {
+                // Jointly redundant pair: drop both outright.
+                selected.retain(|&s| s != a && s != b);
+                return true;
+            }
+            let replacement = (0..n_cands).find(|&c| {
+                selected.binary_search(&c).is_err()
+                    && must.iter().all(|&j| eligible[j].binary_search(&c).is_ok())
+            });
+            if let Some(c) = replacement {
+                selected.retain(|&s| s != a && s != b);
+                let pos = match selected.binary_search(&c) {
+                    Ok(p) | Err(p) => p,
+                };
+                selected.insert(pos, c);
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// The greedy set-cover backend ([`crate::fallback::greedy_cover`]);
+/// the budget-oblivious last rung.
+fn solve_greedy(scenario: &Scenario, candidates: &[Point]) -> SagResult<BackendAnswer> {
+    let started = Instant::now();
+    let solution = fallback::greedy_cover(scenario, candidates)?;
+    Ok(BackendAnswer {
+        solution,
+        optimal: false,
+        spent: Spent {
+            nodes: 0,
+            elapsed: started.elapsed(),
+        },
+    })
 }
 
 /// How the builder picks a backend for a zone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Per-zone adaptive selection via [`SelectionPolicy`] (the
+    /// Per-zone adaptive selection by candidate count and node cap (the
     /// [`SolverBuilder::default`] choice).
     Adaptive,
     /// Always this backend.
     Fixed(SolverBackend),
-    /// Race two backends; commit by fixed rank arbitration.
-    Portfolio(SolverBackend, SolverBackend),
 }
 
-/// Thresholds for adaptive per-zone selection. Everything here is a
-/// *static* property of the zone or the budget — never wall-clock
-/// remaining time, which would differ across thread counts and break
-/// the determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectionPolicy {
-    /// Candidate count up to which the exact search runs. IAC yields
-    /// up to `n + 2·C(n,2)` candidates per cluster, so this is roughly
-    /// "clusters of ≤ 7 subscribers stay exact".
-    pub exact_max_cands: usize,
-    /// Candidate count up to which LP rounding runs.
-    pub lp_round_max_cands: usize,
-    /// Candidate count up to which local search runs; beyond it, greedy.
-    pub local_search_max_cands: usize,
-    /// Node caps below this make an exact search pointless (it could
-    /// not even enumerate one branching level); go straight to greedy.
-    pub exact_min_node_budget: usize,
-}
-
-impl Default for SelectionPolicy {
-    fn default() -> Self {
-        SelectionPolicy {
-            exact_max_cands: 48,
-            lp_round_max_cands: 192,
-            local_search_max_cands: 512,
-            exact_min_node_budget: 64,
-        }
+/// Adaptive per-zone selection: picks a backend for a zone with
+/// `n_cands` candidates under `budget`. Deterministic in
+/// `(n_cands, budget.node_limit())` — never wall-clock remaining time,
+/// which would differ across thread counts and break the determinism
+/// contract.
+fn select(n_cands: usize, budget: &Budget) -> (SolverBackend, SelectionReason) {
+    if budget
+        .node_limit()
+        .is_some_and(|cap| cap < EXACT_MIN_NODE_BUDGET)
+    {
+        return (SolverBackend::Greedy, SelectionReason::BudgetCapped);
+    }
+    if n_cands <= EXACT_MAX_CANDS {
+        (SolverBackend::ExactIlp, SelectionReason::SmallZone)
+    } else if n_cands <= LP_ROUND_MAX_CANDS {
+        (SolverBackend::LpRound, SelectionReason::MediumZone)
+    } else if n_cands <= LOCAL_SEARCH_MAX_CANDS {
+        (SolverBackend::LocalSearch, SelectionReason::LargeZone)
+    } else {
+        (SolverBackend::Greedy, SelectionReason::HugeZone)
     }
 }
 
-impl SelectionPolicy {
-    /// Picks a backend for a zone with `n_cands` candidates under
-    /// `budget`. Deterministic in `(n_cands, budget.node_limit())`.
-    pub fn select(&self, n_cands: usize, budget: &Budget) -> (SolverBackend, SelectionReason) {
-        if budget
-            .node_limit()
-            .is_some_and(|cap| cap < self.exact_min_node_budget)
-        {
-            return (SolverBackend::Greedy, SelectionReason::BudgetCapped);
-        }
-        if n_cands <= self.exact_max_cands {
-            (SolverBackend::ExactIlp, SelectionReason::SmallZone)
-        } else if n_cands <= self.lp_round_max_cands {
-            (SolverBackend::LpRound, SelectionReason::MediumZone)
-        } else if n_cands <= self.local_search_max_cands {
-            (SolverBackend::LocalSearch, SelectionReason::LargeZone)
-        } else {
-            (SolverBackend::Greedy, SelectionReason::HugeZone)
-        }
-    }
-}
-
-/// Fault injected into the *losing* arm of a portfolio race (chaos
-/// testing). Test-only in spirit, like
-/// [`crate::engine::inject_zone_worker_panic`]: it exists so the chaos
-/// suite can verify that a dying or wedged loser never corrupts the
-/// winner's answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoserFault {
-    /// The losing arm panics instead of solving.
-    Panic,
-    /// The losing arm wedges until its budget slice cancels it (with a
-    /// hard internal cap so a test can never deadlock).
-    Hang,
-}
-
-/// Per-zone backend selection front: owns the [`SolverChoice`], the
-/// [`SelectionPolicy`], and the single copy of the degradation ladder
-/// (budget-exhausted → greedy) that both the steady-state pipeline
-/// ([`crate::sag`]) and the churn engine ([`crate::churn`]) route
-/// through, so rung accounting cannot drift between them.
+/// Per-zone backend selection front: owns the [`SolverChoice`] and the
+/// single copy of the degradation ladder (budget-exhausted → greedy)
+/// that both the steady-state pipeline ([`crate::sag`]) and the churn
+/// engine ([`crate::churn`]) route through, so rung accounting cannot
+/// drift between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverBuilder {
     /// How backends are chosen (default: adaptive).
     pub choice: SolverChoice,
-    /// Thresholds for [`SolverChoice::Adaptive`].
-    pub policy: SelectionPolicy,
     /// Whether a budget-exhausted backend may degrade to greedy (the
     /// default); [`SolverBuilder::strict_exact`] clears it.
     pub allow_fallback: bool,
-    loser_fault: Option<LoserFault>,
 }
 
 impl Default for SolverBuilder {
-    /// Adaptive per-zone selection with the default policy and the
-    /// greedy rescue enabled.
+    /// Adaptive per-zone selection with the greedy rescue enabled.
     fn default() -> Self {
         SolverBuilder {
             choice: SolverChoice::Adaptive,
-            policy: SelectionPolicy::default(),
             allow_fallback: true,
-            loser_fault: None,
         }
     }
 }
@@ -645,14 +510,6 @@ impl SolverBuilder {
         }
     }
 
-    /// Race `a` against `b`.
-    pub fn portfolio(a: SolverBackend, b: SolverBackend) -> Self {
-        SolverBuilder {
-            choice: SolverChoice::Portfolio(a, b),
-            ..Self::default()
-        }
-    }
-
     /// Strict-exact variant: forces the exact backend and disables the
     /// greedy rescue, so budget exhaustion surfaces as
     /// [`SagError::BudgetExceeded`].
@@ -660,18 +517,11 @@ impl SolverBuilder {
         SolverBuilder {
             choice: SolverChoice::Fixed(SolverBackend::ExactIlp),
             allow_fallback: false,
-            ..self
         }
     }
 
-    /// Arms a chaos fault in the losing arm of every portfolio race.
-    pub fn with_loser_fault(mut self, fault: LoserFault) -> Self {
-        self.loser_fault = Some(fault);
-        self
-    }
-
-    /// Solves one zone: select (or race) a backend, run the ladder,
-    /// commit the answer with its provenance.
+    /// Solves one zone: select a backend, run the ladder, commit the
+    /// answer with its provenance.
     ///
     /// # Errors
     /// Whatever the committed backend surfaces; with
@@ -683,15 +533,24 @@ impl SolverBuilder {
         candidates: &[Point],
         budget: &Budget,
     ) -> SagResult<SolveOutcome> {
-        match self.choice {
-            SolverChoice::Fixed(b) => {
-                self.run_ladder(b, SelectionReason::Forced, scenario, candidates, budget)
+        let (backend, reason) = match self.choice {
+            SolverChoice::Fixed(b) => (b, SelectionReason::Forced),
+            SolverChoice::Adaptive => select(candidates.len(), budget),
+        };
+        match backend.solve(scenario, candidates, budget) {
+            Ok(ans) => Ok(commit(ans, backend, reason)),
+            Err(SagError::BudgetExceeded { spent, .. })
+                if self.allow_fallback && backend != SolverBackend::Greedy =>
+            {
+                // Last rung: the greedy cover does no LP work and
+                // ignores the exhausted budget. The abandoned search's
+                // nodes stay billed to the zone.
+                let ans = SolverBackend::Greedy.solve(scenario, candidates, budget)?;
+                let mut out = commit(ans, SolverBackend::Greedy, SelectionReason::FallbackRung);
+                out.spent.nodes += spent.nodes;
+                Ok(out)
             }
-            SolverChoice::Adaptive => {
-                let (b, reason) = self.policy.select(candidates.len(), budget);
-                self.run_ladder(b, reason, scenario, candidates, budget)
-            }
-            SolverChoice::Portfolio(a, b) => self.race(a, b, scenario, candidates, budget),
+            Err(e) => Err(e),
         }
     }
 
@@ -718,189 +577,13 @@ impl SolverBuilder {
             Ok(sol) => Ok((sol, false)),
             Err(SagError::Infeasible(_)) if self.allow_fallback => {
                 let cands = crate::candidates::iac_candidates(zsc);
-                let ans = run_backend(SolverBackend::Greedy, zsc, &cands, &Budget::unlimited())?;
+                let ans = solve_greedy(zsc, &cands)?;
                 let out = commit(ans, SolverBackend::Greedy, SelectionReason::FallbackRung);
                 Ok((out.solution, true))
             }
             Err(e) => Err(e),
         }
     }
-
-    /// Runs `backend`, degrading to greedy on budget exhaustion when
-    /// the ladder is enabled.
-    fn run_ladder(
-        &self,
-        backend: SolverBackend,
-        reason: SelectionReason,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<SolveOutcome> {
-        match run_backend(backend, scenario, candidates, budget) {
-            Ok(ans) => Ok(commit(ans, backend, reason)),
-            Err(SagError::BudgetExceeded { spent, .. })
-                if self.allow_fallback && backend != SolverBackend::Greedy =>
-            {
-                // Last rung: the greedy cover does no LP work and
-                // ignores the exhausted budget. The abandoned search's
-                // nodes stay billed to the zone.
-                let ans = run_backend(SolverBackend::Greedy, scenario, candidates, budget)?;
-                let mut out = commit(ans, SolverBackend::Greedy, SelectionReason::FallbackRung);
-                out.spent.nodes += spent.nodes;
-                Ok(out)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Races two backends and commits by fixed rank arbitration.
-    ///
-    /// The stronger-ranked arm (the *primary*) runs on the calling
-    /// thread under the real budget; the other arm runs on a scoped
-    /// thread under a derived slice: same absolute deadline and node
-    /// cap, its own cancel flag (raised the moment the primary
-    /// answers), and no shared node pool — so nothing the loser does
-    /// can perturb the primary's search or the committed answer. The
-    /// primary's feasible answer always wins; the secondary's answer is
-    /// committed only when the primary *fails*, which is itself a
-    /// deterministic function of the inputs and budget.
-    fn race(
-        &self,
-        a: SolverBackend,
-        b: SolverBackend,
-        scenario: &Scenario,
-        candidates: &[Point],
-        budget: &Budget,
-    ) -> SagResult<SolveOutcome> {
-        let (primary, secondary) = if a.rank() <= b.rank() { (a, b) } else { (b, a) };
-        sag_obs::counter("portfolio.races", 1);
-
-        let loser_stop = Arc::new(AtomicBool::new(false));
-        let mut sec_budget = Budget::unlimited().with_cancel_flag(loser_stop.clone());
-        if let Some(at) = budget.deadline() {
-            sec_budget = sec_budget.with_deadline_until(at);
-        }
-        if let Some(cap) = budget.node_limit() {
-            sec_budget = sec_budget.with_node_limit(cap);
-        }
-        let fault = self.loser_fault;
-        // The loser arm inherits the race's span linkage and live sinks
-        // (JSONL) but not the aggregating recorders: how far it gets
-        // before the cancel flag lands is scheduling-dependent, and the
-        // committed answer never includes its work — so its partial
-        // counts would make collected metrics nondeterministic.
-        let handoff = sag_obs::Handoff::capture();
-
-        let (prim_result, sec_result) = std::thread::scope(|scope| {
-            let sec_handle = scope.spawn(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    handoff.enter(|| match fault {
-                        Some(LoserFault::Panic) => panic!("injected portfolio loser panic"),
-                        Some(LoserFault::Hang) => hang_until_cancelled(&sec_budget),
-                        None => run_backend(secondary, scenario, candidates, &sec_budget),
-                    })
-                }))
-            });
-            let prim = run_backend(primary, scenario, candidates, budget);
-            if prim.is_ok() {
-                // Rank arbitration is already decided; release the
-                // loser's slice so it stops burning cycles.
-                loser_stop.store(true, Ordering::Relaxed);
-            }
-            let sec = match sec_handle.join() {
-                Ok(Ok(r)) => LoserOutcome::Done(r),
-                // catch_unwind caught it, or (fail closed) the join
-                // itself reported a panic.
-                Ok(Err(_)) | Err(_) => LoserOutcome::Panicked,
-            };
-            (prim, sec)
-        });
-
-        match prim_result {
-            Ok(ans) => {
-                match &sec_result {
-                    LoserOutcome::Panicked => {
-                        sag_obs::counter("portfolio.loser_panic", 1);
-                        dump_loser("portfolio_loser_panic", secondary);
-                    }
-                    LoserOutcome::Done(r) => {
-                        sag_obs::counter("portfolio.loser_cancelled", 1);
-                        if loser_wedged(r) {
-                            dump_loser("portfolio_loser_hang", secondary);
-                        }
-                    }
-                }
-                Ok(commit(ans, primary, SelectionReason::PortfolioRank))
-            }
-            Err(prim_err) => match sec_result {
-                LoserOutcome::Done(Ok(ans)) => {
-                    Ok(commit(ans, secondary, SelectionReason::PortfolioRank))
-                }
-                LoserOutcome::Done(Err(e)) => {
-                    if loser_wedged(&Err(e)) {
-                        dump_loser("portfolio_loser_hang", secondary);
-                    }
-                    Err(prim_err)
-                }
-                LoserOutcome::Panicked => {
-                    sag_obs::counter("portfolio.loser_panic", 1);
-                    dump_loser("portfolio_loser_panic", secondary);
-                    Err(prim_err)
-                }
-            },
-        }
-    }
-}
-
-/// Did the loser arm wedge until its slice ran dry (rather than answer
-/// or get cancelled mid-iteration)? [`hang_until_cancelled`] is the
-/// only producer of a `"portfolio"`-staged budget error.
-fn loser_wedged(r: &SagResult<BackendAnswer>) -> bool {
-    matches!(r, Err(SagError::BudgetExceeded { stage, .. }) if *stage == "portfolio")
-}
-
-/// Leaves a forensics frame for a loser arm that died or wedged
-/// (normal cancellation is the expected race outcome and does not
-/// dump).
-fn dump_loser(class: &'static str, backend: SolverBackend) {
-    if !sag_obs::armed() {
-        return;
-    }
-    let detail = format!("portfolio loser arm ({}) {}", backend.name(), class);
-    sag_obs::post_mortem(&sag_obs::Dump {
-        class,
-        stage: Some("portfolio"),
-        detail: &detail,
-        backend: Some(backend.name()),
-        reason: Some("portfolio_rank"),
-        ..sag_obs::Dump::default()
-    });
-}
-
-/// What the losing arm of a race came back with.
-enum LoserOutcome {
-    /// Finished (possibly with a typed error).
-    Done(SagResult<BackendAnswer>),
-    /// Died; the panic was contained at the race boundary.
-    Panicked,
-}
-
-/// Realises [`LoserFault::Hang`]: spin on the cooperative checks like a
-/// genuinely wedged backend would, with a hard cap so a test can never
-/// deadlock the race even when the primary also fails.
-fn hang_until_cancelled(budget: &Budget) -> SagResult<BackendAnswer> {
-    const HARD_CAP: Duration = Duration::from_secs(2);
-    let started = Instant::now();
-    while budget.check_interrupt().is_ok() && started.elapsed() < HARD_CAP {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Err(SagError::BudgetExceeded {
-        stage: "portfolio",
-        spent: Spent {
-            nodes: 0,
-            elapsed: started.elapsed(),
-        },
-    })
 }
 
 /// Stamps a committed answer with its provenance and bumps the
@@ -919,6 +602,8 @@ fn commit(ans: BackendAnswer, backend: SolverBackend, reason: SelectionReason) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use crate::candidates::iac_candidates;
     use crate::coverage::is_feasible;
     use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
@@ -959,11 +644,12 @@ mod tests {
     #[test]
     fn every_backend_answers_feasibly() {
         let (sc, cands) = probe();
-        let exact =
-            run_backend(SolverBackend::ExactIlp, &sc, &cands, &Budget::unlimited()).unwrap();
+        let exact = SolverBackend::ExactIlp
+            .solve(&sc, &cands, &Budget::unlimited())
+            .unwrap();
         assert!(exact.optimal);
         for backend in SolverBackend::ALL {
-            let ans = run_backend(backend, &sc, &cands, &Budget::unlimited()).unwrap();
+            let ans = backend.solve(&sc, &cands, &Budget::unlimited()).unwrap();
             assert!(is_feasible(&sc, &ans.solution), "{backend:?}");
             assert!(
                 ans.solution.n_relays() >= exact.solution.n_relays(),
@@ -975,38 +661,35 @@ mod tests {
     #[test]
     fn local_search_never_worse_than_greedy() {
         let (sc, cands) = probe();
-        let greedy = run_backend(SolverBackend::Greedy, &sc, &cands, &Budget::unlimited()).unwrap();
-        let ls = run_backend(
-            SolverBackend::LocalSearch,
-            &sc,
-            &cands,
-            &Budget::unlimited(),
-        )
-        .unwrap();
+        let greedy = SolverBackend::Greedy
+            .solve(&sc, &cands, &Budget::unlimited())
+            .unwrap();
+        let ls = SolverBackend::LocalSearch
+            .solve(&sc, &cands, &Budget::unlimited())
+            .unwrap();
         assert!(ls.solution.n_relays() <= greedy.solution.n_relays());
     }
 
     #[test]
     fn adaptive_picks_exact_on_small_zone_and_greedy_under_tiny_cap() {
-        let policy = SelectionPolicy::default();
-        let (b, r) = policy.select(10, &Budget::unlimited());
+        let (b, r) = select(10, &Budget::unlimited());
         assert_eq!(
             (b, r),
             (SolverBackend::ExactIlp, SelectionReason::SmallZone)
         );
-        let (b, r) = policy.select(100, &Budget::unlimited());
+        let (b, r) = select(100, &Budget::unlimited());
         assert_eq!(
             (b, r),
             (SolverBackend::LpRound, SelectionReason::MediumZone)
         );
-        let (b, r) = policy.select(300, &Budget::unlimited());
+        let (b, r) = select(300, &Budget::unlimited());
         assert_eq!(
             (b, r),
             (SolverBackend::LocalSearch, SelectionReason::LargeZone)
         );
-        let (b, r) = policy.select(10_000, &Budget::unlimited());
+        let (b, r) = select(10_000, &Budget::unlimited());
         assert_eq!((b, r), (SolverBackend::Greedy, SelectionReason::HugeZone));
-        let (b, r) = policy.select(10, &Budget::unlimited().with_node_limit(0));
+        let (b, r) = select(10, &Budget::unlimited().with_node_limit(0));
         assert_eq!(
             (b, r),
             (SolverBackend::Greedy, SelectionReason::BudgetCapped)
@@ -1038,46 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_commits_the_primary_by_rank_not_arrival() {
-        let (sc, cands) = probe();
-        // Greedy finishes far sooner than exact, but exact outranks it
-        // and must win every replay.
-        for _ in 0..3 {
-            let out = SolverBuilder::portfolio(SolverBackend::Greedy, SolverBackend::ExactIlp)
-                .solve_zone(&sc, &cands, &Budget::unlimited())
-                .unwrap();
-            assert_eq!(out.backend, SolverBackend::ExactIlp);
-            assert_eq!(out.reason, SelectionReason::PortfolioRank);
-            assert!(out.optimal);
-        }
-    }
-
-    #[test]
-    fn portfolio_falls_to_secondary_when_primary_fails() {
-        let (sc, cands) = probe();
-        // node_limit(0) kills the exact arm before any incumbent, but
-        // the greedy arm ignores node caps and answers.
-        let out = SolverBuilder::portfolio(SolverBackend::ExactIlp, SolverBackend::Greedy)
-            .solve_zone(&sc, &cands, &Budget::unlimited().with_node_limit(0))
-            .unwrap();
-        assert_eq!(out.backend, SolverBackend::Greedy);
-        assert!(is_feasible(&sc, &out.solution));
-    }
-
-    #[test]
-    fn portfolio_loser_panic_and_hang_never_corrupt_the_winner() {
-        let (sc, cands) = probe();
-        for fault in [LoserFault::Panic, LoserFault::Hang] {
-            let out = SolverBuilder::portfolio(SolverBackend::ExactIlp, SolverBackend::LpRound)
-                .with_loser_fault(fault)
-                .solve_zone(&sc, &cands, &Budget::unlimited())
-                .unwrap();
-            assert_eq!(out.backend, SolverBackend::ExactIlp, "{fault:?}");
-            assert!(is_feasible(&sc, &out.solution), "{fault:?}");
-        }
-    }
-
-    #[test]
     fn greedy_rescue_reuses_the_shared_rung() {
         let (sc, _) = probe();
         let builder = SolverBuilder::adaptive();
@@ -1103,7 +746,7 @@ mod tests {
     fn lp_round_respects_an_expired_deadline() {
         let (sc, cands) = probe();
         let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-        match LpRound.solve(&sc, &cands, &budget) {
+        match SolverBackend::LpRound.solve(&sc, &cands, &budget) {
             Err(SagError::BudgetExceeded {
                 stage: "lp_round", ..
             }) => {}

@@ -1,13 +1,11 @@
 //! Post-mortem dump frames: structured failure forensics.
 //!
 //! When a typed failure fires (any `SagError`/`LpError`, a worker
-//! panic, ledger desync, portfolio loser death, or a churn repair
-//! deferral), the owning boundary calls [`crate::post_mortem`] with a
+//! panic, ledger desync, or a churn repair deferral), the owning boundary calls [`crate::post_mortem`] with a
 //! [`Dump`] describing the failure. The frame that results bundles
 //! everything needed to reconstruct what the run was doing:
 //!
-//! * the failure class, detail, stage, zone and (when the failure is
-//!   solver-shaped) backend/reason and budget spend;
+//! * the failure class, detail, stage, zone and budget spend;
 //! * the recording thread's active span stack (names + ids, so the
 //!   frame links into the span tree);
 //! * the merged flight-recorder timeline (see [`crate::ring`]) with
@@ -27,8 +25,7 @@ use crate::{json, recorder, ring};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dump<'a> {
     /// Stable failure class, e.g. `worker_panic`, `budget_exceeded`,
-    /// `ledger_desync`, `lp_error`, `portfolio_loser_panic`,
-    /// `portfolio_loser_hang`, `churn_deferred`.
+    /// `ledger_desync`, `lp_error`, `churn_deferred`.
     pub class: &'a str,
     /// Pipeline stage the failure fired in, when known.
     pub stage: Option<&'a str>,
@@ -36,10 +33,6 @@ pub struct Dump<'a> {
     pub zone: Option<u64>,
     /// Human-readable detail (typically the error's `Display`).
     pub detail: &'a str,
-    /// Solver backend involved, when the failure is solver-shaped.
-    pub backend: Option<&'a str>,
-    /// Why that backend was selected, when known.
-    pub reason: Option<&'a str>,
     /// Branch-and-bound nodes spent before the failure, when known.
     pub nodes_spent: Option<u64>,
     /// Wall time spent before the failure in ns, when known.
@@ -111,14 +104,6 @@ pub fn render(dump: &Dump<'_>) -> PostMortem {
     }
     if let Some(zone) = dump.zone {
         f.push_str(&format!(",\"zone\":{zone}"));
-    }
-    if let Some(backend) = dump.backend {
-        f.push_str(",\"backend\":");
-        json::escape_into(&mut f, backend);
-    }
-    if let Some(reason) = dump.reason {
-        f.push_str(",\"reason\":");
-        json::escape_into(&mut f, reason);
     }
     if dump.nodes_spent.is_some() || dump.elapsed_ns.is_some() {
         f.push_str(",\"budget\":{");
@@ -213,8 +198,6 @@ mod tests {
             stage: Some("ilpqc"),
             zone: Some(3),
             detail: "nodes exhausted with \"quotes\" and\nnewlines",
-            backend: Some("exact"),
-            reason: Some("dense zone"),
             nodes_spent: Some(4096),
             elapsed_ns: Some(1_500_000),
         };

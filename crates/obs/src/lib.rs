@@ -9,8 +9,8 @@
 //!    enter/exit events to every active [`Recorder`]. Every span
 //!    carries a process-unique id and its parent's id ([`SpanMeta`]);
 //!    fan-outs run on [`par_indexed`], which hands the linkage to its
-//!    workers (a lone spawned thread takes a [`Handoff`]), so a trace
-//!    reassembles into one tree at any thread count.
+//!    workers, so a trace reassembles into one tree at any thread
+//!    count.
 //! 2. **Metrics** — [`counter`], [`gauge`] and [`observe`] record
 //!    named counters, gauges and bucketed histogram samples. The
 //!    [`Collector`] recorder aggregates them into a [`StageMetrics`]
@@ -30,8 +30,9 @@
 //!    boundaries across the workspace call it exactly once per
 //!    failure.
 //! 6. **Fan-out** — [`par_indexed`] and [`try_par_indexed`], the one
-//!    scoped executor under zone solves and sweep cells. Its docs hold
-//!    the determinism contract: results and collected metrics are
+//!    scoped executor under zone solves and sweep cells (the solver
+//!    crates spawn no thread of their own). Its docs hold the
+//!    determinism contract: results and collected metrics are
 //!    identical at any thread count.
 //!
 //! # Cost model
@@ -64,7 +65,7 @@ mod span;
 
 pub use forensics::{last_dump, Dump, PostMortem};
 pub use metrics::{bucket_floor, Collector, HistSummary, SpanStat, StageMetrics};
-pub use par::{par_indexed, try_par_indexed, Handoff};
+pub use par::{par_indexed, try_par_indexed};
 pub use recorder::{enabled, install, with_local, Recorder, RecorderGuard, SpanMeta};
 pub use sink::JsonlSink;
 pub use span::{span, span_zone, Span};

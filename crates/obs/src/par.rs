@@ -1,5 +1,5 @@
 //! The deterministic fan-out executor ([`par_indexed`],
-//! [`try_par_indexed`]) and the worker [`Handoff`] behind it.
+//! [`try_par_indexed`]) and the worker `Handoff` behind it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -15,22 +15,16 @@ use crate::recorder::{
 /// span context and the live (streaming) recorders.
 ///
 /// Buffered recorders stay behind. A worker's events reach them only
-/// through the ordered fold of [`par_indexed`], or not at all: the
-/// portfolio race discards its loser arm's metrics.
-pub struct Handoff {
+/// through the ordered fold of [`par_indexed`].
+struct Handoff {
     ctx: SpanContext,
     live: Vec<Arc<dyn Recorder>>,
 }
 
 impl Handoff {
-    /// Captures the calling thread's span context and live recorders.
-    pub fn capture() -> Handoff {
-        capture_split().0
-    }
-
     /// Runs `f` under the captured span context and live recorders.
     /// Both are restored even if `f` panics.
-    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+    fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
         with_span_context(self.ctx, || with_local_stack(&self.live, f))
     }
 }
@@ -63,7 +57,7 @@ fn capture_split() -> (Handoff, Vec<Arc<dyn Recorder>>) {
 ///   and run the whole batch in order. Any index below a claimed index
 ///   has therefore been claimed too.
 /// * **One trace tree.** Workers run under the coordinator's
-///   [`Handoff`]: its span context and its live (streaming) recorders.
+///   `Handoff`: its span context and its live (streaming) recorders.
 ///   A span a worker opens parents under the coordinator's enclosing
 ///   span, and metrics recorded before it opens one attribute to the
 ///   coordinator's stage.
@@ -407,14 +401,14 @@ mod tests {
         let collector = Arc::new(Collector::default());
         with_local(links.clone(), || {
             with_local(collector.clone(), || {
-                let outer = crate::span("race");
-                let handoff = Handoff::capture();
+                let outer = crate::span("coordinator");
+                let (handoff, _buffered) = capture_split();
                 std::thread::scope(|scope| {
                     scope.spawn(|| {
                         handoff.enter(|| {
-                            crate::counter("loser.work", 1);
-                            let arm = crate::span("arm");
-                            assert_eq!(arm.parent(), Some(outer.id()));
+                            crate::counter("worker.work", 1);
+                            let inner = crate::span("worker");
+                            assert_eq!(inner.parent(), Some(outer.id()));
                         });
                         // Outside `enter` no linkage leaks.
                         assert_eq!(span_context(), SpanContext::default());
@@ -422,7 +416,7 @@ mod tests {
                 });
             });
         });
-        assert_eq!(collector.summary().counter("loser.work"), 0);
+        assert_eq!(collector.summary().counter("worker.work"), 0);
         let names: Vec<_> = links
             .0
             .lock()
@@ -430,6 +424,6 @@ mod tests {
             .iter()
             .map(|l| l.0)
             .collect();
-        assert_eq!(names, ["race", "arm"]);
+        assert_eq!(names, ["coordinator", "worker"]);
     }
 }

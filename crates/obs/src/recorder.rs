@@ -13,8 +13,9 @@ use crate::metrics::StageMetrics;
 ///
 /// `id` is unique per process; `parent` is the id of the span that was
 /// innermost when this one opened — on the same thread via the span
-/// stack, or across threads via [`crate::Handoff`] — so a JSONL
-/// stream can be reassembled into one tree at any thread count.
+/// stack, or across threads via [`crate::par_indexed`]'s worker
+/// handoff — so a JSONL stream can be reassembled into one tree at any
+/// thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanMeta {
     /// Span name.
@@ -148,8 +149,8 @@ pub fn with_local<T>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
 
 /// Snapshot of this thread's local recorder stack, outermost first.
 ///
-/// Spawned workers do not inherit thread-local recorders;
-/// [`crate::Handoff`] captures the snapshot on the coordinating thread
+/// Spawned workers do not inherit thread-local recorders; the
+/// executor's `Handoff` captures the snapshot on the coordinating thread
 /// and re-installs it per worker with [`with_local_stack`] (each
 /// worker keeps its own span stack, so stage attribution stays
 /// per-thread correct).
@@ -180,7 +181,7 @@ pub(crate) fn with_local_stack<T>(stack: &[Arc<dyn Recorder>], f: impl FnOnce() 
 
 /// Span linkage carried across thread boundaries.
 ///
-/// [`crate::Handoff`] captures it on the coordinating thread with
+/// The executor's `Handoff` captures it on the coordinating thread with
 /// [`span_context`] and re-seeds it per worker with
 /// [`with_span_context`], so spans opened at a worker's stack base
 /// link to the coordinator's enclosing span (`parent`) and metrics

@@ -5,8 +5,8 @@
 //! recording thread — even when no [`crate::Recorder`] is installed —
 //! so a post-mortem frame can always show what the failing run was
 //! doing. Each event carries a process-global epoch (one relaxed
-//! `fetch_add`), so rings from the coordinator, zone workers and
-//! portfolio loser threads merge into one totally ordered timeline.
+//! `fetch_add`), so rings from the coordinator and its fan-out workers
+//! merge into one totally ordered timeline.
 //!
 //! Cost model: the disarmed check is one relaxed atomic load (stacked
 //! on the recorder-disabled check, the fully-off instrumentation path

@@ -3,11 +3,10 @@
 //!
 //! Runs the full SAG pipeline over seeded multi-zone scenarios with
 //! the lower tier pinned to each [`sag_core::SolverBackend`] in turn,
-//! plus the adaptive per-zone selector and the exact+LP-round
-//! portfolio. Every arm is scored against the exact arm on the same
-//! scenario: relay-count ratio (solution quality), lower-tier solve
-//! time in microseconds (cost), and the fraction of zones whose answer
-//! was certified optimal.
+//! plus the adaptive per-zone selector. Every arm is scored against the
+//! exact arm on the same scenario: relay-count ratio (solution
+//! quality), lower-tier solve time in microseconds (cost), and the
+//! fraction of zones whose answer was certified optimal.
 
 use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig, SagReport};
 use sag_core::{SolverBackend, SolverBuilder};
@@ -20,7 +19,7 @@ use crate::table::Table;
 type Arm = (&'static str, fn() -> SolverBuilder);
 
 /// The arms, in x-axis order of the [`backends`] table.
-const ARMS: [Arm; 6] = [
+const ARMS: [Arm; 5] = [
     ("exact", || SolverBuilder::fixed(SolverBackend::ExactIlp)),
     ("lp_round", || SolverBuilder::fixed(SolverBackend::LpRound)),
     ("local_search", || {
@@ -28,9 +27,6 @@ const ARMS: [Arm; 6] = [
     }),
     ("greedy", || SolverBuilder::fixed(SolverBackend::Greedy)),
     ("adaptive", SolverBuilder::adaptive),
-    ("portfolio", || {
-        SolverBuilder::portfolio(SolverBackend::ExactIlp, SolverBackend::LpRound)
-    }),
 ];
 
 /// A clustered multi-zone scenario (the shape per-zone selection is
@@ -88,7 +84,7 @@ pub fn backends(config: SweepConfig) -> Table {
     });
     let mut t = Table::new(
         "Extension: coverage solver backends \
-         (0=exact 1=lp_round 2=local_search 3=greedy 4=adaptive 5=portfolio)",
+         (0=exact 1=lp_round 2=local_search 3=greedy 4=adaptive)",
         "arm",
         arms,
     );

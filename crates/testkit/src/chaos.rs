@@ -67,19 +67,11 @@ pub enum Fault {
     /// `LpError::Numerical` (persistent skew) — never a silently wrong
     /// objective.
     LpBasisDesync,
-    /// Panic (or hang) the losing arm of a solver portfolio race.
-    /// Realised at the solver level
-    /// (`sag_core::SolverBuilder::with_loser_fault`) rather than by
-    /// mutating the scenario; the invariant under test is that a dying
-    /// loser never corrupts the winner — the race still commits the
-    /// winner's clean answer and the loss surfaces only as a typed,
-    /// counted event (`portfolio.loser_panic`).
-    PortfolioLoserPanic,
 }
 
 impl Fault {
     /// Every fault, for exhaustive sweeps.
-    pub const fn all() -> [Fault; 14] {
+    pub const fn all() -> [Fault; 13] {
         [
             Fault::NanInject,
             Fault::InfInject,
@@ -94,7 +86,6 @@ impl Fault {
             Fault::ChurnBurst,
             Fault::ChurnBoundaryHop,
             Fault::LpBasisDesync,
-            Fault::PortfolioLoserPanic,
         ]
     }
 

@@ -26,6 +26,14 @@ if grep -rn 'env::var' crates/core/src crates/lp/src crates/radio/src crates/sim
     echo "library code reads the environment; read it in a binary and pass it in a config"
     exit 1
 fi
+# One parallel executor: sag_obs::par_indexed is the only place the
+# solver crates' work fans out to threads, so its determinism contract
+# covers every parallel solve. The solver crates spawn no thread.
+echo "==> no thread::scope or thread::spawn in crates/{core,lp,radio,hitting,geom,graph}/src"
+if grep -rnE 'thread::(scope|spawn)' crates/core/src crates/lp/src crates/radio/src crates/hitting/src crates/geom/src crates/graph/src; then
+    echo "library code spawns a thread; fan out with sag_obs::par_indexed instead"
+    exit 1
+fi
 # Rustdoc gate: broken or private intra-doc links fail the build, so a
 # deleted item cannot leave a dangling link behind.
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
@@ -171,12 +179,11 @@ echo "${churn_chaos_out}" | awk '$1 ~ /^[0-9]+$/ && $2 != "1.00" {
 } END { exit bad }'
 
 # Forensics chaos arm: every typed failure class (worker panic, ledger
-# desync, budget exhaustion, portfolio loser panic/hang, churn
-# deferral) must emit exactly one parseable post-mortem dump frame,
-# and the analyzer must reconstruct each capture into a single span
-# tree at 1, 2 and 4 threads. Run in release — the same optimized
-# shape a production crash capture would have (the suite arms the
-# flight recorder itself).
+# desync, budget exhaustion, churn deferral) must emit exactly one
+# parseable post-mortem dump frame, and the analyzer must reconstruct
+# each capture into a single span tree at 1, 2 and 4 threads. Run in
+# release — the same optimized shape a production crash capture would
+# have (the suite arms the flight recorder itself).
 echo "==> cargo test --release -p sag-integration --test forensics_pipeline -q --offline"
 cargo test --release -p sag-integration --test forensics_pipeline -q --offline
 

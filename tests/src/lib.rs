@@ -137,12 +137,6 @@ pub fn apply_fault(sc: &mut Scenario, fault: Fault, rng: &mut Rng) {
         // refactorization or surface a typed `LpError::Numerical` —
         // never a silently wrong objective.
         Fault::LpBasisDesync => {}
-        // A dying portfolio loser is solver state, not scenario: it is
-        // armed with `sag_core::SolverBuilder::with_loser_fault` on a
-        // portfolio-mode run (see `tests/chaos_pipeline.rs`), which
-        // must still commit the winner's clean answer and surface the
-        // loss only as the counted `portfolio.loser_panic` event.
-        Fault::PortfolioLoserPanic => {}
     }
 }
 

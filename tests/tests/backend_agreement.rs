@@ -1,6 +1,6 @@
 //! Cross-backend agreement suite for the pluggable coverage solvers.
 //!
-//! Every [`sag_core::CoverageSolver`] backend answers the same
+//! Every [`sag_core::SolverBackend`] answers the same
 //! contract: a feasible cover of all subscribers by candidate relays.
 //! The heuristics are allowed to place *more* relays than the exact
 //! optimum, but never fewer (that would be a feasibility bug in the
@@ -13,7 +13,7 @@ use sag_testkit::prelude::*;
 use sag_core::candidates::iac_candidates;
 use sag_core::coverage::is_feasible;
 use sag_core::model::Scenario;
-use sag_core::solver::{CoverageSolver, ExactIlp, Greedy, LocalSearch, LpRound};
+use sag_core::SolverBackend;
 use sag_lp::Budget;
 use sag_sim::gen::{BsLayout, ScenarioSpec};
 
@@ -47,20 +47,20 @@ prop! {
         let cands = iac_candidates(&sc);
         let budget = Budget::unlimited();
 
-        let exact = match ExactIlp::default().solve(&sc, &cands, &budget) {
+        let exact = match SolverBackend::ExactIlp.solve(&sc, &cands, &budget) {
             Ok(ans) => ans,
             // Infeasible geometry rejects identically for everyone.
             Err(_) => {
                 prop_assert!(
-                    LpRound.solve(&sc, &cands, &budget).is_err(),
+                    SolverBackend::LpRound.solve(&sc, &cands, &budget).is_err(),
                     "lp_round answered a zone the exact solver rejects"
                 );
                 prop_assert!(
-                    LocalSearch::default().solve(&sc, &cands, &budget).is_err(),
+                    SolverBackend::LocalSearch.solve(&sc, &cands, &budget).is_err(),
                     "local_search answered a zone the exact solver rejects"
                 );
                 prop_assert!(
-                    Greedy.solve(&sc, &cands, &budget).is_err(),
+                    SolverBackend::Greedy.solve(&sc, &cands, &budget).is_err(),
                     "greedy answered a zone the exact solver rejects"
                 );
                 return;
@@ -71,9 +71,9 @@ prop! {
         let opt = exact.solution.relays.len();
 
         for (name, answer) in [
-            ("lp_round", LpRound.solve(&sc, &cands, &budget)),
-            ("local_search", LocalSearch::default().solve(&sc, &cands, &budget)),
-            ("greedy", Greedy.solve(&sc, &cands, &budget)),
+            ("lp_round", SolverBackend::LpRound.solve(&sc, &cands, &budget)),
+            ("local_search", SolverBackend::LocalSearch.solve(&sc, &cands, &budget)),
+            ("greedy", SolverBackend::Greedy.solve(&sc, &cands, &budget)),
         ] {
             let ans = match answer {
                 Ok(a) => a,

@@ -16,7 +16,7 @@ use sag_testkit::prelude::*;
 use sag_core::model::Scenario;
 use sag_core::sag::{run_sag_with, AnsweringSolver, LowerSolver, SagPipelineConfig};
 use sag_core::validate::validate_report;
-use sag_core::{LoserFault, SagError, SolverBackend, SolverBuilder};
+use sag_core::{SagError, SolverBackend, SolverBuilder};
 use sag_integration::{apply_fault, scenario};
 use sag_lp::Budget;
 use sag_sim::gen::{BsLayout, ScenarioSpec};
@@ -63,7 +63,7 @@ prop! {
     /// random generated scenario, yields either a typed rejection or a
     /// report that passes the independent audit. Nothing panics.
     #[cases(28)]
-    fn any_faulted_scenario_errs_or_validates(input in arb_spec(), fidx in 0usize..14, salt in 0u64..1_000) {
+    fn any_faulted_scenario_errs_or_validates(input in arb_spec(), fidx in 0usize..Fault::all().len(), salt in 0u64..1_000) {
         let mut rng = Rng::seed_from_u64(salt);
         let fault = Fault::all()[fidx];
         let mut sc = build(input);
@@ -234,51 +234,6 @@ fn zone_worker_panic_surfaces_a_typed_error_not_a_hang() {
             }
         )
         .is_ok());
-    }
-}
-
-/// Acceptance for [`Fault::PortfolioLoserPanic`]: a losing portfolio
-/// arm that panics (or hangs past its cancel flag) must never corrupt
-/// the winner — the race commits the same clean answer as a faultless
-/// run, and the loss surfaces only as a typed, counted event.
-#[test]
-fn portfolio_loser_death_leaves_the_winner_clean() {
-    let sc = build((8, 2, 500.0, 7));
-    let run = |fault: Option<LoserFault>| {
-        let mut solver = SolverBuilder::portfolio(SolverBackend::ExactIlp, SolverBackend::Greedy);
-        if let Some(f) = fault {
-            solver = solver.with_loser_fault(f);
-        }
-        run_sag_with(
-            &sc,
-            SagPipelineConfig {
-                lower_solver: LowerSolver::Candidates,
-                solver,
-                ..Default::default()
-            },
-        )
-        .expect("portfolio run answers")
-    };
-    let clean = run(None);
-    for fault in [LoserFault::Panic, LoserFault::Hang] {
-        let faulted = run(Some(fault));
-        // The winner's answer is untouched by the dying loser.
-        assert_eq!(
-            format!("{:?}|{:?}", clean.coverage, clean.lower_power),
-            format!("{:?}|{:?}", faulted.coverage, faulted.lower_power),
-            "{fault:?}: loser death changed the committed answer"
-        );
-        assert_eq!(faulted.solver, clean.solver);
-        let audit = validate_report(&sc, &faulted);
-        assert!(audit.is_clean(), "{fault:?} dirtied the report:\n{audit}");
-        // The loss is a counted event, not a silent one.
-        let m = &faulted.metrics;
-        assert!(m.counter("portfolio.races") >= 1, "race must be counted");
-        let losses = match fault {
-            LoserFault::Panic => m.counter("portfolio.loser_panic"),
-            LoserFault::Hang => m.counter("portfolio.loser_cancelled"),
-        };
-        assert!(losses >= 1, "{fault:?}: loss must surface as a counter");
     }
 }
 

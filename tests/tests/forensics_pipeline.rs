@@ -2,9 +2,8 @@
 //! tentpole.
 //!
 //! Every typed failure path — [`SagError::WorkerPanic`],
-//! [`SagError::LedgerDesync`], [`SagError::BudgetExceeded`], a
-//! portfolio loser panic or hang, and a churn repair landing on the
-//! `Deferred` rung — must emit a structured post-mortem dump frame
+//! [`SagError::LedgerDesync`], [`SagError::BudgetExceeded`], and a
+//! churn repair landing on the `Deferred` rung — must emit a structured post-mortem dump frame
 //! that [`sag_obs::json::validate`] accepts, and `repro trace`'s
 //! analyzer must reconstruct the run's JSONL into a single span tree
 //! with correct parent links at 1, 2 and 4 threads. The validator and
@@ -20,7 +19,7 @@ use sag_testkit::prelude::*;
 
 use sag_core::churn::{ChurnConfig, ChurnEngine, ChurnEvent, RepairRung};
 use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig};
-use sag_core::{LoserFault, SagError, SolverBackend, SolverBuilder};
+use sag_core::{SagError, SolverBuilder};
 use sag_lp::Budget;
 use sag_obs::JsonlSink;
 use sag_sim::gen::{BsLayout, ScenarioSpec};
@@ -317,54 +316,6 @@ fn churn_deferral_dumps_a_degradation_frame() {
     );
     let report = assert_frames(&stream, &["churn_deferred"]);
     assert_eq!(report.post_mortems[0].stage.as_deref(), Some("churn"));
-}
-
-#[test]
-fn portfolio_loser_panic_and_hang_both_dump() {
-    let _guard = ring_lock();
-    let sc = build(8, 2, 7);
-    for (fault, class) in [
-        (LoserFault::Panic, "portfolio_loser_panic"),
-        (LoserFault::Hang, "portfolio_loser_hang"),
-    ] {
-        let mut outcome = None;
-        let stream = capture(|| {
-            outcome = run_sag_with(
-                &sc,
-                SagPipelineConfig {
-                    lower_solver: LowerSolver::Candidates,
-                    solver: SolverBuilder::portfolio(
-                        SolverBackend::ExactIlp,
-                        SolverBackend::Greedy,
-                    )
-                    .with_loser_fault(fault),
-                    ..Default::default()
-                },
-            )
-            .ok();
-        });
-        assert!(outcome.is_some(), "{fault:?}: the winner must still answer");
-        let report = trace::analyze_str(&stream);
-        assert_eq!(report.malformed, 0);
-        assert_single_tree(&report, class);
-        // One frame per race (one per zone solve), all of this class.
-        assert!(
-            !report.post_mortems.is_empty(),
-            "{fault:?}: loser death left no forensics frame"
-        );
-        for frame in &report.post_mortems {
-            assert_eq!(frame.class, class);
-            assert_eq!(frame.stage.as_deref(), Some("portfolio"));
-        }
-        let line = stream
-            .lines()
-            .find(|l| l.contains("\"kind\":\"post_mortem\""))
-            .expect("dump line");
-        assert!(
-            line.contains("\"backend\":\"greedy\""),
-            "{fault:?}: frame must name the losing backend: {line}"
-        );
-    }
 }
 
 #[test]

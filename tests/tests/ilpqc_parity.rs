@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use sag_core::candidates::{gac_candidates, iac_candidates, prune_useless};
 use sag_core::error::SagError;
-use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome};
+use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, IlpqcOutcome, LP_BOUND_MIN_CANDS};
 use sag_core::model::Scenario;
 use sag_core::reference;
 use sag_geom::Point;
@@ -188,7 +188,7 @@ fn ilpqc_matches_reference_at_snr_repair_thresholds() {
 }
 
 /// The per-node LP bound is actually exercised: on a Fig. 3(a)-shaped
-/// GAC instance (more candidates than `lp_bound_min_cands`) the kept
+/// GAC instance (more candidates than `LP_BOUND_MIN_CANDS`) the kept
 /// session re-solves node after node and prunes with its bound, and the
 /// two solvers still agree.
 #[test]
@@ -196,7 +196,7 @@ fn gac_instances_reach_the_per_node_lp_bound() {
     let sc = scenario(500.0, 25, -15.0, 3);
     let gac = prune_useless(&sc, gac_candidates(&sc, gac_grid_for(500.0)));
     assert!(
-        gac.len() >= IlpqcConfig::default().lp_bound_min_cands,
+        gac.len() >= LP_BOUND_MIN_CANDS,
         "only {} GAC candidates",
         gac.len()
     );

@@ -149,75 +149,6 @@ prop! {
             }
         }
     }
-
-    /// The portfolio gate: racing two backends inside every zone worker
-    /// must not break the engine's byte-identical contract. Arbitration
-    /// is by backend rank, never by arrival order, so `threads = 1`,
-    /// `threads = 8`, and a replay at the same thread count all commit
-    /// the same answer bit for bit.
-    #[cases(12)]
-    fn portfolio_reports_are_identical_across_thread_counts(input in arb_spec()) {
-        let (users, field, nmax, seed) = input;
-        let sc = ScenarioSpec {
-            field_size: field,
-            n_subscribers: users,
-            n_base_stations: 2,
-            snr_db: -15.0,
-            dist_range: (8.0, 14.0),
-            nmax,
-            bs_layout: BsLayout::Uniform,
-            ..Default::default()
-        }
-        .build(seed);
-        let run = |threads: usize| {
-            run_sag_with(&sc, SagPipelineConfig {
-                lower_solver: LowerSolver::Candidates,
-                solver: SolverBuilder::portfolio(
-                    SolverBackend::ExactIlp,
-                    SolverBackend::LpRound,
-                ),
-                threads,
-                ..Default::default()
-            })
-        };
-        match (run(1), run(8), run(8)) {
-            (Ok(seq), Ok(par), Ok(replay)) => {
-                prop_assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&par),
-                    "portfolio: threads=1 vs threads=8 diverged ({} zones)",
-                    zone_partition(&sc).len()
-                );
-                prop_assert_eq!(
-                    fingerprint(&par),
-                    fingerprint(&replay),
-                    "portfolio: threads=8 replay diverged"
-                );
-                // The loser arm's partial work is kept out of buffered
-                // recorders precisely so this holds under racing.
-                prop_assert_eq!(
-                    metrics_fingerprint(&seq),
-                    metrics_fingerprint(&par),
-                    "portfolio: collected metrics diverged across thread counts"
-                );
-                prop_assert_eq!(
-                    metrics_fingerprint(&par),
-                    metrics_fingerprint(&replay),
-                    "portfolio: collected metrics diverged on replay"
-                );
-            }
-            (Err(a), Err(b), Err(c)) => {
-                prop_assert_eq!(&a, &b, "portfolio: errors diverged");
-                prop_assert_eq!(&b, &c, "portfolio: replay error diverged");
-            }
-            (a, b, c) => prop_assert!(
-                false,
-                "portfolio: runs disagreed on feasibility: \
-                 seq={:?} par={:?} replay={:?}",
-                a.is_ok(), b.is_ok(), c.is_ok()
-            ),
-        }
-    }
 }
 
 /// The partition itself is what makes parallelism safe — pin that the

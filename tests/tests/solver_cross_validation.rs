@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use sag_core::candidates::{gac_candidates, iac_candidates, prune_useless};
 use sag_core::coverage::{is_feasible, CoverageSolution};
-use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig};
+use sag_core::ilpqc::{solve_ilpqc, IlpqcConfig, LP_BOUND_MIN_CANDS};
 use sag_core::pro::{allocation_is_feasible, optimal_power, optimal_power_lp, pro};
 use sag_core::samc::{samc, samc_with, HittingStrategy, SamcConfig};
 use sag_geom::Point;
@@ -160,7 +160,7 @@ fn hitting_strategies_all_yield_feasible_coverage() {
 /// tableau (`LpProblem::solve_dense`) must agree with every re-solve.
 /// On every zone of a partitioned scenario — the same per-zone route
 /// the parallel engine takes — the GAC candidate sets that reach
-/// `lp_bound_min_cands` open a session on that relaxation (one `≥ 1`
+/// `LP_BOUND_MIN_CANDS` open a session on that relaxation (one `≥ 1`
 /// row per subscriber over its distance-eligible candidates, unit
 /// costs, `x ≥ 0`) and replay a depth-first branch-and-bound walk,
 /// fixing and releasing candidates as `CoverBound::bound` does. The
@@ -170,7 +170,6 @@ fn hitting_strategies_all_yield_feasible_coverage() {
 fn ilpqc_backends_agree_per_zone() {
     use sag_core::zone::{zone_partition, zone_scenario};
 
-    let min_cands = IlpqcConfig::default().lp_bound_min_cands;
     let mut bounded_sets = 0usize;
     let mut resolves = 0usize;
     let log = Arc::new(sag_obs::Collector::default());
@@ -186,7 +185,7 @@ fn ilpqc_backends_agree_per_zone() {
         for zone in zone_partition(&sc) {
             let (zsc, _members) = zone_scenario(&sc, &zone);
             let gac = prune_useless(&zsc, gac_candidates(&zsc, GAC_GRID));
-            if gac.len() < min_cands {
+            if gac.len() < LP_BOUND_MIN_CANDS {
                 continue;
             }
             bounded_sets += 1;
@@ -291,7 +290,7 @@ fn replay_cover_bounds(sc: &sag_core::model::Scenario, cands: &[Point], what: &s
 }
 
 /// GAC grid of the per-zone backend check: fine enough that a zone's
-/// candidate set passes `lp_bound_min_cands`.
+/// candidate set passes `LP_BOUND_MIN_CANDS`.
 const GAC_GRID: f64 = 8.0;
 
 /// Brute force over every candidate subset: the ILPQC's claimed optimum
