@@ -55,9 +55,9 @@ pub fn gac_candidates(scenario: &Scenario, grid_size: f64) -> Vec<Point> {
 }
 
 /// Removes near-duplicate points (within `1e-9`), preserving first
-/// occurrence order, in expected linear time (grid hashing).
+/// occurrence order ([`sag_geom::point::dedup_points`]).
 pub fn dedup_points(points: Vec<Point>) -> Vec<Point> {
-    sag_geom::point::dedup_points_grid(points, 1e-9)
+    sag_geom::point::dedup_points(points, 1e-9)
 }
 
 /// Filters candidates to those that cover at least one subscriber

@@ -69,17 +69,31 @@ pub fn baseline_power(scenario: &Scenario, sol: &CoverageSolution) -> PowerAlloc
 /// over its assigned subscribers (relays with no subscribers — which a
 /// valid [`CoverageSolution`] never contains — would get 0).
 pub fn coverage_powers(scenario: &Scenario, sol: &CoverageSolution) -> Vec<f64> {
+    coverage_powers_with(scenario, sol, &subscriber_pss(scenario))
+}
+
+/// [`coverage_powers`] from the subscribers' precomputed `P_ss^j`.
+fn coverage_powers_with(scenario: &Scenario, sol: &CoverageSolution, pss: &[f64]) -> Vec<f64> {
     let model = scenario.params.link.model();
     let mut pc = vec![0.0; sol.n_relays()];
     for (j, &r) in sol.assignment.iter().enumerate() {
-        let sub = &scenario.subscribers[j];
-        let d = sol.relays[r].distance(sub.position);
-        let need = model.required_tx_power(scenario.params.pss_for(sub), d);
+        let d = sol.relays[r].distance(scenario.subscribers[j].position);
+        let need = model.required_tx_power(pss[j], d);
         if need > pc[r] {
             pc[r] = need;
         }
     }
     pc
+}
+
+/// `P_ss^j` of every subscriber, in subscriber order: a per-subscriber
+/// constant, computed once per call instead of once per check.
+fn subscriber_pss(scenario: &Scenario) -> Vec<f64> {
+    scenario
+        .subscribers
+        .iter()
+        .map(|sub| scenario.params.pss_for(sub))
+        .collect()
 }
 
 /// SNR power `P_snr` for relay `r` given the other relays' current
@@ -110,26 +124,27 @@ fn snr_power(
     need
 }
 
-/// Checks every subscriber of relay `r` against coverage + SNR with `r`
-/// transmitting at `power_r` and every other relay at its power in the
-/// ledger, with a small relative slack (`1e-6`) so that allocations
-/// sitting exactly on a constraint boundary — the LP optimum always
-/// does — verify cleanly. The trial signal comes from the ledger's
-/// cached path factor ([`InterferenceLedger::signal_at`]): `r` did not
-/// move, so no path loss is recomputed.
+/// Checks every subscriber of relay `r` against coverage (`pss`, as
+/// [`subscriber_pss`] gives it) + SNR with `r` transmitting at `power_r`
+/// and every other relay at its power in the ledger, with a small
+/// relative slack (`1e-6`) so that allocations sitting exactly on a
+/// constraint boundary — the LP optimum always does — verify cleanly.
+/// The trial signal comes from the ledger's cached path factor
+/// ([`InterferenceLedger::signal_at`]): `r` did not move, so no path
+/// loss is recomputed.
 fn relay_constraints_ok(
     scenario: &Scenario,
     ledger: &InterferenceLedger,
     served: &ServedIndex,
+    pss: &[f64],
     r: usize,
     power_r: f64,
 ) -> bool {
     const REL_TOL: f64 = 1e-6;
     let beta = scenario.params.link.beta();
     for &j in served.of(r) {
-        let sub = &scenario.subscribers[j];
         let signal = ledger.signal_at(j, r, power_r);
-        if signal < scenario.params.pss_for(sub) * (1.0 - REL_TOL) {
+        if signal < pss[j] * (1.0 - REL_TOL) {
             return false;
         }
         let interference = ledger.interference_at(j, r);
@@ -197,7 +212,8 @@ pub fn pro_with_budget(
     }
     let pmax = scenario.params.link.pmax();
     let n = sol.n_relays();
-    let pc = coverage_powers(scenario, sol);
+    let pss = subscriber_pss(scenario);
+    let pc = coverage_powers_with(scenario, sol, &pss);
     if sag_obs::enabled() {
         sag_obs::gauge("pro.baseline_total", pmax * n as f64);
         sag_obs::gauge("pro.floor_total", pc.iter().sum());
@@ -234,7 +250,7 @@ pub fn pro_with_budget(
         let mut still_pending = Vec::new();
         for &r in &pending {
             let trial = pc[r].min(pmax);
-            if relay_constraints_ok(scenario, &ledger, &served, r, trial) {
+            if relay_constraints_ok(scenario, &ledger, &served, &pss, r, trial) {
                 powers[r] = trial;
                 ledger.set_power(r, trial);
                 committed_any = true;
@@ -447,8 +463,9 @@ pub fn allocation_is_feasible(
     }
     let ledger = powered_ledger(scenario, &sol.relays, &alloc.powers);
     let served = sol.served_index();
+    let pss = subscriber_pss(scenario);
     (0..sol.n_relays())
-        .all(|r| relay_constraints_ok(scenario, &ledger, &served, r, alloc.powers[r]))
+        .all(|r| relay_constraints_ok(scenario, &ledger, &served, &pss, r, alloc.powers[r]))
 }
 
 #[cfg(test)]

@@ -796,4 +796,28 @@ mod tests {
             Err(SagError::WorkerPanic { stage: "samc", .. })
         ));
     }
+
+    #[test]
+    fn field_far_from_the_origin_solves_cleanly() {
+        // Candidate coordinates near 1e10 are beyond i64 range once
+        // divided by the 1e-9 dedup tolerance; the hitting-set instance
+        // must still build, in debug and release builds alike.
+        let at = |dx: f64, dy: f64| Point::new(1e10 + dx, 1e10 + dy);
+        let sc = Scenario::new(
+            Rect::from_corners(at(-250.0, -250.0), at(250.0, 250.0)),
+            vec![
+                Subscriber::new(at(0.0, 0.0), 35.0),
+                Subscriber::new(at(40.0, 10.0), 32.0),
+            ],
+            vec![BaseStation::new(at(200.0, 200.0))],
+            NetworkParams::new(
+                LinkBudget::builder().snr_threshold(Db::new(-15.0)).build(),
+                1e-9,
+            ),
+        )
+        .unwrap();
+        let report = run_sag(&sc).expect("a valid far-field scenario solves");
+        let audit = crate::validate::validate_report(&sc, &report);
+        assert!(audit.is_clean(), "violations: {audit}");
+    }
 }

@@ -377,43 +377,57 @@ mod tests {
     }
 }
 
-/// Deduplicates points that coincide within `tol`, preserving first-seen
-/// order, in expected linear time (grid hashing).
+/// Deduplicates points closer than `tol`, preserving first-seen order.
 ///
-/// Two points farther than `tol` apart are always both kept; points
-/// within `tol/2` of an earlier point are always dropped. In the narrow
-/// band between, cell quantisation decides — exactly the right contract
-/// for merging numerically-identical candidate positions.
+/// The rule is sequential: a point is dropped when an earlier *kept*
+/// point lies at [`Point::distance`] `< tol` from it, and kept
+/// otherwise, so two points `tol` or more apart are both kept. Points
+/// with a non-finite coordinate are never within `tol` of anything and
+/// are always kept.
+///
+/// Each point is compared only with the points whose x-coordinates lie
+/// within `tol` of its own, found in an x-sorted order. That window
+/// loses no pair: the computed distance is never below the computed
+/// `|Δx|`, because in binary floating point `sqrt(Δx * Δx)` rounds back
+/// to `|Δx|` unless the square underflows, and no `|Δx| ≥ tol` squares
+/// to a subnormal at the tolerances allowed here. The cost is one sort
+/// plus the comparisons inside the windows.
 ///
 /// # Panics
-/// Panics unless `tol > 0` and finite.
-pub fn dedup_points_grid(points: Vec<Point>, tol: f64) -> Vec<Point> {
+/// Panics unless `tol` is finite and its square is a normal `f64`
+/// (`tol ≥ 2^-511` ≈ 1.5e-154).
+pub fn dedup_points(points: Vec<Point>, tol: f64) -> Vec<Point> {
     assert!(
-        tol.is_finite() && tol > 0.0,
-        "tolerance must be > 0, got {tol}"
+        tol.is_finite() && tol * tol >= f64::MIN_POSITIVE,
+        "tolerance must be finite with a normal square, got {tol}"
     );
-    let mut seen: std::collections::HashMap<(i64, i64), Vec<usize>> = Default::default();
-    let mut out: Vec<Point> = Vec::with_capacity(points.len());
-    let key = |v: f64| (v / tol).floor() as i64;
-    for p in points {
-        let (cx, cy) = (key(p.x), key(p.y));
-        let mut duplicate = false;
-        'scan: for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(cell) = seen.get(&(cx + dx, cy + dy)) {
-                    if cell.iter().any(|&i| out[i].distance(p) < tol) {
-                        duplicate = true;
-                        break 'scan;
-                    }
-                }
-            }
-        }
-        if !duplicate {
-            seen.entry((cx, cy)).or_default().push(out.len());
-            out.push(p);
-        }
+    let n = points.len();
+    let mut order: Vec<(f64, usize)> = points.iter().map(|p| p.x).zip(0..).collect();
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut rank = vec![0; n];
+    for (r, &(_, i)) in order.iter().enumerate() {
+        rank[i] = r;
     }
-    out
+    let mut kept = vec![false; n];
+    for (i, &p) in points.iter().enumerate() {
+        let near = |&(_, j): &(f64, usize)| j < i && kept[j] && points[j].distance(p) < tol;
+        let (left, right) = order.split_at(rank[i]);
+        let duplicate = right[1..]
+            .iter()
+            .take_while(|&&(x, _)| x - p.x < tol)
+            .any(near)
+            || left
+                .iter()
+                .rev()
+                .take_while(|&&(x, _)| p.x - x < tol)
+                .any(near);
+        kept[i] = !duplicate;
+    }
+    points
+        .into_iter()
+        .zip(kept)
+        .filter_map(|(p, keep)| keep.then_some(p))
+        .collect()
 }
 
 #[cfg(test)]
@@ -429,7 +443,7 @@ mod dedup_tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1e-12),
         ];
-        let out = dedup_points_grid(pts, 1e-9);
+        let out = dedup_points(pts, 1e-9);
         assert_eq!(out.len(), 2);
         assert!(out[0].approx_eq(Point::ORIGIN));
     }
@@ -441,7 +455,7 @@ mod dedup_tests {
             Point::new(1.0, 0.0),
             Point::new(5.0, 0.0),
         ];
-        let out = dedup_points_grid(pts, 1e-9);
+        let out = dedup_points(pts, 1e-9);
         assert_eq!(out, vec![Point::new(5.0, 0.0), Point::new(1.0, 0.0)]);
     }
 
@@ -450,13 +464,13 @@ mod dedup_tests {
         let pts: Vec<Point> = (0..100)
             .map(|k| Point::new(k as f64, -(k as f64)))
             .collect();
-        assert_eq!(dedup_points_grid(pts, 1e-9).len(), 100);
+        assert_eq!(dedup_points(pts, 1e-9).len(), 100);
     }
 
     #[test]
     #[should_panic]
     fn zero_tolerance_panics() {
-        dedup_points_grid(vec![], 0.0);
+        dedup_points(vec![], 0.0);
     }
 
     prop! {
@@ -465,11 +479,8 @@ mod dedup_tests {
             let pts: Vec<Point> = (0..60)
                 .map(|_| Point::new(rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)))
                 .collect();
-            let out = dedup_points_grid(pts.clone(), 1e-3);
-            // Survivors are pairwise ≥ tol/2 apart… (grid guarantee: any
-            // two survivors in the same or adjacent cells are ≥ tol; the
-            // only possible sub-tol pairs would share a neighbourhood and
-            // were checked) — assert the hard guarantee:
+            let out = dedup_points(pts.clone(), 1e-3);
+            // Survivors are pairwise at least tol apart…
             for i in 0..out.len() {
                 for j in i + 1..out.len() {
                     prop_assert!(out[i].distance(out[j]) >= 1e-3 - 1e-12);

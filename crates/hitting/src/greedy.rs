@@ -25,35 +25,34 @@ pub fn greedy_hitting_set(inst: &DiskInstance) -> Vec<Point> {
 }
 
 /// As [`greedy_hitting_set`] but returns candidate indices.
+///
+/// Each candidate's gain is kept current instead of recounted: when a
+/// pick hits a disk for the first time, every candidate hitting that disk
+/// ([`DiskInstance::hitters`]) loses one. A round then only scans the
+/// gains for the first largest one.
 pub fn greedy_hitting_set_indices(inst: &DiskInstance) -> Vec<usize> {
-    let n_disks = inst.len();
-    let n_cands = inst.candidates().len();
-    let mut hit = vec![false; n_disks];
-    let mut remaining = n_disks;
+    let mut gain: Vec<usize> = (0..inst.candidates().len())
+        .map(|c| inst.hit_by(c).len())
+        .collect();
+    let mut hit = vec![false; inst.len()];
+    let mut remaining = inst.len();
     let mut chosen = Vec::new();
     while remaining > 0 {
-        let mut best: Option<(usize, usize)> = None; // (gain, candidate)
-        for c in 0..n_cands {
-            let gain = inst.hit_by(c).iter().filter(|&&d| !hit[d]).count();
-            if gain > 0 {
-                let better = match best {
-                    None => true,
-                    Some((bg, bc)) => gain > bg || (gain == bg && c < bc),
-                };
-                if better {
-                    best = Some((gain, c));
-                }
-            }
-        }
-        let (gain, c) =
-            best.expect("every disk centre is a candidate, so progress is always possible");
+        let c = (1..gain.len()).fold(0, |best, c| if gain[c] > gain[best] { c } else { best });
+        assert!(
+            gain[c] > 0,
+            "every disk centre is a candidate, so progress is always possible"
+        );
         chosen.push(c);
         for &d in inst.hit_by(c) {
             if !hit[d] {
                 hit[d] = true;
+                remaining -= 1;
+                for &h in inst.hitters(d) {
+                    gain[h] -= 1;
+                }
             }
         }
-        remaining -= gain;
     }
     chosen
 }

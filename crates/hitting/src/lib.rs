@@ -16,9 +16,16 @@
 //!   instances (`prop_local_between_exact_and_greedy` checks the local
 //!   search against it).
 //!
-//! [`reference`](mod@reference) keeps the full-recompute local-search
-//! swap evaluation as the differential referee that tests and benchmarks
-//! compare the incremental one against; library code does not use it.
+//! [`DiskInstance::new`] derives the candidates once, with both
+//! directions of the candidate–disk incidence (`hit_by` and `hitters`),
+//! so every solver shares them. The greedy keeps each candidate's gain
+//! current through `hitters` instead of recounting it per round, and the
+//! local search visits only the removal sets that can improve.
+//!
+//! [`reference`](mod@reference) keeps the brute-force instance build,
+//! the recount greedy and the full-recompute local search as the
+//! differential referees that tests and benchmarks compare these against;
+//! library code does not use it.
 //!
 //! Candidate points follow the standard normalisation: any hitting set can
 //! be moved onto disk centres and pairwise circle-intersection points

@@ -1,22 +1,110 @@
-//! The full-recompute local-search swap evaluation, kept as the
-//! differential referee for [`crate::local_search`].
+//! The pre-incremental Step 4, kept as the differential referee for the
+//! instance build, the greedy and the local search.
 //!
-//! [`local_search_with`] here is the original b-swap search: for every
-//! removal set it rebuilds the hit array over the whole remaining
-//! solution, rescans every candidate against every unhit disk, and
-//! allocates as it goes. [`crate::local_search::local_search_with`]
-//! evaluates the same removal sets in the same order and must return
-//! byte-identical candidate-index vectors for every
-//! [`LocalSearchConfig`].
+//! * [`instance`] builds the candidates and hit lists by brute force:
+//!   every disk centre, then every pairwise boundary intersection,
+//!   deduplicated by the quadratic rule [`dedup_points`], then every
+//!   candidate tested against every disk. [`DiskInstance::new`] must
+//!   return the same candidates, bit for bit, and the same hit lists.
+//! * [`greedy_indices`] recounts every candidate's gain each round.
+//!   [`crate::greedy::greedy_hitting_set_indices`] must pick the same
+//!   candidates in the same order.
+//! * [`local_search_with`] is the original b-swap search: from the
+//!   recount greedy, for every removal set it rebuilds the hit array
+//!   over the whole remaining solution, rescans every candidate against
+//!   every unhit disk, and allocates as it goes.
+//!   [`crate::local_search::local_search_with`] evaluates the same
+//!   removal sets in the same order and must return byte-identical
+//!   candidate-index vectors for every [`LocalSearchConfig`].
 //!
 //! Only tests and benchmarks import this module: the parity property
-//! suite (`crates/hitting/tests/local_search_parity.rs`) asserts the two
-//! agree, and `bench_hitting` times one against the other. Library code
-//! must not call it — it is the slow path by construction.
+//! suites (`crates/hitting/tests/local_search_parity.rs` and
+//! `instance_parity.rs`) assert agreement, and `bench_hitting` times
+//! each referee against its replacement. Library code must not call it
+//! — it is the slow path by construction.
 
-use crate::greedy::greedy_hitting_set_indices;
-use crate::instance::DiskInstance;
+use sag_geom::{Circle, Point};
+
+use crate::instance::{DiskInstance, CANDIDATE_TOL};
 use crate::local_search::LocalSearchConfig;
+
+/// Candidates and hit lists of a disk family, built by brute force.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Instance {
+    /// Disk centres, then pairwise boundary intersections, deduplicated.
+    pub candidates: Vec<Point>,
+    /// `hits[c]`: the disks containing candidate `c`, ascending.
+    pub hits: Vec<Vec<usize>>,
+}
+
+/// Builds the candidates and hit lists of `disks` by brute force.
+pub fn instance(disks: &[Circle]) -> Instance {
+    let mut candidates: Vec<Point> = disks.iter().map(|d| d.center).collect();
+    for (i, a) in disks.iter().enumerate() {
+        for b in &disks[i + 1..] {
+            candidates.extend(a.intersection_points(b));
+        }
+    }
+    let candidates = dedup_points(candidates, CANDIDATE_TOL);
+    let hits = candidates
+        .iter()
+        .map(|&p| {
+            disks
+                .iter()
+                .enumerate()
+                .filter_map(|(i, d)| d.contains(p).then_some(i))
+                .collect()
+        })
+        .collect();
+    Instance { candidates, hits }
+}
+
+/// The deduplication rule of [`sag_geom::point::dedup_points`], applied
+/// directly: a point is dropped when an earlier kept point lies at
+/// distance `< tol` from it.
+pub fn dedup_points(points: Vec<Point>, tol: f64) -> Vec<Point> {
+    let mut kept: Vec<Point> = Vec::with_capacity(points.len());
+    for p in points {
+        if !kept.iter().any(|q| q.distance(p) < tol) {
+            kept.push(p);
+        }
+    }
+    kept
+}
+
+/// Greedy hitting set over hit lists, recounting every candidate's gain
+/// each round: picks the candidate hitting the most not-yet-hit disks,
+/// the lowest index among ties.
+///
+/// # Panics
+/// Panics if some disk in `0..n_disks` is in no hit list.
+pub fn greedy_indices<H: AsRef<[usize]>>(hits: &[H], n_disks: usize) -> Vec<usize> {
+    let mut hit = vec![false; n_disks];
+    let mut remaining = n_disks;
+    let mut chosen = Vec::new();
+    while remaining > 0 {
+        let mut best: Option<(usize, usize)> = None; // (gain, candidate)
+        for (c, h) in hits.iter().enumerate() {
+            let gain = h.as_ref().iter().filter(|&&d| !hit[d]).count();
+            if gain > 0 {
+                let better = match best {
+                    None => true,
+                    Some((bg, bc)) => gain > bg || (gain == bg && c < bc),
+                };
+                if better {
+                    best = Some((gain, c));
+                }
+            }
+        }
+        let (gain, c) = best.expect("every disk is in some hit list");
+        chosen.push(c);
+        for &d in hits[c].as_ref() {
+            hit[d] = true;
+        }
+        remaining -= gain;
+    }
+    chosen
+}
 
 /// Reference local-search hitting set; returns candidate indices.
 ///
@@ -24,7 +112,10 @@ use crate::local_search::LocalSearchConfig;
 /// Panics if `config.swap_size == 0`.
 pub fn local_search_with(inst: &DiskInstance, config: LocalSearchConfig) -> Vec<usize> {
     assert!(config.swap_size >= 1, "swap size must be ≥ 1");
-    let mut current = greedy_hitting_set_indices(inst);
+    let hits: Vec<&[usize]> = (0..inst.candidates().len())
+        .map(|c| inst.hit_by(c))
+        .collect();
+    let mut current = greedy_indices(&hits, inst.len());
     for _ in 0..config.max_rounds {
         match improve_once(inst, &current, config.swap_size) {
             Some(next) => current = next,

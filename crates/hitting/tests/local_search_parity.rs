@@ -9,42 +9,13 @@
 //! `max_rounds` 1 and 64. `SAG_PROP_CASES` raises the case count for
 //! the CI soak.
 
+mod common;
+
+use common::{paper_field, snapped_grid};
 use sag_geom::{Circle, Point};
 use sag_hitting::local_search::{local_search_with, LocalSearchConfig};
 use sag_hitting::{reference, DiskInstance};
 use sag_testkit::prelude::*;
-
-/// `n` disks at Fig. 4/5 density: centres uniform on a `field`-sided
-/// square, radii U[30, 40] (the paper's distance requirements).
-fn paper_field(seed: u64, field: f64, n: usize) -> DiskInstance {
-    let mut rng = Rng::seed_from_u64(seed);
-    DiskInstance::new(
-        (0..n)
-            .map(|_| {
-                let centre = Point::new(rng.gen_range(0.0..field), rng.gen_range(0.0..field));
-                Circle::new(centre, rng.gen_range(30.0..40.0))
-            })
-            .collect(),
-    )
-}
-
-/// `n` disks snapped to a 10-unit lattice in a 120×120 box with radii
-/// in {10, 20, 30}: centres coincide, lattice distances equal radius
-/// sums and differences (tangent disks), and equal-centre disks nest.
-fn snapped_grid(seed: u64, n: usize) -> DiskInstance {
-    let mut rng = Rng::seed_from_u64(seed);
-    DiskInstance::new(
-        (0..n)
-            .map(|_| {
-                let centre = Point::new(
-                    10.0 * rng.gen_range(0..13) as f64,
-                    10.0 * rng.gen_range(0..13) as f64,
-                );
-                Circle::new(centre, 10.0 * rng.gen_range(1..4) as f64)
-            })
-            .collect(),
-    )
-}
 
 fn assert_parity(inst: &DiskInstance, swap_size: usize, max_rounds: usize) {
     let config = LocalSearchConfig {
@@ -81,7 +52,7 @@ prop! {
         long in 0usize..2
     ) {
         let field = if fig5 == 1 { 800.0 } else { 500.0 };
-        assert_parity(&paper_field(seed, field, n), swap_size, rounds(long));
+        assert_parity(&DiskInstance::new(paper_field(seed, field, n)), swap_size, rounds(long));
     }
 
     #[cases(16)]
@@ -92,7 +63,7 @@ prop! {
         long in 0usize..2
     ) {
         let field = if fig5 == 1 { 800.0 } else { 500.0 };
-        assert_parity(&paper_field(seed, field, n), 4, rounds(long));
+        assert_parity(&DiskInstance::new(paper_field(seed, field, n)), 4, rounds(long));
     }
 
     #[cases(32)]
@@ -102,7 +73,7 @@ prop! {
         swap_size in 1usize..5,
         long in 0usize..2
     ) {
-        assert_parity(&snapped_grid(seed, n), swap_size, rounds(long));
+        assert_parity(&DiskInstance::new(snapped_grid(seed, n)), swap_size, rounds(long));
     }
 }
 
@@ -132,7 +103,7 @@ fn four_for_three_swap_matches_reference() {
     // removes four points (positions 1, 2, 4 and 7 of the greedy
     // solution) and adds three; the pair of removed points sharing a
     // candidate between their private disks is not the first two.
-    let inst = snapped_grid(14_473_064_984_358_140_282, 18);
+    let inst = DiskInstance::new(snapped_grid(14_473_064_984_358_140_282, 18));
     let three = local_search_with(
         &inst,
         LocalSearchConfig {

@@ -102,6 +102,14 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test sweep_determinism -q --o
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-hitting --test local_search_parity -q --offline
 
+# Instance parity soak: the windowed DiskInstance build and the
+# incremental-gain greedy must return the brute-force referee's
+# candidates (bit for bit), hit lists and greedy picks, on the same
+# fields, on circles through one point and far from the origin; the
+# deduplication must match the quadratic rule.
+echo "==> SAG_PROP_CASES=150 cargo test -p sag-hitting --test instance_parity -q --offline"
+SAG_PROP_CASES=150 cargo test -p sag-hitting --test instance_parity -q --offline
+
 # Sweep smoke: a real figure sweep (the cache-heavy Fig. 3(e) shape)
 # driven end to end through the release repro binary and the batched
 # engine. Fig. 3(e) reaches its solvers through solve_ilpqc and samc
