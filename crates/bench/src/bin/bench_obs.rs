@@ -15,15 +15,17 @@
 //!   on the `enabled()` check);
 //! * **collected** — the default [`run_sag`], which installs a
 //!   thread-local [`sag_obs::Collector`] for the run (informational);
-//! * **ring** — the disabled path with the flight recorder armed
-//!   (`SAG_OBS_RING`-style), measuring what the always-on crash
-//!   timeline costs (informational).
+//! * **ring** — `collect_metrics: false` with the flight recorder
+//!   installed alone (`SAG_OBS_RING`-style). The flight recorder is a
+//!   recorder, so `enabled()` holds: every span, counter and guarded
+//!   flush runs and lands in the ring. This measures what the
+//!   always-on crash timeline costs (informational).
 //!
 //! All variants are checked for identical deployments on every probe
 //! scenario before any timing — instrumentation must never change
-//! results. The gate
-//! asserts the disabled path (flight recorder compiled in but off)
-//! stays within [`MAX_OVERHEAD`] of the baseline.
+//! results. The gate asserts the disabled path (no recorder installed,
+//! the flight recorder included) stays within [`MAX_OVERHEAD`] of the
+//! baseline.
 //!
 //! `--check-jsonl FILE` switches to validator mode: every line of a
 //! `SAG_OBS_JSON` capture must parse as JSON, the header/trailer must
@@ -263,10 +265,10 @@ fn main() {
                         .collect::<Vec<_>>()
                 })
             },
-            // Disabled path with the flight recorder armed: what the
-            // crash timeline costs when somebody sets SAG_OBS_RING. The
-            // ring is re-disarmed after every sample so the other
-            // variants keep measuring the truly-off path.
+            // The flight recorder installed alone: what the crash
+            // timeline costs when somebody sets SAG_OBS_RING. It is
+            // uninstalled after every sample so the other variants keep
+            // measuring the path with no recorder at all.
             &mut || {
                 time_ns(INNER_ITERS, || {
                     sag_obs::ring::configure(256);

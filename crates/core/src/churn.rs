@@ -293,11 +293,6 @@ impl ChurnEngine {
         &self.report
     }
 
-    /// Consumes the engine, yielding its report.
-    pub fn into_report(self) -> ChurnReport {
-        self.report
-    }
-
     /// Read-only view of the live interference ledger.
     pub fn ledger(&self) -> &InterferenceLedger {
         &self.ledger
@@ -442,7 +437,7 @@ impl ChurnEngine {
 
         // Deferral is the rung the SLO burn-rate analysis cares about:
         // leave a forensics frame with the backlog state.
-        if rung == RepairRung::Deferred && sag_obs::armed() {
+        if rung == RepairRung::Deferred && sag_obs::enabled() {
             let detail = format!(
                 "repair deferred ({} backlog slots, {})",
                 self.deferred.len(),

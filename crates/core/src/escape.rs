@@ -25,28 +25,6 @@ pub struct EscapeResult {
     pub served: Vec<Vec<usize>>,
 }
 
-impl EscapeResult {
-    /// Indices of relay points serving exactly one subscriber
-    /// (one-on-one coverage).
-    pub fn one_on_one_points(&self) -> Vec<usize> {
-        self.served
-            .iter()
-            .enumerate()
-            .filter_map(|(p, subs)| (subs.len() == 1).then_some(p))
-            .collect()
-    }
-
-    /// Indices of relay points serving no subscriber after the escape
-    /// (possible when another point absorbed all their candidates).
-    pub fn unused_points(&self) -> Vec<usize> {
-        self.served
-            .iter()
-            .enumerate()
-            .filter_map(|(p, subs)| subs.is_empty().then_some(p))
-            .collect()
-    }
-}
-
 /// Builds the subscriber×point bipartite graph of Algorithm 3 Steps 1–2.
 pub fn coverage_bipartite(scenario: &Scenario, points: &[Point]) -> BipartiteGraph {
     let mut g = BipartiteGraph::new(scenario.n_subscribers(), points.len());
@@ -112,9 +90,7 @@ mod tests {
         let pts = vec![Point::new(10.0, 0.0), Point::new(100.0, 0.0)];
         let r = coverage_link_escape(&sc, &pts);
         assert_eq!(r.assignment, vec![Some(0), Some(0), Some(1)]);
-        assert_eq!(r.served[0], vec![0, 1]);
-        assert_eq!(r.one_on_one_points(), vec![1]);
-        assert!(r.unused_points().is_empty());
+        assert_eq!(r.served, vec![vec![0, 1], vec![2]]);
     }
 
     #[test]
@@ -125,7 +101,7 @@ mod tests {
         let pts = vec![Point::new(10.0, 0.0), Point::new(30.0, 0.0)];
         let r = coverage_link_escape(&sc, &pts);
         assert_eq!(r.assignment, vec![Some(0), Some(0)]);
-        assert_eq!(r.unused_points(), vec![1]);
+        assert!(r.served[1].is_empty());
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Circle {
         float::leq(self.center.distance(p), self.radius)
     }
 
-    /// Returns `true` if `p` lies strictly inside the open disk.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        float::lt(self.center.distance(p), self.radius)
-    }
-
     /// Returns `true` if `p` lies on the circle boundary (with tolerance).
     ///
     /// Uses a larger tolerance (`1e-6`) than the generic [`float::EPS`]
@@ -241,7 +235,6 @@ mod tests {
         let a = c(0.0, 0.0, 2.0);
         assert!(a.contains(Point::new(1.0, 1.0)));
         assert!(a.contains(Point::new(2.0, 0.0)));
-        assert!(!a.contains_strict(Point::new(2.0, 0.0)));
         assert!(!a.contains(Point::new(2.1, 0.0)));
         assert!(a.on_boundary(Point::new(0.0, 2.0)));
     }

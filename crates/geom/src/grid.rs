@@ -98,17 +98,6 @@ impl GridSpec {
             idx: 0,
         }
     }
-
-    /// Index of the cell containing point `p` as `(col, row)`, or `None`
-    /// if `p` is outside the rectangle.
-    pub fn locate(&self, p: Point) -> Option<(usize, usize)> {
-        if !self.rect.contains(p) {
-            return None;
-        }
-        let col = (((p.x - self.rect.min().x) / self.cell) as usize).min(self.cols() - 1);
-        let row = (((p.y - self.rect.min().y) / self.cell) as usize).min(self.rows() - 1);
-        Some((col, row))
-    }
 }
 
 /// Iterator over grid cell centres. See [`GridSpec::centers`].
@@ -174,16 +163,10 @@ mod tests {
         let g = GridSpec::new(Rect::centered_square(100.0), 20.0);
         let first = g.centers().next().unwrap();
         assert!(first.approx_eq(Point::new(-40.0, -40.0)));
-    }
-
-    #[test]
-    fn locate_matches_center() {
-        let g = GridSpec::new(Rect::centered_square(100.0), 10.0);
+        // The walk is row-major: centre `i` is cell `(i % cols, i / cols)`.
         for (i, p) in g.centers().enumerate() {
-            let (col, row) = g.locate(p).unwrap();
-            assert_eq!(row * g.cols() + col, i);
+            assert_eq!(p, g.cell_center(i % g.cols(), i / g.cols()));
         }
-        assert!(g.locate(Point::new(500.0, 0.0)).is_none());
     }
 
     #[test]

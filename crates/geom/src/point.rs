@@ -50,12 +50,6 @@ impl Point {
         (self - other).norm()
     }
 
-    /// Squared Euclidean distance to `other` (avoids the square root).
-    #[inline]
-    pub fn distance_sq(self, other: Point) -> f64 {
-        (self - other).norm_sq()
-    }
-
     /// Midpoint of the segment `self`–`other`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {
@@ -132,24 +126,6 @@ impl Vec2 {
     #[inline]
     pub fn angle(self) -> f64 {
         self.y.atan2(self.x)
-    }
-
-    /// Rotates by `theta` radians counter-clockwise.
-    #[inline]
-    pub fn rotate(self, theta: f64) -> Vec2 {
-        let (s, c) = theta.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
-    /// Returns the unit vector in the same direction, or `None` for the
-    /// (near-)zero vector.
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n <= float::EPS {
-            None
-        } else {
-            Some(self / n)
-        }
     }
 
     /// The perpendicular vector rotated +90 degrees.
@@ -282,7 +258,6 @@ mod tests {
         let p = Point::new(0.0, 0.0);
         let q = Point::new(3.0, 4.0);
         assert_eq!(p.distance(q), 5.0);
-        assert_eq!(p.distance_sq(q), 25.0);
     }
 
     #[test]
@@ -309,17 +284,7 @@ mod tests {
 
     #[test]
     fn rotate_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0).rotate(std::f64::consts::FRAC_PI_2);
-        assert!((v.x).abs() < 1e-12);
-        assert!((v.y - 1.0).abs() < 1e-12);
         assert_eq!(Vec2::new(1.0, 0.0).perp(), Vec2::new(0.0, 1.0));
-    }
-
-    #[test]
-    fn normalized_zero_is_none() {
-        assert!(Vec2::ZERO.normalized().is_none());
-        let u = Vec2::new(0.0, 5.0).normalized().unwrap();
-        assert!((u.norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -359,12 +324,6 @@ mod tests {
             let b = Point::new(bx, by);
             let c = Point::new(cx, cy);
             prop_assert!(a.distance(c) <= a.distance(b) + b.distance(c) + 1e-9);
-        }
-
-        fn rotation_preserves_norm(x in -1e3..1e3f64, y in -1e3..1e3f64,
-                                   theta in -10.0..10.0f64) {
-            let v = Vec2::new(x, y);
-            prop_assert!((v.rotate(theta).norm() - v.norm()).abs() < 1e-6);
         }
 
         fn lerp_endpoints(ax in -1e3..1e3f64, ay in -1e3..1e3f64,

@@ -67,11 +67,6 @@ impl BipartiteGraph {
         &self.adj_left[l]
     }
 
-    /// Neighbours (left side) of right vertex `r`.
-    pub fn neighbors_of_right(&self, r: usize) -> &[usize] {
-        &self.adj_right[r]
-    }
-
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
         self.adj_left.iter().map(Vec::len).sum()

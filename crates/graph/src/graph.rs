@@ -76,12 +76,6 @@ impl Graph {
         self.edges.push(Edge { u, v, weight });
     }
 
-    /// Adds a vertex, returning its index.
-    pub fn add_vertex(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Degree of vertex `u`.
     ///
     /// # Panics
@@ -151,15 +145,6 @@ mod tests {
         let nb: Vec<_> = g.neighbors(1).collect();
         assert!(nb.contains(&(0, 1.0)) && nb.contains(&(2, 2.0)));
         assert!((g.total_weight() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_vertex_extends() {
-        let mut g = Graph::new(1);
-        let v = g.add_vertex();
-        assert_eq!(v, 1);
-        g.add_edge(0, 1, 5.0);
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl Budget {
             .map(|p| p.fetch_add(n, Ordering::Relaxed) + n)
     }
 
-    /// Nodes charged to the shared pool so far, if one is attached.
-    pub fn pool_spent(&self) -> Option<usize> {
-        self.pool.as_ref().map(|p| p.load(Ordering::Relaxed))
-    }
-
     /// `true` when no constraint is configured.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.node_limit.is_none() && self.cancel.is_none()
@@ -244,12 +239,12 @@ mod tests {
         let clone = b.clone();
         assert_eq!(b.charge_nodes(4), Some(4));
         assert_eq!(clone.charge_nodes(3), Some(7));
-        assert_eq!(b.pool_spent(), Some(7));
-        assert_eq!(clone.pool_spent(), Some(7));
+        // A zero charge reads the shared total through either clone.
+        assert_eq!(b.charge_nodes(0), Some(7));
+        assert_eq!(clone.charge_nodes(0), Some(7));
         // Without a pool, charging is a no-op and reports nothing.
         let plain = Budget::unlimited();
         assert_eq!(plain.charge_nodes(5), None);
-        assert_eq!(plain.pool_spent(), None);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Post-mortem dump frames: structured failure forensics.
 //!
 //! When a typed failure fires (any `SagError`/`LpError`, a worker
-//! panic, ledger desync, or a churn repair deferral), the owning boundary calls [`crate::post_mortem`] with a
-//! [`Dump`] describing the failure. The frame that results bundles
-//! everything needed to reconstruct what the run was doing:
+//! panic, a ledger desync, or a churn repair deferral), the owning
+//! boundary calls [`crate::post_mortem`] with a [`Dump`] describing
+//! the failure. The frame that results bundles everything needed to
+//! reconstruct what the run was doing:
 //!
 //! * the failure class, detail, stage, zone and budget spend;
 //! * the recording thread's active span stack (names + ids, so the
 //!   frame links into the span tree);
 //! * the merged flight-recorder timeline (see [`crate::ring`]) with
-//!   its overflow count.
+//!   its overflow count. Each ring event carries the fields of the
+//!   JSONL line for the same event, `zone` included, with `epoch` in
+//!   place of `run`, on the same `t_ns` clock.
 //!
 //! Frames are dispatched through the normal recorder fan-out via
 //! [`crate::Recorder::post_mortem`]; the JSONL sink renders them as
@@ -76,11 +79,6 @@ pub fn last_dump() -> Option<String> {
         .map(PostMortem::to_json)
 }
 
-/// Clears the retained frame (test isolation).
-pub fn clear_last_dump() {
-    *LAST.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
 /// Builds a post-mortem frame for `dump` and dispatches it to every
 /// active recorder. Never panics; cost is irrelevant (failure path).
 pub fn post_mortem(dump: &Dump<'_>) {
@@ -139,50 +137,15 @@ pub fn render(dump: &Dump<'_>) -> PostMortem {
         if i > 0 {
             f.push(',');
         }
-        render_ring_event(&mut f, ev);
+        // A JSONL line's fields, with the slot's `epoch` for `run`.
+        let epoch = format_args!("\"epoch\":{}", ev.epoch);
+        ev.event.render_into(&mut f, epoch, ev.t_ns, ev.thread);
     }
     f.push_str("]}");
     PostMortem {
         class: dump.class.to_string(),
         fields: f,
     }
-}
-
-fn render_ring_event(f: &mut String, ev: &ring::RingEvent) {
-    f.push_str(&format!(
-        "{{\"epoch\":{},\"t_ns\":{},\"thread\":{},\"kind\":\"{}\",\"name\":",
-        ev.epoch,
-        ev.t_ns,
-        ev.thread,
-        ev.kind.as_str()
-    ));
-    json::escape_into(f, ev.name);
-    if let Some(stage) = ev.stage {
-        f.push_str(",\"stage\":");
-        json::escape_into(f, stage);
-    }
-    match ev.kind {
-        ring::RingKind::SpanEnter => {
-            f.push_str(&format!(",\"id\":{},\"depth\":{}", ev.a, ev.depth));
-            if ev.b != 0 {
-                f.push_str(&format!(",\"parent\":{}", ev.b));
-            }
-        }
-        ring::RingKind::SpanExit => {
-            f.push_str(&format!(
-                ",\"id\":{},\"depth\":{},\"dur_ns\":{}",
-                ev.a, ev.depth, ev.b
-            ));
-        }
-        ring::RingKind::Counter | ring::RingKind::Observe => {
-            f.push_str(&format!(",\"value\":{}", ev.a));
-        }
-        ring::RingKind::Gauge => {
-            f.push_str(",\"value\":");
-            json::number_into(f, f64::from_bits(ev.a));
-        }
-    }
-    f.push('}');
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@
 //!    installed process-wide from the environment via
 //!    [`init_from_env`]: `SAG_OBS_JSON=<path>` writes to a file,
 //!    `SAG_OBS=1` writes to stderr.
-//! 4. **Flight recorder** — the [`ring`] module keeps a bounded
-//!    per-thread ring of recent events (armed by `SAG_OBS_RING=<n>`
-//!    or [`ring::configure`]), capturing history even when no
-//!    recorder is installed.
+//! 4. **Flight recorder** — the [`ring`] module's recorder keeps a
+//!    bounded per-thread ring of recent [`Event`]s. `SAG_OBS_RING=<n>`
+//!    or [`ring::configure`] installs it globally, so it captures
+//!    history even when no other recorder is installed.
 //! 5. **Forensics** — [`post_mortem`] renders a structured dump frame
 //!    (failure class + span stack + ring timeline + budget spend) and
 //!    fans it out through [`Recorder::post_mortem`]; typed failure
@@ -35,17 +35,23 @@
 //!    determinism contract: results and collected metrics are
 //!    identical at any thread count.
 //!
+//! Every event takes one path: the entry points check [`enabled`] and
+//! dispatch to each active recorder. The JSONL sink and the flight
+//! recorder render an [`Event`] with the same fields on the same `t_ns`
+//! clock, so a trace line and a post-mortem frame's ring event agree.
+//!
 //! # Cost model
 //!
 //! Recorders come in two scopes: **global** (process-wide, installed
-//! with [`install`]) and **thread-local** (active only inside a
-//! [`with_local`] closure, so parallel sweeps do not cross-mix
-//! events). When neither is active and the flight recorder is
-//! disarmed, every instrumentation call short-circuits on two relaxed
-//! atomic loads plus one thread-local flag read — no allocation, no
-//! clock read, no dispatch. Hot solver loops additionally aggregate
-//! their counts in plain locals and flush once per solve, so the
-//! per-iteration cost is zero even with recording enabled.
+//! with [`install`]; the flight recorder is one) and **thread-local**
+//! (active only inside a [`with_local`] closure, so parallel sweeps do
+//! not cross-mix events). When neither is active, every
+//! instrumentation call short-circuits on the one [`enabled`] check —
+//! a relaxed atomic load plus a thread-local flag read — with no
+//! allocation, no clock read, no dispatch. Hot solver loops
+//! additionally aggregate their counts in plain locals and flush once
+//! per solve behind the same check, so the per-iteration cost is zero
+//! even with recording enabled.
 //!
 //! Recorder implementations must never call back into this crate's
 //! recording entry points (the dispatch loop is not re-entrant for
@@ -66,61 +72,39 @@ mod span;
 pub use forensics::{last_dump, Dump, PostMortem};
 pub use metrics::{bucket_floor, Collector, HistSummary, SpanStat, StageMetrics};
 pub use par::{par_indexed, try_par_indexed};
-pub use recorder::{enabled, install, with_local, Recorder, RecorderGuard, SpanMeta};
+pub use recorder::{enabled, install, with_local, Event, Recorder, RecorderGuard, SpanMeta};
 pub use sink::JsonlSink;
 pub use span::{span, span_zone, Span};
 
 use std::sync::Arc;
 
-/// Is any event capture active — a recorder (global or thread-local)
-/// or the flight-recorder ring?
-#[inline]
-pub fn armed() -> bool {
-    enabled() || ring::active()
-}
-
 /// Adds `delta` to the named counter on every active recorder.
 ///
-/// No-op (two relaxed atomic loads) when nothing captures events or
+/// No-op (one [`enabled`] check) when no recorder is active or
 /// `delta == 0`.
 pub fn counter(name: &'static str, delta: u64) {
-    if delta == 0 {
-        return;
-    }
-    let dispatch = enabled();
-    if !dispatch && !ring::active() {
-        return;
-    }
-    let stage = recorder::current_stage();
-    ring::record_metric(ring::RingKind::Counter, name, stage, delta);
-    if dispatch {
-        recorder::for_each(|r| r.counter(name, delta, stage));
+    if delta != 0 {
+        dispatch(|r, stage| r.counter(name, delta, stage));
     }
 }
 
 /// Sets the named gauge to `value` on every active recorder.
 pub fn gauge(name: &'static str, value: f64) {
-    let dispatch = enabled();
-    if !dispatch && !ring::active() {
-        return;
-    }
-    let stage = recorder::current_stage();
-    ring::record_metric(ring::RingKind::Gauge, name, stage, value.to_bits());
-    if dispatch {
-        recorder::for_each(|r| r.gauge(name, value, stage));
-    }
+    dispatch(|r, stage| r.gauge(name, value, stage));
 }
 
 /// Records one histogram observation of `value` under `name`.
 pub fn observe(name: &'static str, value: u64) {
-    let dispatch = enabled();
-    if !dispatch && !ring::active() {
-        return;
-    }
-    let stage = recorder::current_stage();
-    ring::record_metric(ring::RingKind::Observe, name, stage, value);
-    if dispatch {
-        recorder::for_each(|r| r.observe(name, value, stage));
+    dispatch(|r, stage| r.observe(name, value, stage));
+}
+
+/// Calls `hook` on every active recorder with the recording thread's
+/// stage; one [`enabled`] check when none is active.
+#[inline]
+fn dispatch(hook: impl Fn(&dyn Recorder, Option<&'static str>)) {
+    if enabled() {
+        let stage = recorder::current_stage();
+        recorder::for_each(|r| hook(r, stage));
     }
 }
 
@@ -141,15 +125,15 @@ pub struct ObsSession {
     _guard: RecorderGuard,
 }
 
-/// Installs a [`JsonlSink`] if the environment asks for one, and arms
-/// the flight recorder if `SAG_OBS_RING` is set.
+/// Installs a [`JsonlSink`] if the environment asks for one, and the
+/// flight recorder if `SAG_OBS_RING` is set.
 ///
 /// `SAG_OBS_JSON=<path>` selects a file sink (the path is truncated);
 /// otherwise `SAG_OBS=1` selects a stderr sink. Returns `None` when
-/// neither variable is set (the ring, which works without a sink, may
-/// still have been armed). A file that cannot be created is reported
-/// on stderr and treated as "not configured" — observability must
-/// never take the pipeline down.
+/// neither variable is set (the flight recorder, which works without a
+/// sink, may still have been installed). A file that cannot be created
+/// is reported on stderr and treated as "not configured" —
+/// observability must never take the pipeline down.
 pub fn init_from_env() -> Option<ObsSession> {
     ring::init_env();
     let sink = match std::env::var("SAG_OBS_JSON") {

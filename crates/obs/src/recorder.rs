@@ -1,12 +1,16 @@
-//! The [`Recorder`] trait and the two dispatch scopes (global +
-//! thread-local) behind every instrumentation call.
+//! The [`Recorder`] trait, the two dispatch scopes (global +
+//! thread-local) behind every instrumentation call, and the one event
+//! model ([`Event`], its renderer and the trace clock) that the JSONL
+//! sink and the flight recorder share.
 
 use std::cell::{Cell, RefCell};
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 use crate::forensics::PostMortem;
+use crate::json;
 use crate::metrics::StageMetrics;
 
 /// Identity and linkage of one span, passed to the span hooks.
@@ -29,6 +33,124 @@ pub struct SpanMeta {
     /// Zone index this span is attributed to, if any (see
     /// [`crate::span_zone`]).
     pub zone: Option<u64>,
+}
+
+/// One span or metric event, holding what its [`Recorder`] hook
+/// received: what the JSONL sink writes as a line and the flight
+/// recorder keeps in a ring slot (see [`crate::ring`]). Metric events
+/// hold `(name, value, stage)`, in the hooks' argument order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event {
+    /// A span opened.
+    SpanEnter(SpanMeta),
+    /// A span closed after the given wall time.
+    SpanExit(SpanMeta, Duration),
+    /// A counter's name, the delta added to it, and its stage.
+    Counter(&'static str, u64, Option<&'static str>),
+    /// A gauge's name, its new value, and its stage.
+    Gauge(&'static str, f64, Option<&'static str>),
+    /// A histogram's name, the observed value, and its stage.
+    Observe(&'static str, u64, Option<&'static str>),
+}
+
+impl Event {
+    /// Appends the event as one JSON object: the fields
+    /// [`open_object`] writes, then a span's `name`, `depth`, `id`,
+    /// `parent` and `zone` when present and `dur_ns` on exit, or a
+    /// metric's `name`, `stage` when known and `value`.
+    pub(crate) fn render_into(
+        &self,
+        out: &mut String,
+        tag: impl fmt::Display,
+        t_ns: u64,
+        thread: u64,
+    ) {
+        let kind = match self {
+            Event::SpanEnter(_) => "span_enter",
+            Event::SpanExit(..) => "span_exit",
+            Event::Counter(..) => "counter",
+            Event::Gauge(..) => "gauge",
+            Event::Observe(..) => "observe",
+        };
+        open_object(out, kind, tag, t_ns, thread);
+        match *self {
+            Event::SpanEnter(span) => span_fields(out, &span),
+            Event::SpanExit(span, dur) => {
+                span_fields(out, &span);
+                let _ = write!(out, ",\"dur_ns\":{}", dur.as_nanos());
+            }
+            Event::Counter(name, value, stage) | Event::Observe(name, value, stage) => {
+                metric_fields(out, name, stage);
+                let _ = write!(out, "{value}");
+            }
+            Event::Gauge(name, value, stage) => {
+                metric_fields(out, name, stage);
+                json::number_into(out, value);
+            }
+        }
+        out.push('}');
+    }
+}
+
+/// A span's `name`, `depth` and `id`, plus `parent` and `zone` when
+/// present.
+fn span_fields(out: &mut String, span: &SpanMeta) {
+    out.push_str(",\"name\":");
+    json::escape_into(out, span.name);
+    let _ = write!(out, ",\"depth\":{},\"id\":{}", span.depth, span.id);
+    if let Some(parent) = span.parent {
+        let _ = write!(out, ",\"parent\":{parent}");
+    }
+    if let Some(zone) = span.zone {
+        let _ = write!(out, ",\"zone\":{zone}");
+    }
+}
+
+/// A metric's `name`, its `stage` when known, and the `value` key.
+fn metric_fields(out: &mut String, name: &str, stage: Option<&str>) {
+    out.push_str(",\"name\":");
+    json::escape_into(out, name);
+    if let Some(stage) = stage {
+        out.push_str(",\"stage\":");
+        json::escape_into(out, stage);
+    }
+    out.push_str(",\"value\":");
+}
+
+/// Opens the JSON object of one trace record with the fields that
+/// every JSONL line after the header and every ring event start with:
+/// `kind`, the caller's `tag` field (a line's `"run":"<id>"`, a ring
+/// slot's `"epoch":<n>`), `t_ns` on the trace clock and `thread`.
+pub(crate) fn open_object(
+    out: &mut String,
+    kind: &str,
+    tag: impl fmt::Display,
+    t_ns: u64,
+    thread: u64,
+) {
+    let _ = write!(
+        out,
+        "{{\"kind\":\"{kind}\",{tag},\"t_ns\":{t_ns},\"thread\":{thread}"
+    );
+}
+
+/// Origin of the trace clock: the process's first reading of it.
+static T0: OnceLock<Instant> = OnceLock::new();
+static NEXT_THREAD_ORDINAL: AtomicU64 = AtomicU64::new(0);
+
+/// Monotonic nanoseconds on the trace clock, the one `t_ns` origin of
+/// JSONL lines and ring events.
+pub(crate) fn t_ns() -> u64 {
+    T0.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// This thread's small, stable per-process ordinal (the `thread`
+/// field; `std::thread::ThreadId` has no stable numeric accessor).
+pub(crate) fn thread_ordinal() -> u64 {
+    thread_local! {
+        static ORDINAL: u64 = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
+    }
+    ORDINAL.with(|t| *t)
 }
 
 /// Sink for observability events.

@@ -1,119 +1,66 @@
 //! Flight recorder: bounded, allocation-free per-thread event rings.
 //!
-//! When armed (capacity > 0), every span/counter/gauge/observe event
-//! is additionally copied into a fixed-capacity ring owned by the
-//! recording thread — even when no [`crate::Recorder`] is installed —
-//! so a post-mortem frame can always show what the failing run was
-//! doing. Each event carries a process-global epoch (one relaxed
-//! `fetch_add`), so rings from the coordinator and its fan-out workers
-//! merge into one totally ordered timeline.
+//! The flight recorder is a [`Recorder`]. [`configure`] with a
+//! capacity above 0 installs it globally and `0` uninstalls it;
+//! [`crate::init_from_env`] calls it with `SAG_OBS_RING=<capacity>`.
+//! Events reach it through the same dispatch as the JSONL sink and the
+//! `Collector`, so it sees exactly what they see, even with neither
+//! installed. Each slot keeps the [`Event`] its hook received, stamped
+//! with the recording thread, a `t_ns` on the JSONL sink's clock and a
+//! process-global epoch (one relaxed `fetch_add`), so rings from the
+//! coordinator and its fan-out workers merge into one totally ordered
+//! timeline. A post-mortem frame renders that timeline with the JSONL
+//! line schema (see [`crate::forensics`]).
 //!
-//! Cost model: the disarmed check is one relaxed atomic load (stacked
-//! on the recorder-disabled check, the fully-off instrumentation path
-//! stays at two relaxed loads plus a thread-local flag read). The
-//! armed path is one epoch `fetch_add`, one uncontended per-thread
-//! mutex lock and one slot overwrite — no allocation after the ring's
-//! one-time creation.
-//!
-//! Arm it with `SAG_OBS_RING=<capacity>` (picked up by
-//! [`crate::init_from_env`]) or programmatically with [`configure`];
-//! `0` disarms. Overwritten events are counted per ring and surfaced
-//! in aggregate by [`overflow_total`] (the `run_end` JSONL trailer
-//! reports it as `ring_overflow`).
+//! Cost model: while the flight recorder is installed, `enabled()` is
+//! true, so every instrumentation call and every guarded flush runs and
+//! reaches it. Each event costs the dispatch to global recorders, one
+//! epoch `fetch_add`, one clock read, one uncontended per-thread mutex
+//! lock and one slot overwrite, with no allocation after the ring's
+//! one-time creation. Overwritten events are counted
+//! per ring and surfaced in aggregate by [`overflow_total`] (the
+//! `run_end` JSONL trailer reports it as `ring_overflow`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
-use crate::recorder::SpanMeta;
+use crate::recorder::{self, Event, Recorder, RecorderGuard, SpanMeta};
 
 /// Ring capacity in events; 0 = flight recorder off.
 static CAPACITY: AtomicUsize = AtomicUsize::new(0);
+/// The installed flight recorder's guard, while the capacity is above 0.
+static INSTALLED: Mutex<Option<RecorderGuard>> = Mutex::new(None);
 /// Process-global event sequence number (total order across threads).
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 /// Overflow carried by rings that were pruned from the registry.
 static PRUNED_OVERFLOW: AtomicU64 = AtomicU64::new(0);
 /// Every live ring, in registration order.
 static REGISTRY: Mutex<Vec<Arc<Mutex<RingBuf>>>> = Mutex::new(Vec::new());
-/// Monotonic time base shared by all rings.
-static T0: OnceLock<Instant> = OnceLock::new();
 
 /// Registry size above which orphaned rings (their thread exited) are
 /// pruned. Generously above any per-run thread count, so the rings of
 /// freshly dead workers survive until the dump that needs them.
 const PRUNE_THRESHOLD: usize = 64;
 
-static NEXT_THREAD_ORDINAL: AtomicU64 = AtomicU64::new(0);
 thread_local! {
-    /// Small stable per-thread id for event attribution
-    /// (`std::thread::ThreadId` has no stable numeric accessor).
-    /// Shared with the JSONL sink so ring and sink timelines agree.
-    static THREAD_ORDINAL: u64 = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
-    /// This thread's ring, created lazily on first armed record.
+    /// This thread's ring, created lazily on its first event.
     static RING: RefCell<Option<Arc<Mutex<RingBuf>>>> = const { RefCell::new(None) };
 }
 
-/// This thread's stable per-process ordinal.
-pub(crate) fn thread_ordinal() -> u64 {
-    THREAD_ORDINAL.with(|t| *t)
-}
-
-/// Nanoseconds since the process-wide ring time base.
-pub(crate) fn t_ns() -> u64 {
-    T0.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// What kind of event a ring slot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingKind {
-    /// A span opened (`a` = span id, `b` = parent id or 0).
-    SpanEnter,
-    /// A span closed (`a` = span id, `b` = duration in ns).
-    SpanExit,
-    /// A counter increment (`a` = delta).
-    Counter,
-    /// A gauge update (`a` = the `f64` value's bit pattern).
-    Gauge,
-    /// A histogram observation (`a` = value).
-    Observe,
-}
-
-impl RingKind {
-    /// Stable lower-case name (what dump frames render).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RingKind::SpanEnter => "span_enter",
-            RingKind::SpanExit => "span_exit",
-            RingKind::Counter => "counter",
-            RingKind::Gauge => "gauge",
-            RingKind::Observe => "observe",
-        }
-    }
-}
-
-/// One captured event. `a`/`b` are per-kind payloads (see
-/// [`RingKind`]); `depth` is only meaningful for span events.
-#[derive(Debug, Clone, Copy)]
+/// One ring slot: the event a recorder hook received, stamped when the
+/// flight recorder recorded it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingEvent {
     /// Process-global sequence number (merge key across threads).
     pub epoch: u64,
-    /// Nanoseconds since the ring time base.
+    /// Nanoseconds on the trace clock (the JSONL lines' `t_ns`).
     pub t_ns: u64,
     /// Recording thread's per-process ordinal.
     pub thread: u64,
-    /// Event kind (fixes the meaning of `a`/`b`).
-    pub kind: RingKind,
-    /// Event name.
-    pub name: &'static str,
-    /// Innermost open span at record time, if any.
-    pub stage: Option<&'static str>,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-    /// 1-based span depth (0 for metric events).
-    pub depth: u32,
+    /// What the hook received.
+    pub event: Event,
 }
 
 /// A merged view of every thread's ring (see [`snapshot`]).
@@ -160,20 +107,20 @@ impl RingBuf {
     }
 }
 
-/// Is the flight recorder armed?
-#[inline]
-pub fn active() -> bool {
-    CAPACITY.load(Ordering::Relaxed) != 0
-}
-
-/// Sets the per-thread ring capacity (0 disarms). Rings that already
-/// exist keep their creation-time capacity; new threads pick up the
-/// new value.
+/// Sets the per-thread ring capacity; above 0 installs the flight
+/// recorder, `0` uninstalls it. Rings that already exist keep their
+/// creation-time capacity; new threads pick up the new value.
 pub fn configure(capacity: usize) {
+    let mut installed = INSTALLED.lock().unwrap_or_else(PoisonError::into_inner);
     CAPACITY.store(capacity, Ordering::SeqCst);
+    if capacity == 0 {
+        *installed = None;
+    } else if installed.is_none() {
+        *installed = Some(crate::install(Arc::new(FlightRecorder)));
+    }
 }
 
-/// Reads `SAG_OBS_RING` and arms the recorder accordingly; unset,
+/// Reads `SAG_OBS_RING` and configures the ring accordingly; unset,
 /// empty or unparseable values leave the current configuration alone
 /// (observability must never take the pipeline down).
 pub fn init_env() {
@@ -209,38 +156,55 @@ pub fn snapshot() -> RingSnapshot {
     RingSnapshot { events, overflow }
 }
 
-/// Records one event into this thread's ring (no-op when disarmed).
-fn record(
-    kind: RingKind,
-    name: &'static str,
-    stage: Option<&'static str>,
-    a: u64,
-    b: u64,
-    depth: u32,
-) {
+/// The flight recorder: the [`Recorder`] that [`configure`] installs.
+struct FlightRecorder;
+
+impl Recorder for FlightRecorder {
+    fn span_enter(&self, span: &SpanMeta) {
+        record(Event::SpanEnter(*span));
+    }
+
+    fn span_exit(&self, span: &SpanMeta, dur: Duration) {
+        record(Event::SpanExit(*span, dur));
+    }
+
+    fn counter(&self, name: &'static str, delta: u64, stage: Option<&'static str>) {
+        record(Event::Counter(name, delta, stage));
+    }
+
+    fn gauge(&self, name: &'static str, value: f64, stage: Option<&'static str>) {
+        record(Event::Gauge(name, value, stage));
+    }
+
+    fn observe(&self, name: &'static str, value: u64, stage: Option<&'static str>) {
+        record(Event::Observe(name, value, stage));
+    }
+}
+
+/// Records `event` into this thread's ring. A no-op at capacity 0,
+/// which a hook can still see while [`configure`] uninstalls the
+/// flight recorder.
+fn record(event: Event) {
     let cap = CAPACITY.load(Ordering::Relaxed);
     if cap == 0 {
         return;
     }
-    let ev = RingEvent {
+    let slot = RingEvent {
         epoch: EPOCH.fetch_add(1, Ordering::Relaxed),
-        t_ns: t_ns(),
-        thread: thread_ordinal(),
-        kind,
-        name,
-        stage,
-        a,
-        b,
-        depth,
+        t_ns: recorder::t_ns(),
+        thread: recorder::thread_ordinal(),
+        event,
     };
-    RING.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let ring = slot.get_or_insert_with(|| {
+    RING.with(|ring| {
+        let mut ring = ring.borrow_mut();
+        let ring = ring.get_or_insert_with(|| {
             let ring = Arc::new(Mutex::new(RingBuf::new(cap)));
             register(ring.clone());
             ring
         });
-        ring.lock().unwrap_or_else(PoisonError::into_inner).push(ev);
+        ring.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(slot);
     });
 }
 
@@ -261,37 +225,6 @@ fn register(ring: Arc<Mutex<RingBuf>>) {
     rings.push(ring);
 }
 
-pub(crate) fn record_span_enter(meta: &SpanMeta) {
-    record(
-        RingKind::SpanEnter,
-        meta.name,
-        None,
-        meta.id,
-        meta.parent.unwrap_or(0),
-        meta.depth as u32,
-    );
-}
-
-pub(crate) fn record_span_exit(meta: &SpanMeta, dur: Duration) {
-    record(
-        RingKind::SpanExit,
-        meta.name,
-        None,
-        meta.id,
-        dur.as_nanos() as u64,
-        meta.depth as u32,
-    );
-}
-
-pub(crate) fn record_metric(
-    kind: RingKind,
-    name: &'static str,
-    stage: Option<&'static str>,
-    a: u64,
-) {
-    record(kind, name, stage, a, 0, 0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,52 +233,67 @@ mod tests {
     /// not interleave under the parallel test runner.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    /// The ring registry is process-global, so tests (which cargo runs
-    /// on parallel threads) assert on their own thread's events only.
-    fn my_events(snap: &RingSnapshot) -> Vec<RingEvent> {
-        let me = thread_ordinal();
-        snap.events
-            .iter()
-            .filter(|e| e.thread == me)
-            .copied()
-            .collect()
+    /// The `(delta, stage)` of a ring event if it is the counter `name`.
+    fn counted(e: &RingEvent, name: &str) -> Option<(u64, Option<&'static str>)> {
+        match e.event {
+            Event::Counter(n, delta, stage) if n == name => Some((delta, stage)),
+            _ => None,
+        }
     }
 
     #[test]
     fn disarmed_ring_records_nothing() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        record_metric(RingKind::Counter, "ring.disarmed_probe", None, 1);
-        let snap = snapshot();
-        assert!(my_events(&snap)
-            .iter()
-            .all(|e| e.name != "ring.disarmed_probe"));
+        crate::counter("ring.disarmed_probe", 1);
+        drop(crate::span("ring.disarmed_span"));
+        // The registry is process-global: look at this thread's events.
+        let me = recorder::thread_ordinal();
+        let recorded = snapshot().events.iter().any(|e| {
+            e.thread == me
+                && (counted(e, "ring.disarmed_probe").is_some()
+                    || matches!(e.event, Event::SpanEnter(s) if s.name == "ring.disarmed_span"))
+        });
+        assert!(!recorded);
     }
 
     #[test]
     fn armed_ring_captures_bounded_history_and_counts_overflow() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         configure(4);
-        for i in 0..10u64 {
-            record_metric(RingKind::Observe, "ring.bounded_probe", Some("stage"), i);
-        }
-        let snap = snapshot();
+        // A fresh thread gets a fresh ring at this capacity.
+        let (snap, me) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _stage = crate::span("stage");
+                for i in 1..=10u64 {
+                    crate::counter("ring.bounded_probe", i);
+                }
+                (snapshot(), recorder::thread_ordinal())
+            })
+            .join()
+            .expect("probe thread")
+        });
         configure(0);
-        let mine: Vec<_> = my_events(&snap)
-            .into_iter()
-            .filter(|e| e.name == "ring.bounded_probe")
+        let mine: Vec<_> = snap.events.iter().filter(|e| e.thread == me).collect();
+        let values: Vec<u64> = mine
+            .iter()
+            .filter_map(|e| counted(e, "ring.bounded_probe"))
+            .map(|(delta, stage)| {
+                assert_eq!(stage, Some("stage"));
+                delta
+            })
             .collect();
-        // This thread's ring holds 4 slots; only the newest survive
-        // (the ring may also hold this thread's events from other
-        // tests, so "last 4 of 10" is the upper bound that matters).
+        // The ring holds 4 slots; only the newest events survive.
         assert!(
             mine.len() <= 4,
             "ring must stay bounded, got {}",
             mine.len()
         );
-        let values: Vec<u64> = mine.iter().map(|e| e.a).collect();
-        assert!(values.contains(&9), "newest event must survive: {values:?}");
-        assert!(!values.contains(&0), "oldest event must be overwritten");
-        assert!(snap.overflow >= 6, "10 events into 4 slots lose >= 6");
+        assert!(
+            values.contains(&10),
+            "newest event must survive: {values:?}"
+        );
+        assert!(!values.contains(&1), "oldest event must be overwritten");
+        assert!(snap.overflow >= 7, "11 events into 4 slots lose 7");
         // Epochs strictly increase within a thread's timeline.
         assert!(mine.windows(2).all(|w| w[0].epoch < w[1].epoch));
     }
@@ -354,19 +302,17 @@ mod tests {
     fn rings_merge_across_threads_by_epoch() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         configure(16);
-        record_metric(RingKind::Counter, "ring.merge_probe", None, 1);
+        crate::counter("ring.merge_probe", 1);
         std::thread::scope(|s| {
-            s.spawn(|| {
-                record_metric(RingKind::Counter, "ring.merge_probe", None, 2);
-            });
+            s.spawn(|| crate::counter("ring.merge_probe", 2));
         });
-        record_metric(RingKind::Counter, "ring.merge_probe", None, 3);
+        crate::counter("ring.merge_probe", 3);
         let snap = snapshot();
         configure(0);
         let probe: Vec<_> = snap
             .events
             .iter()
-            .filter(|e| e.name == "ring.merge_probe")
+            .filter(|e| counted(e, "ring.merge_probe").is_some())
             .collect();
         assert!(probe.len() >= 3);
         assert!(snap.events.windows(2).all(|w| w[0].epoch <= w[1].epoch));

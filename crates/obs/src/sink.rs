@@ -1,16 +1,15 @@
 //! Structured JSONL sink: one JSON object per event, one per line.
 //!
 //! Schema (`DESIGN.md` "Observability" documents it in full): every
-//! line carries `kind`, `run`, `t_ns` (monotonic nanoseconds since
-//! the sink was created) and `thread` (a small per-process thread
-//! ordinal shared with the flight recorder). Span lines add
-//! `name`/`depth`/`id` plus `parent` when the span has one and `zone`
-//! when it is zone-attributed (and `dur_ns` on exit); metric lines
-//! add `name`/`value` and, when known, the enclosing `stage`;
-//! `post_mortem` lines splice a rendered forensics frame (see
-//! [`crate::forensics`]). The first line is a `run_start` header, the
-//! last (on drop) a `run_end` trailer carrying `dropped_events` and
-//! the flight recorder's `ring_overflow`.
+//! line after the header carries `kind`, `run`, `t_ns` (monotonic
+//! nanoseconds on the trace clock that also stamps ring events) and
+//! `thread` (a small per-process thread ordinal). Span and metric lines
+//! add the fields that [`Event`] renders, the same fields a
+//! post-mortem frame's ring events carry; `post_mortem` lines splice a
+//! rendered forensics frame (see [`crate::forensics`]). The first line
+//! is a `run_start` header, the last (on drop) a `run_end` trailer
+//! carrying `dropped_events` and the flight recorder's
+//! `ring_overflow`.
 //!
 //! Failure policy: a write error must never reach the pipeline. The
 //! event is dropped, an atomic `dropped_events` counter is bumped,
@@ -21,17 +20,15 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::forensics::PostMortem;
-use crate::json;
-use crate::recorder::{Recorder, SpanMeta};
+use crate::recorder::{self, Event, Recorder, SpanMeta};
 use crate::ring;
 
 /// A [`Recorder`] that renders every event as one JSON line.
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
-    start: Instant,
     run_id: String,
     dropped: AtomicU64,
 }
@@ -58,21 +55,16 @@ impl JsonlSink {
             .duration_since(UNIX_EPOCH)
             .unwrap_or(Duration::ZERO)
             .as_nanos();
-        let run_id = format!("{:x}-{:x}", std::process::id(), wall_ns);
+        let pid = std::process::id();
         let sink = JsonlSink {
             out: Mutex::new(out),
-            start: Instant::now(),
-            run_id,
+            run_id: format!("{pid:x}-{wall_ns:x}"),
             dropped: AtomicU64::new(0),
         };
-        let mut header = String::with_capacity(96);
-        header.push_str("{\"kind\":\"run_start\",\"run\":");
-        json::escape_into(&mut header, &sink.run_id);
-        header.push_str(&format!(
-            ",\"pid\":{},\"wall_unix_ns\":{wall_ns}}}",
-            std::process::id()
+        sink.emit(&format!(
+            "{{\"kind\":\"run_start\",\"run\":\"{}\",\"pid\":{pid},\"wall_unix_ns\":{wall_ns}}}",
+            sink.run_id
         ));
-        sink.emit(&header);
         Arc::new(sink)
     }
 
@@ -98,91 +90,55 @@ impl JsonlSink {
         }
     }
 
-    /// Common line prefix: kind, run id, monotonic time, thread.
-    fn prefix(&self, kind: &str) -> String {
-        let t_ns = self.start.elapsed().as_nanos();
-        let thread = ring::thread_ordinal();
+    /// Opens a line of `kind`, stamped now on this thread (the run id
+    /// is hex digits and a dash, so it needs no escaping).
+    fn line(&self, kind: &str) -> String {
         let mut line = String::with_capacity(160);
-        line.push_str("{\"kind\":");
-        json::escape_into(&mut line, kind);
-        line.push_str(",\"run\":");
-        json::escape_into(&mut line, &self.run_id);
-        line.push_str(&format!(",\"t_ns\":{t_ns},\"thread\":{thread}"));
+        recorder::open_object(
+            &mut line,
+            kind,
+            format_args!("\"run\":\"{}\"", self.run_id),
+            recorder::t_ns(),
+            recorder::thread_ordinal(),
+        );
         line
     }
 
-    fn metric(
-        &self,
-        kind: &str,
-        name: &str,
-        stage: Option<&str>,
-        render_value: impl FnOnce(&mut String),
-    ) {
-        let mut line = self.prefix(kind);
-        line.push_str(",\"name\":");
-        json::escape_into(&mut line, name);
-        if let Some(stage) = stage {
-            line.push_str(",\"stage\":");
-            json::escape_into(&mut line, stage);
-        }
-        line.push_str(",\"value\":");
-        render_value(&mut line);
-        line.push('}');
+    fn event(&self, event: Event) {
+        let mut line = String::with_capacity(160);
+        event.render_into(
+            &mut line,
+            format_args!("\"run\":\"{}\"", self.run_id),
+            recorder::t_ns(),
+            recorder::thread_ordinal(),
+        );
         self.emit(&line);
-    }
-}
-
-impl JsonlSink {
-    /// Renders the shared span fields: name, depth, id, and (when
-    /// present) parent link and zone attribution.
-    fn span_fields(&self, kind: &str, span: &SpanMeta) -> String {
-        let mut line = self.prefix(kind);
-        line.push_str(",\"name\":");
-        json::escape_into(&mut line, span.name);
-        line.push_str(&format!(",\"depth\":{},\"id\":{}", span.depth, span.id));
-        if let Some(parent) = span.parent {
-            line.push_str(&format!(",\"parent\":{parent}"));
-        }
-        if let Some(zone) = span.zone {
-            line.push_str(&format!(",\"zone\":{zone}"));
-        }
-        line
     }
 }
 
 impl Recorder for JsonlSink {
     fn span_enter(&self, span: &SpanMeta) {
-        let mut line = self.span_fields("span_enter", span);
-        line.push('}');
-        self.emit(&line);
+        self.event(Event::SpanEnter(*span));
     }
 
     fn span_exit(&self, span: &SpanMeta, dur: Duration) {
-        let mut line = self.span_fields("span_exit", span);
-        line.push_str(&format!(",\"dur_ns\":{}}}", dur.as_nanos()));
-        self.emit(&line);
+        self.event(Event::SpanExit(*span, dur));
     }
 
     fn counter(&self, name: &'static str, delta: u64, stage: Option<&'static str>) {
-        self.metric("counter", name, stage, |line| {
-            line.push_str(&delta.to_string());
-        });
+        self.event(Event::Counter(name, delta, stage));
     }
 
     fn gauge(&self, name: &'static str, value: f64, stage: Option<&'static str>) {
-        self.metric("gauge", name, stage, |line| {
-            json::number_into(line, value);
-        });
+        self.event(Event::Gauge(name, value, stage));
     }
 
     fn observe(&self, name: &'static str, value: u64, stage: Option<&'static str>) {
-        self.metric("observe", name, stage, |line| {
-            line.push_str(&value.to_string());
-        });
+        self.event(Event::Observe(name, value, stage));
     }
 
     fn post_mortem(&self, dump: &PostMortem) {
-        let mut line = self.prefix("post_mortem");
+        let mut line = self.line("post_mortem");
         line.push(',');
         line.push_str(dump.fields_json());
         line.push('}');
@@ -192,7 +148,7 @@ impl Recorder for JsonlSink {
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let mut trailer = self.prefix("run_end");
+        let mut trailer = self.line("run_end");
         trailer.push_str(&format!(
             ",\"dropped_events\":{},\"ring_overflow\":{}}}",
             self.dropped.load(Ordering::Relaxed),

@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::recorder::{self, SpanMeta};
-use crate::ring;
 
 /// Process-wide span id allocator; 0 is reserved for "no span", so a
 /// disarmed guard can carry id 0.
@@ -13,10 +12,9 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// RAII guard for a timed region (returned by [`span`]).
 ///
 /// Entering dispatches a `span_enter` event; dropping dispatches
-/// `span_exit` with the monotonic-clock duration. When neither a
-/// recorder nor the flight-recorder ring is active at creation the
-/// guard is disarmed: no clock read, no stack push, and the drop is
-/// free.
+/// `span_exit` with the monotonic-clock duration. When no recorder is
+/// active at creation the guard is disarmed: no clock read, no stack
+/// push, and the drop is free.
 #[must_use = "a span only times the region while the guard is alive"]
 pub struct Span {
     meta: SpanMeta,
@@ -48,7 +46,7 @@ pub fn span_zone(name: &'static str, zone: u64) -> Span {
 }
 
 fn span_impl(name: &'static str, zone: Option<u64>) -> Span {
-    if !crate::armed() {
+    if !crate::enabled() {
         return Span {
             meta: SpanMeta {
                 name,
@@ -70,7 +68,6 @@ fn span_impl(name: &'static str, zone: Option<u64>) -> Span {
         parent,
         zone,
     };
-    ring::record_span_enter(&meta);
     recorder::for_each(|r| r.span_enter(&meta));
     Span {
         meta,
@@ -82,7 +79,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur = start.elapsed();
-        ring::record_span_exit(&self.meta, dur);
         recorder::for_each(|r| r.span_exit(&self.meta, dur));
         recorder::pop_span(self.meta.name);
     }

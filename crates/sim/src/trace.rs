@@ -156,11 +156,14 @@ pub fn analyze_str(input: &str) -> TraceReport {
                 }
             }
             "post_mortem" => {
-                if let Some(class) = json::field_str(line, "class") {
+                // The frame's own fields precede its span stack and its
+                // ring events, which carry `stage` and `zone` of their own.
+                let frame = line.split(",\"span_stack\":").next().unwrap_or(line);
+                if let Some(class) = json::field_str(frame, "class") {
                     r.post_mortems.push(PostMortemRec {
                         class: class.to_owned(),
-                        stage: json::field_str(line, "stage").map(str::to_owned),
-                        zone: json::field_u64(line, "zone"),
+                        stage: json::field_str(frame, "stage").map(str::to_owned),
+                        zone: json::field_u64(frame, "zone"),
                     });
                 }
             }
@@ -284,8 +287,9 @@ impl TraceReport {
     }
 
     /// Splits the `churn.repair_ns` observations into `n` equal time
-    /// windows and reports p50/p99 per window against
-    /// [`CHURN_SLO_NS`]. Empty when the stream had no repairs.
+    /// windows that together cover every observation, and reports
+    /// p50/p99 per window against [`CHURN_SLO_NS`]. Empty when the
+    /// stream had no repairs.
     pub fn churn_windows(&self, n: usize) -> Vec<ChurnWindow> {
         if self.churn_repairs.is_empty() || n == 0 {
             return Vec::new();
@@ -302,11 +306,12 @@ impl TraceReport {
             .map(|&(t, _)| t)
             .max()
             .unwrap_or(0);
-        let width = ((hi - lo) / n as u64).max(1);
+        // `n * width > hi - lo`, so window `i` is
+        // `[lo + i·width, lo + (i+1)·width)` and the last one ends past `hi`.
+        let width = (hi - lo) / n as u64 + 1;
         let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n];
         for &(t, v) in &self.churn_repairs {
-            let idx = (((t - lo) / width) as usize).min(n - 1);
-            buckets[idx].push(v);
+            buckets[((t - lo) / width) as usize].push(v);
         }
         buckets
             .into_iter()
@@ -565,6 +570,18 @@ mod tests {
         )
     }
 
+    /// `churn.repair_ns` observation lines, one per `(t_ns, value)`.
+    fn repairs(obs: &[(u64, u64)]) -> String {
+        obs.iter()
+            .map(|(t, v)| {
+                format!(
+                    "{{\"kind\":\"observe\",\"run\":\"r\",\"t_ns\":{t},\"thread\":0,\
+                     \"name\":\"churn.repair_ns\",\"stage\":\"churn\",\"value\":{v}}}\n"
+                )
+            })
+            .collect()
+    }
+
     fn sample_stream() -> String {
         let mut s = String::new();
         s.push_str("{\"kind\":\"run_start\",\"run\":\"r\",\"pid\":1,\"wall_unix_ns\":0}\n");
@@ -589,12 +606,7 @@ mod tests {
             "{\"kind\":\"counter\",\"run\":\"r\",\"t_ns\":30,\"thread\":0,\
              \"name\":\"lp.solves\",\"value\":5}\n",
         );
-        for (t, v) in [(100u64, 80_000u64), (200, 90_000), (10_000, 700_000)] {
-            s.push_str(&format!(
-                "{{\"kind\":\"observe\",\"run\":\"r\",\"t_ns\":{t},\"thread\":0,\
-                 \"name\":\"churn.repair_ns\",\"stage\":\"churn\",\"value\":{v}}}\n"
-            ));
-        }
+        s.push_str(&repairs(&[(100, 80_000), (200, 90_000), (10_000, 700_000)]));
         s.push_str(
             "{\"kind\":\"post_mortem\",\"run\":\"r\",\"t_ns\":40,\"thread\":2,\
              \"class\":\"worker_panic\",\"detail\":\"boom\",\"stage\":\"samc\",\
@@ -654,6 +666,23 @@ mod tests {
         let last = windows.last().expect("windows");
         assert_eq!(last.p99_ns, 700_000);
         assert!(last.burn);
+        // Every observation lies in `[start_ns, end_ns)` of the window
+        // that counts it, also for repairs at t = 0, 5 and 10 in three
+        // windows, where the last window must reach past t = 10.
+        let edge = analyze_str(&repairs(&[(0, 1), (5, 1), (10, 1)]));
+        for (report, n) in [(&r, 4), (&edge, 3)] {
+            let windows = report.churn_windows(n);
+            for w in &windows {
+                let (lo, hi) = (w.start_ns, w.end_ns);
+                let inside = report
+                    .churn_repairs
+                    .iter()
+                    .filter(|&&(t, _)| lo <= t && t < hi);
+                assert_eq!(inside.count(), w.count, "window [{lo}, {hi})");
+            }
+            let counted: usize = windows.iter().map(|w| w.count).sum();
+            assert_eq!(counted, report.churn_repairs.len());
+        }
         let rendered = r.render();
         assert!(rendered.contains("SLO BURN"));
         assert!(rendered.contains("critical path"));

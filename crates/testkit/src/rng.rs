@@ -152,12 +152,6 @@ impl Rng {
             slice.swap(i, j);
         }
     }
-
-    /// A statistically independent generator split off this one
-    /// (advances `self`).
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Range types [`Rng::gen_range`] accepts.
@@ -357,14 +351,6 @@ mod tests {
             v, sorted,
             "50 elements staying in place is a broken shuffle"
         );
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut r = Rng::seed_from_u64(6);
-        let mut a = r.fork();
-        let mut b = r.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

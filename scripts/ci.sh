@@ -176,6 +176,27 @@ run cargo run --release --offline -p sag-bench --bin bench_backends -- --out BEN
 # sweep is too fast for the timer).
 run cargo run --release --offline -p sag-bench --bin bench_sweep -- --out BENCH_sweep.json
 
+# perfbench smoke: the end-to-end benchmark is a workspace of its own
+# (perfbench/), which no step above builds. Build it and run its tests,
+# then run each workload for one second. The last line a run prints is
+# its JSON result, which must read "correct": true with 0 failed
+# operations.
+run cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
+for workload in plan_paper sweep_fig3 churn_hotspots; do
+    echo "==> perfbench --workload ${workload} --seed 1 --seconds 1"
+    if ! result=$(cargo run --release --offline --locked -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed 1 --seconds 1 | tail -n 1); then
+        echo "${result}"
+        echo "perfbench ${workload} exited with an error"
+        exit 1
+    fi
+    echo "${result}"
+    if [[ "${result}" != *'"correct": true,'* || "${result}" != *'"failed": 0,'* ]]; then
+        echo "perfbench ${workload} failed its output check"
+        exit 1
+    fi
+done
+
 # Churn chaos smoke: a short seeded trace through every chaos arm
 # (burst, boundary hop, worker panic, ledger desync); every arm must
 # score a full pass on the typed-error-or-audit-clean contract.

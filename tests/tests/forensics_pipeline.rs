@@ -9,8 +9,12 @@
 //! with correct parent links at 1, 2 and 4 threads. The validator and
 //! analyzer must additionally survive truncated, interleaved and
 //! byte-flipped streams (the [`Fault::ObsSinkFail`] family) without
-//! panicking.
+//! panicking. The flight recorder is one more recorder on the same
+//! event path: armed alone it records every metric a `Collector` does,
+//! and a frame's ring events carry the JSONL line schema on the JSONL
+//! clock.
 
+use std::collections::HashSet;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -21,7 +25,8 @@ use sag_core::churn::{ChurnConfig, ChurnEngine, ChurnEvent, RepairRung};
 use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig};
 use sag_core::{SagError, SolverBuilder};
 use sag_lp::Budget;
-use sag_obs::JsonlSink;
+use sag_obs::json::{field_str, field_u64};
+use sag_obs::{Event, JsonlSink, SpanMeta};
 use sag_sim::gen::{BsLayout, ScenarioSpec};
 use sag_sim::trace::{self, TraceReport};
 
@@ -73,6 +78,60 @@ fn capture(f: impl FnOnce()) -> String {
     sag_obs::ring::configure(0);
     let bytes = buf.0.lock().expect("buffer lock").clone();
     String::from_utf8(bytes).expect("sink emits utf8")
+}
+
+/// The newest epoch in the flight recorder's registry, if any: events
+/// above it were recorded after this call.
+fn last_epoch() -> Option<u64> {
+    sag_obs::ring::snapshot().events.last().map(|e| e.epoch)
+}
+
+/// A trace object's `kind` and its fields after `t_ns`. A ring event
+/// and the JSONL line of the same event differ before that: `epoch`
+/// in place of `run`, and their own readings of the clock.
+fn kind_and_tail(obj: &str) -> Option<(&str, &str)> {
+    let tail = &obj[obj.find(",\"t_ns\":")? + 8..];
+    let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    Some((field_str(obj, "kind")?, tail))
+}
+
+/// A frame's ring events carry the JSONL line schema on the JSONL
+/// clock: each is `kind`, `epoch`, `t_ns` and then the fields of a
+/// span or metric line of `stream` (every event recorded after epoch
+/// `since` must have one), and none is later than the frame's line.
+fn assert_ring_events_are_lines(stream: &str, since: Option<u64>) {
+    let lines: HashSet<_> = stream.lines().filter_map(kind_and_tail).collect();
+    let frame = stream
+        .lines()
+        .find(|l| l.contains("\"kind\":\"post_mortem\""))
+        .expect("dump line");
+    let frame_t = field_u64(frame, "t_ns").expect("frame t_ns");
+    // Flat objects closed by `]}}`: the ring events, the ring, the line.
+    let events = &frame[frame.find("\"events\":[").expect("ring events") + 10..frame.len() - 3];
+    let mut matched = 0;
+    for ev in events.split("},{").filter(|e| !e.is_empty()) {
+        let ev = format!("{{{}}}", ev.trim_matches(['{', '}']));
+        let (Some(epoch), Some(t)) = (field_u64(&ev, "epoch"), field_u64(&ev, "t_ns")) else {
+            panic!("ring event without epoch or t_ns: {ev}");
+        };
+        assert!(
+            t <= frame_t,
+            "ring event at {t} ns after its frame at {frame_t}: {ev}"
+        );
+        let (kind, tail) = kind_and_tail(&ev).expect("ring event has a kind");
+        assert_eq!(
+            ev,
+            format!("{{\"kind\":\"{kind}\",\"epoch\":{epoch},\"t_ns\":{t}{tail}")
+        );
+        if since.is_none_or(|s| epoch > s) {
+            assert!(
+                lines.contains(&(kind, tail)),
+                "no JSONL line has the fields of {ev}"
+            );
+            matched += 1;
+        }
+    }
+    assert!(matched > 0, "the frame holds no ring event of this run");
 }
 
 /// Every line of the stream must parse; the stream must contain
@@ -212,6 +271,7 @@ fn worker_panic_dumps_exactly_once_at_any_thread_count() {
     for threads in [1usize, 2, 4] {
         sag_core::engine::inject_zone_worker_panic(true);
         let mut outcome = Ok(());
+        let since = last_epoch();
         let stream = capture(|| {
             outcome = run_sag_with(
                 &sc,
@@ -242,6 +302,7 @@ fn worker_panic_dumps_exactly_once_at_any_thread_count() {
             .expect("dump line");
         assert!(line.contains("\"span_stack\":["));
         assert!(line.contains("\"ring\":{"));
+        assert_ring_events_are_lines(&stream, since);
     }
 }
 
@@ -250,6 +311,7 @@ fn budget_exhaustion_dumps_spend_accounting() {
     let _guard = ring_lock();
     let sc = build(8, 2, 11);
     let mut outcome = Ok(());
+    let since = last_epoch();
     let stream = capture(|| {
         outcome = run_sag_with(
             &sc,
@@ -269,6 +331,8 @@ fn budget_exhaustion_dumps_spend_accounting() {
     let report = assert_frames(&stream, &["budget_exceeded"]);
     assert_single_tree(&report, "budget_exceeded");
     assert_eq!(report.post_mortems[0].stage.as_deref(), Some("ilpqc"));
+    // The frame names no zone; its ring's zone_solve spans do not lend theirs.
+    assert_eq!(report.post_mortems[0].zone, None);
     let line = stream
         .lines()
         .find(|l| l.contains("\"kind\":\"post_mortem\""))
@@ -276,6 +340,63 @@ fn budget_exhaustion_dumps_spend_accounting() {
     assert!(
         line.contains("\"budget\":{"),
         "budget_exceeded frame must carry spend accounting: {line}"
+    );
+    assert_ring_events_are_lines(&stream, since);
+}
+
+#[test]
+fn ring_alone_records_every_metric_a_collector_records() {
+    let _guard = ring_lock();
+    let sc = build(30, 2, 7);
+    let config = |collect_metrics| SagPipelineConfig {
+        collect_metrics,
+        ..Default::default()
+    };
+    let collected = run_sag_with(&sc, config(true)).expect("feasible").metrics;
+    let since = last_epoch();
+    sag_obs::ring::configure(4096); // far above the run's ~40 events
+    run_sag_with(&sc, config(false)).expect("feasible");
+    let snap = sag_obs::ring::snapshot();
+    sag_obs::ring::configure(0);
+    // The registry is process-wide: keep the events of this run.
+    let events: Vec<Event> = snap
+        .events
+        .iter()
+        .filter(|e| since.is_none_or(|s| e.epoch > s))
+        .map(|e| e.event)
+        .collect();
+    assert!(events.len() < 4096, "the ring overflowed");
+    let recorded: HashSet<_> = events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::Counter(name, _, stage) => Some(("counter", name, stage)),
+            Event::Gauge(name, _, stage) => Some(("gauge", name, stage)),
+            _ => None,
+        })
+        .collect();
+    let counters = collected
+        .counters
+        .iter()
+        .map(|&(n, s, _)| ("counter", n, s));
+    let gauges = collected.gauges.iter().map(|&(n, s, _)| ("gauge", n, s));
+    let wanted: Vec<_> = counters.chain(gauges).collect();
+    assert!(wanted.iter().any(|(_, n, _)| n.starts_with("ledger.")));
+    let missing: Vec<_> = wanted.iter().filter(|w| !recorded.contains(*w)).collect();
+    assert!(missing.is_empty(), "the ring alone missed {missing:?}");
+    let zone_spans: Vec<SpanMeta> = events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::SpanEnter(s) | Event::SpanExit(s, _) if s.name == "zone_solve" => Some(s),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !zone_spans.is_empty(),
+        "no zone_solve span reached the ring"
+    );
+    assert!(
+        zone_spans.iter().all(|s| s.zone.is_some()),
+        "a zone_solve span event lost its zone: {zone_spans:?}"
     );
 }
 
