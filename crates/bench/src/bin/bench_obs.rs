@@ -8,8 +8,10 @@
 //! scheduler's noise:
 //!
 //! * **baseline** — the stages composed by hand with no recorder
-//!   anywhere (validate → SAMC → PRO → MBMC → UCPO), the closest thing
-//!   to an uninstrumented build the instrumented binary can offer;
+//!   anywhere (validate → SAMC → PRO → MBMC → UCPO, SAMC handing its
+//!   interference ledger to PRO as the pipeline does), the closest
+//!   thing to an uninstrumented build the instrumented binary can
+//!   offer;
 //! * **disabled** — [`run_sag_with`] with `collect_metrics: false`, the
 //!   production disabled path (every span/counter call short-circuits
 //!   on the `enabled()` check);
@@ -40,9 +42,9 @@ use sag_bench::harness::{interleaved, time_ns};
 use sag_bench::{bench_scenario, Artefact, Bound};
 use sag_core::mbmc::mbmc;
 use sag_core::model::Scenario;
-use sag_core::pro::pro_with_budget;
+use sag_core::pro::pro_on;
 use sag_core::sag::{run_sag, run_sag_with, SagPipelineConfig, SagReport};
-use sag_core::samc::{samc_with_budget, SamcConfig};
+use sag_core::samc::{samc_with_ledger, SamcConfig};
 use sag_core::ucpo::ucpo;
 use sag_lp::Budget;
 use sag_obs::json::{field_str, field_u64};
@@ -68,15 +70,15 @@ const MAX_OVERHEAD: f64 = 1.02;
 const REQUIRED_STAGES: &[&str] = &["samc", "zone_partition", "pro", "mbmc", "ucpo"];
 
 /// The hand-composed pipeline: the same stage sequence as
-/// `run_sag_with`, minus any collector plumbing. Returns the total
-/// power and relay count so parity against the real pipeline is
-/// checkable.
+/// `run_sag_with`, with the same one ledger handed from SAMC to PRO,
+/// minus any collector plumbing. Returns the total power and relay
+/// count so parity against the real pipeline is checkable.
 fn baseline_pipeline(scenario: &Scenario) -> (f64, usize) {
     scenario.validate().expect("bench scenario is valid");
     let budget = Budget::unlimited();
-    let coverage = samc_with_budget(scenario, SamcConfig::default(), &budget)
+    let (coverage, ledger) = samc_with_ledger(scenario, SamcConfig::default(), &budget, 1)
         .expect("bench scenario is coverable");
-    let lower = pro_with_budget(scenario, &coverage, &budget).expect("PRO succeeds");
+    let lower = pro_on(scenario, &coverage, Some(ledger), &budget).expect("PRO succeeds");
     let plan = mbmc(scenario, &coverage).expect("bench scenario is connectable");
     let upper = ucpo(scenario, &coverage, &plan);
     (

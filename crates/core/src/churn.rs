@@ -347,13 +347,15 @@ impl ChurnEngine {
     /// so a propagating error cannot double-dump), and an event that
     /// lands on the `Deferred` rung emits a `churn_deferred` frame.
     pub fn apply_event(&mut self, event: ChurnEvent, budget: &Budget) -> SagResult<()> {
+        // The frame is rendered while the event's span is open, so it
+        // carries this event's part of the flight recorder only.
+        let _span = sag_obs::span("churn_event");
         self.apply_event_impl(event, budget).inspect_err(|e| {
             e.emit_post_mortem();
         })
     }
 
     fn apply_event_impl(&mut self, event: ChurnEvent, budget: &Budget) -> SagResult<()> {
-        let _span = sag_obs::span("churn_event");
         let started = Instant::now();
         self.events_seen += 1;
 
@@ -457,7 +459,7 @@ impl ChurnEngine {
 
         // 3. Bounded degradation: a backlog at the cap forces a flush.
         if rung == RepairRung::Deferred && self.deferred.len() >= self.config.max_backlog {
-            self.flush_impl()?;
+            self.flush_backlog(false)?;
         }
 
         // 4. Audit policy: catch accumulator drift as a typed error.
@@ -494,12 +496,13 @@ impl ChurnEngine {
     ///
     /// Like [`ChurnEngine::apply_event`], a dump-on-failure boundary.
     pub fn flush(&mut self) -> SagResult<usize> {
-        self.flush_impl().inspect_err(|e| {
-            e.emit_post_mortem();
-        })
+        self.flush_backlog(true)
     }
 
-    fn flush_impl(&mut self) -> SagResult<usize> {
+    /// The flush in its `churn_flush` span. A `boundary` flush dumps a
+    /// failure while that span is open; the forced flush inside an
+    /// event leaves the dump to [`ChurnEngine::apply_event`].
+    fn flush_backlog(&mut self, boundary: bool) -> SagResult<usize> {
         let seeds = std::mem::take(&mut self.deferred);
         if seeds.is_empty() {
             return Ok(0);
@@ -513,6 +516,9 @@ impl ChurnEngine {
                 Ok(seeds.len())
             }
             Err(e) => {
+                if boundary {
+                    e.emit_post_mortem();
+                }
                 self.deferred = seeds;
                 Err(e)
             }
@@ -644,8 +650,9 @@ impl ChurnEngine {
                 // shared greedy rescue in the solver builder, so the
                 // rung accounting here matches the steady-state
                 // pipeline's by construction.
-                let (sol, rescued) =
-                    solver.primary_or_greedy_rescue(&zsc, || samc::solve_zone(&zsc, cfg))?;
+                let (sol, rescued) = solver.primary_or_greedy_rescue(&zsc, || {
+                    samc::solve_zone(&zsc, cfg).map(|zone| zone.solution)
+                })?;
                 Ok((
                     sol,
                     if rescued {
@@ -784,23 +791,11 @@ impl ChurnEngine {
 mod tests {
     use super::*;
     use crate::coverage::is_feasible;
-    use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
-    use sag_geom::{Point, Rect};
-    use sag_radio::{units::Db, LinkBudget};
+    use crate::model::Scenario;
+    use sag_geom::Point;
 
     fn scenario(subs: Vec<(f64, f64, f64)>) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder().snr_threshold(Db::new(-15.0)).build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
+        crate::testing::scenario(subs, -15.0)
     }
 
     fn engine() -> ChurnEngine {

@@ -64,15 +64,21 @@ impl Drop for LedgerModeGuard {
 /// with indices into `relays`. Runs in the mode of the scoped
 /// [`crate::sag::SagPipelineConfig::snr_oracle`] override, if any.
 pub fn interference_ledger(scenario: &Scenario, relays: &[Point]) -> InterferenceLedger {
-    let mut ledger = InterferenceLedger::new(
-        *scenario.params.link.model(),
-        scenario.subscribers.iter().map(|s| s.position).collect(),
-    )
-    .with_mode(ledger_mode());
-    for &r in relays {
-        ledger.add_relay(r, 1.0);
-    }
-    ledger
+    powered_ledger(scenario, relays, &vec![1.0; relays.len()])
+}
+
+/// `handed`, a ledger a previous stage built over `relays`, or a fresh
+/// [`interference_ledger`] when `None`, with its counters at the handoff
+/// (zero for a fresh build): a stage flushes `stats() - at_handoff`, the
+/// work it did itself.
+pub(crate) fn handed_or_built(
+    scenario: &Scenario,
+    handed: Option<InterferenceLedger>,
+    relays: &[Point],
+) -> (InterferenceLedger, LedgerStats) {
+    let at_handoff = handed.as_ref().map(InterferenceLedger::stats);
+    let ledger = handed.unwrap_or_else(|| interference_ledger(scenario, relays));
+    (ledger, at_handoff.unwrap_or_default())
 }
 
 /// Builds an [`InterferenceLedger`] with explicit per-relay powers —
@@ -103,9 +109,10 @@ pub fn powered_ledger(scenario: &Scenario, relays: &[Point], powers: &[f64]) -> 
 /// the observability counters (`ledger.delta_ops`,
 /// `ledger.path_factors`, `ledger.cancel_refreshes`,
 /// `ledger.guard_activations`, `ledger.rebuilds`). Each ledger's work is
-/// flushed exactly once, by the stage that owns the ledger, at the end
-/// of its solve, so the per-mutation hot paths stay uninstrumented; a
-/// no-op while recording is disabled.
+/// flushed exactly once: every stage that builds or is handed a ledger
+/// flushes the work it did on it, at the end of its solve, so the
+/// per-mutation hot paths stay uninstrumented; a no-op while recording
+/// is disabled.
 pub(crate) fn flush_ledger_stats(s: LedgerStats) {
     if !sag_obs::enabled() {
         return;
@@ -330,27 +337,7 @@ pub fn is_feasible(scenario: &Scenario, sol: &CoverageSolution) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{BaseStation, NetworkParams, Subscriber};
-    use sag_geom::Rect;
-    use sag_radio::{units::Db, LinkBudget};
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        let params = NetworkParams::new(
-            LinkBudget::builder()
-                .snr_threshold(Db::new(beta_db))
-                .build(),
-            1e-9,
-        );
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            params,
-        )
-        .unwrap()
-    }
+    use crate::testing::scenario;
 
     #[test]
     fn assignment_prefers_nearest_in_range() {

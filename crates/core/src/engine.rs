@@ -2,10 +2,11 @@
 //!
 //! Zone Partition (Algorithm 2) produces interference-independent
 //! zones, which makes the lower tier embarrassingly parallel: each zone
-//! is solved against a private [`InterferenceLedger`] restricted to its
-//! own subscribers, and the per-zone answers are reassembled in zone
-//! index order. `run_zones` is the shared work-queue under both SAMC
-//! and the ILPQC path of [`crate::sag::run_sag_with`].
+//! is solved against a private [`InterferenceLedger`] over its own
+//! subscribers, and the per-zone answers, ledgers included, are
+//! reassembled in zone index order. `run_zones` is the shared
+//! work-queue under both SAMC and the ILPQC path of
+//! [`crate::sag::run_sag_with`].
 //!
 //! # Determinism contract
 //!
@@ -35,12 +36,12 @@ use sag_geom::Point;
 use sag_radio::ledger::InterferenceLedger;
 
 use crate::coverage::{
-    flush_ledger_stats, ledger_mode_override, push_ledger_mode_override, snr_violations_ledger,
-    CoverageSolution,
+    flush_ledger_stats, interference_ledger, ledger_mode_override, push_ledger_mode_override,
+    snr_violations_ledger, CoverageSolution,
 };
 use crate::error::{SagError, SagResult};
 use crate::model::Scenario;
-use crate::sliding::rs_sliding_movement;
+use crate::sliding::slide_on;
 use crate::zone::Zone;
 
 thread_local! {
@@ -101,57 +102,40 @@ where
 }
 
 /// One zone's contribution to the merged lower-tier answer: the
-/// zone-local coverage plus the worker's private zone ledger (relays at
-/// unit power, drift-free by construction of
-/// [`InterferenceLedger::split`]).
+/// zone-local coverage plus the worker's ledger over the zone's
+/// subscribers, the zone's relays at unit power under ids equal to
+/// their indices (on the SAMC path, sliding's own ledger).
 pub(crate) struct ZoneOutcome {
     /// Zone-local placement (relay indices local to the zone).
     pub solution: CoverageSolution,
-    /// Private ledger over the zone's subscribers with the zone's
-    /// relays applied.
+    /// Ledger over the zone's subscribers with the zone's relays
+    /// applied.
     pub ledger: InterferenceLedger,
 }
 
-/// Builds a worker's [`ZoneOutcome`]: split the relay-free base ledger
-/// down to the zone's subscribers and apply the zone's relays. The
-/// zone ledger is complete here (the merge only copies from it), so its
-/// work is flushed here, on the worker.
-pub(crate) fn zone_outcome(
-    base: &InterferenceLedger,
-    zone: &Zone,
-    solution: CoverageSolution,
-) -> ZoneOutcome {
-    let mut ledger = base.split(zone);
-    for &relay in &solution.relays {
-        ledger.add_relay(relay, 1.0);
-    }
-    flush_ledger_stats(ledger.stats());
-    ZoneOutcome { solution, ledger }
-}
-
-/// Reassembles per-zone outcomes into one global [`CoverageSolution`],
-/// strictly in zone index order.
+/// Reassembles per-zone outcomes into one global [`CoverageSolution`]
+/// and its ledger, strictly in zone index order.
 ///
 /// Relays are concatenated zone by zone, assignments remapped through
 /// each zone's subscriber indices, and the zone ledgers merged into a
-/// clone of the relay-free base — which replays, add for add, the
+/// relay-free global ledger — which replays, add for add, the
 /// sequential global build (copying the zone's own path factors and
-/// computing only those to the other zones' subscribers), so the merged
-/// accumulators are bit-identical to `threads = 1`. Zones are
-/// interference-independent only up to `N_max`; the merged placement is
-/// re-checked and one global repair round clears any residual
-/// inter-zone violations.
+/// computing only those to the other zones' subscribers; the zone
+/// ledgers' accumulators are never read), so the merged ledger is
+/// bit-identical to a fresh global build at every thread count. Zones
+/// are interference-independent only up to `N_max`; the merged
+/// placement is re-checked and one global repair round, sliding on the
+/// merged ledger, clears any residual inter-zone violations.
 pub(crate) fn merge_zone_outcomes(
     scenario: &Scenario,
     zones: &[Zone],
     outcomes: Vec<ZoneOutcome>,
-    base: &InterferenceLedger,
     stage: &str,
-) -> SagResult<CoverageSolution> {
+) -> SagResult<(CoverageSolution, InterferenceLedger)> {
     debug_assert_eq!(zones.len(), outcomes.len());
     let mut all_relays: Vec<Point> = Vec::new();
     let mut global_assignment = vec![usize::MAX; scenario.n_subscribers()];
-    let mut merged = base.clone();
+    let mut merged = interference_ledger(scenario, &[]);
     for (zone, outcome) in zones.iter().zip(&outcomes) {
         let offset = all_relays.len();
         all_relays.extend(outcome.solution.relays.iter().copied());
@@ -168,18 +152,92 @@ pub(crate) fn merge_zone_outcomes(
     sag_obs::gauge("coverage.snr_violations", violations.len() as f64);
     flush_ledger_stats(merged.stats());
     if violations.is_empty() {
-        return Ok(CoverageSolution {
+        let solution = CoverageSolution {
             relays: all_relays,
             assignment: global_assignment,
-        });
+        };
+        return Ok((solution, merged));
     }
-    rs_sliding_movement(scenario, all_relays, global_assignment)
+    slide_on(scenario, Some(merged), all_relays, global_assignment)
         .ok_or_else(|| SagError::Infeasible(format!("{stage}: global SNR repair failed")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pro::{pro_on, pro_with_budget};
+    use crate::samc::{samc_with_ledger, SamcConfig};
+    use crate::testing::scenario_nmax;
+    use sag_lp::Budget;
+
+    /// The ledger SAMC hands to PRO equals a fresh build over the
+    /// coverage's relays, bit for bit, is clean, and gives PRO's powers.
+    fn assert_handoff_is_fresh(sc: &Scenario, sol: &CoverageSolution, ledger: InterferenceLedger) {
+        let fresh = interference_ledger(sc, &sol.relays);
+        assert_eq!(ledger.n_relays(), sol.n_relays());
+        for (j, r) in (0..sc.n_subscribers()).flat_map(|j| (0..sol.n_relays()).map(move |r| (j, r)))
+        {
+            assert_eq!(ledger.position(r), sol.relays[r]);
+            let pair =
+                |l: &InterferenceLedger| [l.signal(j, r), l.interference_at(j, r), l.snr(j, r)];
+            let bits = |v: [f64; 3]| v.map(f64::to_bits);
+            assert_eq!(bits(pair(&ledger)), bits(pair(&fresh)), "(j={j}, r={r})");
+        }
+        ledger.audit().expect("the handed ledger is clean");
+        let unlimited = Budget::unlimited();
+        let handed = pro_on(sc, sol, Some(ledger), &unlimited).unwrap();
+        assert_eq!(handed, pro_with_budget(sc, sol, &unlimited).unwrap());
+    }
+
+    /// Merges zone placements, each with a fresh zone ledger, through
+    /// the global repair round and checks the handoff.
+    fn repair(sc: &Scenario, parts: Vec<(Zone, Vec<Point>, Vec<usize>)>) -> CoverageSolution {
+        let zones: Vec<Zone> = parts.iter().map(|p| p.0.clone()).collect();
+        let outcomes = parts.into_iter().map(|(zone, relays, assignment)| {
+            let ledger = interference_ledger(&crate::zone::zone_scenario(sc, &zone).0, &relays);
+            let solution = CoverageSolution { relays, assignment };
+            ZoneOutcome { solution, ledger }
+        });
+        let collector = std::sync::Arc::new(sag_obs::Collector::default());
+        let (sol, ledger) = sag_obs::with_local(collector.clone(), || {
+            merge_zone_outcomes(sc, &zones, outcomes.collect(), "samc").unwrap()
+        });
+        assert!(collector.summary().gauge("coverage.snr_violations") > Some(0.0));
+        assert!(crate::coverage::is_feasible(sc, &sol));
+        assert_handoff_is_fresh(sc, &sol, ledger);
+        sol
+    }
+
+    #[test]
+    fn samc_and_global_repairs_hand_over_a_fresh_ledger() {
+        // SAMC: one zone at N_max = 1e-9, two at 1e-3 (d_max = 10).
+        let subs = [(0.0, 0.0, 30.0), (40.0, 10.0, 38.0), (200.0, 150.0, 31.0)];
+        for (nmax, beta_db) in [(1e-9, -15.0), (1e-9, 0.0), (1e-3, -15.0), (1e-3, 0.0)] {
+            let sc = scenario_nmax(&subs, beta_db, nmax);
+            let (sol, ledger) =
+                samc_with_ledger(&sc, SamcConfig::default(), &Budget::unlimited(), 1).unwrap();
+            assert_handoff_is_fresh(&sc, &sol, ledger);
+        }
+        // Dropped relay: zone {0, 1} shares a relay 9.4 from both, zone
+        // {2}'s sits on its subscriber 6.4 from both; merged, both miss
+        // 0 dB and move to the nearer relay, dropping the shared one.
+        let subs = [(0.0, 0.0, 12.0), (10.0, 0.0, 12.0), (5.0, -4.0, 12.0)];
+        let (a, b) = (Point::new(5.0, 8.0), Point::new(5.0, -4.0));
+        let parts = vec![
+            (vec![0, 1], vec![a], vec![0, 0]),
+            (vec![2], vec![b], vec![0]),
+        ];
+        assert_eq!(
+            repair(&scenario_nmax(&subs, 0.0, 1e-9), parts).relays,
+            vec![b]
+        );
+        // Accepted trial: relay 0 serves two subscribers from the top of
+        // their lens, and both miss 9 dB until a trial moves it.
+        let subs = [(0.0, 0.0, 40.0), (30.0, 0.0, 40.0), (70.0, 0.0, 35.0)];
+        let (a, b) = (Point::new(15.0, 36.0), Point::new(70.0, 0.0));
+        let parts = vec![(vec![0, 1, 2], vec![a, b], vec![0, 0, 1])];
+        assert_ne!(repair(&scenario_nmax(&subs, 9.0, 1e-9), parts).relays[0], a);
+    }
 
     #[test]
     fn sequential_and_parallel_agree_on_results_and_order() {

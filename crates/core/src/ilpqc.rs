@@ -539,27 +539,8 @@ mod tests {
     use super::*;
     use crate::candidates::iac_candidates;
     use crate::coverage::is_feasible;
-    use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
-    use sag_geom::Rect;
-    use sag_radio::{units::Db, LinkBudget};
+    use crate::testing::scenario;
     use sag_testkit::prelude::*;
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder()
-                    .snr_threshold(Db::new(beta_db))
-                    .build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn single_subscriber_one_candidate() {

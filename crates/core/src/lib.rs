@@ -95,6 +95,8 @@ pub mod sag;
 pub mod samc;
 pub mod sliding;
 pub mod solver;
+#[cfg(test)]
+mod testing;
 pub mod ucpo;
 pub mod validate;
 pub mod zone;

@@ -28,7 +28,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use sag_geom::Point;
-use sag_graph::{mst, Graph, RootedTree};
+use sag_graph::{mst, Graph};
 
 use crate::coverage::CoverageSolution;
 use crate::error::{SagError, SagResult};
@@ -222,41 +222,38 @@ fn build_plan(
         let bs_pos = scenario.base_stations[bs_choice[i]].position;
         g.add_edge(i, m, weight(coverage.relays[i].distance(bs_pos), i));
     }
+    // Prim's edges run parent → child in the order their child joined
+    // the tree, so every parent joins before its children. A relay is
+    // anchored by the BS its root-adjacent ancestor chose.
     let tree = mst::prim(&g, m).expect("graph is complete, hence connected");
-    let rooted = RootedTree::from_spanning_tree(&tree, m, m + 1);
-
-    // Effective feasible distance: min of own and children's, bottom-up.
-    let order = rooted.bfs_order();
-    let mut eff = own_dist.clone();
-    for &v in order.iter().rev() {
-        if v == m {
-            continue;
-        }
-        for &c in rooted.children(v) {
-            eff[v] = eff[v].min(eff[c]);
-        }
+    let (mut parent, mut serving) = (vec![m; m], vec![0usize; m]);
+    for e in &tree.edges {
+        parent[e.v] = e.u;
+        serving[e.v] = if e.u == m {
+            bs_choice[e.v]
+        } else {
+            serving[e.u]
+        };
     }
 
-    // Which BS anchors each relay: the bs_choice of the subtree's
-    // root-adjacent ancestor.
-    let mut serving = vec![0usize; m];
-    for v in 0..m {
-        let path = rooted.path_to_root(v);
-        // path = [v, …, top, m]; `top` is the relay attached to the root.
-        let top = path[path.len() - 2];
-        serving[v] = bs_choice[top];
+    // Effective feasible distance: min of own and children's, bottom-up
+    // (in reverse join order every child is final before its parent).
+    let mut eff = own_dist;
+    for e in tree.edges.iter().rev() {
+        if e.u != m {
+            eff[e.u] = eff[e.u].min(eff[e.v]);
+        }
     }
 
     // Steinerize each edge (parent(child) → child).
     let mut relays = Vec::new();
     let mut chains = Vec::with_capacity(m);
     for v in 0..m {
-        let parent = rooted.parent(v).expect("non-root vertices have parents");
         let child_pos = coverage.relays[v];
-        let parent_pos = if parent == m {
+        let parent_pos = if parent[v] == m {
             scenario.base_stations[serving[v]].position
         } else {
-            coverage.relays[parent]
+            coverage.relays[parent[v]]
         };
         let len = child_pos.distance(parent_pos);
         let d = eff[v];

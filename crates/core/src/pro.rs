@@ -19,6 +19,9 @@
 //! every later change only *reduces* other relays' powers (reducing
 //! interference), constraints verified at commit time stay satisfied:
 //! Theorem 1's (1+φ) bound applies.
+//!
+//! PRO changes powers only, so it runs on the ledger the lower tier
+//! built over the final relays (DESIGN.md, "One ledger per solve").
 
 // Per-relay power vectors are manipulated as parallel indexed arrays.
 #![allow(clippy::needless_range_loop)]
@@ -28,7 +31,9 @@ use std::time::Instant;
 use sag_lp::{Budget, LpProblem, Relation, Spent};
 use sag_radio::InterferenceLedger;
 
-use crate::coverage::{powered_ledger, CoverageSolution, ServedIndex};
+use crate::coverage::{
+    flush_ledger_stats, handed_or_built, powered_ledger, CoverageSolution, ServedIndex,
+};
 use crate::error::{SagError, SagResult};
 use crate::model::Scenario;
 
@@ -201,6 +206,26 @@ pub fn pro_with_budget(
     sol: &CoverageSolution,
     budget: &Budget,
 ) -> SagResult<PowerAllocation> {
+    pro_on(scenario, sol, None, budget)
+}
+
+/// [`pro_with_budget`] on `handed`, a ledger holding `sol`'s relays
+/// under ids equal to their indices (SAMC's in `run_sag`); `None` builds
+/// one. PRO flushes the ledger work it does after the handoff. Public
+/// only so that benchmarks can compose the stages as `run_sag` does.
+///
+/// # Errors
+/// See [`pro_with_budget`].
+///
+/// # Panics
+/// Panics if `handed` does not hold `sol`'s relays.
+#[doc(hidden)]
+pub fn pro_on(
+    scenario: &Scenario,
+    sol: &CoverageSolution,
+    handed: Option<InterferenceLedger>,
+    budget: &Budget,
+) -> SagResult<PowerAllocation> {
     let _stage = sag_obs::span("pro");
     let started = Instant::now();
     if sol.assignment.len() != scenario.n_subscribers() {
@@ -223,7 +248,19 @@ pub fn pro_with_budget(
                                     // The ledger tracks the committed powers; every commit is a
                                     // `set_power` delta and every trial reads `interference_at` in O(1)
                                     // instead of re-summing over all relays.
-    let mut ledger = powered_ledger(scenario, &sol.relays, &powers);
+    let (mut ledger, flushed) = handed_or_built(scenario, handed, &sol.relays);
+    assert!(
+        ledger.n_subscribers() == scenario.n_subscribers()
+            && ledger.n_relays() == n
+            && (0..n).all(|r| ledger.position(r) == sol.relays[r]),
+        "the ledger does not hold the coverage's {n} relays"
+    );
+    // Every relay starts at Pmax; one re-sum adds Σ(Pmax·G)·x in slot
+    // order, the same `f64`s a fresh build at Pmax adds.
+    for r in 0..n {
+        ledger.set_power(r, pmax);
+    }
+    ledger.rebuild();
     let mut pending: Vec<usize> = (0..n).collect(); // K
     let mut truncated = false;
 
@@ -280,7 +317,7 @@ pub fn pro_with_budget(
             pending.retain(|&r| r != r_min);
         }
     }
-    crate::coverage::flush_ledger_stats(ledger.stats());
+    flush_ledger_stats(ledger.stats() - flushed);
     Ok(PowerAllocation { powers, truncated })
 }
 
@@ -471,27 +508,10 @@ pub fn allocation_is_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
+    use crate::model::Scenario;
     use crate::samc::samc;
-    use sag_geom::{Point, Rect};
-    use sag_radio::{units::Db, LinkBudget};
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder()
-                    .snr_threshold(Db::new(beta_db))
-                    .build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
-    }
+    use crate::testing::scenario;
+    use sag_geom::Point;
 
     fn sample_solution(beta_db: f64) -> (Scenario, CoverageSolution) {
         let sc = scenario(
@@ -655,27 +675,9 @@ mod tests {
 #[cfg(test)]
 mod fixed_point_tests {
     use super::*;
-    use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
     use crate::samc::samc;
-    use sag_geom::{Point, Rect};
-    use sag_radio::{units::Db, LinkBudget};
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder()
-                    .snr_threshold(Db::new(beta_db))
-                    .build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
-    }
+    use crate::testing::scenario;
+    use sag_geom::Point;
 
     #[test]
     fn fixed_point_matches_lp_when_lp_succeeds() {

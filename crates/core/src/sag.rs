@@ -13,15 +13,18 @@ use std::time::Instant;
 use sag_lp::{Budget, Spent};
 use sag_obs::{Collector, StageMetrics};
 use sag_radio::ledger::LedgerMode;
+use sag_radio::InterferenceLedger;
 
 use crate::candidates::iac_candidates;
-use crate::coverage::{interference_ledger, push_ledger_mode_override, CoverageSolution};
-use crate::engine;
+use crate::coverage::{
+    flush_ledger_stats, interference_ledger, push_ledger_mode_override, CoverageSolution,
+};
+use crate::engine::{self, ZoneOutcome};
 use crate::error::SagResult;
 use crate::mbmc::{mbmc, ConnectivityPlan};
 use crate::model::{Relay, RelayRole, Scenario};
-use crate::pro::{pro_with_budget, PowerAllocation};
-use crate::samc::{samc_with_budget_threads, SamcConfig};
+use crate::pro::{pro_on, PowerAllocation};
+use crate::samc::{samc_with_ledger, SamcConfig};
 use crate::solver::{SelectionReason, SolveOutcome, SolverBackend, SolverBuilder};
 use crate::ucpo::{ucpo, UpperTierPower};
 use crate::zone::{observed_zone_partition, zone_scenario};
@@ -327,12 +330,15 @@ fn run_sag_inner(scenario: &Scenario, config: &SagPipelineConfig) -> SagResult<S
         }))
     });
     scenario.validate()?; // Step 1: ingress gate
-    let (coverage, solver, budget_spent, zone_solvers) = solve_lower_tier(scenario, config)?;
+    let (coverage, ledger, solver, budget_spent, zone_solvers) =
+        solve_lower_tier(scenario, config)?;
     // The lower tier answered, so whatever it legitimately consumed
     // must not be double-billed to the polynomial tail: rebudget the
     // tail from what actually remains on *every* rung.
     let tail = tail_budget(&config.budget);
-    let lower_power = pro_with_budget(scenario, &coverage, &tail)?; // Step 3
+    // PRO powers the lower tier's own ledger: the relays do not move
+    // again, so no path factor is computed twice.
+    let lower_power = pro_on(scenario, &coverage, Some(ledger), &tail)?; // Step 3
     let plan = mbmc(scenario, &coverage)?; // Step 4
     let upper_power = ucpo(scenario, &coverage, &plan); // Step 5
     if sag_obs::enabled() {
@@ -395,12 +401,14 @@ fn tail_budget(budget: &Budget) -> Budget {
 /// (budget-exhausted → greedy). Both paths run on the zone-parallel
 /// engine with `config.threads` workers; the returned [`Spent`] is
 /// stage-local (this stage's wall time and node count, not
-/// pipeline-so-far) on every arm.
+/// pipeline-so-far) on every arm. The coverage comes with its merged
+/// ledger (unit powers, relay ids equal relay indices) for PRO.
 fn solve_lower_tier(
     scenario: &Scenario,
     config: &SagPipelineConfig,
 ) -> SagResult<(
     CoverageSolution,
+    InterferenceLedger,
     AnsweringSolver,
     Spent,
     Vec<ZoneSolverRecord>,
@@ -408,17 +416,16 @@ fn solve_lower_tier(
     let stage_started = Instant::now();
     match config.lower_solver {
         LowerSolver::Samc => {
-            let coverage =
-                samc_with_budget_threads(scenario, config.samc, &config.budget, config.threads)?;
+            let (coverage, ledger) =
+                samc_with_ledger(scenario, config.samc, &config.budget, config.threads)?;
             let spent = Spent {
                 nodes: 0,
                 elapsed: stage_started.elapsed(),
             };
-            Ok((coverage, AnsweringSolver::Samc, spent, Vec::new()))
+            Ok((coverage, ledger, AnsweringSolver::Samc, spent, Vec::new()))
         }
         LowerSolver::Candidates => {
             let zones = observed_zone_partition(scenario);
-            let base = interference_ledger(scenario, &[]);
             // One pool across all zone solves: the node cap bounds the
             // *combined* branch-and-bound effort, so N workers cannot
             // multiply the configured budget by N.
@@ -433,8 +440,11 @@ fn solve_lower_tier(
                     optimal,
                     spent,
                 } = config.solver.solve_zone(&zsc, &cands, &shared)?;
+                // The zone's ledger for the merge, built and flushed here.
+                let ledger = interference_ledger(&zsc, &solution.relays);
+                flush_ledger_stats(ledger.stats());
                 Ok((
-                    engine::zone_outcome(&base, &zones[zi], solution),
+                    ZoneOutcome { solution, ledger },
                     backend,
                     reason,
                     optimal,
@@ -462,13 +472,14 @@ fn solve_lower_tier(
                 });
                 parts.push(part);
             }
-            let coverage = engine::merge_zone_outcomes(scenario, &zones, parts, &base, "ilpqc")?;
+            let (coverage, ledger) = engine::merge_zone_outcomes(scenario, &zones, parts, "ilpqc")?;
             let spent = Spent {
                 nodes,
                 elapsed: stage_started.elapsed(),
             };
             Ok((
                 coverage,
+                ledger,
                 AnsweringSolver::from_backend(weakest),
                 spent,
                 zone_solvers,
@@ -631,9 +642,10 @@ mod tests {
 
     #[test]
     fn ledger_counters_count_every_ledger_of_a_one_zone_solve() {
-        // One zone whose SAMC placement is SNR-feasible at sliding's
-        // first check: sliding's build, the zone outcome and PRO each
-        // build an R×S ledger, and each must reach `ledger.path_factors`.
+        // One zone, SNR-feasible at sliding's first check: sliding builds
+        // the solve's one R×S ledger, the merge copies its columns and
+        // PRO computes no factor. Only snaps of one-on-one relays compute
+        // more, one column each, and a shared relay never snaps.
         let sc = Scenario::new(
             Rect::centered_square(600.0),
             vec![
@@ -654,10 +666,15 @@ mod tests {
         assert_eq!(m.counter("sliding.trials"), 0, "sliding must exit early");
         let (r, s) = (report.n_coverage_relays() as u64, sc.n_subscribers() as u64);
         assert!(
-            m.counter("ledger.path_factors") >= 3 * r * s,
-            "ledger.path_factors {} < 3·R·S = {}",
-            m.counter("ledger.path_factors"),
-            3 * r * s
+            (report.coverage.served_index().one_on_one() as u64) < r,
+            "a shared relay is needed for the bound"
+        );
+        let factors = m.counter("ledger.path_factors");
+        assert!(
+            r * s <= factors && factors < 2 * r * s,
+            "ledger.path_factors {factors} outside [R·S, 2·R·S) = [{}, {})",
+            r * s,
+            2 * r * s
         );
     }
 

@@ -21,13 +21,14 @@ use std::time::Instant;
 use sag_geom::Point;
 use sag_hitting::{exact, greedy, local_search, DiskInstance};
 use sag_lp::{Budget, Spent};
+use sag_radio::InterferenceLedger;
 
-use crate::coverage::{interference_ledger, CoverageSolution};
-use crate::engine;
+use crate::coverage::CoverageSolution;
+use crate::engine::{self, ZoneOutcome};
 use crate::error::{SagError, SagResult};
 use crate::escape::coverage_link_escape;
 use crate::model::Scenario;
-use crate::sliding::rs_sliding_movement;
+use crate::sliding::slide_on;
 use crate::zone::{observed_zone_partition, zone_scenario};
 
 /// Which hitting-set solver Step 4 uses.
@@ -95,6 +96,26 @@ pub fn samc_with_budget_threads(
     budget: &Budget,
     threads: usize,
 ) -> SagResult<CoverageSolution> {
+    samc_with_ledger(scenario, config, budget, threads).map(|(solution, _)| solution)
+}
+
+/// [`samc_with_budget_threads`] returning the placement with its
+/// interference ledger (unit powers, relay ids equal relay indices,
+/// bit-identical to [`crate::coverage::interference_ledger`] over the
+/// placement): each zone's sliding ledger, merged, and slid again by the
+/// global repair round when one runs. `run_sag` hands it to PRO, so the
+/// path factors of the final relay positions are computed once. Public
+/// only so that benchmarks can compose the stages as `run_sag` does.
+///
+/// # Errors
+/// See [`samc_with_budget_threads`].
+#[doc(hidden)]
+pub fn samc_with_ledger(
+    scenario: &Scenario,
+    config: SamcConfig,
+    budget: &Budget,
+    threads: usize,
+) -> SagResult<(CoverageSolution, InterferenceLedger)> {
     let _stage = sag_obs::span("samc");
     let started = Instant::now();
     let exceeded = |started: Instant| SagError::BudgetExceeded {
@@ -105,21 +126,17 @@ pub fn samc_with_budget_threads(
         },
     };
     let zones = observed_zone_partition(scenario);
-    // Relay-free global ledger: workers split it down to their zone,
-    // the merge replays the zone ledgers onto a clone of it.
-    let base = interference_ledger(scenario, &[]);
     let outcomes = engine::run_zones("samc", zones.len(), threads, |zi| {
         budget.check_interrupt().map_err(|_| exceeded(started))?;
         let (zsc, _back_map) = zone_scenario(scenario, &zones[zi]);
-        let zone_sol = solve_zone(&zsc, config)?;
-        Ok(engine::zone_outcome(&base, &zones[zi], zone_sol))
+        solve_zone(&zsc, config)
     })?;
 
     // Zones are interference-independent only up to N_max; the merge
     // re-checks the combined placement and runs one global repair round
     // if the residual inter-zone noise still trips someone.
     budget.check_interrupt().map_err(|_| exceeded(started))?;
-    engine::merge_zone_outcomes(scenario, &zones, outcomes, &base, "samc")
+    engine::merge_zone_outcomes(scenario, &zones, outcomes, "samc")
 }
 
 /// Solves one zone: hitting set → escape → sliding. Different hitting
@@ -128,8 +145,9 @@ pub fn samc_with_budget_threads(
 /// solvers' topologies are tried before giving up (the "SAMC stably
 /// finds solutions where IAC/GAC fail" behaviour of §IV-B). The first
 /// strategy is the configured one, so the (1+ε) size guarantee of the
-/// preferred solver still applies whenever it succeeds.
-pub(crate) fn solve_zone(zsc: &Scenario, config: SamcConfig) -> SagResult<CoverageSolution> {
+/// preferred solver still applies whenever it succeeds. The outcome
+/// keeps sliding's ledger for the zone merge.
+pub(crate) fn solve_zone(zsc: &Scenario, config: SamcConfig) -> SagResult<ZoneOutcome> {
     let order: [HittingStrategy; 3] = match config.hitting {
         HittingStrategy::LocalSearch => [
             HittingStrategy::LocalSearch,
@@ -165,7 +183,7 @@ pub(crate) fn solve_zone(zsc: &Scenario, config: SamcConfig) -> SagResult<Covera
     Err(last_err)
 }
 
-fn solve_zone_with(zsc: &Scenario, strategy: HittingStrategy) -> SagResult<CoverageSolution> {
+fn solve_zone_with(zsc: &Scenario, strategy: HittingStrategy) -> SagResult<ZoneOutcome> {
     let instance = DiskInstance::new(zsc.feasible_circles());
     let points: Vec<Point> = match strategy {
         HittingStrategy::LocalSearch => local_search::local_search_hitting_set(&instance),
@@ -199,7 +217,8 @@ fn solve_zone_with(zsc: &Scenario, strategy: HittingStrategy) -> SagResult<Cover
         }
     }
 
-    rs_sliding_movement(zsc, relays, assignment)
+    slide_on(zsc, None, relays, assignment)
+        .map(|(solution, ledger)| ZoneOutcome { solution, ledger })
         .ok_or_else(|| SagError::Infeasible("samc: zone SNR repair failed".into()))
 }
 
@@ -208,25 +227,9 @@ mod tests {
     use super::*;
     use crate::coverage::is_feasible;
     use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
+    use crate::testing::scenario;
     use sag_geom::Rect;
     use sag_radio::{units::Db, LinkBudget};
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder()
-                    .snr_threshold(Db::new(beta_db))
-                    .build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn single_subscriber_single_relay() {

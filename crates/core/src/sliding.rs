@@ -20,12 +20,15 @@
 //!
 //! The paper's "unlimited number of order combinations" is made finite
 //! exactly as here: only the discrete updatable-relay subsets are tried.
+//!
+//! The repair returns its interference ledger, which SAMC hands on to
+//! the zone merge and PRO (DESIGN.md, "One ledger per solve").
 
 use sag_geom::{disks, Circle, Point};
 use sag_radio::{InterferenceLedger, LedgerStats};
 
 use crate::coverage::{
-    flush_ledger_stats, interference_ledger, snr_violations_ledger, CoverageSolution, ServedIndex,
+    flush_ledger_stats, handed_or_built, snr_violations_ledger, CoverageSolution, ServedIndex,
 };
 use crate::model::Scenario;
 
@@ -53,22 +56,11 @@ struct SlideStats {
     accepted_moves: u64,
     /// Combinations rejected because the violation set did not shrink.
     mask_rejections: u64,
-    /// Ledger work: the repair ledger's own plus each trial clone's,
-    /// counted from the moment it was cloned (a clone starts from the
-    /// totals of the ledger it copies).
-    ledger_work: LedgerStats,
-}
-
-impl SlideStats {
-    /// Adds the work `ledger` did since its counters read `base`.
-    fn add_ledger_work(&mut self, ledger: &InterferenceLedger, base: LedgerStats) {
-        let (t, s) = (&mut self.ledger_work, ledger.stats());
-        t.delta_ops += s.delta_ops - base.delta_ops;
-        t.path_factors += s.path_factors - base.path_factors;
-        t.cancel_refreshes += s.cancel_refreshes - base.cancel_refreshes;
-        t.guard_activations += s.guard_activations - base.guard_activations;
-        t.rebuilds += s.rebuilds - base.rebuilds;
-    }
+    /// Ledger work of the trial clones that were dropped, each counted
+    /// from the moment it was cloned (a clone starts from the totals of
+    /// the ledger it copies). An accepted clone becomes the repair
+    /// ledger, whose work is counted once at the end.
+    dropped_trials: LedgerStats,
 }
 
 /// Runs the sliding-movement repair on a placement with a fixed
@@ -85,23 +77,41 @@ pub fn rs_sliding_movement(
     relays: Vec<Point>,
     assignment: Vec<usize>,
 ) -> Option<CoverageSolution> {
+    slide_on(scenario, None, relays, assignment).map(|(solution, _)| solution)
+}
+
+/// [`rs_sliding_movement`] returning the solution with its ledger, an
+/// accepted trial's clone when one was accepted, compacted to the
+/// returned relays: bit-identical to a fresh
+/// [`crate::coverage::interference_ledger`] over `solution.relays`.
+/// `handed` holds `relays` at unit power under ids equal to their
+/// indices (the zone merge's ledger); `None` builds one. The ledger's
+/// work is flushed here: all of it when built here, what followed the
+/// handoff otherwise.
+pub(crate) fn slide_on(
+    scenario: &Scenario,
+    handed: Option<InterferenceLedger>,
+    relays: Vec<Point>,
+    assignment: Vec<usize>,
+) -> Option<(CoverageSolution, InterferenceLedger)> {
     let _span = sag_obs::span("sliding");
     let mut stats = SlideStats::default();
     // One interference ledger for the whole repair: relay ids coincide
     // with indices into `relays`, every slide below is a `move_relay`
     // delta, and each violation scan is O(S) instead of O(S·R²).
-    let mut ledger = interference_ledger(scenario, &relays);
+    let (mut ledger, flushed) = handed_or_built(scenario, handed, &relays);
     let out = sliding_inner(scenario, &mut ledger, relays, assignment, &mut stats);
     if sag_obs::enabled() {
         sag_obs::counter("sliding.trials", stats.trials);
         sag_obs::counter("sliding.accepted_moves", stats.accepted_moves);
         sag_obs::counter("sliding.mask_rejections", stats.mask_rejections);
     }
-    // One flush per call, on every exit: the repair ledger's work plus
-    // every trial clone's.
-    stats.add_ledger_work(&ledger, LedgerStats::default());
-    flush_ledger_stats(stats.ledger_work);
-    out
+    // One flush per call, on every exit: the repair ledger's work (an
+    // accepted trial's included) plus every dropped trial clone's.
+    let mut work = stats.dropped_trials;
+    work += ledger.stats() - flushed;
+    flush_ledger_stats(work);
+    out.map(|solution| (solution, ledger))
 }
 
 fn sliding_inner(
@@ -143,7 +153,7 @@ fn sliding_inner(
         }
         let violated = snr_violations_ledger(scenario, ledger, &assignment);
         if violated.is_empty() {
-            drop_unused_relays(&mut relays, &mut assignment);
+            drop_unused_relays(&mut relays, &mut assignment, ledger);
             return Some(CoverageSolution { relays, assignment });
         }
         let mut changed = false;
@@ -176,7 +186,7 @@ fn sliding_inner(
 
     let violated = snr_violations_ledger(scenario, ledger, &assignment);
     if violated.is_empty() {
-        drop_unused_relays(&mut relays, &mut assignment);
+        drop_unused_relays(&mut relays, &mut assignment, ledger);
         return Some(CoverageSolution { relays, assignment });
     }
     // Build `served` fresh from the final assignment (the refinement loop
@@ -184,7 +194,7 @@ fn sliding_inner(
     // sees every relay's true subscriber set — otherwise a move could
     // leave a reassigned subscriber outside its feasible circle.
     let served = ServedIndex::build(relays.len(), &assignment);
-    let repaired = update_rs_topology(
+    let (mut relays, accepted) = update_rs_topology(
         scenario,
         relays,
         ledger,
@@ -194,20 +204,26 @@ fn sliding_inner(
         max_depth(scenario),
         stats,
     )?;
-    let mut relays = repaired;
-    drop_unused_relays(&mut relays, &mut assignment);
+    *ledger = accepted;
+    drop_unused_relays(&mut relays, &mut assignment, ledger);
     Some(CoverageSolution { relays, assignment })
 }
 
 /// Removes relays that serve no subscriber (possible after violated
 /// subscribers were re-served elsewhere), remapping the assignment.
 /// Constraint (3.2) — every placed relay covers at least one SS — is
-/// thereby restored, and the relay count can only shrink.
-fn drop_unused_relays(relays: &mut Vec<Point>, assignment: &mut [usize]) {
+/// thereby restored, and the relay count can only shrink. The ledger is
+/// compacted to match, which also re-sums away the repair's drift.
+fn drop_unused_relays(
+    relays: &mut Vec<Point>,
+    assignment: &mut [usize],
+    ledger: &mut InterferenceLedger,
+) {
     let mut used = vec![false; relays.len()];
     for &r in assignment.iter() {
         used[r] = true;
     }
+    ledger.compact(|id| used[id]);
     if used.iter().all(|&u| u) {
         return;
     }
@@ -255,7 +271,8 @@ fn virtual_circle(
 }
 
 /// One Update RS Topology round (Algorithm 5), recursing while the
-/// violation set shrinks.
+/// violation set shrinks. Returns the repaired positions with the
+/// accepted trial's ledger.
 #[allow(clippy::too_many_arguments)]
 fn update_rs_topology(
     scenario: &Scenario,
@@ -266,7 +283,7 @@ fn update_rs_topology(
     violated: Vec<usize>,
     depth: usize,
     stats: &mut SlideStats,
-) -> Option<Vec<Point>> {
+) -> Option<(Vec<Point>, InterferenceLedger)> {
     if depth == 0 {
         return None;
     }
@@ -332,9 +349,11 @@ fn update_rs_topology(
             }
         }
         let now_violated = snr_violations_ledger(scenario, &moved_ledger, assignment);
-        let repaired = if now_violated.is_empty() {
-            Some(moved)
-        } else if now_violated.len() >= violated.len() {
+        if now_violated.is_empty() {
+            stats.accepted_moves += u64::from(mask.count_ones());
+            return Some((moved, moved_ledger));
+        }
+        let repaired = if now_violated.len() >= violated.len() {
             stats.mask_rejections += 1;
             None
         } else {
@@ -350,11 +369,13 @@ fn update_rs_topology(
                 stats,
             )
         };
-        stats.add_ledger_work(&moved_ledger, base);
         if repaired.is_some() {
             stats.accepted_moves += u64::from(mask.count_ones());
             return repaired;
         }
+        // This clone is dropped (an accepted deeper trial would be a
+        // clone of it, carrying its work).
+        stats.dropped_trials += moved_ledger.stats() - base;
     }
     None
 }
@@ -362,27 +383,8 @@ fn update_rs_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::{is_feasible, snr_violations};
-    use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
-    use sag_geom::Rect;
-    use sag_radio::{units::Db, LinkBudget};
-
-    fn scenario(subs: Vec<(f64, f64, f64)>, beta_db: f64) -> Scenario {
-        Scenario::new(
-            Rect::centered_square(500.0),
-            subs.into_iter()
-                .map(|(x, y, d)| Subscriber::new(Point::new(x, y), d))
-                .collect(),
-            vec![BaseStation::new(Point::new(200.0, 200.0))],
-            NetworkParams::new(
-                LinkBudget::builder()
-                    .snr_threshold(Db::new(beta_db))
-                    .build(),
-                1e-9,
-            ),
-        )
-        .unwrap()
-    }
+    use crate::coverage::{interference_ledger, is_feasible, snr_violations};
+    use crate::testing::scenario;
 
     #[test]
     fn already_feasible_passes_through() {

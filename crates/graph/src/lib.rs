@@ -12,9 +12,7 @@
 //!   resilience, and the all-pairs Zone Partition referee),
 //! * [`bipartite`] — bipartite graphs with greedy *Coverage Link Escape*
 //!   marking support,
-//! * [`mis`] — greedy and exact maximum independent set,
-//! * [`tree`] — rooted tree utilities (parents, depths, root paths) used
-//!   by MBMC/UCPO to walk relay chains toward base stations.
+//! * [`mis`] — greedy and exact maximum independent set.
 //!
 //! # Example
 //!
@@ -40,10 +38,8 @@ pub mod components;
 pub mod graph;
 pub mod mis;
 pub mod mst;
-pub mod tree;
 pub mod unionfind;
 
 pub use bipartite::BipartiteGraph;
 pub use graph::{Edge, Graph};
-pub use tree::RootedTree;
 pub use unionfind::UnionFind;

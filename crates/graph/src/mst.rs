@@ -62,8 +62,10 @@ pub fn kruskal(g: &Graph) -> Option<SpanningTree> {
 /// Returns `None` if the graph is disconnected or `root` out of range.
 ///
 /// The returned edges are oriented parent→child from the root outward
-/// (`u` is the parent side), which MBMC uses to steinerize each tree edge
-/// toward the base station.
+/// (`u` is the parent side) and listed in the order their child joined
+/// the tree, so every edge's `u` is the root or the `v` of an earlier
+/// edge. MBMC reads its rooted tree straight from that order: parents
+/// forward, subtree minima in reverse.
 pub fn prim(g: &Graph, root: usize) -> Option<SpanningTree> {
     let n = g.vertex_count();
     if root >= n {
@@ -213,10 +215,19 @@ mod tests {
                 }
             }
             let k = kruskal(&g).unwrap();
-            let p = prim(&g, rng.gen_range(0..n)).unwrap();
+            let root = rng.gen_range(0..n);
+            let p = prim(&g, root).unwrap();
             prop_assert!((k.total_weight - p.total_weight).abs() < 1e-6);
             prop_assert_eq!(k.edges.len(), n - 1);
             prop_assert_eq!(p.edges.len(), n - 1);
+            // Join order: each edge's parent is the root or an earlier
+            // edge's child, and every vertex joins once.
+            let mut joined = vec![false; n];
+            joined[root] = true;
+            for e in &p.edges {
+                prop_assert!(joined[e.u] && !joined[e.v], "edge {}→{} out of order", e.u, e.v);
+                joined[e.v] = true;
+            }
         }
 
         fn prop_tree_spans_all_vertices(n in 2usize..25, seed in 0u64..300) {

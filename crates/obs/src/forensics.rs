@@ -9,20 +9,20 @@
 //! * the failure class, detail, stage, zone and budget spend;
 //! * the recording thread's active span stack (names + ids, so the
 //!   frame links into the span tree);
-//! * the merged flight-recorder timeline (see [`crate::ring`]) with
-//!   its overflow count. Each ring event carries the fields of the
-//!   JSONL line for the same event, `zone` included, with `epoch` in
-//!   place of `run`, on the same `t_ns` clock.
+//! * the failing run's part of the merged flight-recorder timeline
+//!   (see [`crate::ring`]): the events recorded at or after the entry
+//!   of the recording thread's outermost open span, on every thread,
+//!   with the process-wide overflow count. Each ring event carries the
+//!   fields of the JSONL line for the same event, `zone` included, with
+//!   `epoch` in place of `run`, on the same `t_ns` clock.
 //!
 //! Frames are dispatched through the normal recorder fan-out via
-//! [`crate::Recorder::post_mortem`]; the JSONL sink renders them as
-//! one `"kind":"post_mortem"` line under its never-panic drop-and-
-//! count policy. The most recent frame is also retained in-process
-//! for the forensics test suite ([`last_dump`]).
+//! [`crate::Recorder::post_mortem`], their one path; the JSONL sink
+//! renders them as one `"kind":"post_mortem"` line under its
+//! never-panic drop-and-count policy.
 
-use std::sync::{Mutex, PoisonError};
-
-use crate::{json, recorder, ring};
+use crate::ring::{self, RingEvent};
+use crate::{json, recorder, Event};
 
 /// What a failing boundary reports (borrowed; the frame copies it).
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,22 +68,10 @@ impl PostMortem {
     }
 }
 
-/// The most recent frame, retained for the forensics test suite.
-static LAST: Mutex<Option<PostMortem>> = Mutex::new(None);
-
-/// The most recently emitted frame as standalone JSON, if any.
-pub fn last_dump() -> Option<String> {
-    LAST.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .map(PostMortem::to_json)
-}
-
 /// Builds a post-mortem frame for `dump` and dispatches it to every
 /// active recorder. Never panics; cost is irrelevant (failure path).
 pub fn post_mortem(dump: &Dump<'_>) {
     let frame = render(dump);
-    *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some(frame.clone());
     recorder::for_each(|r| r.post_mortem(&frame));
 }
 
@@ -119,7 +107,8 @@ pub fn render(dump: &Dump<'_>) -> PostMortem {
         f.push('}');
     }
     f.push_str(",\"span_stack\":[");
-    for (i, (name, id)) in recorder::stack_snapshot().iter().enumerate() {
+    let stack = recorder::stack_snapshot();
+    for (i, (name, id)) in stack.iter().enumerate() {
         if i > 0 {
             f.push(',');
         }
@@ -128,12 +117,27 @@ pub fn render(dump: &Dump<'_>) -> PostMortem {
         f.push_str(&format!(",\"id\":{id}}}"));
     }
     f.push(']');
+    // The failing run's events: those at or after the entry of this
+    // thread's outermost open span (all of them when none is open), as
+    // rings keep earlier runs' events. If the ring overwrote that entry,
+    // the frame starts at this thread's oldest retained event, and
+    // `overflow` says the run lost events.
     let snap = ring::snapshot();
+    let since = stack.first().map_or(0, |&(_, root)| {
+        let me = recorder::thread_ordinal();
+        let entry = |e: &&RingEvent| matches!(e.event, Event::SpanEnter(s) if s.id == root);
+        let events = || snap.events.iter();
+        let start = events()
+            .find(entry)
+            .or_else(|| events().find(|e| e.thread == me));
+        start.map_or(0, |e| e.epoch)
+    });
     f.push_str(&format!(
         ",\"ring\":{{\"overflow\":{},\"events\":[",
         snap.overflow
     ));
-    for (i, ev) in snap.events.iter().enumerate() {
+    let run = snap.events.iter().filter(|e| e.epoch >= since);
+    for (i, ev) in run.enumerate() {
         if i > 0 {
             f.push(',');
         }
@@ -152,7 +156,7 @@ pub fn render(dump: &Dump<'_>) -> PostMortem {
 mod tests {
     use super::*;
     use crate::metrics::Collector;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn frames_render_valid_json_with_all_fields() {
@@ -187,11 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn post_mortem_reaches_recorders_and_last_dump() {
+    fn post_mortem_reaches_recorders() {
         struct Saw(Mutex<Vec<String>>);
         impl crate::Recorder for Saw {
             fn post_mortem(&self, dump: &PostMortem) {
-                self.0.lock().expect("lock").push(dump.class().to_string());
+                self.0.lock().expect("lock").push(dump.to_json());
             }
         }
         let saw = Arc::new(Saw(Mutex::new(Vec::new())));
@@ -202,10 +206,10 @@ mod tests {
                 ..Dump::default()
             });
         });
-        assert_eq!(*saw.0.lock().expect("lock"), vec!["churn_deferred"]);
-        let last = last_dump().expect("retained");
-        json::validate(&last).expect("retained frame is valid JSON");
-        assert!(last.contains("\"class\":\"churn_deferred\""));
+        let frames = saw.0.lock().expect("lock");
+        assert_eq!(frames.len(), 1);
+        json::validate(&frames[0]).expect("a frame is valid JSON");
+        assert!(frames[0].contains("\"class\":\"churn_deferred\""));
         // A collector ignores frames without panicking (default hook).
         crate::with_local(Arc::new(Collector::default()), || {
             post_mortem(&Dump {

@@ -69,7 +69,7 @@ pub mod ring;
 mod sink;
 mod span;
 
-pub use forensics::{last_dump, Dump, PostMortem};
+pub use forensics::{Dump, PostMortem};
 pub use metrics::{bucket_floor, Collector, HistSummary, SpanStat, StageMetrics};
 pub use par::{par_indexed, try_par_indexed};
 pub use recorder::{enabled, install, with_local, Event, Recorder, RecorderGuard, SpanMeta};

@@ -9,8 +9,8 @@
 //! with the recording thread, a `t_ns` on the JSONL sink's clock and a
 //! process-global epoch (one relaxed `fetch_add`), so rings from the
 //! coordinator and its fan-out workers merge into one totally ordered
-//! timeline. A post-mortem frame renders that timeline with the JSONL
-//! line schema (see [`crate::forensics`]).
+//! timeline. A post-mortem frame renders the failing run's part of that
+//! timeline with the JSONL line schema (see [`crate::forensics`]).
 //!
 //! Cost model: while the flight recorder is installed, `enabled()` is
 //! true, so every instrumentation call and every guarded flush runs and

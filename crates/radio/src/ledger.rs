@@ -31,7 +31,8 @@
 //! between a zone's relays and the subscribers outside the zone. Every
 //! other operation — `set_power`, `remove_relay`, `signal`, `snr`,
 //! `interference_at`, the exact refreshes, `rebuild`, `snr_checked`,
-//! [`LedgerMode::Oracle`] and `split` — multiplies cached factors.
+//! [`LedgerMode::Oracle`] and [`compact`](InterferenceLedger::compact)
+//! — multiplies cached factors.
 //! Each term is the same `f64` that [`TwoRay::received_power`] returns,
 //! so caching changes no result. The columns cost one `f64` per
 //! (relay slot, subscriber slot); [`LedgerStats::path_factors`] counts
@@ -161,6 +162,31 @@ pub struct LedgerStats {
     pub guard_activations: u64,
     /// Full [`rebuild`](InterferenceLedger::rebuild) passes.
     pub rebuilds: u64,
+}
+
+/// The work between two snapshots, field by field: `earlier` must be a
+/// snapshot of the same ledger or of one it was cloned from.
+impl std::ops::Sub for LedgerStats {
+    type Output = LedgerStats;
+    fn sub(self, earlier: LedgerStats) -> LedgerStats {
+        LedgerStats {
+            delta_ops: self.delta_ops - earlier.delta_ops,
+            path_factors: self.path_factors - earlier.path_factors,
+            cancel_refreshes: self.cancel_refreshes - earlier.cancel_refreshes,
+            guard_activations: self.guard_activations - earlier.guard_activations,
+            rebuilds: self.rebuilds - earlier.rebuilds,
+        }
+    }
+}
+
+impl std::ops::AddAssign for LedgerStats {
+    fn add_assign(&mut self, work: LedgerStats) {
+        self.delta_ops += work.delta_ops;
+        self.path_factors += work.path_factors;
+        self.cancel_refreshes += work.cancel_refreshes;
+        self.guard_activations += work.guard_activations;
+        self.rebuilds += work.rebuilds;
+    }
 }
 
 /// Internal counter cell. Mutation counters are plain integers (those
@@ -645,36 +671,44 @@ impl InterferenceLedger {
         self.total_rx[j] += delta;
     }
 
-    /// A new ledger restricted to the subscriber subset `subset`
-    /// (indices into this ledger, kept in the caller's order), with the
-    /// same propagation model, query mode and registered relays.
-    ///
-    /// The relays' column entries for the subset are copied, not
-    /// recomputed, and the subset accumulators are summed exactly
-    /// (relays re-added in slot id order), so a split of a freshly built
-    /// ledger is bit-identical to building over the subset directly —
-    /// zone workers get private drift-free state. Relay ids compact to
-    /// `0, 1, 2, …` in the parent's slot id order.
-    ///
-    /// # Panics
-    /// Panics if any subset index is out of range.
-    pub fn split(&self, subset: &[usize]) -> InterferenceLedger {
-        let subs: Vec<Point> = subset.iter().map(|&j| self.subscribers[j]).collect();
-        let mut out = InterferenceLedger::new(self.model, subs).with_mode(self.mode);
-        for (id, slot) in self.live_slots() {
-            let column = self.column(id);
-            let k = out.register(slot.pos, slot.power);
-            out.set_column(k, |i, _| column[subset[i]]);
-            out.apply_add(k, slot.power);
+    /// Keeps the relays whose slot id `keep` accepts, renumbered
+    /// `0, 1, 2, …` in slot order with their columns moved, drops every
+    /// other slot, and re-sums the accumulators
+    /// ([`rebuild`](InterferenceLedger::rebuild)): no path factor is
+    /// computed, and the result is bit-identical to a fresh build over
+    /// the kept relays. Each dropped relay counts as one mutation.
+    pub fn compact(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let stride = self.stride;
+        let mut kept = 0;
+        for id in 0..self.slots.len() {
+            let Some(slot) = self.slots[id] else {
+                continue;
+            };
+            if !keep(id) {
+                self.stats.delta_ops += 1;
+                continue;
+            }
+            if kept != id {
+                self.path
+                    .copy_within(id * stride..(id + 1) * stride, kept * stride);
+            }
+            self.slots[kept] = Some(slot);
+            kept += 1;
         }
-        out
+        self.slots.truncate(kept);
+        self.path.truncate(kept * stride);
+        self.free.clear();
+        self.n_active = kept;
+        self.rebuild();
     }
 
     /// Registers every relay of `other` into `self` (in `other`'s slot
     /// id order), returning the ids assigned here. `other` must be a
-    /// ledger over the subscriber subset `subset` of this one, such as
-    /// [`split(subset)`](InterferenceLedger::split) returns: its
-    /// subscriber slot `i` is this ledger's slot `subset[i]`. Column
+    /// ledger over the subscriber subset `subset` of this one, such as a
+    /// zone solve's ledger: its subscriber slot `i` is this ledger's
+    /// slot `subset[i]`. Only `other`'s relay slots (positions, powers
+    /// and columns) are read, never its accumulators, so a ledger whose
+    /// accumulators drifted under mutations merges exactly. Column
     /// entries for the subset are copied from `other`; only those to the
     /// subscribers outside it are computed. Contributions are summed
     /// against *this* ledger's subscribers, so merging the per-zone
@@ -994,8 +1028,8 @@ mod tests {
         assert_eq!(factors(&ledger), 6);
         ledger.move_relay(a, Point::new(12.0, 3.0));
         assert_eq!(factors(&ledger), 9);
-        // Power changes, removals, queries, checks, rebuilds and splits
-        // multiply cached factors.
+        // Power changes, removals, queries, checks, rebuilds and
+        // compactions multiply cached factors.
         let before = factors(&ledger);
         ledger.set_power(b, 0.25);
         for j in 0..3 {
@@ -1009,8 +1043,9 @@ mod tests {
         }
         ledger.rebuild();
         assert!(ledger.audit().is_ok());
-        let piece = ledger.split(&[2, 0]);
-        assert_eq!(piece.stats().path_factors, 0);
+        let mut piece = ledger.clone();
+        piece.compact(|id| id == b);
+        assert_eq!(piece.stats().path_factors, before);
         let oracle = ledger.clone().with_mode(LedgerMode::Oracle);
         let _ = oracle.snr(1, a);
         let _ = oracle.interference_at(1, b);
@@ -1101,37 +1136,40 @@ mod tests {
     }
 
     #[test]
-    fn split_matches_a_direct_build_over_the_subset() {
-        let mut parent = InterferenceLedger::new(model(), subs());
-        parent.add_relay(Point::new(10.0, 0.0), 1.0);
-        parent.add_relay(Point::new(45.0, 5.0), 0.7);
-        let piece = parent.split(&[0, 2]);
-        assert_eq!(piece.n_subscribers(), 2);
-        assert_eq!(piece.n_relays(), 2);
-        assert_eq!(piece.subscriber(1), Point::new(0.0, 80.0));
-        // Bit-identical to building fresh over the subset, without
-        // computing a path factor: the columns are copied.
-        assert_eq!(piece.stats().path_factors, 0);
-        let mut direct =
-            InterferenceLedger::new(model(), vec![Point::new(0.0, 0.0), Point::new(0.0, 80.0)]);
-        direct.add_relay(Point::new(10.0, 0.0), 1.0);
+    fn compact_matches_a_direct_build_over_the_kept_relays() {
+        let mut ledger = InterferenceLedger::new(model(), subs());
+        let a = ledger.add_relay(Point::new(10.0, 0.0), 1.0);
+        let gone = ledger.add_relay(Point::new(30.0, 40.0), 0.6);
+        ledger.add_relay(Point::new(45.0, 5.0), 0.7);
+        let freed = ledger.add_relay(Point::new(-5.0, 70.0), 1.3);
+        ledger.move_relay(a, Point::new(12.0, 3.0));
+        ledger.remove_relay(freed);
+        let before = ledger.stats();
+        ledger.compact(|id| id != gone);
+        let work = ledger.stats() - before;
+        assert_eq!(
+            (work.path_factors, work.delta_ops, work.rebuilds),
+            (0, 1, 1)
+        );
+        let mut direct = InterferenceLedger::new(model(), subs());
+        direct.add_relay(Point::new(12.0, 3.0), 1.0);
         direct.add_relay(Point::new(45.0, 5.0), 0.7);
-        for j in 0..2 {
-            for id in 0..2 {
-                assert_eq!(
-                    piece.interference_at(j, id).to_bits(),
-                    direct.interference_at(j, id).to_bits()
-                );
-                assert_eq!(piece.snr(j, id).to_bits(), direct.snr(j, id).to_bits());
-                assert_eq!(
-                    piece.signal(j, id).to_bits(),
-                    direct.signal(j, id).to_bits()
-                );
-            }
+        assert_eq!(ledger.total_rx, direct.total_rx);
+        assert_eq!(ledger.n_relays(), 2);
+        for (j, id) in (0..3).flat_map(|j| (0..2).map(move |id| (j, id))) {
+            assert_eq!(ledger.position(id), direct.position(id));
+            assert_eq!(
+                ledger.signal(j, id).to_bits(),
+                direct.signal(j, id).to_bits()
+            );
+            assert_eq!(ledger.snr(j, id).to_bits(), direct.snr(j, id).to_bits());
         }
-        // Mode survives the split.
-        let oracle = parent.clone().with_mode(LedgerMode::Oracle).split(&[1]);
-        assert_eq!(oracle.mode(), LedgerMode::Oracle);
+        assert!(ledger.audit().is_ok());
+        // The freed slot went too, and the mode survives.
+        assert_eq!(ledger.add_relay(Point::new(1.0, 1.0), 1.0), 2);
+        let mut oracle = ledger.clone().with_mode(LedgerMode::Oracle);
+        oracle.compact(|_| false);
+        assert_eq!((oracle.mode(), oracle.n_relays()), (LedgerMode::Oracle, 0));
     }
 
     #[test]
@@ -1149,11 +1187,11 @@ mod tests {
             &[(Point::new(42.0, -3.0), 1.0)],
             &[(Point::new(4.0, 71.0), 0.8), (Point::new(28.0, 115.0), 1.0)],
         ];
-        let global_empty = InterferenceLedger::new(model(), all.clone());
-        let mut merged = global_empty.clone();
+        let mut merged = InterferenceLedger::new(model(), all.clone());
         let mut next_id = 0;
         for (zone, zone_relays) in zones.iter().zip(relays) {
-            let mut piece = global_empty.split(zone);
+            let mut piece =
+                InterferenceLedger::new(model(), zone.iter().map(|&j| all[j]).collect());
             for &(p, w) in zone_relays {
                 piece.add_relay(p, w);
             }
@@ -1193,7 +1231,7 @@ mod tests {
     #[should_panic(expected = "not at slot")]
     fn merging_with_a_mismatched_subset_panics() {
         let global = InterferenceLedger::new(model(), subs());
-        let mut piece = global.split(&[0, 1]);
+        let mut piece = InterferenceLedger::new(model(), subs()[..2].to_vec());
         piece.add_relay(Point::new(8.0, 2.0), 1.0);
         let mut merged = global.clone();
         merged.merge_from(&piece, &[0, 2]);

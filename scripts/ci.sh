@@ -47,13 +47,20 @@ echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test chaos_pipeline
 SAG_PROP_CASES=150 cargo test -p sag-integration --test chaos_pipeline -q --offline
 
 # Ledger parity soak at an elevated case count: after any sequence of
-# relay and subscriber mutations, rebuilds and split-then-merge round
-# trips, incremental SNR matches brute force, and the path-factor
-# columns never go stale (every live relay's signal at every subscriber
-# slot is bit-identical to received_power from the current positions,
-# and audit() is clean).
+# relay and subscriber mutations, rebuilds and zone-merge round trips,
+# incremental SNR matches brute force, and the path-factor columns
+# never go stale (every live relay's signal at every subscriber slot is
+# bit-identical to received_power from the current positions, also
+# after a compaction, and audit() is clean).
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offline
+
+# Ledger handoff soak: run_sag's PRO powers on the ledger the lower
+# tier built are bit-equal to pro_with_budget on a fresh ledger, at the
+# Fig. 4/5 sizes, stressed SNR, P_max = 2.5, many-zone mixes that reach
+# the global repair, the ILPQC path, and 1 and 4 threads.
+echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_handoff -q --offline"
+SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_handoff -q --offline
 
 # LP parity soak: the sparse revised simplex against the dense tableau
 # referee (LpProblem::solve_dense), warm-vs-cold B&B incumbents,

@@ -95,10 +95,10 @@ fn kind_and_tail(obj: &str) -> Option<(&str, &str)> {
     Some((field_str(obj, "kind")?, tail))
 }
 
-/// A frame's ring events carry the JSONL line schema on the JSONL
-/// clock: each is `kind`, `epoch`, `t_ns` and then the fields of a
-/// span or metric line of `stream` (every event recorded after epoch
-/// `since` must have one), and none is later than the frame's line.
+/// A frame's ring events are the failing run's and carry the JSONL
+/// line schema on the JSONL clock: each was recorded after epoch
+/// `since`, is `kind`, `epoch`, `t_ns` and then the fields of a span or
+/// metric line of `stream`, and none is later than the frame's line.
 fn assert_ring_events_are_lines(stream: &str, since: Option<u64>) {
     let lines: HashSet<_> = stream.lines().filter_map(kind_and_tail).collect();
     let frame = stream
@@ -123,13 +123,15 @@ fn assert_ring_events_are_lines(stream: &str, since: Option<u64>) {
             ev,
             format!("{{\"kind\":\"{kind}\",\"epoch\":{epoch},\"t_ns\":{t}{tail}")
         );
-        if since.is_none_or(|s| epoch > s) {
-            assert!(
-                lines.contains(&(kind, tail)),
-                "no JSONL line has the fields of {ev}"
-            );
-            matched += 1;
-        }
+        assert!(
+            since.is_none_or(|s| epoch > s),
+            "ring event of an earlier run: {ev}"
+        );
+        assert!(
+            lines.contains(&(kind, tail)),
+            "no JSONL line has the fields of {ev}"
+        );
+        matched += 1;
     }
     assert!(matched > 0, "the frame holds no ring event of this run");
 }
@@ -268,10 +270,16 @@ fn sweep_captures_reconstruct_one_tree_at_any_thread_count() {
 fn worker_panic_dumps_exactly_once_at_any_thread_count() {
     let _guard = ring_lock();
     let sc = build(8, 2, 7);
+    // A clean run first: its events stay in the rings, and no frame
+    // below may carry them.
+    capture(|| {
+        run_sag_with(&sc, SagPipelineConfig::default()).expect("scenario is feasible");
+    });
     for threads in [1usize, 2, 4] {
         sag_core::engine::inject_zone_worker_panic(true);
         let mut outcome = Ok(());
         let since = last_epoch();
+        assert!(since.is_some(), "the clean run recorded events");
         let stream = capture(|| {
             outcome = run_sag_with(
                 &sc,
@@ -404,17 +412,24 @@ fn ring_alone_records_every_metric_a_collector_records() {
 fn ledger_desync_dumps_exactly_once() {
     let _guard = ring_lock();
     let sc = build(6, 2, 3);
+    let (depart, unlimited) = (ChurnEvent::SsDepart { subscriber: 1 }, Budget::unlimited());
+    // The same event on a clean engine first: its events stay in the
+    // rings, and the frame below may not carry them.
+    let mut clean = ChurnEngine::new(&sc, ChurnConfig::default()).expect("seed solve");
+    capture(|| clean.apply_event(depart, &unlimited).expect("clean event"));
     let mut eng = ChurnEngine::new(&sc, ChurnConfig::default()).expect("seed solve");
     eng.skew_ledger(0, 1e12);
     let mut outcome = Ok(());
+    let since = last_epoch();
     let stream = capture(|| {
-        outcome = eng.apply_event(ChurnEvent::SsDepart { subscriber: 1 }, &Budget::unlimited());
+        outcome = eng.apply_event(depart, &unlimited);
     });
     assert!(
         matches!(outcome, Err(SagError::LedgerDesync(_))),
         "expected LedgerDesync, got {outcome:?}"
     );
     assert_frames(&stream, &["ledger_desync"]);
+    assert_ring_events_are_lines(&stream, since);
 }
 
 #[test]
@@ -437,6 +452,19 @@ fn churn_deferral_dumps_a_degradation_frame() {
     );
     let report = assert_frames(&stream, &["churn_deferred"]);
     assert_eq!(report.post_mortems[0].stage.as_deref(), Some("churn"));
+    // A flush of that backlog whose worker dies dumps its own events
+    // only, not the deferred event's.
+    let since = last_epoch();
+    sag_core::engine::inject_zone_worker_panic(true);
+    let mut outcome = Ok(0);
+    let stream = capture(|| outcome = eng.flush());
+    sag_core::engine::inject_zone_worker_panic(false);
+    assert!(
+        matches!(outcome, Err(SagError::WorkerPanic { .. })),
+        "expected WorkerPanic, got {outcome:?}"
+    );
+    assert_frames(&stream, &["worker_panic"]);
+    assert_ring_events_are_lines(&stream, since);
 }
 
 #[test]

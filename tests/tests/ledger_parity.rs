@@ -3,7 +3,7 @@
 //! The contracts under test, after **any** sequence of relay mutations
 //! (`add_relay` / `remove_relay` / `move_relay` / `set_power`),
 //! subscriber mutations (`add_subscriber` / `remove_subscriber` /
-//! `move_subscriber`), `rebuild`s and split-then-merge round trips:
+//! `move_subscriber`), `rebuild`s and zone-merge round trips:
 //!
 //! * every `InterferenceLedger::snr` query agrees with the brute-force
 //!   recomputation (`sag_radio::snr::placement_snr`) to within 1e-9
@@ -12,7 +12,7 @@
 //! * the path-factor columns never go stale: every live relay's
 //!   `signal` at every subscriber slot, tombstoned ones included, is
 //!   bit-identical to `TwoRay::received_power` from the current
-//!   positions, and `audit()` is clean;
+//!   positions, also after a `compact`, and `audit()` is clean;
 //! * a desynchronised accumulator surfaces as a typed `DesyncError`,
 //!   never as a silently wrong answer.
 
@@ -57,7 +57,7 @@ fn op_point(xf: f64, yf: f64) -> Point {
 /// Applies `op` to `ledger`, keeping `ids` as the live relay-id roster
 /// and `active` as the active subscriber-slot roster. Kinds: 0 add, 1
 /// remove, 2 move, 3 set-power a relay; 4 add, 5 remove, 6 move a
-/// subscriber; 7 rebuild; 8 split-then-merge round trip. An op whose
+/// subscriber; 7 rebuild; 8 zone-merge round trip. An op whose
 /// roster is empty (or, for a subscriber removal, would empty it)
 /// degrades to a relay add, so every sequence is valid by construction.
 fn apply_op(
@@ -84,27 +84,28 @@ fn apply_op(
             ledger.move_subscriber(active[pick(active.len())], op_point(yf, xf));
         }
         7 => ledger.rebuild(),
-        8 => split_merge_round_trip(ledger, ids, yf),
+        8 => zone_merge_round_trip(ledger, ids, yf),
         _ => ids.push(ledger.add_relay(op_point(xf, yf), p)),
     }
 }
 
 /// Rebuilds `ledger` the way the zone engine does: the subscriber slots
 /// are cut into two zones at fraction `cut`, the relays dealt to them
-/// alternately, each zone's ledger split from a relay-free copy and
-/// given its relays, and the zone ledgers merged back in zone order —
-/// in-zone path factors copied, cross-zone ones computed. Tombstoned
-/// slots are tombstoned again; `ids` becomes the merged relay ids.
-fn split_merge_round_trip(ledger: &mut InterferenceLedger, ids: &mut Vec<usize>, cut: f64) {
+/// alternately, each zone's ledger built over the zone's subscribers
+/// with its relays, and the zone ledgers merged into a relay-free
+/// global ledger in zone order — in-zone path factors copied,
+/// cross-zone ones computed. Tombstoned slots are tombstoned again;
+/// `ids` becomes the merged relay ids.
+fn zone_merge_round_trip(ledger: &mut InterferenceLedger, ids: &mut Vec<usize>, cut: f64) {
     let n = ledger.n_subscribers();
-    let positions = (0..n).map(|j| ledger.subscriber(j)).collect();
-    let empty = InterferenceLedger::new(model(), positions);
+    let positions: Vec<Point> = (0..n).map(|j| ledger.subscriber(j)).collect();
     let cut = ((cut * (n + 1) as f64) as usize).min(n);
     let zones: [Vec<usize>; 2] = [(0..cut).collect(), (cut..n).collect()];
-    let mut merged = empty.clone();
+    let mut merged = InterferenceLedger::new(model(), positions.clone());
     let mut merged_ids = Vec::with_capacity(ids.len());
     for (k, zone) in zones.iter().enumerate() {
-        let mut piece = empty.split(zone);
+        let mut piece =
+            InterferenceLedger::new(model(), zone.iter().map(|&j| positions[j]).collect());
         for &id in ids.iter().skip(k).step_by(2) {
             piece.add_relay(ledger.position(id), ledger.power(id));
         }
@@ -180,9 +181,9 @@ prop! {
     /// signal at every subscriber slot (tombstoned slots included) is
     /// bit-identical to `received_power` recomputed from the current
     /// positions and power, and the audit, which recomputes every path
-    /// factor from positions, is clean. The same holds for a split of
-    /// the final ledger over its slots in reverse order, whose columns
-    /// are copied entries.
+    /// factor from positions, is clean. The same holds for a compaction
+    /// of the final ledger that keeps every other live relay, whose
+    /// columns are moved entries.
     #[cases(48)]
     fn path_factor_columns_never_go_stale(
         ops in op_strategy(),
@@ -190,12 +191,12 @@ prop! {
         seed in 0u64..10_000,
     ) {
         let (ledger, ids) = run_ops(ops, n_subs, seed);
-        let reversed: Vec<usize> = (0..ledger.n_subscribers()).rev().collect();
-        let piece = ledger.split(&reversed);
-        // Split compacts relay ids to 0, 1, 2, … in slot id order.
         let mut by_slot = ids.clone();
         by_slot.sort_unstable();
-        for (piece_id, &id) in by_slot.iter().enumerate() {
+        // Compaction renumbers the kept relays 0, 1, 2, … in slot id order.
+        let mut piece = ledger.clone();
+        piece.compact(|id| by_slot.binary_search(&id).is_ok_and(|k| k % 2 == 0));
+        for (k, &id) in by_slot.iter().enumerate() {
             for j in 0..ledger.n_subscribers() {
                 let d = ledger.position(id).distance(ledger.subscriber(j));
                 let want = model().received_power(ledger.power(id), d).to_bits();
@@ -206,18 +207,19 @@ prop! {
                     j,
                     id
                 );
-                let k = reversed.len() - 1 - j;
-                prop_assert_eq!(
-                    piece.signal(k, piece_id).to_bits(),
-                    want,
-                    "split copied a wrong path factor at (j={}, id={})",
-                    j,
-                    id
-                );
+                if k % 2 == 0 {
+                    prop_assert_eq!(
+                        piece.signal(j, k / 2).to_bits(),
+                        want,
+                        "compaction moved a wrong path factor at (j={}, id={})",
+                        j,
+                        id
+                    );
+                }
             }
         }
         prop_assert!(ledger.audit().is_ok(), "audit: {:?}", ledger.audit());
-        prop_assert!(piece.audit().is_ok(), "split audit: {:?}", piece.audit());
+        prop_assert!(piece.audit().is_ok(), "compaction audit: {:?}", piece.audit());
     }
 
     /// Chaos hook: under `Fault::LedgerDesync` (a skewed accumulator),
