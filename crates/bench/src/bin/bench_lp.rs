@@ -22,9 +22,10 @@
 //!    Identical outcomes (relays, assignment, nodes, optimality) are
 //!    asserted on every instance before timing; the gate asserts
 //!    the session's speedup floor. One session run under a collector
-//!    also records the pricing passes (`lp.sparse_pricings`) per LP
-//!    solve: a kept-session re-solve that makes no pivot prices no
-//!    column.
+//!    also records its LP solves (`lp.sparse_solves`), the bounds it
+//!    reused for covered sets it had solved (`ilpqc.bound_reuses`) and
+//!    the pricing passes (`lp.sparse_pricings`) per LP solve: a
+//!    kept-session re-solve that makes no pivot prices no column.
 //!
 //! Usage: `bench_lp [--out PATH]`
 
@@ -184,7 +185,11 @@ struct IlpqcArm {
     candidates: usize,
     /// Branch-and-bound nodes summed over the instances.
     nodes: usize,
-    /// Pricing passes per LP solve over one session run of the probe.
+    /// LP solves over one session run of the probe.
+    lp_solves: u64,
+    /// Bounds answered from an equal covered set over that run.
+    bound_reuses: u64,
+    /// Pricing passes per LP solve over that run.
     pricings_per_solve: f64,
     reference_ns: u128,
     session_ns: u128,
@@ -216,8 +221,8 @@ fn run_ilpqc_arm() -> IlpqcArm {
         }
     });
     let lp = collector.summary();
-    let pricings_per_solve =
-        lp.counter("lp.sparse_pricings") as f64 / lp.counter("lp.sparse_solves").max(1) as f64;
+    let lp_solves = lp.counter("lp.sparse_solves");
+    let pricings_per_solve = lp.counter("lp.sparse_pricings") as f64 / lp_solves.max(1) as f64;
     let solve_all = |solve: fn(
         &Scenario,
         &[Point],
@@ -238,6 +243,8 @@ fn run_ilpqc_arm() -> IlpqcArm {
         instances: probe.len(),
         candidates: probe.iter().map(|i| i.candidates.len()).sum(),
         nodes,
+        lp_solves,
+        bound_reuses: lp.counter("ilpqc.bound_reuses"),
         pricings_per_solve,
         reference_ns: t.median_ns(0),
         session_ns: t.median_ns(1),
@@ -328,6 +335,8 @@ fn main() {
         .field("ilpqc_instances", ilpqc.instances)
         .field("ilpqc_candidates", ilpqc.candidates)
         .field("ilpqc_nodes", ilpqc.nodes)
+        .field("ilpqc_lp_solves", ilpqc.lp_solves)
+        .field("ilpqc_bound_reuses", ilpqc.bound_reuses)
         .field("ilpqc_pricings_per_solve", ilpqc.pricings_per_solve)
         .field("ilpqc_reference_median_ns", ilpqc.reference_ns)
         .field("ilpqc_session_median_ns", ilpqc.session_ns)

@@ -44,8 +44,11 @@ const GRIDS: [f64; 16] = [
 ];
 /// Sweeps per timing sample.
 const INNER_ITERS: u32 = 2;
-/// Interleaved reference/batched measurement rounds.
-const ROUNDS: usize = 11;
+/// Interleaved reference/batched measurement rounds. The median of 11
+/// put the ≥4× floor inside its own run-to-run spread once faster ILPQC
+/// solves narrowed the margin (4.00–4.48 over 10 runs on a 2-vCPU
+/// host); 33 rounds sample the same probe three times as often.
+const ROUNDS: usize = 33;
 /// Below this per-sweep reference time the ratio measures the timer,
 /// not the engine.
 const TIMING_FLOOR_NS: u128 = 2_000_000;

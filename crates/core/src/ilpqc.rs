@@ -26,11 +26,20 @@
 //!   relaxation is lowered once per solve into a kept
 //!   [`sag_lp::LpSession`]; each bounded node fixes its selection with
 //!   lower bounds of 1 and re-solves from the previous node's basis
-//!   and factors.
+//!   and factors. A selected candidate is eligible for no uncovered
+//!   subscriber, so that optimum is |selected| plus the cover LP over
+//!   the uncovered rows alone: the residual depends only on which
+//!   subscribers the selection covers. The search keeps it per covered
+//!   mask and solves each mask once.
+//!
+//! Each subscriber's eligible candidates are listed with their
+//! distances once per solve, farthest first; both branching steps
+//! filter that list.
 //!
 //! [`crate::reference::solve_ilpqc`] keeps the original per-node
 //! re-lowering as the parity suite's referee.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use sag_geom::Point;
@@ -74,11 +83,13 @@ impl Default for IlpqcConfig {
 }
 
 /// Minimum candidate count before per-node LP completion bounds kick
-/// in. Each incomplete node then re-solves the cover LP with its
-/// selection forced to at least 1 — resumed by the dual simplex from
-/// the previous node's basis and factors, so the marginal cost is a
-/// handful of pivots. Small instances (golden tests, hand-laid
-/// scenarios) stay on the pure combinatorial search.
+/// in. Each incomplete node then bounds the cover LP with its
+/// selection forced to at least 1: |selected| plus the residual LP
+/// over the subscribers it leaves uncovered. A covered-subscriber mask
+/// seen before reuses its residual; a new one re-solves, resumed by
+/// the dual simplex from the previous solve's basis and factors, so
+/// the marginal cost is a handful of pivots. Small instances (golden
+/// tests, hand-laid scenarios) stay on the pure combinatorial search.
 pub const LP_BOUND_MIN_CANDS: usize = 24;
 
 /// Outcome of an ILPQC solve.
@@ -121,7 +132,7 @@ pub fn solve_ilpqc(
     // Root lower bound: LP relaxation of the set cover, the kept
     // session's first solve.
     let mut cover = CoverBound::new(n_cands, &eligible, &config.budget);
-    let root_lb = cover.bound(&[]).map_err(|e| {
+    let root_lb = cover.bound(&[], &coverage.covered).map_err(|e| {
         if e == LpError::Cancelled {
             SagError::BudgetExceeded {
                 stage: "ilpqc",
@@ -151,6 +162,24 @@ pub fn solve_ilpqc(
     // so each solve resumes the session from the previous one.
     let use_lp_bounds = n_cands >= LP_BOUND_MIN_CANDS;
     let mut lp_prunes = 0u64;
+
+    // by_distance[j] = subscriber j's eligible candidates with their
+    // distances, farthest first. The sort is stable, so filtering this
+    // list gives the order that sorting each node's filtered options
+    // would, ties included; branches are pushed in it so that nearer
+    // candidates pop first.
+    let by_distance: Vec<Vec<(usize, f64)>> = eligible
+        .iter()
+        .zip(&scenario.subscribers)
+        .map(|(e, s)| {
+            let mut list: Vec<(usize, f64)> = e
+                .iter()
+                .map(|&c| (c, candidates[c].distance(s.position)))
+                .collect();
+            list.sort_by(|a, b| sag_geom::float::total_cmp(&b.1, &a.1));
+            list
+        })
+        .collect();
 
     // One interference ledger for the whole search, synced to each
     // distance-complete node by a push/pop symmetric diff against the
@@ -203,7 +232,7 @@ pub fn solve_ilpqc(
                     // every completion. Only worth the solve once an
                     // incumbent exists to prune against.
                     if use_lp_bounds {
-                        match cover.bound(&selected) {
+                        match cover.bound(&selected, &coverage.covered) {
                             Ok(bound) => {
                                 if bound >= b.len() {
                                     lp_prunes += 1;
@@ -220,27 +249,8 @@ pub fn solve_ilpqc(
                         }
                     }
                 }
-                // Push branches in reverse so nearer candidates pop first.
-                let mut options: Vec<usize> = eligible[j]
-                    .iter()
-                    .copied()
-                    .filter(|c| selected.binary_search(c).is_err())
-                    .collect();
-                options.sort_by(|&a, &b| {
-                    sag_geom::float::total_cmp(
-                        &candidates[b].distance(scenario.subscribers[j].position),
-                        &candidates[a].distance(scenario.subscribers[j].position),
-                    )
-                });
-                for c in options {
-                    let mut next = selected.clone();
-                    // `c` was filtered to be absent; either arm is the
-                    // correct insertion point.
-                    let pos = match next.binary_search(&c) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    next.insert(pos, c);
-                    stack.push(next);
+                for &(c, _) in &by_distance[j] {
+                    push_branch(&mut stack, &selected, c);
                 }
             }
             None => {
@@ -279,29 +289,12 @@ pub fn solve_ilpqc(
                     }
                 }
                 let j = violated[0];
-                let spos = scenario.subscribers[j].position;
-                let cur_d = candidates[selected[assignment[j]]].distance(spos);
-                let mut options: Vec<usize> = eligible[j]
-                    .iter()
-                    .copied()
-                    .filter(|&c| {
-                        selected.binary_search(&c).is_err()
-                            && candidates[c].distance(spos) < cur_d - 1e-9
-                    })
-                    .collect();
-                options.sort_by(|&a, &b| {
-                    sag_geom::float::total_cmp(
-                        &candidates[b].distance(spos),
-                        &candidates[a].distance(spos),
-                    )
-                });
-                for c in options {
-                    let mut next = selected.clone();
-                    let pos = match next.binary_search(&c) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    next.insert(pos, c);
-                    stack.push(next);
+                let cur_d =
+                    candidates[selected[assignment[j]]].distance(scenario.subscribers[j].position);
+                for &(c, d) in &by_distance[j] {
+                    if d < cur_d - 1e-9 {
+                        push_branch(&mut stack, &selected, c);
+                    }
                 }
             }
         }
@@ -313,6 +306,9 @@ pub fn solve_ilpqc(
         sag_obs::counter("ilpqc.ledger_rebuilds", ledger.stats().rebuilds);
         if lp_prunes > 0 {
             sag_obs::counter("ilpqc.lp_prunes", lp_prunes);
+        }
+        if cover.reuses > 0 {
+            sag_obs::counter("ilpqc.bound_reuses", cover.reuses);
         }
         if truncated {
             sag_obs::counter("ilpqc.budget_exhausted", 1);
@@ -393,6 +389,18 @@ impl CoverageMasks {
             .position(|&w| w != u64::MAX)
             .map(|w| w * 64 + self.covered[w].trailing_ones() as usize)
             .filter(|&j| j < self.n_subs)
+    }
+}
+
+/// Pushes the child `selected ∪ {c}` (kept sorted) onto the depth-first
+/// stack unless `c` is already selected.
+fn push_branch(stack: &mut Vec<Vec<usize>>, selected: &[usize], c: usize) {
+    if let Err(pos) = selected.binary_search(&c) {
+        let mut next = Vec::with_capacity(selected.len() + 1);
+        next.extend_from_slice(&selected[..pos]);
+        next.push(c);
+        next.extend_from_slice(&selected[pos..]);
+        stack.push(next);
     }
 }
 
@@ -482,10 +490,18 @@ fn cover_relaxation(n_cands: usize, eligible: &[Vec<usize>]) -> LpProblem {
 }
 
 /// The ILPQC's LP lower bound: the unbounded cover relaxation of one
-/// solve, lowered once into a kept [`LpSession`]. Each call fixes a
+/// solve, lowered once into a kept [`LpSession`]. A solve fixes a
 /// node's selection with lower bounds of 1 — synced by symmetric
-/// difference against the previous call's, as [`sync_ledger`] syncs
+/// difference against the previous solve's, as [`sync_ledger`] syncs
 /// the ledger — and resumes the session from its last basis.
+///
+/// A selected candidate is eligible for no uncovered subscriber, so
+/// the optimum with the selection at `x ≥ 1` sets each selected `x` to
+/// exactly 1 and is |selected| plus the cover LP over the uncovered
+/// rows alone. That residual depends only on the covered-subscriber
+/// mask, so it is kept per mask: a selection whose mask was solved
+/// before costs a lookup. At most one entry is added per node, so the
+/// node cap bounds the map.
 struct CoverBound {
     session: LpSession,
     /// Candidates currently at lower bound 1 (sorted).
@@ -493,6 +509,10 @@ struct CoverBound {
     /// Variables + constraints of the bounded formulation, the scale
     /// [`round_lp_lower_bound`] sizes its slack by.
     dimension: usize,
+    /// LP optimum minus |selected|, per covered-subscriber mask.
+    residuals: HashMap<Box<[u64]>, f64>,
+    /// Bounds answered from `residuals` without a solve.
+    reuses: u64,
 }
 
 impl CoverBound {
@@ -503,12 +523,21 @@ impl CoverBound {
             session: LpSession::new(lp),
             fixed: Vec::new(),
             dimension: n_cands + eligible.len(),
+            residuals: HashMap::new(),
+            reuses: 0,
         }
     }
 
     /// The rounded LP lower bound on every cover containing `selected`
-    /// (sorted, deduplicated).
-    fn bound(&mut self, selected: &[usize]) -> Result<usize, LpError> {
+    /// (sorted, deduplicated), whose covered-subscriber mask is
+    /// `covered`. A failed solve stores nothing, so the next selection
+    /// with that mask solves again.
+    fn bound(&mut self, selected: &[usize], covered: &[u64]) -> Result<usize, LpError> {
+        let n = selected.len() as f64;
+        if let Some(&residual) = self.residuals.get(covered) {
+            self.reuses += 1;
+            return Ok(round_lp_lower_bound(n + residual, self.dimension));
+        }
         let session = &mut self.session;
         symmetric_diff(&self.fixed, selected, |c, joined| {
             session.set_bounds(c, if joined { 1.0 } else { 0.0 }, f64::INFINITY);
@@ -516,6 +545,7 @@ impl CoverBound {
         self.fixed.clear();
         self.fixed.extend_from_slice(selected);
         let sol = self.session.solve()?;
+        self.residuals.insert(covered.into(), sol.objective - n);
         Ok(round_lp_lower_bound(sol.objective, self.dimension))
     }
 }
@@ -541,6 +571,15 @@ mod tests {
     use crate::coverage::is_feasible;
     use crate::testing::scenario;
     use sag_testkit::prelude::*;
+    use std::collections::HashSet;
+
+    /// `selected`'s covered-subscriber mask, the key the search passes
+    /// [`CoverBound::bound`].
+    fn covered_mask(n_cands: usize, eligible: &[Vec<usize>], selected: &[usize]) -> Vec<u64> {
+        let mut masks = CoverageMasks::new(n_cands, eligible);
+        masks.first_uncovered(selected);
+        masks.covered
+    }
 
     #[test]
     fn single_subscriber_one_candidate() {
@@ -774,7 +813,7 @@ mod tests {
                 .min()
                 .expect("every subscriber has an eligible candidate");
             let bound = CoverBound::new(n_cands, &eligible, &Budget::unlimited())
-                .bound(&[])
+                .bound(&[], &covered_mask(n_cands, &eligible, &[]))
                 .expect("feasible LP");
             prop_assert!(
                 bound as u32 <= opt,
@@ -818,7 +857,9 @@ mod tests {
                     (fresh - want).abs() <= tol,
                     "fixed {fixed:?}: unbounded {fresh} vs bounded {want}"
                 );
-                let bound = cover.bound(&fixed).expect("session cover LP is feasible");
+                let bound = cover
+                    .bound(&fixed, &covered_mask(n_cands, &eligible, &fixed))
+                    .expect("session cover LP is feasible");
                 prop_assert_eq!(
                     bound,
                     round_lp_lower_bound(want, n_cands + n_subs),
@@ -827,6 +868,98 @@ mod tests {
                     want
                 );
             }
+        }
+
+        /// Keeping the residual per covered mask changes no bound: over
+        /// random cover instances (up to 139 subscribers, so masks span
+        /// up to three words) with copied candidate columns, along
+        /// selection walks that add a candidate whose mask lies inside
+        /// the covered set, swap a selected candidate for one with an
+        /// equal mask, or add or drop one at random, the kept
+        /// `CoverBound` returns for every selection the bound a fresh one
+        /// returns, and it answers exactly the repeated masks without a
+        /// solve.
+        #[cases(64)]
+        fn reused_cover_bounds_equal_fresh_solves(seed in 0u64..100_000) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n_subs = rng.gen_range(1..140usize);
+            let base = rng.gen_range(2..20usize);
+            let mut columns: Vec<Vec<usize>> = (0..base)
+                .map(|_| (0..n_subs).filter(|_| rng.gen_bool(0.15)).collect())
+                .collect();
+            for _ in 0..rng.gen_range(1..8usize) {
+                let copy = columns[rng.gen_range(0..base)].clone();
+                columns.push(copy);
+            }
+            let n_cands = columns.len();
+            let mut eligible: Vec<Vec<usize>> = vec![Vec::new(); n_subs];
+            for (c, column) in columns.iter().enumerate() {
+                for &j in column {
+                    eligible[j].push(c);
+                }
+            }
+            for e in &mut eligible {
+                if e.is_empty() {
+                    e.push(rng.gen_range(0..n_cands));
+                }
+            }
+            let mut masks = CoverageMasks::new(n_cands, &eligible);
+            let words = masks.words;
+            let mask_of: Vec<Vec<u64>> = (0..n_cands)
+                .map(|c| masks.masks[c * words..(c + 1) * words].to_vec())
+                .collect();
+            let mut cover = CoverBound::new(n_cands, &eligible, &Budget::unlimited());
+            let mut seen: HashSet<Vec<u64>> = HashSet::new();
+            let mut repeats = 0u64;
+            let mut selected: Vec<usize> = Vec::new();
+            for step in 0..12 {
+                if step > 0 {
+                    let unselected: Vec<usize> = (0..n_cands)
+                        .filter(|c| selected.binary_search(c).is_err())
+                        .collect();
+                    let inside: Vec<usize> = unselected
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            mask_of[c].iter().zip(&masks.covered).all(|(m, w)| m & !w == 0)
+                        })
+                        .collect();
+                    let twins: Vec<(usize, usize)> = selected
+                        .iter()
+                        .flat_map(|&s| unselected.iter().map(move |&u| (s, u)))
+                        .filter(|&(s, u)| mask_of[s] == mask_of[u])
+                        .collect();
+                    match rng.gen_range(0..4u32) {
+                        0 if !inside.is_empty() => {
+                            selected.push(inside[rng.gen_range(0..inside.len())]);
+                        }
+                        1 if !twins.is_empty() => {
+                            let (s, u) = twins[rng.gen_range(0..twins.len())];
+                            selected.retain(|&c| c != s);
+                            selected.push(u);
+                        }
+                        2 if !selected.is_empty() => {
+                            selected.remove(rng.gen_range(0..selected.len()));
+                        }
+                        _ if !unselected.is_empty() => {
+                            selected.push(unselected[rng.gen_range(0..unselected.len())]);
+                        }
+                        _ => {}
+                    }
+                    selected.sort_unstable();
+                }
+                masks.first_uncovered(&selected);
+                let covered = masks.covered.clone();
+                if !seen.insert(covered.clone()) {
+                    repeats += 1;
+                }
+                let kept = cover.bound(&selected, &covered).expect("cover LP is feasible");
+                let fresh = CoverBound::new(n_cands, &eligible, &Budget::unlimited())
+                    .bound(&selected, &covered)
+                    .expect("cover LP is feasible");
+                prop_assert_eq!(kept, fresh, "selected {:?}", selected);
+            }
+            prop_assert_eq!(cover.reuses, repeats);
         }
     }
 }

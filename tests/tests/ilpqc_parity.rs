@@ -8,8 +8,9 @@
 //! shapes (fields, thresholds, user counts and GAC grids of the paper's
 //! sweeps), at the experiments' node limit and truncated to 1 and 50
 //! nodes, plus fixed arms at the SNR-repair-heavy thresholds −11.55 dB
-//! and −10.5 dB. `SAG_PROP_CASES` raises the case count for the CI
-//! soak.
+//! and −10.5 dB and on the largest Fig. 3(a) GAC sets, where most
+//! bounds are reused. `SAG_PROP_CASES` raises the case count for the
+//! CI soak.
 
 use std::sync::Arc;
 
@@ -189,8 +190,10 @@ fn ilpqc_matches_reference_at_snr_repair_thresholds() {
 
 /// The per-node LP bound is actually exercised: on a Fig. 3(a)-shaped
 /// GAC instance (more candidates than `LP_BOUND_MIN_CANDS`) the kept
-/// session re-solves node after node and prunes with its bound, and the
-/// two solvers still agree.
+/// session re-solves node after node and prunes with its bound, nodes
+/// whose covered subscribers were bounded before reuse that bound, so
+/// the session solves fewer LPs than the referee (one per node that
+/// asks for a bound, plus the root), and the two solvers still agree.
 #[test]
 fn gac_instances_reach_the_per_node_lp_bound() {
     let sc = scenario(500.0, 25, -15.0, 3);
@@ -213,5 +216,37 @@ fn gac_instances_reach_the_per_node_lp_bound() {
         m.counter("lp.sparse_solves") > 1,
         "the session solved only the root bound"
     );
+    assert!(
+        m.counter("ilpqc.bound_reuses") > 0,
+        "no node reused the bound of an equal covered set"
+    );
+    let referee = Arc::new(sag_obs::Collector::default());
+    sag_obs::with_local(referee.clone(), || {
+        reference::solve_ilpqc(&sc, &gac, IlpqcConfig::default()).expect("feasible instance")
+    });
+    let asked = referee.summary().counter("lp.sparse_solves");
+    assert!(
+        m.counter("lp.sparse_solves") < asked,
+        "the session solved {} LPs for {asked} bound requests",
+        m.counter("lp.sparse_solves")
+    );
     assert_parity(&sc, &gac, ILPQC_NODE_LIMIT, "Fig. 3(a) 25 users GAC");
+}
+
+/// The shape where bounds are reused most: Fig. 3(a) GAC sets at the
+/// two largest user counts (grid 20, the experiments' node limit),
+/// where neighbouring grid points often cover the same subscribers.
+#[test]
+fn ilpqc_matches_reference_on_the_largest_fig3a_gac_sets() {
+    let grid = gac_grid_for(500.0);
+    for (users, seed) in [(45, 0), (50, 1)] {
+        let sc = scenario(500.0, users, -15.0, seed);
+        let gac = prune_useless(&sc, gac_candidates(&sc, grid));
+        assert_parity(
+            &sc,
+            &gac,
+            ILPQC_NODE_LIMIT,
+            &format!("Fig. 3(a) {users} users seed {seed} GAC grid {grid}"),
+        );
+    }
 }
